@@ -17,7 +17,6 @@ from .routing import (
     edge_color_assign,
     exact_assign,
     greedy_assign,
-    greedy_assign_parallel,
     load_map,
     max_link_load,
     random_commodities,

@@ -239,11 +239,11 @@ def parse_config(raw: dict) -> ScenarioConfig:
         isinstance(k, int) and k >= 0 for k in failure_counts
     ):
         raise ConfigError("failures.counts: must be a list of non-negative integers")
-    for k in failure_counts:
-        if k >= topo.num_spines:
-            raise ConfigError(
-                f"failures.counts: {k} failures would kill all {topo.num_spines} spines"
-            )
+    if sum(failure_counts) >= topo.num_spines:
+        raise ConfigError(
+            f"failures.counts: {sum(failure_counts)} failures in total would kill all "
+            f"{topo.num_spines} spines"
+        )
     failure_seed = f.get("seed", 0)
     if not isinstance(failure_seed, int):
         raise ConfigError("failures.seed: must be an integer")
@@ -289,9 +289,12 @@ def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
         arrival = js.get("arrival_time")
         if arrival is None:
             arrival = arrivals[i]
-        placement = place_job(
-            config.topology, model, dp, stable_seed(rng_seed, "place"), occupied
-        )
+        try:
+            placement = place_job(
+                config.topology, model, dp, stable_seed(rng_seed, "place"), occupied
+            )
+        except ValueError as exc:
+            raise ConfigError(f"jobs[{i}]: {model_name} dp={dp}: {exc}") from exc
         occupied.update(placement)
         jobs.append(
             Job(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import ClosTopology, Link, Route
+from .topology import INTRA_HOST, ClosTopology, Route, route_link_ids
 
 FEASIBILITY_RTOL = 1e-9
 
@@ -38,26 +38,19 @@ def waterfill(flows: list[tuple[str, Route]], topo: ClosTopology) -> RateAllocat
     rates: dict[str, float] = {}
     routed: list[tuple[str, Route]] = []
     for cid, route in sorted(flows, key=lambda f: f[0]):
-        if route.links:
-            routed.append((cid, route))
-        else:
+        if route.kind == INTRA_HOST:
             rates[cid] = math.inf
+        else:
+            routed.append((cid, route))
     if not routed:
         return RateAllocation(rates)
 
-    link_index: dict[Link, int] = {}
-    flow_of_edge: list[int] = []
-    link_of_edge: list[int] = []
-    for fi, (_, route) in enumerate(routed):
-        for link in route.links:
-            li = link_index.setdefault(link, len(link_index))
-            flow_of_edge.append(fi)
-            link_of_edge.append(li)
-
+    # edges in flow-then-link order; le numbers the links the flows use
+    ids, counts = route_link_ids(topo, [route for _, route in routed])
     num_flows = len(routed)
-    num_links = len(link_index)
-    fe = np.asarray(flow_of_edge, dtype=np.int64)
-    le = np.asarray(link_of_edge, dtype=np.int64)
+    fe = np.repeat(np.arange(num_flows), counts)
+    used, le = np.unique(ids, return_inverse=True)
+    num_links = len(used)
     rate = np.zeros(num_flows)
     unfrozen = np.ones(num_flows, dtype=bool)
     capacity = float(topo.link_capacity)

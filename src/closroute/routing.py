@@ -19,22 +19,19 @@ from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .topology import (
     INTRA_HOST,
-    INTRA_TOR,
     ClosTopology,
     CommodityRouteError,
     Endpoint,
     Link,
     Route,
     forced_route,
-    nic_down_link,
-    nic_up_link,
+    route_link_ids,
     spine_route,
 )
 from .workload import CommoditySpec
@@ -74,47 +71,13 @@ def load_map(choice: PathChoice) -> dict[Link, int]:
     return counts
 
 
-def _is_spine_link(link: Link) -> bool:
-    return link[0][0] == "spine" or link[1][0] == "spine"
-
-
 def max_link_load(choice: PathChoice, topo: ClosTopology, scope: str = SPINE_LINKS_ONLY) -> int:
     """Maximum commodity count on any link in the requested scope."""
     if scope not in (SPINE_LINKS_ONLY, ALL_LINKS):
         raise ValueError(f"unknown scope {scope!r}")
-    best = 0
-    for link, count in load_map(choice).items():
-        if scope == ALL_LINKS or _is_spine_link(link):
-            best = max(best, count)
-    return best
-
-
-class _SpineLoads:
-    """Per-direction ToR<->spine load matrices plus sparse NIC-link loads."""
-
-    def __init__(self, topo: ClosTopology):
-        self.up = np.zeros((topo.num_tors, topo.num_spines), dtype=np.int64)
-        self.down = np.zeros((topo.num_spines, topo.num_tors), dtype=np.int64)
-        self.nic: dict[Link, int] = {}
-        live = topo.live_spines
-        self.live = np.asarray(live, dtype=np.int64)
-        self.live_list = live
-
-    def bump_nic(self, link: Link):
-        self.nic[link] = self.nic.get(link, 0) + 1
-
-    def add_route(self, route: Route):
-        if route.kind == INTRA_HOST:
-            return
-        if route.kind == INTRA_TOR:
-            for link in route.links:
-                self.bump_nic(link)
-            return
-        src_up, tor_up, tor_down, dst_down = route.links
-        self.bump_nic(src_up)
-        self.bump_nic(dst_down)
-        self.up[tor_up[0][1], route.spine] += 1
-        self.down[route.spine, tor_down[1][1]] += 1
+    ids, _ = route_link_ids(topo, choice.assignment.values())
+    loads = np.bincount(ids, minlength=topo.num_links)
+    return int(loads[topo.spine_link_base if scope == SPINE_LINKS_ONLY else 0 :].max())
 
 
 def greedy_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathChoice:
@@ -126,24 +89,31 @@ def greedy_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathC
     links, NIC links included. Forced intra-host/intra-ToR commodities take
     their unique route; intra-ToR ones still load their NIC links.
     """
-    loads = _SpineLoads(topo)
-    if len(loads.live_list) == 0:
+    live_list = topo.live_spines
+    if not live_list:
         raise CommodityRouteError("no live spines available")
+    live = np.asarray(live_list, dtype=np.int64)
+    loads = np.zeros(topo.num_links, dtype=np.int64)
+    up, down = topo.spine_link_views(loads)
     assignment: dict[str, Route] = {}
     for c in commodities:
-        route = forced_route(topo, c.src, c.dst)
+        src, dst = c.src, c.dst
+        route = forced_route(topo, src, dst)
+        src_up, dst_down = topo.nic_up_id(src), topo.nic_down_id(dst)
         if route is None:
-            src, dst = c.src, c.dst
-            cand = np.maximum(loads.up[src.tor, loads.live], loads.down[loads.live, dst.tor])
-            nic_floor = max(
-                loads.nic.get(nic_up_link(src), 0), loads.nic.get(nic_down_link(dst), 0)
-            )
+            cand = np.maximum(up[src.tor, live], down[live, dst.tor])
+            nic_floor = max(loads[src_up], loads[dst_down])
             if nic_floor:
                 cand = np.maximum(cand, nic_floor)
             # first occurrence of the minimum == scan in ascending spine order
             # switching only on strict improvement
-            route = spine_route(src, dst, loads.live_list[int(np.argmin(cand))])
-        loads.add_route(route)
+            spine = live_list[int(np.argmin(cand))]
+            route = spine_route(src, dst, spine)
+            up[src.tor, spine] += 1
+            down[spine, dst.tor] += 1
+        if route.kind != INTRA_HOST:
+            loads[src_up] += 1
+            loads[dst_down] += 1
         assignment[c.id] = route
     return PathChoice(assignment)
 
@@ -188,30 +158,6 @@ def decompose_components(commodities: list[CommoditySpec]) -> list[list[Commodit
     for idx, c in enumerate(commodities):
         groups.setdefault(find(idx), []).append(c)
     return [groups[root] for root in sorted(groups)]
-
-
-def greedy_assign_parallel(
-    commodities: list[CommoditySpec],
-    topo: ClosTopology,
-    max_workers: int | None = None,
-) -> PathChoice:
-    """Run greedy_assign independently per connected component.
-
-    Components share no spine-layer links, so the per-component results merge
-    into exactly the assignment that independent sequential runs produce.
-    With max_workers set, components are processed by a thread pool.
-    """
-    components = decompose_components(commodities)
-    if max_workers and len(components) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda comp: greedy_assign(comp, topo), components))
-    else:
-        results = [greedy_assign(comp, topo) for comp in components]
-    merged: dict[str, Route] = {}
-    for part in results:
-        merged.update(part.assignment)
-    # restore input order for downstream determinism
-    return PathChoice({c.id: merged[c.id] for c in commodities})
 
 
 def _stable_hash(text: str) -> int:
@@ -324,16 +270,16 @@ def edge_color_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> P
 
 
 class _LoadTracker:
-    """Link loads with O(1) amortized max and sum-of-squares maintenance."""
+    """Loads by link id with O(1) amortized max and sum-of-squares maintenance."""
 
-    def __init__(self):
-        self.loads: dict[Link, int] = {}
+    def __init__(self, num_links: int):
+        self.loads = [0] * num_links
         self.hist: dict[int, int] = {}
         self.max_load = 0
         self.sum_sq = 0
 
-    def bump(self, link: Link, delta: int):
-        old = self.loads.get(link, 0)
+    def bump(self, link: int, delta: int):
+        old = self.loads[link]
         new = old + delta
         self.loads[link] = new
         self.sum_sq += new * new - old * old
@@ -369,10 +315,9 @@ def anneal_assign(
     if not inter or len(live) < 2 or schedule.moves_per_commodity == 0:
         return start
 
-    tracker = _LoadTracker()
-    for route in start.assignment.values():
-        for link in route.links:
-            tracker.bump(link, 1)
+    tracker = _LoadTracker(topo.num_links)
+    for link in route_link_ids(topo, start.assignment.values())[0].tolist():
+        tracker.bump(link, 1)
     spine_of = {c.id: start.assignment[c.id].spine for c in inter}
 
     # Integer scalarization of the lexicographic energy: a max-load step always
@@ -383,11 +328,8 @@ def anneal_assign(
     def energy() -> int:
         return tracker.max_load * big + tracker.sum_sq
 
-    def links_of(c: CommoditySpec, spine: int) -> tuple[Link, Link]:
-        return (
-            (("tor", c.src.tor), ("spine", spine)),
-            (("spine", spine), ("tor", c.dst.tor)),
-        )
+    def links_of(c: CommoditySpec, spine: int) -> tuple[int, int]:
+        return topo.tor_up_id(c.src.tor, spine), topo.tor_down_id(spine, c.dst.tor)
 
     rng = random.Random(seed)
     temp = schedule.initial_temp

@@ -29,7 +29,7 @@ from .routing import (
     max_link_load,
     random_commodities,
 )
-from .topology import SPINE, ClosTopology, Route, fail_spines, forced_route
+from .topology import INTRA_HOST, SPINE, ClosTopology, Route, fail_spines, forced_route
 from .workload import (
     CommoditySpec,
     HardwareModel,
@@ -245,7 +245,7 @@ class _Engine:
                 continue
             for c in ring_allreduce_commodities(ring, iteration):
                 forced = forced_route(self.topo, c.src, c.dst)
-                if forced is not None and not forced.links:
+                if forced is not None and forced.kind == INTRA_HOST:
                     continue  # same-host transfer, no network time
                 volume_bits = c.volume * 8
                 elephant = volume_bits >= threshold_bits

@@ -4,12 +4,26 @@ Every inter-ToR shortest path crosses exactly one spine, so a route is fully
 described by its spine index (or by being intra-ToR / intra-host). Links are
 directed and full duplex: the up and down directions are independent
 capacities.
+
+Link layout: with E endpoints, T ToRs and S spines, every directed link has
+one integer id in [0, num_links), e being an endpoint's position in
+``ClosTopology.endpoints()``:
+
+  NIC e -> its ToR   e          ToR t -> spine s   2E + t*S + s
+  ToR -> NIC e       E + e      spine s -> ToR t   2E + T*S + s*T + t
+
+The ids from ``spine_link_base`` (2E) up are exactly the links that touch a
+spine. Load bookkeeping counts on these ids; ``route_link_ids`` maps routes
+to them in one pass. A Route stores its kind, spine and endpoints only;
+``Route.links`` is a view derived from them, as pairs of tagged nodes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 # Directed link: (tail node, head node). Nodes are tagged tuples:
 #   ("tor", t) | ("spine", s) | ("nic", t, h, n)
@@ -37,13 +51,27 @@ class Endpoint:
         return f"t{self.tor}.h{self.host}.n{self.nic}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
-    """A concrete path: its kind, spine index (if any) and directed links."""
+    """A concrete path: its kind, spine index (if any) and endpoints."""
 
     kind: str
     spine: int | None
-    links: tuple[Link, ...]
+    src: Endpoint
+    dst: Endpoint
+
+    @property
+    def links(self) -> tuple[Link, ...]:
+        """The directed links in path order, derived from the endpoints."""
+        if self.kind == INTRA_HOST:
+            return ()
+        src, dst = self.src, self.dst
+        up = (("nic", src.tor, src.host, src.nic), ("tor", src.tor))
+        down = (("tor", dst.tor), ("nic", dst.tor, dst.host, dst.nic))
+        if self.kind == INTRA_TOR:
+            return (up, down)
+        spine = ("spine", self.spine)
+        return (up, (("tor", src.tor), spine), (spine, ("tor", dst.tor)), down)
 
 
 @dataclass(frozen=True)
@@ -94,6 +122,38 @@ class ClosTopology:
             and 0 <= ep.nic < self.nics_per_host
         )
 
+    # -- link layout (see the module docstring) -------------------------------
+
+    @property
+    def spine_link_base(self) -> int:
+        """Id of the first ToR->spine link; every id from here up touches a spine."""
+        return 2 * self.num_endpoints
+
+    @property
+    def num_links(self) -> int:
+        return self.spine_link_base + 2 * self.num_tors * self.num_spines
+
+    def nic_up_id(self, ep: Endpoint) -> int:
+        return (ep.tor * self.hosts_per_tor + ep.host) * self.nics_per_host + ep.nic
+
+    def nic_down_id(self, ep: Endpoint) -> int:
+        return self.num_endpoints + self.nic_up_id(ep)
+
+    def tor_up_id(self, tor: int, spine: int) -> int:
+        return self.spine_link_base + tor * self.num_spines + spine
+
+    def tor_down_id(self, spine: int, tor: int) -> int:
+        return self.spine_link_base + (self.num_spines + spine) * self.num_tors + tor
+
+    def spine_link_views(self, per_link: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (ToR x spine) up-link and (spine x ToR) down-link views of a
+        per-link array; writes through them land in ``per_link``."""
+        base, t, s = self.spine_link_base, self.num_tors, self.num_spines
+        return (
+            per_link[base : base + t * s].reshape(t, s),
+            per_link[base + t * s : base + 2 * t * s].reshape(s, t),
+        )
+
 
 def build_topology(
     num_spines: int,
@@ -106,37 +166,39 @@ def build_topology(
     return ClosTopology(num_spines, num_tors, hosts_per_tor, nics_per_host, link_capacity)
 
 
-def nic_node(ep: Endpoint) -> Node:
-    return ("nic", ep.tor, ep.host, ep.nic)
-
-
-def nic_up_link(ep: Endpoint) -> Link:
-    return (nic_node(ep), ("tor", ep.tor))
-
-
-def nic_down_link(ep: Endpoint) -> Link:
-    return (("tor", ep.tor), nic_node(ep))
-
-
-def tor_up_link(tor: int, spine: int) -> Link:
-    return (("tor", tor), ("spine", spine))
-
-
-def tor_down_link(spine: int, tor: int) -> Link:
-    return (("spine", spine), ("tor", tor))
-
-
 def spine_route(src: Endpoint, dst: Endpoint, spine: int) -> Route:
-    return Route(
-        SPINE,
-        spine,
-        (
-            nic_up_link(src),
-            tor_up_link(src.tor, spine),
-            tor_down_link(spine, dst.tor),
-            nic_down_link(dst),
-        ),
-    )
+    return Route(SPINE, spine, src, dst)
+
+
+def route_link_ids(topo: ClosTopology, routes) -> tuple[np.ndarray, np.ndarray]:
+    """The link ids of routes on topo, in one pass.
+
+    Returns the ids flat in route-then-link order (each route's links in
+    ``Route.links`` order) and the number of links of each route.
+    """
+    hosts, nics, num_endpoints = topo.hosts_per_tor, topo.nics_per_host, topo.num_endpoints
+    tors, spines = topo.num_tors, topo.num_spines
+    up_base = topo.spine_link_base
+    down_base = up_base + tors * spines
+    ids: list[int] = []
+    counts: list[int] = []
+    for route in routes:
+        kind = route.kind
+        if kind == INTRA_HOST:
+            counts.append(0)
+            continue
+        src, dst = route.src, route.dst
+        nic_up = (src.tor * hosts + src.host) * nics + src.nic
+        nic_down = num_endpoints + (dst.tor * hosts + dst.host) * nics + dst.nic
+        if kind == SPINE:
+            spine = route.spine
+            ids += (nic_up, up_base + src.tor * spines + spine,
+                    down_base + spine * tors + dst.tor, nic_down)
+            counts.append(4)
+        else:
+            ids += (nic_up, nic_down)
+            counts.append(2)
+    return np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64)
 
 
 def forced_route(topo: ClosTopology, src: Endpoint, dst: Endpoint) -> Route | None:
@@ -152,9 +214,9 @@ def forced_route(topo: ClosTopology, src: Endpoint, dst: Endpoint) -> Route | No
     if not topo.contains(dst):
         raise ValueError(f"dst endpoint {dst} out of bounds")
     if src.tor == dst.tor and src.host == dst.host:
-        return Route(INTRA_HOST, None, ())
+        return Route(INTRA_HOST, None, src, dst)
     if src.tor == dst.tor:
-        return Route(INTRA_TOR, None, (nic_up_link(src), nic_down_link(dst)))
+        return Route(INTRA_TOR, None, src, dst)
     return None
 
 

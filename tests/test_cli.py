@@ -4,7 +4,7 @@ import json
 import pytest
 
 from closroute.cli import main
-from closroute.config import ConfigError, default_config, parse_config
+from closroute.config import ConfigError, build_jobs, default_config, parse_config
 
 # a scenario small enough for quick end-to-end runs
 SMALL_CONFIG = {
@@ -28,6 +28,10 @@ SMALL_CONFIG = {
     "seeds": [0, 1],
     "failures": {"time_s": 0.5, "counts": [], "seed": 1},
 }
+
+
+# 6 x 384 GPUs, more than the default 2048-GPU fabric holds
+SIX_BLOOM_DP8 = [{"model": "BLOOM", "dp": 8}] * 6
 
 
 @pytest.fixture()
@@ -117,6 +121,18 @@ def test_config_error_names_field_paths():
         parse_config({**default_config(), "typo_field": 1})
     with pytest.raises(ConfigError, match="failures.counts"):
         parse_config({**default_config(), "failures": {"time_s": 1.0, "counts": [32]}})
+    with pytest.raises(ConfigError, match="failures.counts"):
+        parse_config({**default_config(), "failures": {"time_s": 0.5, "counts": [20, 20]}})
+    with pytest.raises(ConfigError, match=r"jobs\[5\]"):
+        build_jobs(parse_config({**default_config(), "jobs": SIX_BLOOM_DP8}), 0)
+
+
+def test_job_that_does_not_fit_exits_2(tmp_path, capsys):
+    path = tmp_path / "crowded.json"
+    path.write_text(json.dumps({**default_config(), "jobs": SIX_BLOOM_DP8}))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "jobs[5]" in capsys.readouterr().err
 
 
 def test_validate_reports_no_violations(tmp_path, capsys):

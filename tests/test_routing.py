@@ -16,7 +16,6 @@ from closroute.routing import (
     edge_color_assign,
     exact_assign,
     greedy_assign,
-    greedy_assign_parallel,
     load_map,
     max_link_load,
     random_commodities,
@@ -166,30 +165,6 @@ def test_intra_tor_commodities_are_singletons():
     inter = unit_commodities_for_pairs(topo, [(0, 1), (0, 2)])
     parts = decompose_components([intra] + inter)
     assert [[c.id for c in p] for p in parts] == [["x"], ["c0", "c1"]]
-
-
-# -- parallel greedy ----------------------------------------------------------
-
-
-def test_parallel_greedy_matches_per_component_runs():
-    for seed in range(30):
-        topo, cs = random_unit_instance(seed, max_tors=8, max_spines=4, max_commodities=14)
-        parallel = greedy_assign_parallel(cs, topo)
-        merged = {}
-        for part in decompose_components(cs):
-            merged.update(greedy_assign(part, topo).assignment)
-        assert parallel.assignment == merged
-        # ToR-level instances use disjoint NICs, so the monolithic sequential
-        # run decomposes too
-        assert parallel.assignment == greedy_assign(cs, topo).assignment
-
-
-def test_parallel_greedy_threaded_equals_serial():
-    topo = build_topology(4, 16, 4, 2, 1.0)
-    cs = random_commodities(topo, 200, seed=9)
-    serial = greedy_assign_parallel(cs, topo)
-    threaded = greedy_assign_parallel(cs, topo, max_workers=4)
-    assert serial == threaded
 
 
 # -- ecmp ---------------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_udp_port_encoding_round_trip():
         port = encode_route_as_udp_port(route)
         assert port == 49152 + spine
         assert decode_udp_port(port) == spine
-    local = Route("intra_host", None, ())
+    local = Route("intra_host", None, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
     assert encode_route_as_udp_port(local) is None
     with pytest.raises(ValueError):
         decode_udp_port(100)

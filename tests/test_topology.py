@@ -1,5 +1,11 @@
-import pytest
+import itertools
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from closroute.routing import ALL_LINKS, SPINE_LINKS_ONLY, PathChoice, load_map, max_link_load
 from closroute.topology import (
     INTRA_HOST,
     INTRA_TOR,
@@ -10,6 +16,7 @@ from closroute.topology import (
     enumerate_routes,
     fail_spines,
     forced_route,
+    route_link_ids,
 )
 
 
@@ -129,3 +136,52 @@ def test_forced_route_matches_enumeration():
             assert routes[0].kind == SPINE
         else:
             assert routes == [forced]
+
+
+# -- the integer link layout ----------------------------------------------------
+
+
+@st.composite
+def fabrics(draw):
+    topo = build_topology(
+        draw(st.integers(1, 4)), draw(st.integers(2, 5)), draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)), 1.0,
+    )
+    failed = draw(st.integers(0, topo.num_spines - 1))
+    return fail_spines(topo, failed, seed=draw(st.integers(0, 99)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(fabrics())
+def test_link_ids_match_route_links(topo):
+    routes = [
+        route
+        for src, dst in itertools.permutations(topo.endpoints(), 2)
+        for route in enumerate_routes(topo, src, dst)
+    ]
+    ids, counts = route_link_ids(topo, routes)
+    assert counts.tolist() == [len(r.links) for r in routes]
+    assert ids.min() >= 0 and ids.max() < topo.num_links
+    id_of = {}
+    for route, route_ids in zip(routes, np.split(ids, np.cumsum(counts)[:-1])):
+        for link, link_id in zip(route.links, route_ids.tolist()):
+            assert id_of.setdefault(link, link_id) == link_id
+            touches_spine = "spine" in (link[0][0], link[1][0])
+            assert (link_id >= topo.spine_link_base) == touches_spine
+        if route.kind == SPINE:
+            src, dst, s = route.src, route.dst, route.spine
+            assert route_ids.tolist() == [
+                topo.nic_up_id(src), topo.tor_up_id(src.tor, s),
+                topo.tor_down_id(s, dst.tor), topo.nic_down_id(dst),
+            ]
+    assert len(set(id_of.values())) == len(id_of)
+    up, down = topo.spine_link_views(np.arange(topo.num_links))
+    tors, spines = range(topo.num_tors), range(topo.num_spines)
+    assert up.tolist() == [[topo.tor_up_id(t, s) for s in spines] for t in tors]
+    assert down.tolist() == [[topo.tor_down_id(s, t) for t in tors] for s in spines]
+
+    choice = PathChoice({str(i): route for i, route in enumerate(routes)})
+    loads = load_map(choice)
+    spine_loads = [n for link, n in loads.items() if "spine" in (link[0][0], link[1][0])]
+    assert max_link_load(choice, topo, ALL_LINKS) == max(loads.values(), default=0)
+    assert max_link_load(choice, topo, SPINE_LINKS_ONLY) == max(spine_loads, default=0)
