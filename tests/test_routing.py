@@ -167,6 +167,21 @@ def test_intra_tor_commodities_are_singletons():
     assert [[c.id for c in p] for p in parts] == [["x"], ["c0", "c1"]]
 
 
+# -- greedy per component -----------------------------------------------------
+
+
+def test_parallel_greedy_matches_per_component_runs():
+    # ToR-level instances use disjoint NICs, so greedy over the whole set
+    # equals greedy run on each component separately (the components could
+    # be routed in parallel)
+    for seed in range(30):
+        topo, cs = random_unit_instance(seed, max_tors=8, max_spines=4, max_commodities=14)
+        merged = {}
+        for part in decompose_components(cs):
+            merged.update(greedy_assign(part, topo).assignment)
+        assert greedy_assign(cs, topo).assignment == merged
+
+
 # -- ecmp ---------------------------------------------------------------------
 
 
