@@ -142,16 +142,21 @@ def _load(args) -> ScenarioConfig:
     return config
 
 
-def _run_scenarios(config: ScenarioConfig, counts=None, tag=None):
+def _place_jobs(config: ScenarioConfig) -> dict[int, list]:
+    """The placed jobs of each seed. Jobs are immutable, so every scheme and
+    failure level of a seed simulates the same list."""
+    return {seed: build_jobs(config, seed) for seed in config.seeds}
+
+
+def _run_scenarios(config: ScenarioConfig, jobs_by_seed, counts=None, tag=None):
     """Shared run/failsweep executor. Yields (scenario_id, scheme, seed, result)."""
     plan = failure_plan(config, counts)
     scenario_id = config.scenario_id if tag is None else f"{config.scenario_id}:{tag}"
     for scheme in config.schemes:
         for seed in config.seeds:
-            jobs = build_jobs(config, seed)
             result = run_scenario(
                 config.topology,
-                jobs,
+                jobs_by_seed[seed],
                 controller_for(config, scheme),
                 hardware=config.hardware,
                 failures=plan,
@@ -163,7 +168,7 @@ def _run_scenarios(config: ScenarioConfig, counts=None, tag=None):
 def cmd_run(args) -> int:
     config = _load(args)
     rows, trace = [], []
-    for scenario_id, scheme, seed, result in _run_scenarios(config):
+    for scenario_id, scheme, seed, result in _run_scenarios(config, _place_jobs(config)):
         rows.extend(_metric_rows(scenario_id, scheme, seed, result))
         if args.trace:
             trace.extend(_trace_rows(scenario_id, scheme, seed, result))
@@ -269,14 +274,17 @@ def cmd_failsweep(args) -> int:
     config = _load(args)
     counts = [int(c) for c in args.counts.split(",") if c.strip()] if args.counts else [1, 4, 8]
     for k in counts:
+        if k < 0:
+            raise ConfigError(f"--counts: failure counts must be >= 0, got {k}")
         if k >= config.topology.num_spines:
             raise ConfigError(
                 f"--counts: {k} failures would kill all {config.topology.num_spines} spines"
             )
+    jobs_by_seed = _place_jobs(config)
     rows, trace = [], []
     for k in counts:
         for scenario_id, scheme, seed, result in _run_scenarios(
-            config, counts=[k] if k else [], tag=f"k{k}"
+            config, jobs_by_seed, counts=[k] if k else [], tag=f"k{k}"
         ):
             rows.extend(_metric_rows(scenario_id, scheme, seed, result))
             if args.trace:

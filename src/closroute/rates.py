@@ -4,6 +4,11 @@ All flows grow their rates together until some link saturates; the flows on
 that bottleneck freeze at its fair share, its capacity is subtracted, and the
 process repeats. The result is the unique max-min fair allocation for the
 given routes: no rate can be raised without lowering an equal-or-smaller one.
+
+The rates are bit-stable: they do not depend on the input order, and each
+round sums the frozen flows' rates on a link in one weighted ``bincount``
+over the edges in flow-then-link order, so every float sum adds its terms in
+the same order on every run.
 """
 
 from __future__ import annotations
@@ -49,8 +54,11 @@ def waterfill(flows: list[tuple[str, Route]], topo: ClosTopology) -> RateAllocat
     ids, counts = route_link_ids(topo, [route for _, route in routed])
     num_flows = len(routed)
     fe = np.repeat(np.arange(num_flows), counts)
-    used, le = np.unique(ids, return_inverse=True)
-    num_links = len(used)
+    used = np.zeros(topo.num_links, dtype=bool)
+    used[ids] = True
+    index = np.cumsum(used) - 1
+    le = index[ids]
+    num_links = int(index[-1]) + 1
     rate = np.zeros(num_flows)
     unfrozen = np.ones(num_flows, dtype=bool)
     capacity = float(topo.link_capacity)
@@ -58,21 +66,19 @@ def waterfill(flows: list[tuple[str, Route]], topo: ClosTopology) -> RateAllocat
     while unfrozen.any():
         edge_active = unfrozen[fe]
         active_count = np.bincount(le[edge_active], minlength=num_links)
-        frozen_use = np.bincount(
-            le[~edge_active], weights=rate[fe[~edge_active]], minlength=num_links
-        )
+        frozen = ~edge_active
+        frozen_use = np.bincount(le[frozen], weights=rate[fe[frozen]], minlength=num_links)
         residual = np.maximum(capacity - frozen_use, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             share = np.where(active_count > 0, residual / np.maximum(active_count, 1), np.inf)
         level = share.min()
-        bottlenecks = np.flatnonzero(share == level)
-        hit = np.isin(le, bottlenecks) & edge_active
-        to_freeze = np.unique(fe[hit])
-        rate[to_freeze] = level
-        unfrozen[to_freeze] = False
+        hit = (share == level)[le] & edge_active
+        freeze = np.zeros(num_flows, dtype=bool)
+        freeze[fe[hit]] = True
+        rate[freeze] = level
+        unfrozen &= ~freeze
 
-    for fi, (cid, _) in enumerate(routed):
-        rates[cid] = float(rate[fi])
+    rates.update(zip((cid for cid, _ in routed), rate.tolist()))
     return RateAllocation(rates)
 
 

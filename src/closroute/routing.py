@@ -119,13 +119,17 @@ def greedy_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathC
 
 
 def decompose_components(commodities: list[CommoditySpec]) -> list[list[CommoditySpec]]:
-    """Partition commodities into maximal groups connected by a shared source
-    ToR or a shared destination ToR.
+    """Partition commodities into maximal groups connected by a shared link:
+    a shared source or destination ToR between inter-ToR commodities, or a
+    shared source or destination endpoint (NIC) between any that leave their
+    host.
 
-    Two inter-ToR commodities can only ever contend for the same directed
-    spine-layer link if they leave the same ToR or enter the same ToR, so the
-    groups are link-disjoint at the spine layer. Intra-host and intra-ToR
-    commodities touch no spine link and form singletons.
+    Two inter-ToR commodities can only contend for the same directed
+    spine-layer link if they leave the same ToR or enter the same ToR, and any
+    two commodities off their hosts can only share a NIC link if they share an
+    endpoint, so no two groups share a link. Greedy, which weighs NIC links
+    too, therefore routes each group as it would within the whole set.
+    Intra-host commodities touch no link and form singletons.
     """
     parent = list(range(len(commodities)))
 
@@ -140,19 +144,20 @@ def decompose_components(commodities: list[CommoditySpec]) -> list[list[Commodit
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    by_src: dict[int, int] = {}
-    by_dst: dict[int, int] = {}
+    first: dict[tuple, int] = {}  # shared resource -> first commodity using it
     for idx, c in enumerate(commodities):
-        if c.src.tor == c.dst.tor:
+        src, dst = c.src, c.dst
+        if src.tor != dst.tor:
+            keys = [("src_tor", src.tor), ("dst_tor", dst.tor), ("src", src), ("dst", dst)]
+        elif src.host != dst.host:
+            keys = [("src", src), ("dst", dst)]
+        else:
             continue
-        if c.src.tor in by_src:
-            union(by_src[c.src.tor], idx)
-        else:
-            by_src[c.src.tor] = idx
-        if c.dst.tor in by_dst:
-            union(by_dst[c.dst.tor], idx)
-        else:
-            by_dst[c.dst.tor] = idx
+        for key in keys:
+            if key in first:
+                union(first[key], idx)
+            else:
+                first[key] = idx
 
     groups: dict[int, list[CommoditySpec]] = {}
     for idx, c in enumerate(commodities):

@@ -6,6 +6,11 @@ active elephant flows whenever a flow starts, a flow ends, or a spine fails,
 after a configurable reaction latency; rates follow max-min fairness on the
 current routes. Mice flows bypass the controller and stay on hashed paths.
 
+An ECMP hash depends only on the flow, the seed and the live spines, so ECMP
+decisions reuse the routed elephants' hashes: a decision hashes only the
+elephants without a route, until a spine fails and the first decision after
+it hashes every elephant again.
+
 The event loop is single threaded and deterministic for a fixed scenario and
 seed: ties in event time resolve by a fixed kind priority, then by insertion
 sequence.
@@ -139,6 +144,8 @@ class _Engine:
         self.flows: dict[str, FlowState] = {}
         self.arrival_order: list[str] = []
         self.pending_decisions: set[float] = set()
+        # the topology the last ECMP decision hashed on (see _on_decision)
+        self.hashed_topo: ClosTopology | None = None
         self.records: list[MetricsRecord] = []
         self.controller_log: list[dict] = []
         self.flow_log: list[dict] = []
@@ -289,17 +296,24 @@ class _Engine:
         elephants = self._elephant_commodities()
         if not elephants:
             return
+        to_route = elephants
+        if self.controller.scheme == "ecmp":
+            # an ECMP route depends only on the commodity, the seed and the live
+            # spines: until a spine fails, a routed elephant would hash the same
+            if self.topo is self.hashed_topo:
+                to_route = [c for c in elephants if self.flows[c.id].route is None]
+            self.hashed_topo = self.topo
         wall_start = time.perf_counter()
         choice = assign_by_scheme(
             self.controller.scheme,
-            elephants,
+            to_route,
             self.topo,
             seed=self.route_seed,
             anneal_schedule=self.controller.anneal_schedule,
             exact_max_commodities=self.controller.exact_max_commodities,
         )
         wall = time.perf_counter() - wall_start
-        for c in elephants:
+        for c in to_route:
             fs = self.flows[c.id]
             fs.route = choice.assignment[c.id]
             fs.transmitting = True

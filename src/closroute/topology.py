@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -154,6 +155,29 @@ class ClosTopology:
             per_link[base + t * s : base + 2 * t * s].reshape(s, t),
         )
 
+    @cached_property
+    def _route_link_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights and offsets that map a route's columns to its NIC-up,
+        ToR->spine, spine->ToR and NIC-down link ids."""
+        t, s, nic = self.num_tors, self.num_spines, self.nics_per_host
+        host = self.hosts_per_tor * nic
+        weights = np.array(
+            [
+                [0, 0, 0, 0],  # link count
+                [0, 1, t, 0],  # spine
+                [host, s, 0, 0],  # src tor
+                [nic, 0, 0, 0],  # src host
+                [1, 0, 0, 0],  # src nic
+                [0, 0, 1, host],  # dst tor
+                [0, 0, 0, nic],  # dst host
+                [0, 0, 0, 1],  # dst nic
+            ],
+            dtype=np.int64,
+        )
+        base = self.spine_link_base
+        offsets = np.array([0, base, base + t * s, self.num_endpoints], dtype=np.int64)
+        return weights, offsets
+
 
 def build_topology(
     num_spines: int,
@@ -170,35 +194,28 @@ def spine_route(src: Endpoint, dst: Endpoint, spine: int) -> Route:
     return Route(SPINE, spine, src, dst)
 
 
+# links per route kind, in Route.links order
+_LINK_COUNT = {SPINE: 4, INTRA_TOR: 2, INTRA_HOST: 0}
+# a route uses its NIC-up, ToR->spine, spine->ToR and NIC-down link if it has
+# more links than this: spine routes all four, intra-ToR routes the NIC links
+_USES_LINK = np.array([0, 2, 2, 0])
+
+
 def route_link_ids(topo: ClosTopology, routes) -> tuple[np.ndarray, np.ndarray]:
     """The link ids of routes on topo, in one pass.
 
     Returns the ids flat in route-then-link order (each route's links in
     ``Route.links`` order) and the number of links of each route.
     """
-    hosts, nics, num_endpoints = topo.hosts_per_tor, topo.nics_per_host, topo.num_endpoints
-    tors, spines = topo.num_tors, topo.num_spines
-    up_base = topo.spine_link_base
-    down_base = up_base + tors * spines
-    ids: list[int] = []
-    counts: list[int] = []
+    columns: list[int] = []
     for route in routes:
-        kind = route.kind
-        if kind == INTRA_HOST:
-            counts.append(0)
-            continue
         src, dst = route.src, route.dst
-        nic_up = (src.tor * hosts + src.host) * nics + src.nic
-        nic_down = num_endpoints + (dst.tor * hosts + dst.host) * nics + dst.nic
-        if kind == SPINE:
-            spine = route.spine
-            ids += (nic_up, up_base + src.tor * spines + spine,
-                    down_base + spine * tors + dst.tor, nic_down)
-            counts.append(4)
-        else:
-            ids += (nic_up, nic_down)
-            counts.append(2)
-    return np.array(ids, dtype=np.int64), np.array(counts, dtype=np.int64)
+        columns += (_LINK_COUNT[route.kind], route.spine or 0,
+                    src.tor, src.host, src.nic, dst.tor, dst.host, dst.nic)
+    cols = np.fromiter(columns, dtype=np.int64, count=len(columns)).reshape(-1, 8)
+    weights, offsets = topo._route_link_map
+    count = cols[:, 0]
+    return (cols @ weights + offsets)[count[:, None] > _USES_LINK], count
 
 
 def forced_route(topo: ClosTopology, src: Endpoint, dst: Endpoint) -> Route | None:

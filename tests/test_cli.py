@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from closroute import cli
 from closroute.cli import main
 from closroute.config import ConfigError, build_jobs, default_config, parse_config
 
@@ -198,6 +199,36 @@ def test_failsweep_rejects_total_failure(small_config, tmp_path):
     code = main(["failsweep", "--config", small_config, "--out", str(tmp_path / "x.csv"),
                  "--counts", "4"])
     assert code == 2
+
+
+def test_failsweep_rejects_a_negative_count(small_config, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["failsweep", "--config", small_config, "--out", str(out), "--counts=1,-1"])
+    assert code == 2
+    assert "--counts" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failsweep_places_jobs_once_per_seed(tmp_path, monkeypatch):
+    config = {**SMALL_CONFIG, "topology": {**SMALL_CONFIG["topology"], "num_spines": 8}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    placed = []
+
+    def counting(config, seed):
+        placed.append(seed)
+        return build_jobs(config, seed)
+
+    monkeypatch.setattr(cli, "build_jobs", counting)
+    out = str(tmp_path / "sweep.csv")
+    assert main(["failsweep", "--config", str(path), "--out", out,
+                 "--counts", "1,4", "--schemes", "greedy,ecmp"]) == 0
+    assert placed == [0, 1]
+    rows = read_rows(out)
+    assert {(r["scenario"], r["scheme"], r["seed"]) for r in rows} == {
+        (f"small:k{k}", scheme, seed)
+        for k in (1, 4) for scheme in ("greedy", "ecmp") for seed in ("0", "1")
+    }
 
 
 def test_scheme_override_flag(small_config, tmp_path):

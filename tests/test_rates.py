@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closroute.rates import FEASIBILITY_RTOL, RateAllocation, min_bandwidth, waterfill
 from closroute.routing import (
@@ -11,7 +13,14 @@ from closroute.routing import (
     random_unit_instance,
     unit_commodities_for_pairs,
 )
-from closroute.topology import Endpoint, build_topology, enumerate_routes
+from closroute.topology import (
+    INTRA_HOST,
+    Endpoint,
+    build_topology,
+    enumerate_routes,
+    forced_route,
+    spine_route,
+)
 
 
 def flows_for(choice):
@@ -124,6 +133,64 @@ def test_max_min_certificate():
                         certified = True
                         break
             assert certified, f"flow {cid} lacks a max-min bottleneck"
+
+
+@st.composite
+def fabric_flows(draw):
+    """A small fabric and up to 40 flows on spine, intra-ToR and intra-host
+    routes, each spine route on a spine drawn at random."""
+    topo = build_topology(
+        draw(st.integers(1, 4)), draw(st.integers(2, 5)), draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)), draw(st.sampled_from([1.0, 3.0, 100e9])),
+    )
+    endpoints = list(topo.endpoints())
+    pick = st.integers(0, len(endpoints) - 1)
+    flows = []
+    for i in range(draw(st.integers(1, 40))):
+        src = endpoints[draw(pick)]
+        kind = draw(st.sampled_from(["host", "tor", "any"]))
+        if kind == "host" and topo.nics_per_host > 1:
+            dst = Endpoint(src.tor, src.host, (src.nic + 1) % topo.nics_per_host)
+        elif kind == "tor" and topo.hosts_per_tor > 1:
+            dst = Endpoint(src.tor, (src.host + 1) % topo.hosts_per_tor, src.nic)
+        else:
+            dst = endpoints[draw(pick)]
+            if dst == src:
+                continue
+        route = forced_route(topo, src, dst)
+        if route is None:
+            route = spine_route(src, dst, draw(st.integers(0, topo.num_spines - 1)))
+        flows.append((f"f{i}", route))
+    return topo, flows, draw(st.randoms(use_true_random=False))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fabric_flows())
+def test_waterfill_is_feasible_max_min_and_order_free(case):
+    topo, flows, rng = case
+    rates = waterfill(flows, topo).rates
+    assert set(rates) == {cid for cid, _ in flows}
+    for cid, route in flows:
+        assert math.isinf(rates[cid]) == (route.kind == INTRA_HOST)
+    usage = link_usage([f for f in flows if f[1].kind != INTRA_HOST], rates)
+    cap = topo.link_capacity
+    assert all(used <= cap * (1 + FEASIBILITY_RTOL) for used in usage.values())
+    on_link = {}
+    for cid, route in flows:
+        for link in route.links:
+            on_link.setdefault(link, []).append(rates[cid])
+    # max-min certificate: each finite-rate flow crosses a saturated link on
+    # which no flow gets more than it does
+    for cid, route in flows:
+        if route.kind == INTRA_HOST:
+            continue
+        assert any(
+            usage[link] >= cap * (1 - FEASIBILITY_RTOL) and rates[cid] >= max(on_link[link])
+            for link in route.links
+        ), f"flow {cid} lacks a max-min bottleneck"
+    shuffled = flows.copy()
+    rng.shuffle(shuffled)
+    assert waterfill(shuffled, topo).rates == rates
 
 
 def test_uniform_single_bottleneck_share():

@@ -157,14 +157,19 @@ def test_components_partition_input():
 
 
 def test_intra_tor_commodities_are_singletons():
+    # an intra-ToR commodity touches no spine link: it is a singleton unless
+    # it shares a NIC link, here the up-link of t0.h0.n0 that c0 leaves by
     topo = build_topology(2, 4, 2, 2, 1.0)
     from closroute.workload import CommoditySpec
     from closroute.topology import Endpoint
 
-    intra = CommoditySpec("x", "j", Endpoint(0, 0, 0), Endpoint(0, 1, 0), 1)
     inter = unit_commodities_for_pairs(topo, [(0, 1), (0, 2)])
-    parts = decompose_components([intra] + inter)
+    apart = CommoditySpec("x", "j", Endpoint(0, 1, 0), Endpoint(0, 0, 0), 1)
+    parts = decompose_components([apart] + inter)
     assert [[c.id for c in p] for p in parts] == [["x"], ["c0", "c1"]]
+    sharing = CommoditySpec("y", "j", Endpoint(0, 0, 0), Endpoint(0, 1, 0), 1)
+    parts = decompose_components([sharing] + inter)
+    assert [[c.id for c in p] for p in parts] == [["y", "c0", "c1"]]
 
 
 # -- greedy per component -----------------------------------------------------
@@ -180,6 +185,24 @@ def test_parallel_greedy_matches_per_component_runs():
         for part in decompose_components(cs):
             merged.update(greedy_assign(part, topo).assignment)
         assert greedy_assign(cs, topo).assignment == merged
+
+    # an intra-ToR commodity b that shares c's source NIC raises the NIC floor
+    # c sees; whole-set greedy puts c on spine 0, so b and c share a component
+    from closroute.workload import CommoditySpec
+    from closroute.topology import Endpoint
+
+    topo = build_topology(2, 2, 2, 1, 1.0)
+    cs = [
+        CommoditySpec("d", "j", Endpoint(0, 1, 0), Endpoint(1, 1, 0), 1),
+        CommoditySpec("b", "j", Endpoint(0, 0, 0), Endpoint(0, 1, 0), 1),
+        CommoditySpec("c", "j", Endpoint(0, 0, 0), Endpoint(1, 0, 0), 1),
+    ]
+    merged = {}
+    for part in decompose_components(cs):
+        merged.update(greedy_assign(part, topo).assignment)
+    whole = greedy_assign(cs, topo).assignment
+    assert whole["c"].spine == 0
+    assert whole == merged
 
 
 # -- ecmp ---------------------------------------------------------------------

@@ -1,5 +1,9 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
+from closroute import routing, sim
 from closroute.routing import AnnealSchedule
 from closroute.sim import (
     ControllerModel,
@@ -147,6 +151,61 @@ def test_ecmp_fallback_start_transmits_during_wait(cluster):
     slow = run_scenario(cluster, [job], wait, hardware=FAST_HW, seed=5)
     quick = run_scenario(cluster, [job], fallback, hardware=FAST_HW, seed=5)
     assert quick.records[0].allreduce_time < slow.records[0].allreduce_time
+
+
+def _run_ecmp_recording(cluster, monkeypatch):
+    """Two jobs under ECMP with 8 spines failing mid-transfer; also returns,
+    per decision, the topology and the elephant ids the scheme was given."""
+    first = make_job(cluster, MINI, dp=4, seed=8, iters=2, job_id="a")
+    second = make_job(cluster, MINI, dp=2, seed=9, iters=3,
+                      occupied=frozenset(first.placement), job_id="b")
+    calls = []
+    assign = routing.assign_by_scheme
+
+    def recording(scheme, commodities, topo, **kwargs):
+        calls.append((topo, [c.id for c in commodities]))
+        return assign(scheme, commodities, topo, **kwargs)
+
+    monkeypatch.setattr(sim, "assign_by_scheme", recording)
+    plan = FailurePlan(times=(0.4,), counts=(8,), seed=3)
+    result = run_scenario(cluster, [first, second], ControllerModel(scheme="ecmp"),
+                          hardware=FAST_HW, failures=plan, seed=4)
+    return result, calls
+
+
+def test_ecmp_decisions_hash_only_unrouted_elephants(cluster, monkeypatch):
+    result, calls = _run_ecmp_recording(cluster, monkeypatch)
+    assert len(calls) == len(result.controller_log)
+    topos = [topo for topo, _ in calls]
+    failed_at = next(i for i, topo in enumerate(topos) if topo is not topos[0])
+    assert topos[failed_at].failed_spines and all(t is topos[failed_at] for t in topos[failed_at:])
+    # between failures each elephant is hashed once, however many decisions
+    # it lives through
+    for span in (calls[:failed_at], calls[failed_at:]):
+        passed = Counter(cid for _, ids in span for cid in ids)
+        assert set(passed.values()) == {1}
+    assert any(len(ids) < e["flows"] for (_, ids), e in zip(calls, result.controller_log))
+    # the first decision after the failure hashes every active elephant
+    t = result.controller_log[failed_at]["time"]
+    active = {e["commodity"] for e in result.flow_log if e["start_s"] < t < e["end_s"]}
+    assert set(calls[failed_at][1]) == active
+    assert len(active) == result.controller_log[failed_at]["flows"]
+
+    # a fresh topology object at every decision defeats the reuse: the scheme
+    # then hashes every elephant each time, with the same results
+    decide = sim._Engine._on_decision
+
+    def on_fresh_topology(engine, t):
+        engine.topo = dataclasses.replace(engine.topo)
+        decide(engine, t)
+
+    monkeypatch.setattr(sim._Engine, "_on_decision", on_fresh_topology)
+    full, full_calls = _run_ecmp_recording(cluster, monkeypatch)
+    assert [len(ids) for _, ids in full_calls] == [e["flows"] for e in full.controller_log]
+    assert repr(full.records) == repr(result.records)
+    assert full.flow_log == result.flow_log
+    for a, b in zip(full.controller_log, result.controller_log, strict=True):
+        assert {**a, "wall_s": 0} == {**b, "wall_s": 0}
 
 
 def test_concurrent_jobs_share_fairly(cluster):
