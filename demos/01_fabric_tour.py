@@ -5,7 +5,8 @@ Every inter-ToR shortest path crosses exactly one spine switch, so the route
 space for a flow is simply the set of live spines.
 """
 
-from closroute import Endpoint, build_topology, enumerate_routes, fail_spines
+from closroute import Endpoint, build_topology, fail_spines
+from closroute.topology import forced_route, spine_route
 
 # The reference fabric: 32 spines, 64 ToRs, 4 hosts per rack, 8 NICs per host.
 big = build_topology(32, 64, 4, 8, link_capacity=100e9)
@@ -17,18 +18,18 @@ topo = build_topology(2, 4, 2, 1, link_capacity=1.0)
 src = Endpoint(tor=1, host=0, nic=0)
 dst = Endpoint(tor=2, host=1, nic=0)
 
-print(f"\nroutes {src} -> {dst}:")
-for route in enumerate_routes(topo, src, dst):
+print(f"\nroutes {src} -> {dst}, one per live spine:")
+for spine in topo.live_spines:
+    route = spine_route(src, dst, spine)
     hops = " -> ".join(str(link[0]) for link in route.links) + f" -> {route.links[-1][1]}"
     print(f"  via spine {route.spine}: {hops}")
 
-# Same-rack and same-host transfers never touch the spine layer.
+# Same-rack and same-host transfers have one forced route that never touches
+# the spine layer.
 neighbor = Endpoint(tor=1, host=1, nic=0)
-print(f"\nroutes {src} -> {neighbor}: "
-      f"{[r.kind for r in enumerate_routes(topo, src, neighbor)]}")
+print(f"\nroute {src} -> {neighbor}: {forced_route(topo, src, neighbor).kind}")
 
 # Spine failures shrink the route set; sampling is seeded and reproducible.
 degraded = fail_spines(big, k=8, seed=7)
 print(f"\nafter failing 8 of 32 spines (seed 7): {sorted(degraded.failed_spines)}")
-routes = enumerate_routes(degraded, Endpoint(0, 0, 0), Endpoint(63, 3, 7))
-print(f"an inter-ToR pair now has {len(routes)} candidate routes (was 32)")
+print(f"an inter-ToR pair now has {len(degraded.live_spines)} candidate routes (was 32)")

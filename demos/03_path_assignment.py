@@ -7,17 +7,18 @@ optimizers all find a collision-free layout. Then a larger random instance
 shows the typical quality gap.
 """
 
+import numpy as np
+
 from closroute import (
-    SPINE_LINKS_ONLY,
     assign_by_scheme,
     build_topology,
-    load_map,
     max_link_load,
     min_bandwidth,
     random_commodities,
     unit_commodities_for_pairs,
     waterfill,
 )
+from closroute.topology import route_link_ids
 
 topo = build_topology(2, 4, 2, 1, link_capacity=1.0)
 demands = [(0, 1), (1, 0), (1, 2), (2, 0)]  # ToR-level 0/1 demand matrix
@@ -27,7 +28,7 @@ print("4-ToR example, 4 unit demands, 2 spines")
 print(f"{'scheme':14s} {'max spine load':>14s} {'slowest flow':>13s}  spine per demand")
 for scheme in ("ecmp", "greedy", "edge_coloring", "annealing", "exact"):
     choice = assign_by_scheme(scheme, commodities, topo, seed=1)
-    load = max_link_load(choice, topo, SPINE_LINKS_ONLY)
+    load = max_link_load(choice, topo)
     alloc = waterfill(sorted(choice.assignment.items()), topo)
     spines = [choice.assignment[c.id].spine for c in commodities]
     print(f"{scheme:14s} {load:>14d} {min_bandwidth(alloc):>13.2f}  {spines}")
@@ -40,6 +41,7 @@ flows = random_commodities(big, 300, seed=3)
 print(f"{'scheme':14s} {'max spine load':>14s} {'sum of squared loads':>21s}")
 for scheme in ("ecmp", "greedy", "edge_coloring", "annealing"):
     choice = assign_by_scheme(scheme, flows, big, seed=3)
-    loads = [v for k, v in load_map(choice).items()
-             if k[0][0] == "spine" or k[1][0] == "spine"]
-    print(f"{scheme:14s} {max(loads):>14d} {sum(v * v for v in loads):>21d}")
+    # commodities per link id; the ids from spine_link_base up touch a spine
+    ids, _ = route_link_ids(big, choice.assignment.values())
+    loads = np.bincount(ids, minlength=big.num_links)[big.spine_link_base:]
+    print(f"{scheme:14s} {loads.max():>14d} {(loads * loads).sum():>21d}")

@@ -10,16 +10,15 @@ a controller can afford to rerun on every flow event.
 import time
 
 from closroute import (
-    SPINE_LINKS_ONLY,
     build_topology,
     edge_color_assign,
     exact_assign,
     greedy_assign,
     max_link_load,
-    measure_scheme_runtime,
     random_unit_instance,
     stable_seed,
 )
+from closroute.cli import measure_scheme_runtime
 
 instances = 400
 worst = 0.0
@@ -28,9 +27,9 @@ coloring_optimal = 0
 start = time.perf_counter()
 for i in range(instances):
     topo, commodities = random_unit_instance(stable_seed("demo", i))
-    greedy = max_link_load(greedy_assign(commodities, topo), topo, SPINE_LINKS_ONLY)
-    exact = max_link_load(exact_assign(commodities, topo), topo, SPINE_LINKS_ONLY)
-    coloring = max_link_load(edge_color_assign(commodities, topo), topo, SPINE_LINKS_ONLY)
+    greedy = max_link_load(greedy_assign(commodities, topo), topo)
+    exact = max_link_load(exact_assign(commodities, topo), topo)
+    coloring = max_link_load(edge_color_assign(commodities, topo), topo)
     ratio = greedy / exact
     worst = max(worst, ratio)
     hits += ratio > 1.0

@@ -5,9 +5,7 @@ max-min fair rate allocation, and a deterministic discrete-event engine."""
 from .config import ConfigError, ScenarioConfig, build_jobs, default_config, load_config, parse_config
 from .rates import RateAllocation, min_bandwidth, waterfill
 from .routing import (
-    ALL_LINKS,
     SCHEME_NAMES,
-    SPINE_LINKS_ONLY,
     AnnealSchedule,
     PathChoice,
     anneal_assign,
@@ -17,7 +15,6 @@ from .routing import (
     edge_color_assign,
     exact_assign,
     greedy_assign,
-    load_map,
     max_link_load,
     random_commodities,
     random_unit_instance,
@@ -31,17 +28,14 @@ from .sim import (
     SimResult,
     decode_udp_port,
     encode_route_as_udp_port,
-    measure_scheme_runtime,
     run_scenario,
     stable_seed,
 )
 from .topology import (
     ClosTopology,
-    CommodityRouteError,
     Endpoint,
     Route,
     build_topology,
-    enumerate_routes,
     fail_spines,
 )
 from .workload import (

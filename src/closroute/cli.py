@@ -18,8 +18,10 @@ import argparse
 import csv
 import math
 import os
+import statistics
 import sys
 import tempfile
+import time
 
 from .config import (
     ConfigError,
@@ -33,15 +35,17 @@ from .config import (
 )
 from .routing import (
     SCHEME_NAMES,
-    SPINE_LINKS_ONLY,
+    assign_by_scheme,
     edge_color_assign,
     exact_assign,
     greedy_assign,
     max_link_load,
+    max_tor_degree,
+    random_commodities,
     random_unit_instance,
 )
-from .sim import SimResult, measure_scheme_runtime, run_scenario, stable_seed
-from .topology import build_topology
+from .sim import SimResult, run_scenario, stable_seed
+from .topology import ClosTopology, build_topology
 
 RESULT_COLUMNS = ("scenario", "scheme", "job", "metric", "value", "seed")
 TRACE_COLUMNS = (
@@ -126,17 +130,34 @@ def _trace_rows(scenario_id, scheme, seed, result: SimResult) -> list[tuple]:
     return rows
 
 
+def _schemes(text: str) -> list[str]:
+    """The scheme names of a comma-separated --schemes flag."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    for s in names:
+        if s not in SCHEME_NAMES:
+            raise ConfigError(f"--schemes: unknown scheme {s!r}; valid: {list(SCHEME_NAMES)}")
+    return names
+
+
+def _counts(text: str, flag: str) -> list[int]:
+    """The non-negative integers of a comma-separated flag."""
+    try:
+        counts = [int(item) for item in text.split(",") if item.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+    for count in counts:
+        if count < 0:
+            raise ConfigError(f"{flag}: counts must be >= 0, got {count}")
+    return counts
+
+
 def _load(args) -> ScenarioConfig:
     if args.config:
         config = load_config(args.config)
     else:
         config = parse_config(default_config())
     if getattr(args, "schemes", None):
-        names = [s.strip() for s in args.schemes.split(",") if s.strip()]
-        for s in names:
-            if s not in SCHEME_NAMES:
-                raise ConfigError(f"--schemes: unknown scheme {s!r}; valid: {list(SCHEME_NAMES)}")
-        config = ScenarioConfig(**{**config.__dict__, "schemes": names})
+        config = ScenarioConfig(**{**config.__dict__, "schemes": _schemes(args.schemes)})
     if getattr(args, "seed", None) is not None:
         config = ScenarioConfig(**{**config.__dict__, "seeds": [args.seed]})
     return config
@@ -201,6 +222,13 @@ def _write_summary(out_path: str, rows: list[tuple]):
 
 
 def cmd_validate(args) -> int:
+    for flag, value, least in (
+        ("--max-tors", args.max_tors, 2),
+        ("--max-spines", args.max_spines, 1),
+        ("--max-commodities", args.max_commodities, 1),
+    ):
+        if value < least:
+            raise ConfigError(f"{flag}: must be >= {least}, got {value}")
     instances = args.instances
     seed = args.seed if args.seed is not None else 0
     worst_ratio = 0.0
@@ -213,20 +241,12 @@ def cmd_validate(args) -> int:
             max_spines=args.max_spines,
             max_commodities=args.max_commodities,
         )
-        greedy_load = max_link_load(greedy_assign(commodities, topo), topo, SPINE_LINKS_ONLY)
+        greedy_load = max_link_load(greedy_assign(commodities, topo), topo)
         exact_load = max_link_load(
-            exact_assign(commodities, topo, max_commodities=args.max_commodities),
-            topo,
-            SPINE_LINKS_ONLY,
+            exact_assign(commodities, topo, max_commodities=args.max_commodities), topo
         )
-        coloring_load = max_link_load(edge_color_assign(commodities, topo), topo, SPINE_LINKS_ONLY)
-        out_deg: dict[int, int] = {}
-        in_deg: dict[int, int] = {}
-        for c in commodities:
-            out_deg[c.src.tor] = out_deg.get(c.src.tor, 0) + 1
-            in_deg[c.dst.tor] = in_deg.get(c.dst.tor, 0) + 1
-        delta = max(list(out_deg.values()) + list(in_deg.values()))
-        bound = math.ceil(delta / len(topo.live_spines))
+        coloring_load = max_link_load(edge_color_assign(commodities, topo), topo)
+        bound = math.ceil(max_tor_degree(commodities) / len(topo.live_spines))
         ratio = greedy_load / exact_load
         worst_ratio = max(worst_ratio, ratio)
         if greedy_load > 2 * exact_load:
@@ -249,16 +269,33 @@ def cmd_validate(args) -> int:
     return 4 if violations or coloring_mismatches else 0
 
 
+def measure_scheme_runtime(
+    scheme: str,
+    commodity_counts: list[int],
+    topo: ClosTopology,
+    seed: int,
+    repetitions: int = 5,
+) -> list[tuple[int, float]]:
+    """Median wall-clock seconds per scheme invocation at each commodity count."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    results = []
+    for count in commodity_counts:
+        commodities = random_commodities(topo, count, stable_seed(seed, count))
+        samples = []
+        for _ in range(repetitions):
+            start = time.perf_counter()
+            assign_by_scheme(scheme, commodities, topo, seed=seed)
+            samples.append(time.perf_counter() - start)
+        results.append((count, statistics.median(samples)))
+    return results
+
+
 def cmd_bench(args) -> int:
-    counts = [int(c) for c in args.counts.split(",") if c.strip()] if args.counts else []
+    counts = _counts(args.counts, "--counts")
     schemes = (
-        [s.strip() for s in args.schemes.split(",") if s.strip()]
-        if args.schemes
-        else ["greedy", "ecmp", "edge_coloring", "annealing"]
+        _schemes(args.schemes) if args.schemes else ["greedy", "ecmp", "edge_coloring", "annealing"]
     )
-    for s in schemes:
-        if s not in SCHEME_NAMES:
-            raise ConfigError(f"--schemes: unknown scheme {s!r}")
     seed = args.seed if args.seed is not None else 0
     topo = build_topology(32, 64, 4, 8, 100e9)
     rows = []
@@ -272,10 +309,8 @@ def cmd_bench(args) -> int:
 
 def cmd_failsweep(args) -> int:
     config = _load(args)
-    counts = [int(c) for c in args.counts.split(",") if c.strip()] if args.counts else [1, 4, 8]
+    counts = _counts(args.counts, "--counts") if args.counts else [1, 4, 8]
     for k in counts:
-        if k < 0:
-            raise ConfigError(f"--counts: failure counts must be >= 0, got {k}")
         if k >= config.topology.num_spines:
             raise ConfigError(
                 f"--counts: {k} failures would kill all {config.topology.num_spines} spines"

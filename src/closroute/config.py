@@ -20,7 +20,9 @@ from .workload import (
     Job,
     ModelConfig,
     arrival_schedule,
+    build_rings,
     place_job,
+    ring_allreduce_commodities,
 )
 
 
@@ -270,6 +272,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
 def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
     """Materialize the configured jobs for one seed: resolve random model/dp
     choices, draw arrival times, and place every job on free endpoints."""
+    # Unless they start on ECMP, elephants wait for the controller, so the exact
+    # scheme's first decision after a compute phase sees all of the job's.
+    params = config.controller_params
+    check_exact = "exact" in config.schemes and not params["ecmp_fallback_start"]
     specs = config.job_specs
     arrivals = arrival_schedule(len(specs), config.arrival_window, stable_seed(seed, "arrivals"))
     jobs: list[Job] = []
@@ -296,16 +302,28 @@ def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
         except ValueError as exc:
             raise ConfigError(f"jobs[{i}]: {model_name} dp={dp}: {exc}") from exc
         occupied.update(placement)
-        jobs.append(
-            Job(
-                id=f"job{i}",
-                model=model,
-                dp=dp,
-                arrival_time=float(arrival),
-                num_iterations=int(js.get("num_iterations", 10)),
-                placement=placement,
-            )
+        job = Job(
+            id=f"job{i}",
+            model=model,
+            dp=dp,
+            arrival_time=float(arrival),
+            num_iterations=int(js.get("num_iterations", 10)),
+            placement=placement,
         )
+        if check_exact:
+            elephants = sum(  # the engine's elephant test, on inter-ToR ring edges
+                c.src.tor != c.dst.tor and c.volume * 8 >= params["elephant_threshold"] * 8
+                for ring in build_rings(job)
+                if len(ring.members) >= 2
+                for c in ring_allreduce_commodities(ring, 0)
+            )
+            if elephants > config.exact_max_commodities:
+                raise ConfigError(
+                    f"jobs[{i}]: {model_name} dp={dp}: {elephants} inter-ToR elephant flows "
+                    f"per iteration exceed exact_max_commodities = "
+                    f"{config.exact_max_commodities}"
+                )
+        jobs.append(job)
     return jobs
 
 

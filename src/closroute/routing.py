@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,18 +27,13 @@ import numpy as np
 from .topology import (
     INTRA_HOST,
     ClosTopology,
-    CommodityRouteError,
     Endpoint,
-    Link,
     Route,
     forced_route,
     route_link_ids,
     spine_route,
 )
 from .workload import CommoditySpec
-
-SPINE_LINKS_ONLY = "spine_links_only"
-ALL_LINKS = "all_links"
 
 SCHEME_NAMES = ("greedy", "ecmp", "edge_coloring", "annealing", "exact")
 
@@ -62,22 +58,21 @@ class AnnealSchedule:
             raise ValueError("cooling_factor must be in (0, 1)")
 
 
-def load_map(choice: PathChoice) -> dict[Link, int]:
-    """Number of assigned commodities traversing each directed link."""
-    counts: dict[Link, int] = {}
-    for route in choice.assignment.values():
-        for link in route.links:
-            counts[link] = counts.get(link, 0) + 1
-    return counts
-
-
-def max_link_load(choice: PathChoice, topo: ClosTopology, scope: str = SPINE_LINKS_ONLY) -> int:
-    """Maximum commodity count on any link in the requested scope."""
-    if scope not in (SPINE_LINKS_ONLY, ALL_LINKS):
-        raise ValueError(f"unknown scope {scope!r}")
+def max_link_load(choice: PathChoice, topo: ClosTopology) -> int:
+    """Maximum commodity count on any link that touches a spine."""
     ids, _ = route_link_ids(topo, choice.assignment.values())
     loads = np.bincount(ids, minlength=topo.num_links)
-    return int(loads[topo.spine_link_base if scope == SPINE_LINKS_ONLY else 0 :].max())
+    return int(loads[topo.spine_link_base :].max())
+
+
+def max_tor_degree(commodities: list[CommoditySpec]) -> int:
+    """Most inter-ToR commodities leaving or entering one ToR: the max degree
+    of the ToR-to-ToR demand multigraph. Every assignment puts at least
+    ceil(degree / live spines) of them on some spine link."""
+    inter = [c for c in commodities if c.src.tor != c.dst.tor]
+    out_deg = Counter(c.src.tor for c in inter)
+    in_deg = Counter(c.dst.tor for c in inter)
+    return max([*out_deg.values(), *in_deg.values()], default=0)
 
 
 def greedy_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathChoice:
@@ -90,8 +85,6 @@ def greedy_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathC
     their unique route; intra-ToR ones still load their NIC links.
     """
     live_list = topo.live_spines
-    if not live_list:
-        raise CommodityRouteError("no live spines available")
     live = np.asarray(live_list, dtype=np.int64)
     loads = np.zeros(topo.num_links, dtype=np.int64)
     up, down = topo.spine_link_views(loads)
@@ -173,8 +166,6 @@ def _stable_hash(text: str) -> int:
 def ecmp_assign(commodities: list[CommoditySpec], topo: ClosTopology, seed: int) -> PathChoice:
     """Hash each inter-ToR commodity onto a live spine, like per-flow ECMP."""
     live = topo.live_spines
-    if not live:
-        raise CommodityRouteError("no live spines available")
     assignment: dict[str, Route] = {}
     for c in commodities:
         route = forced_route(topo, c.src, c.dst)
@@ -196,13 +187,6 @@ class _ColorState:
     def at(self, vertex: tuple) -> dict[int, int]:
         return self.colors.setdefault(vertex, {})
 
-    def free_color(self, vertex: tuple, limit: int) -> int:
-        used = self.at(vertex)
-        for color in range(limit):
-            if color not in used:
-                return color
-        raise AssertionError("degree exceeds color budget")
-
 
 def edge_color_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathChoice:
     """Color the ToR-to-ToR demand multigraph with max-degree colors, then map
@@ -215,15 +199,8 @@ def edge_color_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> P
     a load of at most ceil(Delta / live spines), which is optimal.
     """
     live = topo.live_spines
-    if not live:
-        raise CommodityRouteError("no live spines available")
-
     inter = [(i, c) for i, c in enumerate(commodities) if c.src.tor != c.dst.tor]
-    degree: dict[tuple, int] = {}
-    for _, c in inter:
-        degree[("s", c.src.tor)] = degree.get(("s", c.src.tor), 0) + 1
-        degree[("d", c.dst.tor)] = degree.get(("d", c.dst.tor), 0) + 1
-    delta = max(degree.values(), default=0)
+    delta = max_tor_degree(commodities)
 
     state = _ColorState()
     edge_color: dict[int, int] = {}
@@ -386,27 +363,17 @@ def exact_assign(
     small instances; the search is exponential in the worst case.
     """
     live = topo.live_spines
-    if not live:
-        raise CommodityRouteError("no live spines available")
     inter = [c for c in commodities if c.src.tor != c.dst.tor]
     if len(inter) > max_commodities:
         raise ValueError(
             f"{len(inter)} inter-ToR commodities exceed the exact-solver guard "
-            f"of {max_commodities}"
+            f"exact_max_commodities = {max_commodities}"
         )
 
-    out_deg: dict[int, int] = {}
-    in_deg: dict[int, int] = {}
-    for c in inter:
-        out_deg[c.src.tor] = out_deg.get(c.src.tor, 0) + 1
-        in_deg[c.dst.tor] = in_deg.get(c.dst.tor, 0) + 1
-    max_degree = max(list(out_deg.values()) + list(in_deg.values()), default=0)
-    lower_bound = -(-max_degree // len(live)) if inter else 0
+    lower_bound = -(-max_tor_degree(inter) // len(live))
+    greedy_bound = max_link_load(greedy_assign(commodities, topo), topo)
 
-    greedy_bound = max_link_load(greedy_assign(commodities, topo), topo, SPINE_LINKS_ONLY)
-
-    up: dict[tuple[int, int], int] = {}
-    down: dict[tuple[int, int], int] = {}
+    loads = [0] * topo.num_links  # by link id; only ToR<->spine links are used
     chosen: list[int] = [live[0]] * len(inter)
     best_vector: list[int] | None = None
     best_value = greedy_bound + 1  # optimum can never exceed greedy's load
@@ -423,17 +390,15 @@ def exact_assign(
             return
         c = inter[pos]
         for s in live:
-            lu = up.get((c.src.tor, s), 0) + 1
-            ld = down.get((s, c.dst.tor), 0) + 1
+            up, down = topo.tor_up_id(c.src.tor, s), topo.tor_down_id(s, c.dst.tor)
+            lu, ld = loads[up] + 1, loads[down] + 1
             new_max = max(partial_max, lu, ld)
             if new_max >= best_value:
                 continue
-            up[(c.src.tor, s)] = lu
-            down[(s, c.dst.tor)] = ld
+            loads[up], loads[down] = lu, ld
             chosen[pos] = s
             dfs(pos + 1, new_max)
-            up[(c.src.tor, s)] = lu - 1
-            down[(s, c.dst.tor)] = ld - 1
+            loads[up], loads[down] = lu - 1, ld - 1
             if best_vector is not None and best_value == lower_bound:
                 return
 

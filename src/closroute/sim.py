@@ -18,22 +18,12 @@ sequence.
 
 from __future__ import annotations
 
-import statistics
-import time
 import zlib
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .rates import waterfill
-from .routing import (
-    SPINE_LINKS_ONLY,
-    AnnealSchedule,
-    PathChoice,
-    assign_by_scheme,
-    ecmp_assign,
-    max_link_load,
-    random_commodities,
-)
+from .routing import AnnealSchedule, PathChoice, assign_by_scheme, ecmp_assign, max_link_load
 from .topology import INTRA_HOST, SPINE, ClosTopology, Route, fail_spines, forced_route
 from .workload import (
     CommoditySpec,
@@ -118,17 +108,17 @@ class SimResult:
     flow_log: list[dict]
 
 
-def encode_route_as_udp_port(route: Route, port_base: int = DEFAULT_PORT_BASE) -> int | None:
+def encode_route_as_udp_port(route: Route) -> int | None:
     """Spine routes encode their spine in the UDP source port; others have none."""
     if route.kind != SPINE:
         return None
-    return port_base + route.spine
+    return DEFAULT_PORT_BASE + route.spine
 
 
-def decode_udp_port(port: int, port_base: int = DEFAULT_PORT_BASE) -> int:
-    spine = port - port_base
+def decode_udp_port(port: int) -> int:
+    spine = port - DEFAULT_PORT_BASE
     if spine < 0:
-        raise ValueError(f"port {port} below base {port_base}")
+        raise ValueError(f"port {port} below base {DEFAULT_PORT_BASE}")
     return spine
 
 
@@ -141,8 +131,9 @@ class _Engine:
         self.heap = []
         self.seq = 0
         self.epoch = 0
+        # flows are added when emitted and removed when done, so the dict's
+        # order is arrival order
         self.flows: dict[str, FlowState] = {}
-        self.arrival_order: list[str] = []
         self.pending_decisions: set[float] = set()
         # the topology the last ECMP decision hashed on (see _on_decision)
         self.hashed_topo: ClosTopology | None = None
@@ -223,16 +214,13 @@ class _Engine:
             elif kind == _COMPUTE_DONE:
                 self._on_compute_done(payload)
             elif kind == _JOB_ARRIVAL:
-                self._on_arrival(payload)
+                self._start_compute(payload)
             elif kind == _SPINE_FAILURE:
                 self._on_failure(*payload)
         if self.flows:
             raise SimInvariantError(f"{len(self.flows)} flows never completed")
         self.records.sort(key=lambda r: (r.job_id, r.iteration))
         return SimResult(self.records, self.controller_log, self.flow_log)
-
-    def _on_arrival(self, job_id):
-        self._start_compute(job_id)
 
     def _start_compute(self, job_id):
         job = self.jobs[job_id]
@@ -274,7 +262,6 @@ class _Engine:
                     fs.transmitting = True
                 any_elephant = any_elephant or elephant
                 self.flows[c.id] = fs
-                self.arrival_order.append(c.id)
                 emitted += 1
         if emitted == 0:
             self._finish_iteration(job_id, allreduce_time=0.0)
@@ -285,11 +272,7 @@ class _Engine:
         self._rewaterfill()
 
     def _elephant_commodities(self) -> list[CommoditySpec]:
-        return [
-            self.flows[cid].commodity
-            for cid in self.arrival_order
-            if cid in self.flows and self.flows[cid].elephant
-        ]
+        return [fs.commodity for fs in self.flows.values() if fs.elephant]
 
     def _on_decision(self, t):
         self.pending_decisions.discard(t)
@@ -303,7 +286,6 @@ class _Engine:
             if self.topo is self.hashed_topo:
                 to_route = [c for c in elephants if self.flows[c.id].route is None]
             self.hashed_topo = self.topo
-        wall_start = time.perf_counter()
         choice = assign_by_scheme(
             self.controller.scheme,
             to_route,
@@ -312,7 +294,6 @@ class _Engine:
             anneal_schedule=self.controller.anneal_schedule,
             exact_max_commodities=self.controller.exact_max_commodities,
         )
-        wall = time.perf_counter() - wall_start
         for c in to_route:
             fs = self.flows[c.id]
             fs.route = choice.assignment[c.id]
@@ -323,9 +304,8 @@ class _Engine:
         self.controller_log.append(
             {
                 "time": self.now,
-                "wall_s": wall,
                 "flows": len(elephants),
-                "max_spine_load": max_link_load(full, self.topo, SPINE_LINKS_ONLY),
+                "max_spine_load": max_link_load(full, self.topo),
             }
         )
         self._rewaterfill()
@@ -370,7 +350,6 @@ class _Engine:
             )
             self.open_flows[job_id] -= 1
             touched_jobs.add(job_id)
-        self.arrival_order = [cid for cid in self.arrival_order if cid in self.flows]
         for job_id in sorted(touched_jobs):
             if self.open_flows[job_id] == 0:
                 fcts = [r[1] for r in self.iter_records[job_id]]
@@ -419,36 +398,3 @@ def run_scenario(
 ) -> SimResult:
     """Simulate the jobs to completion and return metrics plus the runtime log."""
     return _Engine(topo, jobs, controller, hardware, failures, seed).run()
-
-
-def measure_scheme_runtime(
-    scheme: str,
-    commodity_counts: list[int],
-    topo: ClosTopology,
-    seed: int,
-    repetitions: int = 5,
-    anneal_schedule: AnnealSchedule = AnnealSchedule(),
-    exact_max_commodities: int = 16,
-) -> list[tuple[int, float]]:
-    """Median wall-clock seconds per scheme invocation at each commodity count."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    results = []
-    for count in commodity_counts:
-        if count < 0:
-            raise ValueError("commodity counts must be >= 0")
-        commodities = random_commodities(topo, count, stable_seed(seed, count))
-        samples = []
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            assign_by_scheme(
-                scheme,
-                commodities,
-                topo,
-                seed=seed,
-                anneal_schedule=anneal_schedule,
-                exact_max_commodities=exact_max_commodities,
-            )
-            samples.append(time.perf_counter() - start)
-        results.append((count, statistics.median(samples)))
-    return results

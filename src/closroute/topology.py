@@ -36,10 +36,6 @@ INTRA_TOR = "intra_tor"
 SPINE = "spine"
 
 
-class CommodityRouteError(ValueError):
-    """No route exists for a commodity (e.g. every spine between its ToRs failed)."""
-
-
 @dataclass(frozen=True, order=True)
 class Endpoint:
     """One GPU/NIC position: rack, host within rack, NIC within host."""
@@ -221,8 +217,8 @@ def route_link_ids(topo: ClosTopology, routes) -> tuple[np.ndarray, np.ndarray]:
 def forced_route(topo: ClosTopology, src: Endpoint, dst: Endpoint) -> Route | None:
     """The unique route for same-host / same-ToR pairs, None for inter-ToR.
 
-    Cheap commodity classification for the routing schemes, which would
-    otherwise materialize every per-spine candidate just to inspect its kind.
+    An inter-ToR pair has one route per live spine instead, built by
+    ``spine_route``.
     """
     if src == dst:
         raise ValueError(f"src and dst must differ, got {src}")
@@ -235,22 +231,6 @@ def forced_route(topo: ClosTopology, src: Endpoint, dst: Endpoint) -> Route | No
     if src.tor == dst.tor:
         return Route(INTRA_TOR, None, src, dst)
     return None
-
-
-def enumerate_routes(topo: ClosTopology, src: Endpoint, dst: Endpoint) -> list[Route]:
-    """Shortest paths from src to dst, one per live spine for inter-ToR pairs.
-
-    Same host: the single zero-link route. Same ToR: the single two-link NIC
-    route. Distinct ToRs: one four-link route per live spine, ascending spine
-    index.
-    """
-    forced = forced_route(topo, src, dst)
-    if forced is not None:
-        return [forced]
-    live = topo.live_spines
-    if not live:
-        raise CommodityRouteError("no live spines connect distinct ToRs")
-    return [spine_route(src, dst, s) for s in live]
 
 
 def fail_spines(topo: ClosTopology, k: int, seed: int) -> ClosTopology:

@@ -22,10 +22,9 @@ import time
 
 import pytest
 
-from closroute.cli import main
+from closroute.cli import main, measure_scheme_runtime
 from closroute.rates import min_bandwidth, waterfill
 from closroute.routing import (
-    SPINE_LINKS_ONLY,
     decompose_components,
     ecmp_assign,
     edge_color_assign,
@@ -36,7 +35,7 @@ from closroute.routing import (
     random_unit_instance,
     unit_commodities_for_pairs,
 )
-from closroute.sim import ControllerModel, measure_scheme_runtime, run_scenario, stable_seed
+from closroute.sim import ControllerModel, run_scenario, stable_seed
 from closroute.topology import build_topology, fail_spines
 from closroute.workload import MODEL_CATALOG, Job, place_job
 
@@ -75,7 +74,7 @@ def test_criterion_2_worked_example_golden():
 
     for scheme_fn in (greedy_assign, edge_color_assign, exact_assign):
         choice = scheme_fn(commodities, topo)
-        assert max_link_load(choice, topo, SPINE_LINKS_ONLY) == 1
+        assert max_link_load(choice, topo) == 1
         alloc = waterfill(sorted(choice.assignment.items()), topo)
         assert min_bandwidth(alloc) == pytest.approx(1.0, abs=1e-9)
 
@@ -261,8 +260,8 @@ def test_criterion_7_failsweep_and_post_failure_bound(tmp_path):
         topo, commodities = random_unit_instance(stable_seed("faulted", seed))
         if len(topo.live_spines) > 1:
             topo = fail_spines(topo, 1, seed)
-        greedy_load = max_link_load(greedy_assign(commodities, topo), topo, SPINE_LINKS_ONLY)
-        exact_load = max_link_load(exact_assign(commodities, topo), topo, SPINE_LINKS_ONLY)
+        greedy_load = max_link_load(greedy_assign(commodities, topo), topo)
+        exact_load = max_link_load(exact_assign(commodities, topo), topo)
         worst = max(worst, greedy_load / exact_load)
         assert greedy_load <= 2 * exact_load
     report(7, f"k=1/4/8 sweeps complete; post-failure worst greedy/exact ratio {worst:.3f}")

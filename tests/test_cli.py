@@ -238,3 +238,44 @@ def test_scheme_override_flag(small_config, tmp_path):
     rows = read_rows(out)
     assert {r["scheme"] for r in rows} == {"edge_coloring"}
     assert {r["seed"] for r in rows} == {"5"}
+
+
+# one LLaMA2-70B dp=2 iteration has 256 inter-ToR ring edges
+EXACT_TOO_LARGE = {
+    "schemes": ["exact"],
+    "jobs": [{"model": "LLaMA2-70B", "dp": 2, "num_iterations": 1}],
+}
+
+
+def test_exact_guard_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(EXACT_TOO_LARGE))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "jobs[0]" in err and "exact_max_commodities" in err
+    assert not out.exists()
+
+    # as mice the same flows never reach the controller
+    mice = {**EXACT_TOO_LARGE, "controller": {"elephant_threshold_bytes": 1e12}}
+    path.write_text(json.dumps(mice))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--counts=-5"],
+        ["bench", "--counts", "x"],
+        ["failsweep", "--counts", "x"],
+        ["validate", "--max-commodities", "0"],
+        ["validate", "--max-tors", "1"],
+        ["validate", "--max-spines", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert argv[1].split("=")[0] in capsys.readouterr().err
+    assert not out.exists()

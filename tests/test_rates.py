@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from closroute.rates import FEASIBILITY_RTOL, RateAllocation, min_bandwidth, waterfill
 from closroute.routing import (
-    SPINE_LINKS_ONLY,
     greedy_assign,
     max_link_load,
     random_unit_instance,
@@ -17,7 +16,6 @@ from closroute.topology import (
     INTRA_HOST,
     Endpoint,
     build_topology,
-    enumerate_routes,
     forced_route,
     spine_route,
 )
@@ -49,7 +47,7 @@ def test_two_flows_share_a_unit_link_evenly():
 def test_lone_flow_gets_line_rate():
     topo = build_topology(2, 4, 2, 1, 100e9)
     cs = unit_commodities_for_pairs(topo, [(0, 1)])
-    route = enumerate_routes(topo, cs[0].src, cs[0].dst)[0]
+    route = spine_route(cs[0].src, cs[0].dst, 0)
     alloc = waterfill([(cs[0].id, route)], topo)
     assert alloc.rates[cs[0].id] == 100e9
 
@@ -69,7 +67,7 @@ def test_three_flow_bottleneck_chain():
 
 def test_intra_host_flows_get_infinite_sentinel():
     topo = build_topology(2, 4, 2, 2, 1.0)
-    route = enumerate_routes(topo, Endpoint(0, 0, 0), Endpoint(0, 0, 1))[0]
+    route = forced_route(topo, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
     alloc = waterfill([("local", route)], topo)
     assert math.isinf(alloc.rates["local"])
     assert alloc.finite_rates() == {}
@@ -208,7 +206,7 @@ def test_min_bandwidth_respects_load_bound():
     for seed in (5, 21, 77):
         topo, cs = random_unit_instance(seed, max_tors=8, max_spines=4)
         choice = greedy_assign(cs, topo)
-        load = max_link_load(choice, topo, SPINE_LINKS_ONLY)
+        load = max_link_load(choice, topo)
         alloc = waterfill(flows_for(choice), topo)
         assert min_bandwidth(alloc) >= topo.link_capacity / load - 1e-12
 

@@ -2,11 +2,10 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from closroute.routing import (
-    ALL_LINKS,
-    SPINE_LINKS_ONLY,
     AnnealSchedule,
     PathChoice,
     anneal_assign,
@@ -16,13 +15,20 @@ from closroute.routing import (
     edge_color_assign,
     exact_assign,
     greedy_assign,
-    load_map,
     max_link_load,
+    max_tor_degree,
     random_commodities,
     random_unit_instance,
     unit_commodities_for_pairs,
 )
-from closroute.topology import SPINE, build_topology, enumerate_routes, fail_spines
+from closroute.topology import (
+    SPINE,
+    build_topology,
+    fail_spines,
+    forced_route,
+    route_link_ids,
+    spine_route,
+)
 
 FIG_PAIRS = [(0, 1), (1, 0), (1, 2), (2, 0)]  # the 4-ToR worked example demands
 
@@ -62,10 +68,20 @@ def spine_degree_bound(commodities, live_spines):
     return math.ceil(max(degrees) / live_spines) if degrees else 0
 
 
+def link_loads(choice, topo):
+    """Commodities on each directed link, by link id."""
+    ids, _ = route_link_ids(topo, choice.assignment.values())
+    return np.bincount(ids, minlength=topo.num_links)
+
+
 def assert_choice_valid(choice, commodities, topo):
     assert set(choice.assignment) == {c.id for c in commodities}
     for c in commodities:
-        assert choice.assignment[c.id] in enumerate_routes(topo, c.src, c.dst)
+        forced = forced_route(topo, c.src, c.dst)
+        candidates = [forced] if forced else [
+            spine_route(c.src, c.dst, s) for s in topo.live_spines
+        ]
+        assert choice.assignment[c.id] in candidates
 
 
 # -- greedy -------------------------------------------------------------------
@@ -75,7 +91,7 @@ def test_greedy_on_worked_example_is_disjoint(fig_topo, fig_commodities):
     choice = greedy_assign(fig_commodities, fig_topo)
     spines = [choice.assignment[c.id].spine for c in fig_commodities]
     assert spines == [0, 0, 1, 1]  # hand-run of the least-congested scan
-    assert max_link_load(choice, fig_topo, SPINE_LINKS_ONLY) == 1
+    assert max_link_load(choice, fig_topo) == 1
     assert_choice_valid(choice, fig_commodities, fig_topo)
 
 
@@ -91,12 +107,10 @@ def test_greedy_fanout_meets_ceiling():
     topo = build_topology(2, 4, 4, 1, 1.0)
     cs = unit_commodities_for_pairs(topo, [(0, 1), (0, 2), (0, 3)])
     choice = greedy_assign(cs, topo)
-    loads = load_map(choice)
-    up = sorted(
-        count for link, count in loads.items() if link[0] == ("tor", 0) and link[1][0] == "spine"
-    )
+    loads = link_loads(choice, topo)
+    up = sorted(int(loads[topo.tor_up_id(0, s)]) for s in range(topo.num_spines))
     assert up == [1, 2]
-    assert max_link_load(choice, topo, SPINE_LINKS_ONLY) == 2
+    assert max_link_load(choice, topo) == 2
 
 
 def test_greedy_is_deterministic():
@@ -122,7 +136,8 @@ def test_greedy_sees_nic_links_in_bottleneck():
     choice = greedy_assign(cs, topo)
     assert choice.assignment["f1"].spine == 0
     assert choice.assignment["f2"].spine == 0
-    assert max_link_load(choice, topo, ALL_LINKS) == 2  # the shared NIC up-link
+    loads = link_loads(choice, topo)
+    assert loads.max() == loads[topo.nic_up_id(src)] == 2  # the shared NIC up-link
 
 
 # -- component decomposition --------------------------------------------------
@@ -213,8 +228,8 @@ def test_ecmp_collision_seed_matches_example(fig_topo, fig_commodities):
     s_out_1 = choice.assignment["c1"].spine
     s_out_2 = choice.assignment["c2"].spine
     assert s_out_1 == s_out_2  # ToR 1's two flows contend on one up-link
-    loads = load_map(choice)
-    assert loads[(("tor", 1), ("spine", s_out_1))] == 2
+    loads = link_loads(choice, fig_topo)
+    assert loads[fig_topo.tor_up_id(1, s_out_1)] == 2
 
 
 def test_ecmp_single_live_spine():
@@ -250,7 +265,7 @@ def test_ecmp_deterministic_per_seed():
 
 def test_coloring_on_worked_example(fig_topo, fig_commodities):
     choice = edge_color_assign(fig_commodities, fig_topo)
-    assert max_link_load(choice, fig_topo, SPINE_LINKS_ONLY) == 1
+    assert max_link_load(choice, fig_topo) == 1
     assert_choice_valid(choice, fig_commodities, fig_topo)
 
 
@@ -259,7 +274,7 @@ def test_coloring_single_commodity():
     cs = unit_commodities_for_pairs(topo, [(2, 3)])
     choice = edge_color_assign(cs, topo)
     assert choice.assignment[cs[0].id].spine == 0
-    assert max_link_load(choice, topo, SPINE_LINKS_ONLY) == 1
+    assert max_link_load(choice, topo) == 1
 
 
 def test_coloring_achieves_degree_bound_with_fewer_spines():
@@ -268,7 +283,7 @@ def test_coloring_achieves_degree_bound_with_fewer_spines():
     pairs = [(0, v) for v in range(1, 8)]
     cs = unit_commodities_for_pairs(topo, pairs)
     choice = edge_color_assign(cs, topo)
-    assert max_link_load(choice, topo, SPINE_LINKS_ONLY) == 3
+    assert max_link_load(choice, topo) == 3
 
 
 def test_coloring_always_hits_degree_bound_on_random_instances():
@@ -276,7 +291,7 @@ def test_coloring_always_hits_degree_bound_on_random_instances():
         topo, cs = random_unit_instance(seed, max_tors=8, max_spines=4, max_commodities=14)
         choice = edge_color_assign(cs, topo)
         bound = spine_degree_bound(cs, len(topo.live_spines))
-        assert max_link_load(choice, topo, SPINE_LINKS_ONLY) == bound
+        assert max_link_load(choice, topo) == bound
         assert_choice_valid(choice, cs, topo)
 
 
@@ -293,18 +308,18 @@ def test_anneal_zero_moves_is_ecmp(fig_topo, fig_commodities):
 def test_anneal_finds_optimum_of_small_search_space(fig_topo, fig_commodities):
     schedule = AnnealSchedule(moves_per_commodity=250)  # 1000 moves over 4 commodities
     choice = anneal_assign(fig_commodities, fig_topo, schedule, seed=0)
-    assert max_link_load(choice, fig_topo, SPINE_LINKS_ONLY) == 1
+    assert max_link_load(choice, fig_topo) == 1
 
 
 def test_anneal_never_worse_than_its_ecmp_start():
-    def energy(choice):
-        loads = load_map(choice)
-        return (max(loads.values()), sum(v * v for v in loads.values()))
+    def energy(choice, topo):
+        loads = link_loads(choice, topo)
+        return (loads.max(), (loads * loads).sum())
 
     for seed in range(10):
         topo, cs = random_unit_instance(seed + 500, max_tors=6, max_spines=4)
-        start = energy(ecmp_assign(cs, topo, seed))
-        end = energy(anneal_assign(cs, topo, AnnealSchedule(), seed))
+        start = energy(ecmp_assign(cs, topo, seed), topo)
+        end = energy(anneal_assign(cs, topo, AnnealSchedule(), seed), topo)
         assert end <= start
 
 
@@ -319,7 +334,7 @@ def test_anneal_deterministic_per_seed(fig_topo, fig_commodities):
 
 def test_exact_on_worked_example(fig_topo, fig_commodities):
     choice = exact_assign(fig_commodities, fig_topo)
-    assert max_link_load(choice, fig_topo, SPINE_LINKS_ONLY) == 1
+    assert max_link_load(choice, fig_topo) == 1
     assert_choice_valid(choice, fig_commodities, fig_topo)
 
 
@@ -328,7 +343,7 @@ def test_exact_single_commodity_prefers_spine_zero():
     cs = unit_commodities_for_pairs(topo, [(1, 2)])
     choice = exact_assign(cs, topo)
     assert choice.assignment[cs[0].id].spine == 0
-    assert max_link_load(choice, topo, SPINE_LINKS_ONLY) == 1
+    assert max_link_load(choice, topo) == 1
 
 
 def test_exact_matches_no_pruning_enumeration():
@@ -336,7 +351,7 @@ def test_exact_matches_no_pruning_enumeration():
     for _ in range(40):
         topo, cs = random_unit_instance(rng.randrange(10**6), max_tors=6, max_spines=3,
                                         max_commodities=10)
-        bnb = max_link_load(exact_assign(cs, topo), topo, SPINE_LINKS_ONLY)
+        bnb = max_link_load(exact_assign(cs, topo), topo)
         assert bnb == brute_force_min_max_load(cs, topo)
 
 
@@ -354,11 +369,20 @@ def test_max_link_load_scopes_and_empty():
     topo = build_topology(2, 4, 2, 1, 1.0)
     assert max_link_load(PathChoice({}), topo) == 0
     cs = unit_commodities_for_pairs(topo, [(0, 1), (2, 1)])
-    forced = PathChoice(
-        {c.id: enumerate_routes(topo, c.src, c.dst)[0] for c in cs}
-    )  # both on spine 0
-    assert max_link_load(forced, topo, SPINE_LINKS_ONLY) == 2
-    assert max_link_load(forced, topo, ALL_LINKS) == 2
+    forced = PathChoice({c.id: spine_route(c.src, c.dst, 0) for c in cs})
+    assert max_link_load(forced, topo) == 2  # both down spine 0 to ToR 1
+    assert link_loads(forced, topo).max() == 2
+
+
+def test_max_tor_degree_counts_inter_tor_commodities_only():
+    from closroute.topology import Endpoint
+    from closroute.workload import CommoditySpec
+
+    topo = build_topology(2, 4, 2, 2, 1.0)
+    cs = unit_commodities_for_pairs(topo, [(0, 1), (0, 2), (3, 2), (1, 2)])
+    local = CommoditySpec("x", "j", Endpoint(2, 0, 0), Endpoint(2, 1, 0), 1)
+    assert max_tor_degree(cs) == max_tor_degree(cs + [local]) == 3  # into ToR 2
+    assert max_tor_degree([local]) == max_tor_degree([]) == 0
 
 
 def test_all_schemes_emit_complete_valid_choices():
@@ -371,9 +395,9 @@ def test_all_schemes_emit_complete_valid_choices():
 def test_greedy_two_approximation_and_coloring_optimality():
     for seed in range(300):
         topo, cs = random_unit_instance(seed * 13 + 1)
-        greedy_load = max_link_load(greedy_assign(cs, topo), topo, SPINE_LINKS_ONLY)
-        exact_load = max_link_load(exact_assign(cs, topo), topo, SPINE_LINKS_ONLY)
-        coloring = max_link_load(edge_color_assign(cs, topo), topo, SPINE_LINKS_ONLY)
+        greedy_load = max_link_load(greedy_assign(cs, topo), topo)
+        exact_load = max_link_load(exact_assign(cs, topo), topo)
+        coloring = max_link_load(edge_color_assign(cs, topo), topo)
         assert greedy_load <= 2 * exact_load
         assert coloring == exact_load == spine_degree_bound(cs, len(topo.live_spines))
 

@@ -1,23 +1,31 @@
+import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closroute.routing import ALL_LINKS, SPINE_LINKS_ONLY, PathChoice, load_map, max_link_load
+from closroute.routing import PathChoice, max_link_load
 from closroute.topology import (
     INTRA_HOST,
     INTRA_TOR,
     SPINE,
-    CommodityRouteError,
+    ClosTopology,
     Endpoint,
     build_topology,
-    enumerate_routes,
     fail_spines,
     forced_route,
     route_link_ids,
+    spine_route,
 )
+
+
+def candidate_routes(topo, src, dst):
+    """Every shortest path: the forced route, or one route per live spine."""
+    forced = forced_route(topo, src, dst)
+    return [forced] if forced else [spine_route(src, dst, s) for s in topo.live_spines]
 
 
 def test_build_reference_fabric_has_2048_endpoints():
@@ -51,18 +59,18 @@ def test_build_rejects_bad_sizes(args):
 
 def test_intra_host_and_intra_tor_routes():
     topo = build_topology(2, 4, 2, 2, 1.0)
-    same_host = enumerate_routes(topo, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
-    assert [r.kind for r in same_host] == [INTRA_HOST]
-    assert same_host[0].links == ()
+    same_host = forced_route(topo, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
+    assert same_host.kind == INTRA_HOST
+    assert same_host.links == ()
 
-    same_tor = enumerate_routes(topo, Endpoint(0, 0, 0), Endpoint(0, 1, 0))
-    assert [r.kind for r in same_tor] == [INTRA_TOR]
-    assert len(same_tor[0].links) == 2
+    same_tor = forced_route(topo, Endpoint(0, 0, 0), Endpoint(0, 1, 0))
+    assert same_tor.kind == INTRA_TOR
+    assert len(same_tor.links) == 2
 
 
 def test_inter_tor_routes_one_per_live_spine_ascending():
     topo = build_topology(4, 4, 1, 1, 1.0)
-    routes = enumerate_routes(topo, Endpoint(0, 0, 0), Endpoint(3, 0, 0))
+    routes = candidate_routes(topo, Endpoint(0, 0, 0), Endpoint(3, 0, 0))
     assert [r.spine for r in routes] == [0, 1, 2, 3]
     assert all(r.kind == SPINE and len(r.links) == 4 for r in routes)
 
@@ -70,7 +78,7 @@ def test_inter_tor_routes_one_per_live_spine_ascending():
 def test_route_links_chain_head_to_tail():
     topo = build_topology(3, 4, 2, 2, 1.0)
     for dst in (Endpoint(0, 0, 1), Endpoint(0, 1, 0), Endpoint(2, 1, 1)):
-        for route in enumerate_routes(topo, Endpoint(0, 0, 0), dst):
+        for route in candidate_routes(topo, Endpoint(0, 0, 0), dst):
             for a, b in zip(route.links, route.links[1:]):
                 assert a[1] == b[0]
 
@@ -79,16 +87,16 @@ def test_enumerate_rejects_same_endpoint_and_out_of_bounds():
     topo = build_topology(2, 4, 1, 1, 1.0)
     ep = Endpoint(0, 0, 0)
     with pytest.raises(ValueError):
-        enumerate_routes(topo, ep, ep)
+        forced_route(topo, ep, ep)
     with pytest.raises(ValueError):
-        enumerate_routes(topo, ep, Endpoint(9, 0, 0))
+        forced_route(topo, ep, Endpoint(9, 0, 0))
 
 
 def test_failed_spines_are_filtered_from_routes():
     topo = fail_spines(build_topology(4, 4, 1, 1, 1.0), 2, seed=0)
     # derived by filtering the enumeration with the failed set
     expected = [s for s in range(4) if s not in topo.failed_spines]
-    routes = enumerate_routes(topo, Endpoint(0, 0, 0), Endpoint(1, 0, 0))
+    routes = candidate_routes(topo, Endpoint(0, 0, 0), Endpoint(1, 0, 0))
     assert [r.spine for r in routes] == expected
 
 
@@ -115,27 +123,28 @@ def test_fail_spines_must_leave_a_survivor():
 
 
 def test_all_spines_failed_rejects_inter_tor_routing():
-    topo = build_topology(2, 4, 1, 1, 1.0)
-    crippled = fail_spines(topo, 1, seed=0)
-    object.__setattr__(crippled, "failed_spines", frozenset({0, 1}))  # bypass guard
-    with pytest.raises(CommodityRouteError):
-        enumerate_routes(crippled, Endpoint(0, 0, 0), Endpoint(1, 0, 0))
+    # no topology without a live spine can be built, so every inter-ToR pair
+    # always has a route and the schemes need no check for it
+    with pytest.raises(ValueError, match="alive"):
+        ClosTopology(2, 4, 1, 1, 1.0, failed_spines=frozenset({0, 1}))
+    crippled = fail_spines(build_topology(2, 4, 1, 1, 1.0), 1, seed=0)
+    with pytest.raises(ValueError, match="alive"):
+        dataclasses.replace(crippled, failed_spines=frozenset({0, 1}))
 
 
 def test_forced_route_matches_enumeration():
     topo = build_topology(2, 4, 2, 2, 1.0)
     cases = [
-        (Endpoint(0, 0, 0), Endpoint(0, 0, 1)),
-        (Endpoint(0, 0, 0), Endpoint(0, 1, 1)),
-        (Endpoint(0, 0, 0), Endpoint(1, 0, 0)),
+        (Endpoint(0, 0, 0), Endpoint(0, 0, 1), INTRA_HOST),
+        (Endpoint(0, 0, 0), Endpoint(0, 1, 1), INTRA_TOR),
+        (Endpoint(0, 0, 0), Endpoint(1, 0, 0), None),
     ]
-    for src, dst in cases:
+    for src, dst, kind in cases:
         forced = forced_route(topo, src, dst)
-        routes = enumerate_routes(topo, src, dst)
-        if forced is None:
-            assert routes[0].kind == SPINE
+        if kind is None:
+            assert forced is None
         else:
-            assert routes == [forced]
+            assert (forced.kind, forced.spine, forced.src, forced.dst) == (kind, None, src, dst)
 
 
 # -- the integer link layout ----------------------------------------------------
@@ -157,7 +166,7 @@ def test_link_ids_match_route_links(topo):
     routes = [
         route
         for src, dst in itertools.permutations(topo.endpoints(), 2)
-        for route in enumerate_routes(topo, src, dst)
+        for route in candidate_routes(topo, src, dst)
     ]
     ids, counts = route_link_ids(topo, routes)
     assert counts.tolist() == [len(r.links) for r in routes]
@@ -180,8 +189,11 @@ def test_link_ids_match_route_links(topo):
     assert up.tolist() == [[topo.tor_up_id(t, s) for s in spines] for t in tors]
     assert down.tolist() == [[topo.tor_down_id(s, t) for t in tors] for s in spines]
 
+    # loads by link id against a count over the routes' own links
+    link_counts = Counter(link for route in routes for link in route.links)
+    loads = np.bincount(ids, minlength=topo.num_links)
+    assert {link: int(loads[id_of[link]]) for link in link_counts} == link_counts
+    assert loads.sum() == sum(link_counts.values())
+    spine_counts = [n for link, n in link_counts.items() if "spine" in (link[0][0], link[1][0])]
     choice = PathChoice({str(i): route for i, route in enumerate(routes)})
-    loads = load_map(choice)
-    spine_loads = [n for link, n in loads.items() if "spine" in (link[0][0], link[1][0])]
-    assert max_link_load(choice, topo, ALL_LINKS) == max(loads.values(), default=0)
-    assert max_link_load(choice, topo, SPINE_LINKS_ONLY) == max(spine_loads, default=0)
+    assert max_link_load(choice, topo) == max(spine_counts, default=0)
