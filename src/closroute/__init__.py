@@ -23,7 +23,6 @@ from .routing import (
 from .sim import (
     ControllerModel,
     FailurePlan,
-    FlowState,
     MetricsRecord,
     SimResult,
     decode_udp_port,

@@ -34,6 +34,7 @@ from .config import (
     parse_config,
 )
 from .routing import (
+    EXACT_MAX_COMMODITIES,
     SCHEME_NAMES,
     assign_by_scheme,
     edge_color_assign,
@@ -122,7 +123,7 @@ def _trace_rows(scenario_id, scheme, seed, result: SimResult) -> list[tuple]:
         rows.append(
             (
                 scenario_id, scheme, seed, e["job"], e["iteration"], e["commodity"],
-                e["src"], e["dst"], e["volume_bytes"], e["start_s"], e["end_s"],
+                str(e["src"]), str(e["dst"]), e["volume_bytes"], e["start_s"], e["end_s"],
                 fct, e["volume_bytes"] * 8 / fct if fct > 0 else 0.0,
                 "" if e["udp_port"] is None else e["udp_port"],
             )
@@ -226,6 +227,7 @@ def cmd_validate(args) -> int:
         ("--max-tors", args.max_tors, 2),
         ("--max-spines", args.max_spines, 1),
         ("--max-commodities", args.max_commodities, 1),
+        ("--instances", args.instances, 1),
     ):
         if value < least:
             raise ConfigError(f"{flag}: must be >= {least}, got {value}")
@@ -296,6 +298,13 @@ def cmd_bench(args) -> int:
     schemes = (
         _schemes(args.schemes) if args.schemes else ["greedy", "ecmp", "edge_coloring", "annealing"]
     )
+    if "exact" in schemes:
+        for count in counts:
+            if count > EXACT_MAX_COMMODITIES:
+                raise ConfigError(
+                    f"--counts: {count} commodities exceed the exact-solver guard of "
+                    f"{EXACT_MAX_COMMODITIES}"
+                )
     seed = args.seed if args.seed is not None else 0
     topo = build_topology(32, 64, 4, 8, 100e9)
     rows = []

@@ -5,20 +5,25 @@ that bottleneck freeze at its fair share, its capacity is subtracted, and the
 process repeats. The result is the unique max-min fair allocation for the
 given routes: no rate can be raised without lowering an equal-or-smaller one.
 
-The rates are bit-stable: they do not depend on the input order, and each
-round sums the frozen flows' rates on a link in one weighted ``bincount``
-over the edges in flow-then-link order, so every float sum adds its terms in
-the same order on every run.
+One filling core serves two inputs: ``(commodity id, Route)`` pairs in any
+order, which ``waterfill`` sorts by commodity id and maps to link-id rows
+with ``route_link_rows``, and ``LinkRows``, rows already in that order, such
+as the simulator's flow table caches. The core reads the edges (one per flow
+and link) in sorted-commodity-id, then link order. Each round sums the frozen
+flows' rates on a link in one weighted ``bincount`` over those edges, so
+every float sum adds its terms in the same order whichever input was given,
+and the rates are bit-stable: they do not depend on the input order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .topology import INTRA_HOST, ClosTopology, Route, route_link_ids
+from .topology import ClosTopology, Route, route_link_rows
 
 FEASIBILITY_RTOL = 1e-9
 
@@ -33,34 +38,41 @@ class RateAllocation:
         return {cid: r for cid, r in self.rates.items() if math.isfinite(r)}
 
 
-def waterfill(flows: list[tuple[str, Route]], topo: ClosTopology) -> RateAllocation:
+class LinkRows(NamedTuple):
+    """Flows as link-id rows (see ``topology.route_link_rows``), in ascending
+    commodity-id order: flow ``cids[i]`` crosses the non-negative ids of
+    ``links[i]``."""
+
+    cids: list[str]
+    links: np.ndarray
+
+
+def waterfill(flows: list[tuple[str, Route]] | LinkRows, topo: ClosTopology) -> RateAllocation:
     """Progressive filling over the flows' links at uniform link capacity.
 
     Deterministic and independent of input order: flows are indexed by sorted
     commodity id and ties between equally loaded bottlenecks freeze together.
-    Zero-link (intra-host) flows get an infinite-rate sentinel.
+    Zero-link (intra-host) flows get an infinite-rate sentinel. The rates come
+    in commodity-id order.
     """
-    rates: dict[str, float] = {}
-    routed: list[tuple[str, Route]] = []
-    for cid, route in sorted(flows, key=lambda f: f[0]):
-        if route.kind == INTRA_HOST:
-            rates[cid] = math.inf
-        else:
-            routed.append((cid, route))
-    if not routed:
-        return RateAllocation(rates)
+    if not isinstance(flows, LinkRows):
+        pairs = sorted(flows, key=lambda f: f[0])
+        flows = LinkRows([cid for cid, _ in pairs], route_link_rows(topo, [r for _, r in pairs]))
+    cids, links = flows
 
     # edges in flow-then-link order; le numbers the links the flows use
-    ids, counts = route_link_ids(topo, [route for _, route in routed])
-    num_flows = len(routed)
-    fe = np.repeat(np.arange(num_flows), counts)
+    on_link = links >= 0
+    fe = np.nonzero(on_link)[0]
+    ids = links[on_link]
     used = np.zeros(topo.num_links, dtype=bool)
     used[ids] = True
-    index = np.cumsum(used) - 1
+    used_ids = np.flatnonzero(used)
+    num_links = len(used_ids)
+    index = np.empty(topo.num_links, dtype=np.int64)
+    index[used_ids] = np.arange(num_links)
     le = index[ids]
-    num_links = int(index[-1]) + 1
-    rate = np.zeros(num_flows)
-    unfrozen = np.ones(num_flows, dtype=bool)
+    unfrozen = on_link.any(axis=1)
+    rate = np.where(unfrozen, 0.0, math.inf)
     capacity = float(topo.link_capacity)
 
     while unfrozen.any():
@@ -73,13 +85,12 @@ def waterfill(flows: list[tuple[str, Route]], topo: ClosTopology) -> RateAllocat
             share = np.where(active_count > 0, residual / np.maximum(active_count, 1), np.inf)
         level = share.min()
         hit = (share == level)[le] & edge_active
-        freeze = np.zeros(num_flows, dtype=bool)
+        freeze = np.zeros(len(cids), dtype=bool)
         freeze[fe[hit]] = True
         rate[freeze] = level
         unfrozen &= ~freeze
 
-    rates.update(zip((cid for cid, _ in routed), rate.tolist()))
-    return RateAllocation(rates)
+    return RateAllocation(dict(zip(cids, rate.tolist())))
 
 
 def min_bandwidth(alloc: RateAllocation) -> float:

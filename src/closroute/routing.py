@@ -30,12 +30,16 @@ from .topology import (
     Endpoint,
     Route,
     forced_route,
+    max_spine_link_load,
     route_link_ids,
+    route_link_rows,
     spine_route,
 )
 from .workload import CommoditySpec
 
 SCHEME_NAMES = ("greedy", "ecmp", "edge_coloring", "annealing", "exact")
+# the exact solver's default size guard, in inter-ToR commodities
+EXACT_MAX_COMMODITIES = 16
 
 
 @dataclass(frozen=True)
@@ -60,9 +64,7 @@ class AnnealSchedule:
 
 def max_link_load(choice: PathChoice, topo: ClosTopology) -> int:
     """Maximum commodity count on any link that touches a spine."""
-    ids, _ = route_link_ids(topo, choice.assignment.values())
-    loads = np.bincount(ids, minlength=topo.num_links)
-    return int(loads[topo.spine_link_base :].max())
+    return max_spine_link_load(topo, route_link_rows(topo, choice.assignment.values()))
 
 
 def max_tor_degree(commodities: list[CommoditySpec]) -> int:
@@ -352,7 +354,7 @@ def anneal_assign(
 def exact_assign(
     commodities: list[CommoditySpec],
     topo: ClosTopology,
-    max_commodities: int = 16,
+    max_commodities: int = EXACT_MAX_COMMODITIES,
 ) -> PathChoice:
     """Provably optimal spine assignment for the min-max spine-link load.
 
@@ -422,7 +424,7 @@ def assign_by_scheme(
     *,
     seed: int = 0,
     anneal_schedule: AnnealSchedule = AnnealSchedule(),
-    exact_max_commodities: int = 16,
+    exact_max_commodities: int = EXACT_MAX_COMMODITIES,
 ) -> PathChoice:
     """Dispatch to a scheme by name; see SCHEME_NAMES for the valid set."""
     if scheme == "greedy":

@@ -11,9 +11,25 @@ decisions reuse the routed elephants' hashes: a decision hashes only the
 elephants without a route, until a spine fails and the first decision after
 it hashes every elephant again.
 
+Active flows live in one flow table: one array per column (bits remaining
+and sent, rate, start time, volume, the transmitting and elephant flags, the
+spine) and a row of four link ids per flow, padded with -1 (see
+``topology.route_link_rows``). A flow's row is filled when it gets a route:
+at emission, at a decision for the elephants routed there, and on a failure.
+Rates are recomputed from the cached rows of the transmitting flows, which
+the table hands to ``waterfill`` in commodity-id order, and a decision's max
+spine load is a count over the same rows. Slots are in arrival order: flows
+are appended when emitted and the table is compacted stably when some
+complete, so finished flows are logged in arrival order. Advancing time,
+the completion test and the next finish time are array expressions over the
+table, each doing the same floating-point operation per flow as a loop would,
+one time step at a time.
+
 The event loop is single threaded and deterministic for a fixed scenario and
 seed: ties in event time resolve by a fixed kind priority, then by insertion
-sequence.
+sequence. A current completion check that finds no flow done while the next
+finish time is not later than now raises ``SimInvariantError`` rather than
+firing again at the same instant.
 """
 
 from __future__ import annotations
@@ -22,9 +38,21 @@ import zlib
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .rates import waterfill
-from .routing import AnnealSchedule, PathChoice, assign_by_scheme, ecmp_assign, max_link_load
-from .topology import INTRA_HOST, SPINE, ClosTopology, Route, fail_spines, forced_route
+import numpy as np
+
+from .rates import LinkRows, waterfill
+from .routing import AnnealSchedule, assign_by_scheme, ecmp_assign
+from .routing import max_link_load  # noqa: F401 - kept as sim.max_link_load for tracing wrappers
+from .topology import (
+    INTRA_HOST,
+    SPINE,
+    ClosTopology,
+    Route,
+    fail_spines,
+    forced_route,
+    max_spine_link_load,
+    route_link_rows,
+)
 from .workload import (
     CommoditySpec,
     HardwareModel,
@@ -35,6 +63,11 @@ from .workload import (
 )
 
 DEFAULT_PORT_BASE = 49152
+
+# a flow is done once no more than this share of its volume, plus this many
+# bits, is left to send
+DONE_RTOL = 1e-9
+DONE_SLACK_BITS = 1.0
 
 # Event-kind priority at equal timestamps.
 _FLOW_COMPLETED = 0
@@ -66,20 +99,6 @@ class ControllerModel:
     def __post_init__(self):
         if self.reaction_latency < 0 or self.elephant_threshold < 0:
             raise ValueError("latency and threshold must be >= 0")
-
-
-@dataclass
-class FlowState:
-    commodity: CommoditySpec
-    iteration: int
-    route: Route | None
-    remaining: float  # bits
-    rate: float = 0.0
-    start_time: float = 0.0
-    end_time: float | None = None
-    elephant: bool = True
-    transmitting: bool = False
-    transmitted: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -122,6 +141,59 @@ def decode_udp_port(port: int) -> int:
     return spine
 
 
+class _FlowTable:
+    """The engine's active flows, one array per column: slot i of every column
+    is the same flow. Slots are in arrival order (see the module docstring)."""
+
+    def __init__(self):
+        self.cid = np.empty(0, dtype=object)
+        self.commodity = np.empty(0, dtype=object)
+        self.volume = np.empty(0)  # bits
+        self.start = np.empty(0)
+        self.remaining = np.empty(0)  # bits
+        self.transmitted = np.empty(0)  # bits
+        self.rate = np.empty(0)  # bits/second, 0 unless transmitting
+        self.transmitting = np.empty(0, dtype=bool)  # has a route
+        self.elephant = np.empty(0, dtype=bool)
+        self.spine = np.empty(0, dtype=np.int64)  # -1 unless on a spine route
+        self.links = np.empty((0, 4), dtype=np.int64)  # see route_link_rows
+        self.rank = np.empty(0, dtype=np.int64)  # ascends with the commodity id
+
+    def __len__(self) -> int:
+        return len(self.cid)
+
+    def append(self, commodities: list[CommoditySpec], elephant: list[bool], now: float):
+        """Add untransmitting flows after the others, then re-rank every slot."""
+        k = len(commodities)
+        volume = np.array([c.volume * 8 for c in commodities], dtype=float)
+        new = {
+            "cid": np.fromiter((c.id for c in commodities), dtype=object, count=k),
+            "commodity": np.fromiter(commodities, dtype=object, count=k),
+            "volume": volume,
+            "start": np.full(k, now),
+            "remaining": volume,
+            "transmitted": np.zeros(k),
+            "rate": np.zeros(k),
+            "transmitting": np.zeros(k, dtype=bool),
+            "elephant": np.array(elephant, dtype=bool),
+            "spine": np.full(k, -1),
+            "links": np.full((k, 4), -1),
+            "rank": np.zeros(k, dtype=np.int64),
+        }
+        # the ranked slots in rank order, then the new ones: a sort that merges
+        # the two runs
+        order = np.argsort(self.rank).tolist() + list(range(len(self), len(self) + k))
+        for name, column in vars(self).items():
+            setattr(self, name, np.concatenate([column, new[name]]))
+        order.sort(key=self.cid.tolist().__getitem__)
+        self.rank[order] = np.arange(len(order))
+
+    def keep(self, mask: np.ndarray):
+        """Drop the flows outside mask; the rest keep their order."""
+        for name, column in vars(self).items():
+            setattr(self, name, column[mask])
+
+
 class _Engine:
     def __init__(self, topo, jobs, controller, hardware, failures, seed):
         self.topo = topo
@@ -131,9 +203,7 @@ class _Engine:
         self.heap = []
         self.seq = 0
         self.epoch = 0
-        # flows are added when emitted and removed when done, so the dict's
-        # order is arrival order
-        self.flows: dict[str, FlowState] = {}
+        self.flows = _FlowTable()
         self.pending_decisions: set[float] = set()
         # the topology the last ECMP decision hashed on (see _on_decision)
         self.hashed_topo: ClosTopology | None = None
@@ -146,7 +216,6 @@ class _Engine:
         self.jobs = {job.id: job for job in jobs}
         self.rings = {job.id: build_rings(job) for job in jobs}
         self.iteration_of = {job.id: 0 for job in jobs}
-        self.comm_start: dict[str, float] = {}
         self.open_flows: dict[str, int] = {}  # per job, unfinished flows this iteration
         self.iter_records: dict[str, list[tuple[str, float, float]]] = {}
         for job in jobs:
@@ -166,11 +235,11 @@ class _Engine:
         if dt < 0:
             raise SimInvariantError(f"time moved backwards: {self.now} -> {t}")
         if dt > 0:
-            for fs in self.flows.values():
-                if fs.transmitting and fs.rate > 0:
-                    sent = fs.rate * dt
-                    fs.remaining -= sent
-                    fs.transmitted += sent
+            # flows that do not transmit have rate 0 and move 0 bits
+            f = self.flows
+            sent = f.rate * dt
+            f.remaining -= sent
+            f.transmitted += sent
         self.now = t
 
     def _schedule_decision(self, latency):
@@ -179,26 +248,29 @@ class _Engine:
             self.pending_decisions.add(t)
             self._push(t, _CONTROLLER_DECISION, None)
 
-    def _reschedule_completion(self):
+    def _reschedule_completion(self) -> float | None:
+        """Schedule a completion check at the earliest finish time, and return it."""
         self.epoch += 1
-        horizon = None
-        for fs in self.flows.values():
-            if fs.transmitting and fs.rate > 0:
-                eta = self.now + max(fs.remaining, 0.0) / fs.rate
-                if horizon is None or eta < horizon:
-                    horizon = eta
-        if horizon is not None:
-            self._push(horizon, _FLOW_COMPLETED, self.epoch)
+        f = self.flows
+        moving = f.rate > 0
+        if not moving.any():
+            return None
+        horizon = float((self.now + np.maximum(f.remaining[moving], 0.0) / f.rate[moving]).min())
+        self._push(horizon, _FLOW_COMPLETED, self.epoch)
+        return horizon
+
+    def _set_routes(self, slots, routes: list[Route]):
+        f = self.flows
+        f.links[slots] = route_link_rows(self.topo, routes)
+        f.spine[slots] = [-1 if r.spine is None else r.spine for r in routes]
+        f.transmitting[slots] = True
 
     def _rewaterfill(self):
-        active = [
-            (cid, fs.route)
-            for cid, fs in self.flows.items()
-            if fs.transmitting and fs.route is not None
-        ]
-        alloc = waterfill(active, self.topo)
-        for cid, rate in alloc.rates.items():
-            self.flows[cid].rate = rate
+        f = self.flows
+        live = np.flatnonzero(f.transmitting)
+        live = live[np.argsort(f.rank[live])]
+        alloc = waterfill(LinkRows(f.cid[live].tolist(), f.links[live]), self.topo)
+        f.rate[live] = np.fromiter(alloc.rates.values(), dtype=float, count=len(live))
         self._reschedule_completion()
 
     # -- event handlers -----------------------------------------------------
@@ -217,7 +289,7 @@ class _Engine:
                 self._start_compute(payload)
             elif kind == _SPINE_FAILURE:
                 self._on_failure(*payload)
-        if self.flows:
+        if len(self.flows):
             raise SimInvariantError(f"{len(self.flows)} flows never completed")
         self.records.sort(key=lambda r: (r.job_id, r.iteration))
         return SimResult(self.records, self.controller_log, self.flow_log)
@@ -230,61 +302,51 @@ class _Engine:
     def _on_compute_done(self, job_id):
         job = self.jobs[job_id]
         iteration = self.iteration_of[job_id]
-        self.comm_start[job_id] = self.now
         self.iter_records[job_id] = []
         threshold_bits = self.controller.elephant_threshold * 8
-        emitted = 0
-        any_elephant = False
+        commodities, elephant, routed, routes = [], [], [], []
         for ring in self.rings[job_id]:
             if len(ring.members) < 2:
                 continue
             for c in ring_allreduce_commodities(ring, iteration):
-                forced = forced_route(self.topo, c.src, c.dst)
-                if forced is not None and forced.kind == INTRA_HOST:
+                route = forced_route(self.topo, c.src, c.dst)
+                if route is not None and route.kind == INTRA_HOST:
                     continue  # same-host transfer, no network time
-                volume_bits = c.volume * 8
-                elephant = volume_bits >= threshold_bits
-                fs = FlowState(
-                    commodity=c,
-                    iteration=iteration,
-                    route=None,
-                    remaining=volume_bits,
-                    start_time=self.now,
-                    elephant=elephant,
-                )
-                if forced is not None:
-                    fs.route = forced
-                    fs.transmitting = True
-                elif not elephant or self.controller.ecmp_fallback_start:
+                is_elephant = c.volume * 8 >= threshold_bits
+                if route is None and (not is_elephant or self.controller.ecmp_fallback_start):
                     # mice start right away on a hashed path; elephants do so
                     # only in fallback mode, otherwise they await the controller
-                    fs.route = ecmp_assign([c], self.topo, self.route_seed).assignment[c.id]
-                    fs.transmitting = True
-                any_elephant = any_elephant or elephant
-                self.flows[c.id] = fs
-                emitted += 1
-        if emitted == 0:
+                    route = ecmp_assign([c], self.topo, self.route_seed).assignment[c.id]
+                if route is not None:
+                    # the slot this flow takes once the batch is appended
+                    routed.append(len(self.flows) + len(commodities))
+                    routes.append(route)
+                commodities.append(c)
+                elephant.append(is_elephant)
+        if not commodities:
             self._finish_iteration(job_id, allreduce_time=0.0)
             return
-        self.open_flows[job_id] = emitted
-        if any_elephant:
+        self.flows.append(commodities, elephant, self.now)
+        self._set_routes(routed, routes)
+        self.open_flows[job_id] = len(commodities)
+        if any(elephant):
             self._schedule_decision(self.controller.reaction_latency)
         self._rewaterfill()
 
-    def _elephant_commodities(self) -> list[CommoditySpec]:
-        return [fs.commodity for fs in self.flows.values() if fs.elephant]
-
     def _on_decision(self, t):
         self.pending_decisions.discard(t)
-        elephants = self._elephant_commodities()
-        if not elephants:
+        f = self.flows
+        slots = np.flatnonzero(f.elephant)
+        if not slots.size:
             return
+        elephants = f.commodity[slots].tolist()
         to_route = elephants
         if self.controller.scheme == "ecmp":
             # an ECMP route depends only on the commodity, the seed and the live
             # spines: until a spine fails, a routed elephant would hash the same
             if self.topo is self.hashed_topo:
-                to_route = [c for c in elephants if self.flows[c.id].route is None]
+                slots = slots[~f.transmitting[slots]]
+                to_route = f.commodity[slots].tolist()
             self.hashed_topo = self.topo
         choice = assign_by_scheme(
             self.controller.scheme,
@@ -294,18 +356,12 @@ class _Engine:
             anneal_schedule=self.controller.anneal_schedule,
             exact_max_commodities=self.controller.exact_max_commodities,
         )
-        for c in to_route:
-            fs = self.flows[c.id]
-            fs.route = choice.assignment[c.id]
-            fs.transmitting = True
-        full = PathChoice(
-            {cid: self.flows[cid].route for cid in self.flows if self.flows[cid].route}
-        )
+        self._set_routes(slots, [choice.assignment[c.id] for c in to_route])
         self.controller_log.append(
             {
                 "time": self.now,
                 "flows": len(elephants),
-                "max_spine_load": max_link_load(full, self.topo),
+                "max_spine_load": max_spine_link_load(self.topo, f.links[f.transmitting]),
             }
         )
         self._rewaterfill()
@@ -313,49 +369,59 @@ class _Engine:
     def _on_completion(self, epoch):
         if epoch != self.epoch:
             return
-        done = []
-        for cid, fs in self.flows.items():
-            if not fs.transmitting:
-                continue
-            if fs.remaining <= 1e-9 * (fs.commodity.volume * 8) + 1.0:
-                done.append(cid)
-        if not done:
-            self._reschedule_completion()
-            return
-        touched_jobs = set()
-        for cid in done:
-            fs = self.flows.pop(cid)
-            fs.end_time = self.now
-            volume_bits = fs.commodity.volume * 8
-            if abs(fs.transmitted - volume_bits) > 1e-6 * volume_bits + 8.0:
+        f = self.flows
+        done = f.transmitting & (f.remaining <= DONE_RTOL * f.volume + DONE_SLACK_BITS)
+        if not done.any():
+            horizon = self._reschedule_completion()
+            if horizon is not None and horizon <= self.now:
                 raise SimInvariantError(
-                    f"flow {cid} moved {fs.transmitted:.0f} of {volume_bits} bits"
+                    f"no flow finished at t={self.now!r} and none would finish later"
                 )
-            fct = fs.end_time - fs.start_time
-            throughput = volume_bits / fct if fct > 0 else 0.0
-            job_id = fs.commodity.job_id
-            self.iter_records[job_id].append((cid, fct, throughput))
+            return
+        volume = f.volume[done]
+        transmitted = f.transmitted[done]
+        bad = np.abs(transmitted - volume) > 1e-6 * volume + 8.0
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SimInvariantError(
+                f"flow {f.cid[done][i]} moved {transmitted[i]:.0f} of {volume[i]:.0f} bits"
+            )
+        fct = self.now - f.start[done]
+        throughput = np.divide(volume, fct, out=np.zeros_like(fct), where=fct > 0)
+        touched_jobs = set()
+        for cid, c, start, spine, flow_fct, flow_throughput in zip(
+            f.cid[done].tolist(),
+            f.commodity[done].tolist(),
+            f.start[done].tolist(),
+            f.spine[done].tolist(),
+            fct.tolist(),
+            throughput.tolist(),
+        ):
+            job_id = c.job_id
+            self.iter_records[job_id].append((cid, flow_fct, flow_throughput))
             self.flow_log.append(
                 {
                     "job": job_id,
-                    "iteration": fs.iteration,
+                    # a job's next iteration starts once all of its flows are done
+                    "iteration": self.iteration_of[job_id],
                     "commodity": cid,
-                    "src": str(fs.commodity.src),
-                    "dst": str(fs.commodity.dst),
-                    "volume_bytes": fs.commodity.volume,
-                    "start_s": fs.start_time,
-                    "end_s": fs.end_time,
-                    "udp_port": encode_route_as_udp_port(fs.route) if fs.route else None,
+                    "src": c.src,
+                    "dst": c.dst,
+                    "volume_bytes": c.volume,
+                    "start_s": start,
+                    "end_s": self.now,
+                    "udp_port": None if spine < 0 else DEFAULT_PORT_BASE + spine,
                 }
             )
             self.open_flows[job_id] -= 1
             touched_jobs.add(job_id)
+        f.keep(~done)
         for job_id in sorted(touched_jobs):
             if self.open_flows[job_id] == 0:
                 fcts = [r[1] for r in self.iter_records[job_id]]
                 self._finish_iteration(job_id, allreduce_time=max(fcts))
-        if self.flows:
-            if self._elephant_commodities():
+        if len(f):
+            if f.elephant.any():
                 self._schedule_decision(self.controller.reaction_latency)
             self._rewaterfill()
 
@@ -370,19 +436,20 @@ class _Engine:
 
     def _on_failure(self, count, fseed):
         self.topo = fail_spines(self.topo, count, fseed)
-        failed = self.topo.failed_spines
-        for cid, fs in self.flows.items():
-            route = fs.route
-            if route is None or route.kind != SPINE or route.spine not in failed:
-                continue
-            if fs.elephant:
-                # stall until the controller reacts
-                fs.route = None
-                fs.transmitting = False
-                fs.rate = 0.0
-            else:
-                fs.route = ecmp_assign([fs.commodity], self.topo, self.route_seed).assignment[cid]
-        if self._elephant_commodities():
+        f = self.flows
+        hit = np.flatnonzero(np.isin(f.spine, list(self.topo.failed_spines)))
+        # elephants stall until the controller reacts; mice hash again
+        stalled = hit[f.elephant[hit]]
+        f.transmitting[stalled] = False
+        f.rate[stalled] = 0.0
+        f.spine[stalled] = -1
+        f.links[stalled] = -1
+        mice = hit[~f.elephant[hit]]
+        self._set_routes(mice, [
+            ecmp_assign([c], self.topo, self.route_seed).assignment[c.id]
+            for c in f.commodity[mice].tolist()
+        ])
+        if f.elephant.any():
             latency = 0.0 if self.controller.precomputed_failures else self.controller.reaction_latency
             self._schedule_decision(latency)
         self._rewaterfill()

@@ -13,9 +13,10 @@ one integer id in [0, num_links), e being an endpoint's position in
   ToR -> NIC e       E + e      spine s -> ToR t   2E + T*S + s*T + t
 
 The ids from ``spine_link_base`` (2E) up are exactly the links that touch a
-spine. Load bookkeeping counts on these ids; ``route_link_ids`` maps routes
-to them in one pass. A Route stores its kind, spine and endpoints only;
-``Route.links`` is a view derived from them, as pairs of tagged nodes.
+spine. Load bookkeeping counts on these ids; ``route_link_rows`` maps routes
+to them in one pass, one row of four ids per route. A Route stores its kind,
+spine and endpoints only; ``Route.links`` is a view derived from them, as
+pairs of tagged nodes.
 """
 
 from __future__ import annotations
@@ -197,11 +198,13 @@ _LINK_COUNT = {SPINE: 4, INTRA_TOR: 2, INTRA_HOST: 0}
 _USES_LINK = np.array([0, 2, 2, 0])
 
 
-def route_link_ids(topo: ClosTopology, routes) -> tuple[np.ndarray, np.ndarray]:
-    """The link ids of routes on topo, in one pass.
+def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
+    """The link ids of routes on topo, one row per route, in one pass.
 
-    Returns the ids flat in route-then-link order (each route's links in
-    ``Route.links`` order) and the number of links of each route.
+    Columns hold the NIC-up, ToR->spine, spine->ToR and NIC-down link, -1
+    where the route does not use it: spine routes use all four, intra-ToR
+    routes the NIC links, intra-host routes none. The non-negative ids of a
+    row, in column order, are its route's links in ``Route.links`` order.
     """
     columns: list[int] = []
     for route in routes:
@@ -210,8 +213,22 @@ def route_link_ids(topo: ClosTopology, routes) -> tuple[np.ndarray, np.ndarray]:
                     src.tor, src.host, src.nic, dst.tor, dst.host, dst.nic)
     cols = np.fromiter(columns, dtype=np.int64, count=len(columns)).reshape(-1, 8)
     weights, offsets = topo._route_link_map
-    count = cols[:, 0]
-    return (cols @ weights + offsets)[count[:, None] > _USES_LINK], count
+    return np.where(cols[:, :1] > _USES_LINK, cols @ weights + offsets, -1)
+
+
+def route_link_ids(topo: ClosTopology, routes) -> tuple[np.ndarray, np.ndarray]:
+    """The link ids of routes flat in route-then-link order (each route's
+    links in ``Route.links`` order), and the number of links of each route."""
+    rows = route_link_rows(topo, routes)
+    used = rows >= 0
+    return rows[used], used.sum(axis=1)
+
+
+def max_spine_link_load(topo: ClosTopology, rows: np.ndarray) -> int:
+    """Most link-id rows (see ``route_link_rows``) crossing one link that
+    touches a spine."""
+    spine = rows[:, 1:3]
+    return int(np.bincount(spine[spine >= 0] - topo.spine_link_base, minlength=1).max())
 
 
 def forced_route(topo: ClosTopology, src: Endpoint, dst: Endpoint) -> Route | None:

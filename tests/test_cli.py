@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -271,6 +272,8 @@ def test_exact_guard_is_a_config_error(tmp_path, capsys):
         ["validate", "--max-commodities", "0"],
         ["validate", "--max-tors", "1"],
         ["validate", "--max-spines", "0"],
+        ["validate", "--instances", "-5"],
+        ["validate", "--instances", "0"],
     ],
     ids=" ".join,
 )
@@ -279,3 +282,39 @@ def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     assert argv[1].split("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_rejects_counts_above_the_exact_guard_before_timing(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--schemes", "greedy,exact", "--counts", "10,100", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--counts" in captured.err and "100" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# SHA-256 of the files two traced commands write on the small scenario. They
+# change only with an output change that CHANGES.md declares.
+GOLDEN_DIGESTS = {
+    "run.csv": "c95a7820c79ee6e64e49361f93d5e259e9479b795ec4ad2b30fe61018bad0e68",
+    "run.trace.csv": "6b04511f416ef1348ac60619a0d657c78ecbae1e3b82eb421b72dca14be664f5",
+    "run.summary.txt": "e33aa1f3904104f6879b3a21f7443ddaf5f1a9e3d9ae7be9b473c79f66a0ed18",
+    "sweep.csv": "213d49c2900e8b578e05ddcb3d6ef938ef96211d86c14f251494fc5c0cefb4d3",
+    "sweep.trace.csv": "f1b4ddbad69888d48ba8e1463ca6bd991f0c357c490e32a7da889e5810bd6e48",
+}
+
+
+def test_golden_output_digests(small_config, tmp_path):
+    """Pins the bytes of `run --trace` under four schemes and of a traced
+    failure sweep. A digest changes only with an output change declared in
+    CHANGES.md; then record the new digests together with that declaration."""
+    assert main(["run", "--config", small_config, "--out", str(tmp_path / "run.csv"), "--trace",
+                 "--schemes", "greedy,ecmp,edge_coloring,annealing"]) == 0
+    assert main(["failsweep", "--config", small_config, "--out", str(tmp_path / "sweep.csv"),
+                 "--counts", "1,2", "--trace", "--schemes", "greedy,ecmp"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS
+    }
+    assert digests == GOLDEN_DIGESTS

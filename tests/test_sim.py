@@ -1,25 +1,31 @@
 import dataclasses
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from closroute import routing, sim
 from closroute.cli import measure_scheme_runtime
 from closroute.sim import (
     ControllerModel,
     FailurePlan,
+    SimInvariantError,
     decode_udp_port,
     encode_route_as_udp_port,
     run_scenario,
     stable_seed,
 )
-from closroute.topology import Endpoint, Route, build_topology, spine_route
+from closroute.topology import Endpoint, Route, build_topology, fail_spines, spine_route
 from closroute.workload import (
     MODEL_CATALOG,
     HardwareModel,
     Job,
     ModelConfig,
+    build_rings,
     place_job,
+    ring_allreduce_commodities,
 )
 
 FAST_HW = HardwareModel(peak_flops=312e12, utilization=0.3, tokens_per_batch=2e4)
@@ -256,3 +262,96 @@ def test_runtime_measurement_shape_and_ordering(cluster):
 def test_stable_seed_is_stable():
     assert stable_seed(1, "ecmp") == stable_seed(1, "ecmp")
     assert stable_seed(1, "ecmp") != stable_seed(2, "ecmp")
+
+
+def test_completion_that_cannot_progress_raises(cluster, monkeypatch):
+    # with a tolerance no flow can meet, every current completion check finds
+    # nothing done; once the next finish time is now, the engine must stop
+    monkeypatch.setattr(sim, "DONE_SLACK_BITS", -math.inf)
+    checks = []
+    on_completion = sim._Engine._on_completion
+
+    def counting(engine, epoch):
+        checks.append(epoch)
+        assert len(checks) < 1000, "completion checks keep firing without progress"
+        on_completion(engine, epoch)
+
+    monkeypatch.setattr(sim._Engine, "_on_completion", counting)
+    job = make_job(cluster, MINI, dp=2, seed=6, iters=1)
+    with pytest.raises(SimInvariantError, match="none would finish"):
+        run_scenario(cluster, [job], ControllerModel(scheme="greedy"), hardware=FAST_HW, seed=3)
+
+
+SMALL_FABRIC = build_topology(4, 4, 2, 2, 100e9)  # 16 GPUs
+
+job_specs = st.lists(
+    st.tuples(
+        st.sampled_from([(1, 1), (2, 1), (1, 2)]),  # tp, pp
+        st.integers(1, 4),  # dp
+        st.sampled_from([1e5, 1e8, 1e9]),  # parameters
+        st.floats(0.0, 0.2),  # arrival time
+        st.integers(1, 3),  # iterations
+        st.integers(0, 2**16),  # placement seed
+    ),
+    min_size=1,
+    max_size=3,
+)
+# spine failures at random times; one of the four spines always survives
+failure_events = st.lists(st.tuples(st.floats(0.0, 1.5), st.integers(1, 3)), max_size=2).filter(
+    lambda events: sum(k for _, k in events) <= 3
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    specs=job_specs,
+    failures=failure_events,
+    scheme=st.sampled_from(["greedy", "ecmp"]),
+    threshold=st.sampled_from([1e6, 1e12]),  # bytes; at 1e12 every flow is a mouse
+    fallback=st.booleans(),
+    precomputed=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_every_flow_completes_once(specs, failures, scheme, threshold, fallback, precomputed,
+                                   seed):
+    jobs, occupied = [], set()
+    for i, ((tp, pp), dp, params, arrival, iters, place_seed) in enumerate(specs):
+        model = ModelConfig(f"M{i}", params, tp=tp, pp=pp)
+        if len(occupied) + model.gpus_per_replica * dp > SMALL_FABRIC.num_endpoints:
+            continue
+        placement = place_job(SMALL_FABRIC, model, dp, place_seed, frozenset(occupied))
+        occupied.update(placement)
+        jobs.append(Job(f"job{i}", model, dp, arrival, iters, placement))
+    assume(jobs)
+    plan = FailurePlan(tuple(t for t, _ in failures), tuple(k for _, k in failures), seed)
+    controller = ControllerModel(scheme=scheme, elephant_threshold=threshold,
+                                 ecmp_fallback_start=fallback, precomputed_failures=precomputed)
+
+    result = run_scenario(SMALL_FABRIC, jobs, controller, hardware=FAST_HW,
+                          failures=plan, seed=seed)
+
+    emitted = [
+        c.id
+        for job in jobs
+        for iteration in range(job.num_iterations)
+        for ring in build_rings(job)
+        if len(ring.members) > 1
+        for c in ring_allreduce_commodities(ring, iteration)
+        if (c.src.tor, c.src.host) != (c.dst.tor, c.dst.host)
+    ]
+    logged = Counter(e["commodity"] for e in result.flow_log)
+    assert logged == Counter(emitted)
+    assert set(logged.values()) <= {1}
+    for job in jobs:
+        iterations = [r.iteration for r in result.records if r.job_id == job.id]
+        assert iterations == list(range(job.num_iterations))
+    # a flow still running when a spine fails finishes on a live spine
+    topo, failed_at = SMALL_FABRIC, []
+    for i in sorted(range(len(plan.times)), key=lambda i: plan.times[i]):
+        topo = fail_spines(topo, plan.counts[i], stable_seed(plan.seed, i))
+        failed_at.append((plan.times[i], topo.failed_spines))
+    for e in result.flow_log:
+        if e["udp_port"] is not None:
+            spine = decode_udp_port(e["udp_port"])
+            assert not any(spine in failed for t, failed in failed_at if e["end_s"] > t)
