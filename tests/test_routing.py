@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from closroute.routing import (
+    EXACT_MAX_COMMODITIES,
+    SCHEME_NAMES,
     AnnealSchedule,
     PathChoice,
     anneal_assign,
@@ -29,6 +32,7 @@ from closroute.topology import (
     route_link_ids,
     spine_route,
 )
+from closroute.workload import Job, ModelConfig, build_rings, place_job, ring_allreduce_commodities
 
 FIG_PAIRS = [(0, 1), (1, 0), (1, 2), (2, 0)]  # the 4-ToR worked example demands
 
@@ -409,3 +413,96 @@ def test_schemes_work_with_failed_spines():
     for scheme in ("greedy", "ecmp", "edge_coloring", "annealing", "exact"):
         choice = assign_by_scheme(scheme, cs, topo, seed=2)
         assert {r.spine for r in choice.assignment.values() if r.kind == SPINE} <= live
+
+
+# -- pinned choices -----------------------------------------------------------
+
+
+def ring_edge_instances():
+    """Iteration-0 ring edges of one to three jobs placed on small fabrics with
+    some spines failed: intra-host, intra-ToR and inter-ToR commodities mixed."""
+    instances = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        topo = build_topology(rng.randint(1, 4), rng.randint(2, 4), 2, 4, 1.0)
+        occupied, commodities = set(), []
+        for j in range(rng.randint(1, 3)):
+            model = ModelConfig("m", 1e9, tp=rng.choice([1, 2]), pp=rng.choice([1, 2]))
+            dp = rng.randint(2, 4)
+            try:
+                placement = place_job(topo, model, dp, seed * 10 + j, occupied)
+            except ValueError:
+                break  # the fabric is full
+            occupied.update(placement)
+            job = Job(f"j{j}", model, dp, 0.0, 1, placement)
+            commodities += [c for ring in build_rings(job) for c in ring_allreduce_commodities(ring, 0)]
+        instances.append((fail_spines(topo, rng.randrange(topo.num_spines), seed), commodities))
+    return instances
+
+
+def bench_instances():
+    """Random commodities on the 32 x 64 reference fabric, intact and with 8
+    spines failed. At 1500 commodities NIC slots repeat, so greedy's NIC floor
+    comes into play."""
+    reference = build_topology(32, 64, 4, 8, 1.0)
+    instances = []
+    for count in (100, 1000, 1500):
+        for failed in (0, 8):
+            topo = fail_spines(reference, failed, seed=3)
+            instances.append((topo, random_commodities(topo, count, seed=count)))
+    assert len({c.src for c in instances[-1][1]}) < 1500
+    return instances
+
+
+PINNED_INPUTS = {
+    "unit": lambda: [random_unit_instance(seed) for seed in range(200)],
+    "bench": bench_instances,
+    "rings": ring_edge_instances,
+}
+
+# SHA-256 over (commodity id, route kind, spine) of every choice, per input
+# family and scheme: identical colourings and spine choices across rewrites
+PINNED_CHOICES = {
+    "unit": {
+        "greedy": "ac9a4eb7de4fe51724c1720764785c68bc8bb707e22565361987ea76738b5cb8",
+        "ecmp": "649375972ed365eb5bf199b5c1e62890c7f295e8507b964430c0a294ca775674",
+        "edge_coloring": "169422803ba6c863bfab76565dfd121943cf6f4e32f039e677fdf8cd12d92a29",
+        "annealing": "24cbfff1c2516975f0e1f2c7ef93acdb322bf16e346b99e46abc174d88291df0",
+        "exact": "d6c2a2153761325054b91366a96806ba4446d812194fbbd749029b122f3ba7a3",
+    },
+    "bench": {
+        "greedy": "b2f979f212b1eb1066c6ab8d5bd3426a2c32dd615110d4094c16a61273dac562",
+        "ecmp": "b73d4892d2528b4a4939dc438dbc37616c4b385baa0433679bdf39e6fd677e00",
+        "edge_coloring": "ea63c84a113f09b209203bc920d3c6d17a8bef893f2957ff509da891d39263a4",
+        "annealing": "1ce3a8e36e477cc75df73cd0eb6e0f99fe6d4a1ebfc4832d5472ef1eafaff4c2",
+        # every bench input exceeds the exact guard: the digest of nothing
+        "exact": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "rings": {
+        "greedy": "bf0c0302b988934f7c6d19111f07d77dc2a948f0fef763f1b3db62889612d316",
+        "ecmp": "83f91752d3fe29a298360d54ccf3515c3ece4a835da3b152a56eced408d04e11",
+        "edge_coloring": "bf0c0302b988934f7c6d19111f07d77dc2a948f0fef763f1b3db62889612d316",
+        "annealing": "c61a1729e59f2cac0b8474b47fee40ea38343a8bd1000098804ad56256662cba",
+        "exact": "91798b9bc895ae8c075d871bdb8924625525ddb52f952f1db161fd5590efe9c4",
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_INPUTS))
+def test_scheme_choices_match_pinned_digests(family):
+    # annealing runs a short schedule on the large inputs to keep the test fast
+    schedule = AnnealSchedule(moves_per_commodity=5 if family == "bench" else 100)
+    instances = PINNED_INPUTS[family]()
+    digests = {}
+    for scheme in SCHEME_NAMES:
+        digest = hashlib.sha256()
+        for topo, cs in instances:
+            inter = sum(c.src.tor != c.dst.tor for c in cs)
+            if scheme == "exact" and inter > EXACT_MAX_COMMODITIES:
+                continue
+            choice = assign_by_scheme(scheme, cs, topo, seed=7, anneal_schedule=schedule)
+            for c in cs:
+                route = choice.assignment[c.id]
+                digest.update(f"{c.id}|{route.kind}|{route.spine}\n".encode())
+        digests[scheme] = digest.hexdigest()
+    assert digests == PINNED_CHOICES[family]
