@@ -5,8 +5,8 @@ Every inter-ToR shortest path crosses exactly one spine switch, so the route
 space for a flow is simply the set of live spines.
 """
 
-from closroute import Endpoint, build_topology, fail_spines
-from closroute.topology import forced_route, spine_route
+from closroute import CommoditySpec, Endpoint, build_topology, fail_spines
+from closroute.topology import classify, spine_route
 
 # The reference fabric: 32 spines, 64 ToRs, 4 hosts per rack, 8 NICs per host.
 big = build_topology(32, 64, 4, 8, link_capacity=100e9)
@@ -25,9 +25,10 @@ for spine in topo.live_spines:
     print(f"  via spine {route.spine}: {hops}")
 
 # Same-rack and same-host transfers have one forced route that never touches
-# the spine layer.
+# the spine layer. classify tells the kinds of a whole commodity list at once.
 neighbor = Endpoint(tor=1, host=1, nic=0)
-print(f"\nroute {src} -> {neighbor}: {forced_route(topo, src, neighbor).kind}")
+kind = classify(topo, [CommoditySpec("c", "demo", src, neighbor, 1)]).kind[0]
+print(f"\nroute {src} -> {neighbor}: {kind}")
 
 # Spine failures shrink the route set; sampling is seeded and reproducible.
 degraded = fail_spines(big, k=8, seed=7)

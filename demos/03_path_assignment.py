@@ -18,7 +18,7 @@ from closroute import (
     unit_commodities_for_pairs,
     waterfill,
 )
-from closroute.topology import route_link_ids
+from closroute.topology import route_link_rows
 
 topo = build_topology(2, 4, 2, 1, link_capacity=1.0)
 demands = [(0, 1), (1, 0), (1, 2), (2, 0)]  # ToR-level 0/1 demand matrix
@@ -42,6 +42,6 @@ print(f"{'scheme':14s} {'max spine load':>14s} {'sum of squared loads':>21s}")
 for scheme in ("ecmp", "greedy", "edge_coloring", "annealing"):
     choice = assign_by_scheme(scheme, flows, big, seed=3)
     # commodities per link id; the ids from spine_link_base up touch a spine
-    ids, _ = route_link_ids(big, choice.assignment.values())
-    loads = np.bincount(ids, minlength=big.num_links)[big.spine_link_base:]
+    rows = route_link_rows(big, choice.assignment.values())
+    loads = np.bincount(rows[rows >= 0], minlength=big.num_links)[big.spine_link_base:]
     print(f"{scheme:14s} {loads.max():>14d} {(loads * loads).sum():>21d}")

@@ -46,7 +46,7 @@ from .routing import (
     random_unit_instance,
 )
 from .sim import SimResult, run_scenario, stable_seed
-from .topology import ClosTopology, build_topology
+from .topology import ClosTopology, build_topology, classify
 
 RESULT_COLUMNS = ("scenario", "scheme", "job", "metric", "value", "seed")
 TRACE_COLUMNS = (
@@ -248,7 +248,7 @@ def cmd_validate(args) -> int:
             exact_assign(commodities, topo, max_commodities=args.max_commodities), topo
         )
         coloring_load = max_link_load(edge_color_assign(commodities, topo), topo)
-        bound = math.ceil(max_tor_degree(commodities) / len(topo.live_spines))
+        bound = math.ceil(max_tor_degree(classify(topo, commodities)) / len(topo.live_spines))
         ratio = greedy_load / exact_load
         worst_ratio = max(worst_ratio, ratio)
         if greedy_load > 2 * exact_load:

@@ -11,10 +11,11 @@ import copy
 import json
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .routing import SCHEME_NAMES, AnnealSchedule
-from .sim import ControllerModel, FailurePlan, stable_seed
-from .topology import ClosTopology, build_topology
+from .sim import ControllerModel, FailurePlan, is_elephant, stable_seed
+from .topology import ClosTopology, build_topology, classify
 from .workload import (
     HardwareModel,
     Job,
@@ -311,12 +312,10 @@ def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
             placement=placement,
         )
         if check_exact:
-            elephants = sum(  # the engine's elephant test, on inter-ToR ring edges
-                c.src.tor != c.dst.tor and c.volume * 8 >= params["elephant_threshold"] * 8
-                for ring in build_rings(job)
-                if len(ring.members) >= 2
-                for c in ring_allreduce_commodities(ring, 0)
-            )
+            rings = [ring for ring in build_rings(job) if len(ring.members) >= 2]
+            ring_edges = [c for ring in rings for c in ring_allreduce_commodities(ring, 0)]
+            inter = compress(ring_edges, classify(config.topology, ring_edges).inter)
+            elephants = sum(is_elephant(c, params["elephant_threshold"]) for c in inter)
             if elephants > config.exact_max_commodities:
                 raise ConfigError(
                     f"jobs[{i}]: {model_name} dp={dp}: {elephants} inter-ToR elephant flows "

@@ -3,7 +3,10 @@
 All schemes map each commodity to one of its shortest paths (one candidate
 per live spine for inter-ToR pairs, a forced route otherwise) and are
 compared by the congestion they induce: the number of assigned commodities
-crossing each directed link.
+crossing each directed link. Each classifies its input once with
+``topology.classify``, which rejects an endpoint off the fabric, chooses a
+spine per inter-ToR commodity and builds the routes with
+``topology.build_routes``.
 
 Schemes:
   greedy        sequential least-congested-path choice, 2-approximate on the
@@ -18,35 +21,30 @@ Schemes:
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .topology import (
     INTRA_HOST,
+    SPINE,
+    Classified,
     ClosTopology,
     Endpoint,
-    Route,
-    forced_route,
+    PathChoice,
+    build_routes,
+    classify,
     max_spine_link_load,
-    route_link_ids,
     route_link_rows,
-    spine_route,
 )
 from .workload import CommoditySpec
 
 SCHEME_NAMES = ("greedy", "ecmp", "edge_coloring", "annealing", "exact")
 # the exact solver's default size guard, in inter-ToR commodities
 EXACT_MAX_COMMODITIES = 16
-
-
-@dataclass(frozen=True)
-class PathChoice:
-    """Mapping commodity id -> chosen Route, one entry per input commodity."""
-
-    assignment: dict[str, Route]
 
 
 @dataclass(frozen=True)
@@ -67,14 +65,13 @@ def max_link_load(choice: PathChoice, topo: ClosTopology) -> int:
     return max_spine_link_load(topo, route_link_rows(topo, choice.assignment.values()))
 
 
-def max_tor_degree(commodities: list[CommoditySpec]) -> int:
+def max_tor_degree(kinds: Classified) -> int:
     """Most inter-ToR commodities leaving or entering one ToR: the max degree
     of the ToR-to-ToR demand multigraph. Every assignment puts at least
     ceil(degree / live spines) of them on some spine link."""
-    inter = [c for c in commodities if c.src.tor != c.dst.tor]
-    out_deg = Counter(c.src.tor for c in inter)
-    in_deg = Counter(c.dst.tor for c in inter)
-    return max([*out_deg.values(), *in_deg.values()], default=0)
+    inter = kinds.inter
+    ends = (kinds.src_tor[inter], kinds.dst_tor[inter])
+    return max(int(np.bincount(tors, minlength=1).max()) for tors in ends)
 
 
 def greedy_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathChoice:
@@ -86,31 +83,34 @@ def greedy_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathC
     links, NIC links included. Forced intra-host/intra-ToR commodities take
     their unique route; intra-ToR ones still load their NIC links.
     """
+    kinds = classify(topo, commodities)
+    return build_routes(commodities, kinds.kind, _greedy_spines(kinds, topo)[0])
+
+
+def _greedy_spines(kinds: Classified, topo: ClosTopology) -> tuple[list[int], np.ndarray]:
+    """Greedy's spines for the inter-ToR commodities, in order, and the link
+    loads by id that its routes leave."""
     live_list = topo.live_spines
     live = np.asarray(live_list, dtype=np.int64)
     loads = np.zeros(topo.num_links, dtype=np.int64)
     up, down = topo.spine_link_views(loads)
-    assignment: dict[str, Route] = {}
-    for c in commodities:
-        src, dst = c.src, c.dst
-        route = forced_route(topo, src, dst)
-        src_up, dst_down = topo.nic_up_id(src), topo.nic_down_id(dst)
-        if route is None:
-            cand = np.maximum(up[src.tor, live], down[live, dst.tor])
+    spines = []
+    for kind, src_tor, dst_tor, src_up, dst_down in zip(*(col.tolist() for col in kinds)):
+        if kind == SPINE:
+            cand = np.maximum(up[src_tor, live], down[live, dst_tor])
             nic_floor = max(loads[src_up], loads[dst_down])
             if nic_floor:
                 cand = np.maximum(cand, nic_floor)
             # first occurrence of the minimum == scan in ascending spine order
             # switching only on strict improvement
             spine = live_list[int(np.argmin(cand))]
-            route = spine_route(src, dst, spine)
-            up[src.tor, spine] += 1
-            down[spine, dst.tor] += 1
-        if route.kind != INTRA_HOST:
+            spines.append(spine)
+            up[src_tor, spine] += 1
+            down[spine, dst_tor] += 1
+        if kind != INTRA_HOST:
             loads[src_up] += 1
             loads[dst_down] += 1
-        assignment[c.id] = route
-    return PathChoice(assignment)
+    return spines, loads
 
 
 def decompose_components(commodities: list[CommoditySpec]) -> list[list[CommoditySpec]]:
@@ -167,27 +167,14 @@ def _stable_hash(text: str) -> int:
 
 def ecmp_assign(commodities: list[CommoditySpec], topo: ClosTopology, seed: int) -> PathChoice:
     """Hash each inter-ToR commodity onto a live spine, like per-flow ECMP."""
+    kinds = classify(topo, commodities)
+    inter = compress(commodities, kinds.inter)
+    return build_routes(commodities, kinds.kind, _ecmp_spines(inter, topo, seed))
+
+
+def _ecmp_spines(inter, topo: ClosTopology, seed: int) -> list[int]:
     live = topo.live_spines
-    assignment: dict[str, Route] = {}
-    for c in commodities:
-        route = forced_route(topo, c.src, c.dst)
-        if route is None:
-            spine = live[_stable_hash(f"{c.id}|{seed}") % len(live)]
-            route = spine_route(c.src, c.dst, spine)
-        assignment[c.id] = route
-    return PathChoice(assignment)
-
-
-class _ColorState:
-    """Per-vertex color table for bipartite multigraph edge coloring."""
-
-    __slots__ = ("colors",)
-
-    def __init__(self):
-        self.colors: dict[tuple, dict[int, int]] = {}
-
-    def at(self, vertex: tuple) -> dict[int, int]:
-        return self.colors.setdefault(vertex, {})
+    return [live[_stable_hash(f"{c.id}|{seed}") % len(live)] for c in inter]
 
 
 def edge_color_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathChoice:
@@ -200,57 +187,38 @@ def edge_color_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> P
     Each ToR then sees every color at most once, giving every ToR<->spine link
     a load of at most ceil(Delta / live spines), which is optimal.
     """
-    live = topo.live_spines
-    inter = [(i, c) for i, c in enumerate(commodities) if c.src.tor != c.dst.tor]
-    delta = max_tor_degree(commodities)
-
-    state = _ColorState()
-    edge_color: dict[int, int] = {}
-    edge_ends: dict[int, tuple[tuple, tuple]] = {}
-    for idx, c in inter:
-        u = ("s", c.src.tor)
-        v = ("d", c.dst.tor)
-        edge_ends[idx] = (u, v)
-        free_u = {col for col in range(delta) if col not in state.at(u)}
-        free_v = {col for col in range(delta) if col not in state.at(v)}
-        common = free_u & free_v
-        if common:
-            color = min(common)
-        else:
-            alpha = min(free_u)
-            beta = min(free_v)
-            # Swap colors along the maximal alpha/beta chain starting at v.
-            # Bipartite parity keeps the chain away from u, so alpha becomes
-            # free at both ends.
-            chain = []
+    kinds = classify(topo, commodities)
+    inter = kinds.inter
+    # vertices: source ToR t is t, destination ToR t is T + t
+    edges = np.stack([kinds.src_tor[inter], topo.num_tors + kinds.dst_tor[inter]], 1).tolist()
+    # table[x][c]: the edge colored c at vertex x, -1 if c is free there
+    colors = range(max_tor_degree(kinds))
+    table = [[-1 for _ in colors] for _ in range(2 * topo.num_tors)]
+    color = [0] * len(edges)
+    for e, (u, v) in enumerate(edges):
+        at_u, at_v = table[u], table[v]
+        c = next((c for c in colors if at_u[c] < 0 and at_v[c] < 0), -1)
+        if c < 0:
+            alpha, beta = at_u.index(-1), at_v.index(-1)
+            # Swap alpha and beta along the maximal alpha/beta chain starting
+            # at v, a path whose vertices swap their alpha and beta entries.
+            # Bipartite parity keeps it away from u, so alpha becomes free at
+            # both ends.
             x, want = v, alpha
-            while want in state.at(x):
-                eid = state.at(x)[want]
-                chain.append(eid)
-                ex_u, ex_v = edge_ends[eid]
-                x = ex_v if x == ex_u else ex_u
-                want = beta if want == alpha else alpha
-            for eid in chain:
-                old = edge_color[eid]
-                for vert in edge_ends[eid]:
-                    del state.at(vert)[old]
-                edge_color[eid] = beta if old == alpha else alpha
-            for eid in chain:
-                for vert in edge_ends[eid]:
-                    state.at(vert)[edge_color[eid]] = eid
-            color = alpha
-        edge_color[idx] = color
-        state.at(u)[color] = idx
-        state.at(v)[color] = idx
-
-    assignment: dict[str, Route] = {}
-    for i, c in enumerate(commodities):
-        if c.src.tor == c.dst.tor:
-            assignment[c.id] = forced_route(topo, c.src, c.dst)
-        else:
-            spine = live[edge_color[i] % len(live)]
-            assignment[c.id] = spine_route(c.src, c.dst, spine)
-    return PathChoice(assignment)
+            while True:
+                row = table[x]
+                f = row[want]
+                row[alpha], row[beta] = row[beta], row[alpha]
+                if f < 0:
+                    break
+                color[f] = alpha + beta - want
+                x = edges[f][1] if x == edges[f][0] else edges[f][0]
+                want = alpha + beta - want
+            c = alpha
+        color[e] = c
+        at_u[c] = at_v[c] = e
+    live = topo.live_spines
+    return build_routes(commodities, kinds.kind, [live[c % len(live)] for c in color])
 
 
 class _LoadTracker:
@@ -291,64 +259,62 @@ def anneal_assign(
     accepted when it lowers the energy, or with Metropolis probability
     exp(-delta / temperature) otherwise. Returns the best state seen.
     """
-    import math
-
     live = topo.live_spines
-    start = ecmp_assign(commodities, topo, seed)
-    inter = [c for c in commodities if c.src.tor != c.dst.tor]
-    if not inter or len(live) < 2 or schedule.moves_per_commodity == 0:
+    kinds = classify(topo, commodities)
+    inter = kinds.inter
+    spine_of = _ecmp_spines(compress(commodities, inter), topo, seed)
+    start = build_routes(commodities, kinds.kind, spine_of)
+    if not spine_of or len(live) < 2 or schedule.moves_per_commodity == 0:
         return start
 
     tracker = _LoadTracker(topo.num_links)
-    for link in route_link_ids(topo, start.assignment.values())[0].tolist():
+    rows = route_link_rows(topo, start.assignment.values())
+    for link in rows[rows >= 0].tolist():
         tracker.bump(link, 1)
-    spine_of = {c.id: start.assignment[c.id].spine for c in inter}
+    src_tor, dst_tor = kinds.src_tor[inter].tolist(), kinds.dst_tor[inter].tolist()
 
     # Integer scalarization of the lexicographic energy: a max-load step always
     # outweighs any reachable sum-of-squares difference.
-    n = len(inter)
+    n = len(spine_of)
     big = 4 * (4 * n) ** 2 + 1
 
     def energy() -> int:
         return tracker.max_load * big + tracker.sum_sq
 
-    def links_of(c: CommoditySpec, spine: int) -> tuple[int, int]:
-        return topo.tor_up_id(c.src.tor, spine), topo.tor_down_id(spine, c.dst.tor)
+    def links_of(i: int, spine: int) -> tuple[int, int]:
+        return topo.tor_up_id(src_tor[i], spine), topo.tor_down_id(spine, dst_tor[i])
 
     rng = random.Random(seed)
     temp = schedule.initial_temp
     current = energy()
     best = current
-    best_spines = dict(spine_of)
+    best_spines = spine_of.copy()
     moves = schedule.moves_per_commodity * n
     for _ in range(moves):
-        c = inter[rng.randrange(n)]
-        old_spine = spine_of[c.id]
+        i = rng.randrange(n)
+        old_spine = spine_of[i]
         alternatives = [s for s in live if s != old_spine]
         new_spine = alternatives[rng.randrange(len(alternatives))]
-        for link in links_of(c, old_spine):
+        for link in links_of(i, old_spine):
             tracker.bump(link, -1)
-        for link in links_of(c, new_spine):
+        for link in links_of(i, new_spine):
             tracker.bump(link, 1)
         proposed = energy()
         delta = proposed - current
         if delta <= 0 or rng.random() < math.exp(-delta / temp):
-            spine_of[c.id] = new_spine
+            spine_of[i] = new_spine
             current = proposed
             if current < best:
                 best = current
-                best_spines = dict(spine_of)
+                best_spines = spine_of.copy()
         else:
-            for link in links_of(c, new_spine):
+            for link in links_of(i, new_spine):
                 tracker.bump(link, -1)
-            for link in links_of(c, old_spine):
+            for link in links_of(i, old_spine):
                 tracker.bump(link, 1)
         temp *= schedule.cooling_factor
 
-    assignment = dict(start.assignment)
-    for c in inter:
-        assignment[c.id] = spine_route(c.src, c.dst, best_spines[c.id])
-    return PathChoice(assignment)
+    return build_routes(commodities, kinds.kind, best_spines)
 
 
 def exact_assign(
@@ -365,18 +331,22 @@ def exact_assign(
     small instances; the search is exponential in the worst case.
     """
     live = topo.live_spines
-    inter = [c for c in commodities if c.src.tor != c.dst.tor]
-    if len(inter) > max_commodities:
+    kinds = classify(topo, commodities)
+    inter = kinds.inter
+    src_tor, dst_tor = kinds.src_tor[inter].tolist(), kinds.dst_tor[inter].tolist()
+    n = len(src_tor)
+    if n > max_commodities:
         raise ValueError(
-            f"{len(inter)} inter-ToR commodities exceed the exact-solver guard "
+            f"{n} inter-ToR commodities exceed the exact-solver guard "
             f"exact_max_commodities = {max_commodities}"
         )
 
-    lower_bound = -(-max_tor_degree(inter) // len(live))
-    greedy_bound = max_link_load(greedy_assign(commodities, topo), topo)
+    lower_bound = -(-max_tor_degree(kinds) // len(live))
+    # greedy's max spine-link load
+    greedy_bound = int(_greedy_spines(kinds, topo)[1][topo.spine_link_base :].max())
 
     loads = [0] * topo.num_links  # by link id; only ToR<->spine links are used
-    chosen: list[int] = [live[0]] * len(inter)
+    chosen: list[int] = [live[0]] * n
     best_vector: list[int] | None = None
     best_value = greedy_bound + 1  # optimum can never exceed greedy's load
 
@@ -386,13 +356,12 @@ def exact_assign(
             return
         if partial_max >= best_value:
             return
-        if pos == len(inter):
+        if pos == n:
             best_value = partial_max
             best_vector = chosen.copy()
             return
-        c = inter[pos]
         for s in live:
-            up, down = topo.tor_up_id(c.src.tor, s), topo.tor_down_id(s, c.dst.tor)
+            up, down = topo.tor_up_id(src_tor[pos], s), topo.tor_down_id(s, dst_tor[pos])
             lu, ld = loads[up] + 1, loads[down] + 1
             new_max = max(partial_max, lu, ld)
             if new_max >= best_value:
@@ -405,16 +374,9 @@ def exact_assign(
                 return
 
     dfs(0, 0)
-    if best_vector is None and inter:
+    if best_vector is None:
         raise AssertionError("branch and bound found no assignment")
-
-    assignment: dict[str, Route] = {}
-    for c in commodities:
-        if c.src.tor == c.dst.tor:
-            assignment[c.id] = forced_route(topo, c.src, c.dst)
-    for idx, c in enumerate(inter):
-        assignment[c.id] = spine_route(c.src, c.dst, best_vector[idx] if best_vector else live[0])
-    return PathChoice({c.id: assignment[c.id] for c in commodities})
+    return build_routes(commodities, kinds.kind, best_vector)
 
 
 def assign_by_scheme(

@@ -1,10 +1,13 @@
 """Discrete-event, flow-level simulator of training jobs on a Clos fabric.
 
 Jobs alternate compute phases with communication phases; a communication
-phase emits one flow per ring edge. A centralized controller re-routes all
+phase emits one flow per ring edge, classified in one ``classify`` call:
+same-host edges take no network time. A centralized controller re-routes all
 active elephant flows whenever a flow starts, a flow ends, or a spine fails,
 after a configurable reaction latency; rates follow max-min fairness on the
-current routes. Mice flows bypass the controller and stay on hashed paths.
+current routes. Mice flows bypass the controller and stay on hashed paths:
+one ``ecmp_assign`` call routes an emission's intra-ToR flows, mice and (in
+fallback mode) elephants, and one re-hashes the mice a spine failure hits.
 
 An ECMP hash depends only on the flow, the seed and the live spines, so ECMP
 decisions reuse the routed elephants' hashes: a decision hashes only the
@@ -37,6 +40,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import compress
 
 import numpy as np
 
@@ -48,8 +52,8 @@ from .topology import (
     SPINE,
     ClosTopology,
     Route,
+    classify,
     fail_spines,
-    forced_route,
     max_spine_link_load,
     route_link_rows,
 )
@@ -79,6 +83,12 @@ _SPINE_FAILURE = 4
 
 class SimInvariantError(RuntimeError):
     """An internal consistency check of the simulation failed."""
+
+
+def is_elephant(c: CommoditySpec, threshold: float) -> bool:
+    """Whether the controller routes c: its volume reaches the elephant
+    threshold (both in bytes)."""
+    return c.volume >= threshold
 
 
 def stable_seed(*parts) -> int:
@@ -214,7 +224,8 @@ class _Engine:
         self.route_seed = stable_seed(seed, "routes")
 
         self.jobs = {job.id: job for job in jobs}
-        self.rings = {job.id: build_rings(job) for job in jobs}
+        # a one-member ring (dp = 1) has no edges
+        self.rings = {job.id: [r for r in build_rings(job) if len(r.members) >= 2] for job in jobs}
         self.iteration_of = {job.id: 0 for job in jobs}
         self.open_flows: dict[str, int] = {}  # per job, unfinished flows this iteration
         self.iter_records: dict[str, list[tuple[str, float, float]]] = {}
@@ -258,6 +269,13 @@ class _Engine:
         horizon = float((self.now + np.maximum(f.remaining[moving], 0.0) / f.rate[moving]).min())
         self._push(horizon, _FLOW_COMPLETED, self.epoch)
         return horizon
+
+    def _hash_routes(self, slots):
+        """Route the flows in slots as ECMP would, in one batch."""
+        if len(slots):
+            batch = self.flows.commodity[slots].tolist()
+            choice = ecmp_assign(batch, self.topo, self.route_seed)
+            self._set_routes(slots, [choice.assignment[c.id] for c in batch])
 
     def _set_routes(self, slots, routes: list[Route]):
         f = self.flows
@@ -303,33 +321,24 @@ class _Engine:
         job = self.jobs[job_id]
         iteration = self.iteration_of[job_id]
         self.iter_records[job_id] = []
-        threshold_bits = self.controller.elephant_threshold * 8
-        commodities, elephant, routed, routes = [], [], [], []
-        for ring in self.rings[job_id]:
-            if len(ring.members) < 2:
-                continue
-            for c in ring_allreduce_commodities(ring, iteration):
-                route = forced_route(self.topo, c.src, c.dst)
-                if route is not None and route.kind == INTRA_HOST:
-                    continue  # same-host transfer, no network time
-                is_elephant = c.volume * 8 >= threshold_bits
-                if route is None and (not is_elephant or self.controller.ecmp_fallback_start):
-                    # mice start right away on a hashed path; elephants do so
-                    # only in fallback mode, otherwise they await the controller
-                    route = ecmp_assign([c], self.topo, self.route_seed).assignment[c.id]
-                if route is not None:
-                    # the slot this flow takes once the batch is appended
-                    routed.append(len(self.flows) + len(commodities))
-                    routes.append(route)
-                commodities.append(c)
-                elephant.append(is_elephant)
+        rings = self.rings[job_id]
+        commodities = [c for ring in rings for c in ring_allreduce_commodities(ring, iteration)]
+        kind = classify(self.topo, commodities).kind
+        on_net = kind != INTRA_HOST  # same-host transfers take no network time
+        commodities, kind = list(compress(commodities, on_net)), kind[on_net]
         if not commodities:
             self._finish_iteration(job_id, allreduce_time=0.0)
             return
+        threshold = self.controller.elephant_threshold
+        elephant = np.array([is_elephant(c, threshold) for c in commodities], dtype=bool)
+        # intra-ToR flows and mice start right away on a hashed path; elephants
+        # do so only in fallback mode, otherwise they await the controller
+        hashed = (kind != SPINE) | ~elephant | self.controller.ecmp_fallback_start
+        slots = len(self.flows) + np.flatnonzero(hashed)
         self.flows.append(commodities, elephant, self.now)
-        self._set_routes(routed, routes)
+        self._hash_routes(slots)
         self.open_flows[job_id] = len(commodities)
-        if any(elephant):
+        if elephant.any():
             self._schedule_decision(self.controller.reaction_latency)
         self._rewaterfill()
 
@@ -444,11 +453,7 @@ class _Engine:
         f.rate[stalled] = 0.0
         f.spine[stalled] = -1
         f.links[stalled] = -1
-        mice = hit[~f.elephant[hit]]
-        self._set_routes(mice, [
-            ecmp_assign([c], self.topo, self.route_seed).assignment[c.id]
-            for c in f.commodity[mice].tolist()
-        ])
+        self._hash_routes(hit[~f.elephant[hit]])  # mice
         if f.elephant.any():
             latency = 0.0 if self.controller.precomputed_failures else self.controller.reaction_latency
             self._schedule_decision(latency)

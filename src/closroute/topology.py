@@ -5,6 +5,11 @@ described by its spine index (or by being intra-ToR / intra-host). Links are
 directed and full duplex: the up and down directions are independent
 capacities.
 
+The route kind is decided here only. ``classify`` checks every endpoint of a
+commodity list against the fabric at once and returns each commodity's kind,
+ToRs and NIC link ids; a scheme chooses spines for the inter-ToR ones and
+``build_routes`` turns kinds and spines into a ``PathChoice``.
+
 Link layout: with E endpoints, T ToRs and S spines, every directed link has
 one integer id in [0, num_links), e being an endpoint's position in
 ``ClosTopology.endpoints()``:
@@ -24,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +79,13 @@ class Route:
 
 
 @dataclass(frozen=True)
+class PathChoice:
+    """Mapping commodity id -> chosen Route, one entry per input commodity."""
+
+    assignment: dict[str, Route]
+
+
+@dataclass(frozen=True)
 class ClosTopology:
     num_spines: int
     num_tors: int
@@ -113,13 +126,6 @@ class ClosTopology:
                 for n in range(self.nics_per_host):
                     yield Endpoint(t, h, n)
 
-    def contains(self, ep: Endpoint) -> bool:
-        return (
-            0 <= ep.tor < self.num_tors
-            and 0 <= ep.host < self.hosts_per_tor
-            and 0 <= ep.nic < self.nics_per_host
-        )
-
     # -- link layout (see the module docstring) -------------------------------
 
     @property
@@ -130,12 +136,6 @@ class ClosTopology:
     @property
     def num_links(self) -> int:
         return self.spine_link_base + 2 * self.num_tors * self.num_spines
-
-    def nic_up_id(self, ep: Endpoint) -> int:
-        return (ep.tor * self.hosts_per_tor + ep.host) * self.nics_per_host + ep.nic
-
-    def nic_down_id(self, ep: Endpoint) -> int:
-        return self.num_endpoints + self.nic_up_id(ep)
 
     def tor_up_id(self, tor: int, spine: int) -> int:
         return self.spine_link_base + tor * self.num_spines + spine
@@ -216,14 +216,6 @@ def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
     return np.where(cols[:, :1] > _USES_LINK, cols @ weights + offsets, -1)
 
 
-def route_link_ids(topo: ClosTopology, routes) -> tuple[np.ndarray, np.ndarray]:
-    """The link ids of routes flat in route-then-link order (each route's
-    links in ``Route.links`` order), and the number of links of each route."""
-    rows = route_link_rows(topo, routes)
-    used = rows >= 0
-    return rows[used], used.sum(axis=1)
-
-
 def max_spine_link_load(topo: ClosTopology, rows: np.ndarray) -> int:
     """Most link-id rows (see ``route_link_rows``) crossing one link that
     touches a spine."""
@@ -231,23 +223,59 @@ def max_spine_link_load(topo: ClosTopology, rows: np.ndarray) -> int:
     return int(np.bincount(spine[spine >= 0] - topo.spine_link_base, minlength=1).max())
 
 
-def forced_route(topo: ClosTopology, src: Endpoint, dst: Endpoint) -> Route | None:
-    """The unique route for same-host / same-ToR pairs, None for inter-ToR.
+class Classified(NamedTuple):
+    """Per-commodity columns from ``classify``, in input order."""
 
-    An inter-ToR pair has one route per live spine instead, built by
-    ``spine_route``.
+    kind: np.ndarray  # SPINE (inter-ToR), INTRA_TOR or INTRA_HOST
+    src_tor: np.ndarray
+    dst_tor: np.ndarray
+    nic_up: np.ndarray  # link id of the source NIC's up-link
+    nic_down: np.ndarray  # link id of the destination NIC's down-link
+
+    @property
+    def inter(self) -> np.ndarray:
+        """Which commodities cross a spine: one candidate route per live spine."""
+        return self.kind == SPINE
+
+
+_KINDS = np.array([SPINE, INTRA_TOR, INTRA_HOST], dtype=object)
+
+
+def classify(topo: ClosTopology, commodities) -> Classified:
+    """The route kind, ToRs and NIC link ids of every commodity, checking all
+    endpoints against the fabric at once.
+
+    Raises ValueError naming the first commodity with an endpoint off the
+    fabric.
     """
-    if src == dst:
-        raise ValueError(f"src and dst must differ, got {src}")
-    if not topo.contains(src):
-        raise ValueError(f"src endpoint {src} out of bounds")
-    if not topo.contains(dst):
-        raise ValueError(f"dst endpoint {dst} out of bounds")
-    if src.tor == dst.tor and src.host == dst.host:
-        return Route(INTRA_HOST, None, src, dst)
-    if src.tor == dst.tor:
-        return Route(INTRA_TOR, None, src, dst)
-    return None
+    ends = np.array(
+        [(c.src.tor, c.src.host, c.src.nic, c.dst.tor, c.dst.host, c.dst.nic) for c in commodities],
+        dtype=np.int64,
+    ).reshape(-1, 2, 3)
+    off = ((ends < 0) | (ends >= (topo.num_tors, topo.hosts_per_tor, topo.nics_per_host))).any(2)
+    bad = np.flatnonzero(off.any(1))
+    if bad.size:
+        c = commodities[bad[0]]
+        end = "src" if off[bad[0], 0] else "dst"
+        raise ValueError(f"commodity {c.id}: {end} endpoint {getattr(c, end)} is off the fabric")
+    differs = ends[:, 0] != ends[:, 1]
+    kind = _KINDS[np.where(differs[:, 0], 0, np.where(differs[:, 1], 1, 2))]
+    # an endpoint's position in topo.endpoints() is its NIC up-link id
+    nic = (ends[..., 0] * topo.hosts_per_tor + ends[..., 1]) * topo.nics_per_host + ends[..., 2]
+    return Classified(kind, ends[:, 0, 0], ends[:, 1, 0], nic[:, 0], nic[:, 1] + topo.num_endpoints)
+
+
+def build_routes(commodities, kind: np.ndarray, spines) -> PathChoice:
+    """Each commodity's route, given its kind from ``classify``: a spine
+    route on the next of ``spines`` (one per inter-ToR commodity, in order)
+    for an inter-ToR commodity, its one forced route otherwise."""
+    spine = iter(spines)
+    return PathChoice(
+        {
+            c.id: Route(k, next(spine) if k == SPINE else None, c.src, c.dst)
+            for c, k in zip(commodities, kind.tolist())
+        }
+    )
 
 
 def fail_spines(topo: ClosTopology, k: int, seed: int) -> ClosTopology:

@@ -14,9 +14,10 @@ from closroute.routing import (
 )
 from closroute.topology import (
     INTRA_HOST,
+    INTRA_TOR,
     Endpoint,
+    Route,
     build_topology,
-    forced_route,
     spine_route,
 )
 
@@ -67,7 +68,7 @@ def test_three_flow_bottleneck_chain():
 
 def test_intra_host_flows_get_infinite_sentinel():
     topo = build_topology(2, 4, 2, 2, 1.0)
-    route = forced_route(topo, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
+    route = Route(INTRA_HOST, None, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
     alloc = waterfill([("local", route)], topo)
     assert math.isinf(alloc.rates["local"])
     assert alloc.finite_rates() == {}
@@ -155,9 +156,10 @@ def fabric_flows(draw):
             dst = endpoints[draw(pick)]
             if dst == src:
                 continue
-        route = forced_route(topo, src, dst)
-        if route is None:
+        if src.tor != dst.tor:
             route = spine_route(src, dst, draw(st.integers(0, topo.num_spines - 1)))
+        else:
+            route = Route(INTRA_HOST if src.host == dst.host else INTRA_TOR, None, src, dst)
         flows.append((f"f{i}", route))
     return topo, flows, draw(st.randoms(use_true_random=False))
 

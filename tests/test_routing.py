@@ -2,9 +2,12 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closroute.routing import (
     EXACT_MAX_COMMODITIES,
@@ -25,14 +28,25 @@ from closroute.routing import (
     unit_commodities_for_pairs,
 )
 from closroute.topology import (
+    INTRA_HOST,
+    INTRA_TOR,
     SPINE,
+    Endpoint,
+    Route,
     build_topology,
+    classify,
     fail_spines,
-    forced_route,
-    route_link_ids,
+    route_link_rows,
     spine_route,
 )
-from closroute.workload import Job, ModelConfig, build_rings, place_job, ring_allreduce_commodities
+from closroute.workload import (
+    CommoditySpec,
+    Job,
+    ModelConfig,
+    build_rings,
+    place_job,
+    ring_allreduce_commodities,
+)
 
 FIG_PAIRS = [(0, 1), (1, 0), (1, 2), (2, 0)]  # the 4-ToR worked example demands
 
@@ -74,17 +88,18 @@ def spine_degree_bound(commodities, live_spines):
 
 def link_loads(choice, topo):
     """Commodities on each directed link, by link id."""
-    ids, _ = route_link_ids(topo, choice.assignment.values())
-    return np.bincount(ids, minlength=topo.num_links)
+    rows = route_link_rows(topo, choice.assignment.values())
+    return np.bincount(rows[rows >= 0], minlength=topo.num_links)
 
 
 def assert_choice_valid(choice, commodities, topo):
     assert set(choice.assignment) == {c.id for c in commodities}
     for c in commodities:
-        forced = forced_route(topo, c.src, c.dst)
-        candidates = [forced] if forced else [
-            spine_route(c.src, c.dst, s) for s in topo.live_spines
-        ]
+        src, dst = c.src, c.dst
+        if src.tor != dst.tor:
+            candidates = [spine_route(src, dst, s) for s in topo.live_spines]
+        else:
+            candidates = [Route(INTRA_HOST if src.host == dst.host else INTRA_TOR, None, src, dst)]
         assert choice.assignment[c.id] in candidates
 
 
@@ -141,7 +156,7 @@ def test_greedy_sees_nic_links_in_bottleneck():
     assert choice.assignment["f1"].spine == 0
     assert choice.assignment["f2"].spine == 0
     loads = link_loads(choice, topo)
-    assert loads.max() == loads[topo.nic_up_id(src)] == 2  # the shared NIC up-link
+    assert loads.max() == loads[classify(topo, cs).nic_up[0]] == 2  # the shared NIC up-link
 
 
 # -- component decomposition --------------------------------------------------
@@ -385,8 +400,9 @@ def test_max_tor_degree_counts_inter_tor_commodities_only():
     topo = build_topology(2, 4, 2, 2, 1.0)
     cs = unit_commodities_for_pairs(topo, [(0, 1), (0, 2), (3, 2), (1, 2)])
     local = CommoditySpec("x", "j", Endpoint(2, 0, 0), Endpoint(2, 1, 0), 1)
-    assert max_tor_degree(cs) == max_tor_degree(cs + [local]) == 3  # into ToR 2
-    assert max_tor_degree([local]) == max_tor_degree([]) == 0
+    degree = lambda commodities: max_tor_degree(classify(topo, commodities))  # noqa: E731
+    assert degree(cs) == degree(cs + [local]) == 3  # into ToR 2
+    assert degree([local]) == degree([]) == 0
 
 
 def test_all_schemes_emit_complete_valid_choices():
@@ -404,6 +420,65 @@ def test_greedy_two_approximation_and_coloring_optimality():
         coloring = max_link_load(edge_color_assign(cs, topo), topo)
         assert greedy_load <= 2 * exact_load
         assert coloring == exact_load == spine_degree_bound(cs, len(topo.live_spines))
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_off_fabric_endpoint_fails_in_every_scheme(scheme, fig_topo):
+    # on 4 ToRs of 2 single-NIC hosts, beside a commodity that fits
+    ok = CommoditySpec("ok", "j", Endpoint(1, 0, 0), Endpoint(2, 0, 0), 1)
+    home = Endpoint(0, 0, 0)
+    for off in (Endpoint(5, 0, 0), Endpoint(9, 0, 0), Endpoint(0, 2, 0), Endpoint(1, 0, 1)):
+        for end, c in (("dst", CommoditySpec("x", "j", home, off, 1)),
+                       ("src", CommoditySpec("x", "j", off, home, 1))):
+            with pytest.raises(ValueError, match=f"commodity x: {end} endpoint {off} is off"):
+                assign_by_scheme(scheme, [ok, c], fig_topo, seed=1)
+
+
+@st.composite
+def tor_multigraphs(draw):
+    """A fabric with some spines failed and unit commodities for a ToR demand
+    multigraph with parallel edges; each ToR has a NIC per edge it carries."""
+    tors = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, tors - 1), st.integers(0, tors - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    pairs = draw(st.lists(pair, min_size=1, max_size=30))
+    degree = max(Counter(u for u, _ in pairs).most_common(1)[0][1],
+                 Counter(v for _, v in pairs).most_common(1)[0][1])
+    topo = build_topology(draw(st.integers(1, 4)), tors, degree, 1, 1.0)
+    topo = fail_spines(topo, draw(st.integers(0, topo.num_spines - 1)), draw(st.integers(0, 99)))
+    return topo, unit_commodities_for_pairs(topo, pairs), degree
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(tor_multigraphs())
+def test_coloring_load_is_degree_over_live_spines(case):
+    topo, cs, degree = case
+    choice = edge_color_assign(cs, topo)
+    assert_choice_valid(choice, cs, topo)
+    assert max_link_load(choice, topo) == math.ceil(degree / len(topo.live_spines))
+
+
+@st.composite
+def unit_instances(draw):
+    """Distinct ToR pairs within the exact guard, on a fabric with some
+    spines failed."""
+    tors = draw(st.integers(2, 8))
+    pair = st.tuples(st.integers(0, tors - 1), st.integers(0, tors - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    pairs = draw(st.lists(pair, min_size=1, max_size=12, unique=True))
+    topo = build_topology(draw(st.integers(1, 4)), tors, tors, 1, 1.0)
+    topo = fail_spines(topo, draw(st.integers(0, topo.num_spines - 1)), draw(st.integers(0, 99)))
+    return topo, unit_commodities_for_pairs(topo, pairs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(unit_instances())
+def test_greedy_within_twice_exact(case):
+    topo, cs = case
+    exact = max_link_load(exact_assign(cs, topo), topo)
+    assert max_link_load(greedy_assign(cs, topo), topo) <= 2 * exact
 
 
 def test_schemes_work_with_failed_spines():
@@ -435,7 +510,8 @@ def ring_edge_instances():
                 break  # the fabric is full
             occupied.update(placement)
             job = Job(f"j{j}", model, dp, 0.0, 1, placement)
-            commodities += [c for ring in build_rings(job) for c in ring_allreduce_commodities(ring, 0)]
+            rings = build_rings(job)
+            commodities += [c for ring in rings for c in ring_allreduce_commodities(ring, 0)]
         instances.append((fail_spines(topo, rng.randrange(topo.num_spines), seed), commodities))
     return instances
 

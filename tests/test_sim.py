@@ -24,6 +24,7 @@ from closroute.workload import (
     Job,
     ModelConfig,
     build_rings,
+    compute_phase_duration,
     place_job,
     ring_allreduce_commodities,
 )
@@ -211,6 +212,37 @@ def test_ecmp_decisions_hash_only_unrouted_elephants(cluster, monkeypatch):
     assert repr(full.records) == repr(result.records)
     assert full.flow_log == result.flow_log
     assert full.controller_log == result.controller_log
+
+
+def test_mice_are_hashed_in_one_call_per_emission_and_failure(cluster, monkeypatch):
+    job = make_job(cluster, MINI, dp=8, seed=3, iters=2)
+    mice_only = ControllerModel(scheme="greedy", elephant_threshold=1e12)
+    # 8 of 32 spines fail during the first all-reduce
+    plan = FailurePlan(times=(compute_phase_duration(job, FAST_HW) + 0.01,), counts=(8,), seed=2)
+    hash_batch = sim.ecmp_assign
+    calls = []
+
+    def recording(commodities, topo, seed):
+        calls.append([c.id for c in commodities])
+        return hash_batch(commodities, topo, seed)
+
+    def one_at_a_time(commodities, topo, seed):
+        routes = {}
+        for c in commodities:
+            routes.update(hash_batch([c], topo, seed).assignment)
+        return routing.PathChoice(routes)
+
+    monkeypatch.setattr(sim, "ecmp_assign", recording)
+    result = run_scenario(cluster, [job], mice_only, hardware=FAST_HW, failures=plan, seed=1)
+    emitted = [[e["commodity"] for e in result.flow_log if e["iteration"] == i] for i in (0, 1)]
+    assert len(calls) == 3
+    assert sorted(calls[0]) == sorted(emitted[0]) and sorted(calls[2]) == sorted(emitted[1])
+    assert calls[1] and set(calls[1]) < set(emitted[0])  # the mice on a failed spine
+
+    monkeypatch.setattr(sim, "ecmp_assign", one_at_a_time)
+    single = run_scenario(cluster, [job], mice_only, hardware=FAST_HW, failures=plan, seed=1)
+    assert repr(single.records) == repr(result.records)
+    assert single.flow_log == result.flow_log
 
 
 def test_concurrent_jobs_share_fairly(cluster):

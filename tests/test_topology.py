@@ -14,18 +14,29 @@ from closroute.topology import (
     SPINE,
     ClosTopology,
     Endpoint,
+    Route,
+    build_routes,
     build_topology,
+    classify,
     fail_spines,
-    forced_route,
-    route_link_ids,
+    route_link_rows,
     spine_route,
 )
+from closroute.workload import CommoditySpec
 
 
 def candidate_routes(topo, src, dst):
-    """Every shortest path: the forced route, or one route per live spine."""
-    forced = forced_route(topo, src, dst)
-    return [forced] if forced else [spine_route(src, dst, s) for s in topo.live_spines]
+    """Every shortest path: the one forced route, or one route per live spine."""
+    if src.tor != dst.tor:
+        return [spine_route(src, dst, s) for s in topo.live_spines]
+    return [Route(INTRA_HOST if src.host == dst.host else INTRA_TOR, None, src, dst)]
+
+
+def nic_ids(topo, src, dst):
+    """The link ids of src's NIC up-link and dst's NIC down-link: an
+    endpoint's position in ``topo.endpoints()``, plus E for a down-link."""
+    position = {ep: i for i, ep in enumerate(topo.endpoints())}
+    return position[src], topo.num_endpoints + position[dst]
 
 
 def test_build_reference_fabric_has_2048_endpoints():
@@ -59,13 +70,15 @@ def test_build_rejects_bad_sizes(args):
 
 def test_intra_host_and_intra_tor_routes():
     topo = build_topology(2, 4, 2, 2, 1.0)
-    same_host = forced_route(topo, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
-    assert same_host.kind == INTRA_HOST
-    assert same_host.links == ()
-
-    same_tor = forced_route(topo, Endpoint(0, 0, 0), Endpoint(0, 1, 0))
-    assert same_tor.kind == INTRA_TOR
-    assert len(same_tor.links) == 2
+    cs = [
+        CommoditySpec("host", "j", Endpoint(0, 0, 0), Endpoint(0, 0, 1), 1),
+        CommoditySpec("tor", "j", Endpoint(0, 0, 0), Endpoint(0, 1, 0), 1),
+    ]
+    routes = build_routes(cs, classify(topo, cs).kind, []).assignment
+    assert routes["host"].kind == INTRA_HOST
+    assert routes["host"].links == ()
+    assert routes["tor"].kind == INTRA_TOR
+    assert len(routes["tor"].links) == 2
 
 
 def test_inter_tor_routes_one_per_live_spine_ascending():
@@ -87,9 +100,16 @@ def test_enumerate_rejects_same_endpoint_and_out_of_bounds():
     topo = build_topology(2, 4, 1, 1, 1.0)
     ep = Endpoint(0, 0, 0)
     with pytest.raises(ValueError):
-        forced_route(topo, ep, ep)
-    with pytest.raises(ValueError):
-        forced_route(topo, ep, Endpoint(9, 0, 0))
+        CommoditySpec("x", "j", ep, ep, 1)
+    for src, dst, named in [
+        (ep, Endpoint(9, 0, 0), "dst endpoint t9.h0.n0"),
+        (Endpoint(0, 1, 0), ep, "src endpoint t0.h1.n0"),
+        (ep, Endpoint(1, 0, -1), "dst endpoint t1.h0.n-1"),
+    ]:
+        ok = CommoditySpec("ok", "j", ep, Endpoint(1, 0, 0), 1)
+        cs = [ok, CommoditySpec("x", "j", src, dst, 1)]
+        with pytest.raises(ValueError, match=f"commodity x: {named} is off the fabric"):
+            classify(topo, cs)
 
 
 def test_failed_spines_are_filtered_from_routes():
@@ -132,19 +152,28 @@ def test_all_spines_failed_rejects_inter_tor_routing():
         dataclasses.replace(crippled, failed_spines=frozenset({0, 1}))
 
 
-def test_forced_route_matches_enumeration():
+def test_classify_matches_hand_cases():
     topo = build_topology(2, 4, 2, 2, 1.0)
     cases = [
         (Endpoint(0, 0, 0), Endpoint(0, 0, 1), INTRA_HOST),
         (Endpoint(0, 0, 0), Endpoint(0, 1, 1), INTRA_TOR),
-        (Endpoint(0, 0, 0), Endpoint(1, 0, 0), None),
+        (Endpoint(0, 0, 0), Endpoint(1, 0, 0), SPINE),
+        (Endpoint(3, 1, 1), Endpoint(2, 1, 0), SPINE),
     ]
-    for src, dst, kind in cases:
-        forced = forced_route(topo, src, dst)
-        if kind is None:
-            assert forced is None
-        else:
-            assert (forced.kind, forced.spine, forced.src, forced.dst) == (kind, None, src, dst)
+    cs = [CommoditySpec(f"c{i}", "j", src, dst, 1) for i, (src, dst, _) in enumerate(cases)]
+    kinds = classify(topo, cs)
+    assert kinds.kind.tolist() == [kind for _, _, kind in cases]
+    assert kinds.inter.tolist() == [False, False, True, True]
+    assert kinds.src_tor.tolist() == [src.tor for src, _, _ in cases]
+    assert kinds.dst_tor.tolist() == [dst.tor for _, dst, _ in cases]
+    assert list(zip(kinds.nic_up.tolist(), kinds.nic_down.tolist())) == [
+        nic_ids(topo, src, dst) for src, dst, _ in cases
+    ]
+    routes = build_routes(cs, kinds.kind, [1, 0]).assignment
+    assert [(r.kind, r.spine, r.src, r.dst) for r in routes.values()] == [
+        (kind, {2: 1, 3: 0}.get(i), src, dst) for i, (src, dst, kind) in enumerate(cases)
+    ]
+    assert classify(topo, []).kind.tolist() == []
 
 
 # -- the integer link layout ----------------------------------------------------
@@ -168,20 +197,22 @@ def test_link_ids_match_route_links(topo):
         for src, dst in itertools.permutations(topo.endpoints(), 2)
         for route in candidate_routes(topo, src, dst)
     ]
-    ids, counts = route_link_ids(topo, routes)
-    assert counts.tolist() == [len(r.links) for r in routes]
+    rows = route_link_rows(topo, routes)
+    ids = rows[rows >= 0]
+    assert (rows >= 0).sum(axis=1).tolist() == [len(r.links) for r in routes]
     assert ids.min() >= 0 and ids.max() < topo.num_links
     id_of = {}
-    for route, route_ids in zip(routes, np.split(ids, np.cumsum(counts)[:-1])):
+    for route, row in zip(routes, rows):
+        route_ids = row[row >= 0]
         for link, link_id in zip(route.links, route_ids.tolist()):
             assert id_of.setdefault(link, link_id) == link_id
             touches_spine = "spine" in (link[0][0], link[1][0])
             assert (link_id >= topo.spine_link_base) == touches_spine
         if route.kind == SPINE:
             src, dst, s = route.src, route.dst, route.spine
+            nic_up, nic_down = nic_ids(topo, src, dst)
             assert route_ids.tolist() == [
-                topo.nic_up_id(src), topo.tor_up_id(src.tor, s),
-                topo.tor_down_id(s, dst.tor), topo.nic_down_id(dst),
+                nic_up, topo.tor_up_id(src.tor, s), topo.tor_down_id(s, dst.tor), nic_down,
             ]
     assert len(set(id_of.values())) == len(id_of)
     up, down = topo.spine_link_views(np.arange(topo.num_links))
