@@ -16,6 +16,14 @@ Schemes:
                 multigraph, optimal for unit demands
   annealing     simulated annealing from an ECMP start
   exact         branch-and-bound optimum for small instances
+
+Greedy keeps, per ToR and direction, one bitmask of live spines per load
+level: bit s of level l is set when spine s's link at that ToR carries at
+most l commodities. A commodity's least bottleneck is the first level, from
+its NIC floor up, at which its source ToR's up-mask and its destination
+ToR's down-mask intersect. Every spine in the intersection attains it, so
+the lowest set bit is the lowest such spine: the choice of a scan in
+ascending spine order that switches only on a strictly smaller bottleneck.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import numpy as np
 
 from .topology import (
     INTRA_HOST,
-    SPINE,
     Classified,
     ClosTopology,
     Endpoint,
@@ -87,30 +94,69 @@ def greedy_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathC
     return build_routes(commodities, kinds.kind, _greedy_spines(kinds, topo)[0])
 
 
-def _greedy_spines(kinds: Classified, topo: ClosTopology) -> tuple[list[int], np.ndarray]:
-    """Greedy's spines for the inter-ToR commodities, in order, and the link
-    loads by id that its routes leave."""
-    live_list = topo.live_spines
-    live = np.asarray(live_list, dtype=np.int64)
-    loads = np.zeros(topo.num_links, dtype=np.int64)
-    up, down = topo.spine_link_views(loads)
+def _greedy_spines(kinds: Classified, topo: ClosTopology) -> tuple[list[int], int]:
+    """Greedy's spines for the inter-ToR commodities, in order, and the peak
+    load they leave on any spine link.
+
+    A spine's bottleneck for a commodity is the max of its ToR->spine load,
+    its spine->ToR load and the commodity's NIC floor, the larger of its two
+    NIC loads. NIC loads do not depend on spine choices, so the floors are
+    counted up front. Per ToR and direction, level mask ``l`` is a bitmask of
+    the live spines (bit s for spine s) whose link at that ToR carries at
+    most ``l`` commodities. Starting at the NIC floor, the first level at
+    which the source ToR's up-mask and the destination ToR's down-mask
+    intersect is the least bottleneck, and every spine in the intersection
+    attains it. The lowest set bit is therefore the lowest spine that does:
+    the choice of a scan in ascending spine order that switches only on a
+    strictly smaller bottleneck. A link going from load v to v + 1 leaves
+    level mask v only.
+    """
+    kind, src_tor, dst_tor, nic_up, nic_down = kinds
+    inter = kinds.inter
+    # no spine link can carry more than the max ToR degree, so level ``top``
+    # holds every live spine, and a NIC floor above it chooses as ``top`` does
+    top = max_tor_degree(kinds)
+    off_host = kind != INTRA_HOST
+    n = int(off_host.sum())
+    prior = _prior_uses(np.concatenate([nic_up[off_host], nic_down[off_host]]))
+    floor = np.minimum(np.maximum(prior[:n], prior[n:]), top)[inter[off_host]]
+
+    live = sum(1 << s for s in topo.live_spines)
+    base = top + 1
+    # one row per ToR and direction, ToR->spine rows first: the level masks,
+    # then the link loads by spine from index ``base``
+    unloaded = [live] * base + [0] * topo.num_spines
+    rows = [unloaded.copy() for _ in range(2 * topo.num_tors)]
     spines = []
-    for kind, src_tor, dst_tor, src_up, dst_down in zip(*(col.tolist() for col in kinds)):
-        if kind == SPINE:
-            cand = np.maximum(up[src_tor, live], down[live, dst_tor])
-            nic_floor = max(loads[src_up], loads[dst_down])
-            if nic_floor:
-                cand = np.maximum(cand, nic_floor)
-            # first occurrence of the minimum == scan in ascending spine order
-            # switching only on strict improvement
-            spine = live_list[int(np.argmin(cand))]
-            spines.append(spine)
-            up[src_tor, spine] += 1
-            down[spine, dst_tor] += 1
-        if kind != INTRA_HOST:
-            loads[src_up] += 1
-            loads[dst_down] += 1
-    return spines, loads
+    for st, dt, level in zip(src_tor[inter].tolist(), (dst_tor[inter] + topo.num_tors).tolist(),
+                             floor.tolist()):
+        up, down = rows[st], rows[dt]
+        both = up[level] & down[level]
+        while not both:
+            level += 1
+            both = up[level] & down[level]
+        bit = both & -both
+        spine = bit.bit_length() - 1
+        spines.append(spine)
+        i = base + spine
+        up[up[i]] ^= bit
+        up[i] += 1
+        down[down[i]] ^= bit
+        down[i] += 1
+    # a row's first level holding every live spine is its busiest link's load
+    return spines, max(row.index(live) for row in rows)
+
+
+def _prior_uses(ids: np.ndarray) -> np.ndarray:
+    """For each entry of ids, how many earlier entries equal it."""
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    pos = np.arange(ids.size)
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    first = np.repeat(starts, np.diff(starts, append=ids.size))
+    uses = np.empty_like(pos)
+    uses[order] = pos - first
+    return uses
 
 
 def decompose_components(commodities: list[CommoditySpec]) -> list[list[CommoditySpec]]:
@@ -342,8 +388,7 @@ def exact_assign(
         )
 
     lower_bound = -(-max_tor_degree(kinds) // len(live))
-    # greedy's max spine-link load
-    greedy_bound = int(_greedy_spines(kinds, topo)[1][topo.spine_link_base :].max())
+    greedy_bound = _greedy_spines(kinds, topo)[1]
 
     loads = [0] * topo.num_links  # by link id; only ToR<->spine links are used
     chosen: list[int] = [live[0]] * n

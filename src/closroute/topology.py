@@ -143,15 +143,6 @@ class ClosTopology:
     def tor_down_id(self, spine: int, tor: int) -> int:
         return self.spine_link_base + (self.num_spines + spine) * self.num_tors + tor
 
-    def spine_link_views(self, per_link: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (ToR x spine) up-link and (spine x ToR) down-link views of a
-        per-link array; writes through them land in ``per_link``."""
-        base, t, s = self.spine_link_base, self.num_tors, self.num_spines
-        return (
-            per_link[base : base + t * s].reshape(t, s),
-            per_link[base + t * s : base + 2 * t * s].reshape(s, t),
-        )
-
     @cached_property
     def _route_link_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Weights and offsets that map a route's columns to its NIC-up,

@@ -14,6 +14,7 @@ from closroute.routing import (
     SCHEME_NAMES,
     AnnealSchedule,
     PathChoice,
+    _greedy_spines,
     anneal_assign,
     assign_by_scheme,
     decompose_components,
@@ -157,6 +158,55 @@ def test_greedy_sees_nic_links_in_bottleneck():
     assert choice.assignment["f2"].spine == 0
     loads = link_loads(choice, topo)
     assert loads.max() == loads[classify(topo, cs).nic_up[0]] == 2  # the shared NIC up-link
+
+
+def scan_greedy(commodities, topo):
+    """Reference greedy: each commodity in order scans the live spines in
+    ascending order and switches only on a strictly smaller bottleneck, the
+    max load over all four links. Returns the spines by commodity id and the
+    peak spine-link load."""
+    loads = Counter()
+    spines = {}
+    for c in commodities:
+        src, dst = c.src, c.dst
+        nics = [("nic_up", src), ("nic_down", dst)]
+        if src.tor != dst.tor:
+            best, best_load = None, math.inf
+            for s in topo.live_spines:
+                bottleneck = max(loads[link] for link in
+                                 nics + [("up", src.tor, s), ("down", s, dst.tor)])
+                if bottleneck < best_load:
+                    best, best_load = s, bottleneck
+            spines[c.id] = best
+            loads.update([("up", src.tor, best), ("down", best, dst.tor)])
+        if src.host != dst.host or src.tor != dst.tor:
+            loads.update(nics)
+    peak = max((n for link, n in loads.items() if link[0] in ("up", "down")), default=0)
+    return spines, peak
+
+
+@st.composite
+def mixed_instances(draw):
+    """Commodities between any two endpoints of a small fabric with some
+    spines failed: intra-host, intra-ToR and inter-ToR ones share NICs, and a
+    ToR can carry several times as many commodities as there are spines."""
+    topo = build_topology(draw(st.integers(1, 4)), draw(st.integers(2, 4)),
+                          draw(st.integers(1, 2)), draw(st.integers(1, 2)), 1.0)
+    topo = fail_spines(topo, draw(st.integers(0, topo.num_spines - 1)), draw(st.integers(0, 99)))
+    ends = st.sampled_from(list(topo.endpoints()))
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=40))
+    return topo, [CommoditySpec(f"c{i}", "j", src, dst, 1) for i, (src, dst) in enumerate(pairs)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(mixed_instances())
+def test_greedy_matches_plain_scan(case):
+    topo, cs = case
+    spines, peak = scan_greedy(cs, topo)
+    choice = greedy_assign(cs, topo)
+    assert_choice_valid(choice, cs, topo)
+    assert {i: r.spine for i, r in choice.assignment.items() if r.kind == SPINE} == spines
+    assert max_link_load(choice, topo) == _greedy_spines(classify(topo, cs), topo)[1] == peak
 
 
 # -- component decomposition --------------------------------------------------

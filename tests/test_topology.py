@@ -142,6 +142,25 @@ def test_fail_spines_must_leave_a_survivor():
         fail_spines(one_down, 1, seed=0)
 
 
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_fail_spines_is_monotone(data):
+    spines = data.draw(st.integers(1, 16))
+    topo = build_topology(spines, 2, 1, 1, 1.0)
+    k1 = data.draw(st.integers(0, spines - 1))
+    first = fail_spines(topo, k1, seed=data.draw(st.integers(0, 99)))
+    k2 = data.draw(st.integers(0, spines - 1 - k1))
+    second = fail_spines(first, k2, seed=data.draw(st.integers(0, 99)))
+    assert len(first.failed_spines) == k1
+    assert first.failed_spines <= second.failed_spines
+    assert len(second.failed_spines) == k1 + k2
+    assert set(second.live_spines) <= set(first.live_spines)
+    assert second.live_spines == [s for s in range(spines) if s not in second.failed_spines]
+    assert second.live_spines
+    with pytest.raises(ValueError, match="one must survive"):
+        fail_spines(second, len(second.live_spines), seed=0)
+
+
 def test_all_spines_failed_rejects_inter_tor_routing():
     # no topology without a live spine can be built, so every inter-ToR pair
     # always has a route and the schemes need no check for it
@@ -215,10 +234,12 @@ def test_link_ids_match_route_links(topo):
                 nic_up, topo.tor_up_id(src.tor, s), topo.tor_down_id(s, dst.tor), nic_down,
             ]
     assert len(set(id_of.values())) == len(id_of)
-    up, down = topo.spine_link_views(np.arange(topo.num_links))
+    # the spine-link ids: ToR->spine links in (ToR, spine) order, then
+    # spine->ToR links in (spine, ToR) order
     tors, spines = range(topo.num_tors), range(topo.num_spines)
-    assert up.tolist() == [[topo.tor_up_id(t, s) for s in spines] for t in tors]
-    assert down.tolist() == [[topo.tor_down_id(s, t) for t in tors] for s in spines]
+    up = [topo.tor_up_id(t, s) for t in tors for s in spines]
+    down = [topo.tor_down_id(s, t) for s in spines for t in tors]
+    assert up + down == list(range(topo.spine_link_base, topo.num_links))
 
     # loads by link id against a count over the routes' own links
     link_counts = Counter(link for route in routes for link in route.links)
