@@ -22,12 +22,12 @@ import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 from .config import (
     ConfigError,
     ScenarioConfig,
     build_jobs,
-    controller_for,
     default_config,
     failure_plan,
     load_config,
@@ -46,7 +46,7 @@ from .routing import (
     random_unit_instance,
 )
 from .sim import SimResult, run_scenario, stable_seed
-from .topology import ClosTopology, build_topology, classify
+from .topology import ClosTopology, classify
 
 RESULT_COLUMNS = ("scenario", "scheme", "job", "metric", "value", "seed")
 TRACE_COLUMNS = (
@@ -158,48 +158,40 @@ def _load(args) -> ScenarioConfig:
     else:
         config = parse_config(default_config())
     if getattr(args, "schemes", None):
-        config = ScenarioConfig(**{**config.__dict__, "schemes": _schemes(args.schemes)})
+        config = replace(config, schemes=_schemes(args.schemes))
     if getattr(args, "seed", None) is not None:
-        config = ScenarioConfig(**{**config.__dict__, "seeds": [args.seed]})
+        config = replace(config, seeds=[args.seed])
     return config
 
 
-def _place_jobs(config: ScenarioConfig) -> dict[int, list]:
-    """The placed jobs of each seed. Jobs are immutable, so every scheme and
-    failure level of a seed simulates the same list."""
-    return {seed: build_jobs(config, seed) for seed in config.seeds}
-
-
-def _run_scenarios(config: ScenarioConfig, jobs_by_seed, counts=None, tag=None):
-    """Shared run/failsweep executor. Yields (scenario_id, scheme, seed, result)."""
-    plan = failure_plan(config, counts)
-    scenario_id = config.scenario_id if tag is None else f"{config.scenario_id}:{tag}"
-    for scheme in config.schemes:
-        for seed in config.seeds:
-            result = run_scenario(
-                config.topology,
-                jobs_by_seed[seed],
-                controller_for(config, scheme),
-                hardware=config.hardware,
-                failures=plan,
-                seed=seed,
-            )
-            yield scenario_id, scheme, seed, result
+def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]]) -> list[tuple]:
+    """Simulate each level (a scenario id and its failure counts), scheme and
+    seed in that order; write and return the metric rows, and the trace."""
+    # jobs are immutable, so every level and scheme of a seed runs one list
+    jobs_by_seed = {seed: build_jobs(config, seed) for seed in config.seeds}
+    rows, trace = [], []
+    for scenario_id, counts in levels:
+        plan = failure_plan(config, counts)
+        for scheme in config.schemes:
+            controller = replace(config.controller, scheme=scheme)
+            for seed in config.seeds:
+                result = run_scenario(config.topology, jobs_by_seed[seed], controller,
+                                      hardware=config.hardware, failures=plan, seed=seed)
+                rows.extend(_metric_rows(scenario_id, scheme, seed, result))
+                if args.trace:
+                    trace.extend(_trace_rows(scenario_id, scheme, seed, result))
+    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[5]))
+    _write_csv(args.out, RESULT_COLUMNS, rows)
+    if args.trace:
+        _write_csv(_suffixed(args.out, ".trace.csv"), TRACE_COLUMNS, trace)
+    print(f"wrote {len(rows)} rows to {args.out}")
+    return rows
 
 
 def cmd_run(args) -> int:
     config = _load(args)
-    rows, trace = [], []
-    for scenario_id, scheme, seed, result in _run_scenarios(config, _place_jobs(config)):
-        rows.extend(_metric_rows(scenario_id, scheme, seed, result))
-        if args.trace:
-            trace.extend(_trace_rows(scenario_id, scheme, seed, result))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[5]))
-    _write_csv(args.out, RESULT_COLUMNS, rows)
+    rows = _simulate(args, config, [(config.scenario_id, config.failure_counts)])
     _write_summary(args.out, rows)
-    if args.trace:
-        _write_csv(_suffixed(args.out, ".trace.csv"), TRACE_COLUMNS, trace)
-    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
@@ -306,7 +298,7 @@ def cmd_bench(args) -> int:
                     f"{EXACT_MAX_COMMODITIES}"
                 )
     seed = args.seed if args.seed is not None else 0
-    topo = build_topology(32, 64, 4, 8, 100e9)
+    topo = parse_config(default_config()).topology
     rows = []
     for scheme in schemes:
         for count, median in measure_scheme_runtime(scheme, counts, topo, seed):
@@ -324,20 +316,7 @@ def cmd_failsweep(args) -> int:
             raise ConfigError(
                 f"--counts: {k} failures would kill all {config.topology.num_spines} spines"
             )
-    jobs_by_seed = _place_jobs(config)
-    rows, trace = [], []
-    for k in counts:
-        for scenario_id, scheme, seed, result in _run_scenarios(
-            config, jobs_by_seed, counts=[k] if k else [], tag=f"k{k}"
-        ):
-            rows.extend(_metric_rows(scenario_id, scheme, seed, result))
-            if args.trace:
-                trace.extend(_trace_rows(scenario_id, scheme, seed, result))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[5]))
-    _write_csv(args.out, RESULT_COLUMNS, rows)
-    if args.trace:
-        _write_csv(_suffixed(args.out, ".trace.csv"), TRACE_COLUMNS, trace)
-    print(f"wrote {len(rows)} rows to {args.out}")
+    _simulate(args, config, [(f"{config.scenario_id}:k{k}", [k]) for k in counts])
     return 0
 
 

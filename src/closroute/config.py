@@ -9,21 +9,21 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import random
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import asdict, dataclass
 
-from .routing import SCHEME_NAMES, AnnealSchedule
-from .sim import ControllerModel, FailurePlan, is_elephant, stable_seed
-from .topology import ClosTopology, build_topology, classify
+from .routing import EXACT_MAX_COMMODITIES, SCHEME_NAMES, AnnealSchedule
+from .sim import ControllerModel, FailurePlan, network_flows, stable_seed
+from .topology import ClosTopology, build_topology
 from .workload import (
+    MODEL_CATALOG,
     HardwareModel,
     Job,
     ModelConfig,
     arrival_schedule,
     build_rings,
     place_job,
-    ring_allreduce_commodities,
 )
 
 
@@ -41,9 +41,8 @@ DEFAULT_CONFIG: dict = {
         "link_capacity_bps": 100e9,
     },
     "models": {
-        "BLOOM": {"num_params": 176e9, "bytes_per_param": 4, "tp": 4, "pp": 12},
-        "GPT-3": {"num_params": 175e9, "bytes_per_param": 4, "tp": 8, "pp": 8},
-        "LLaMA2-70B": {"num_params": 70e9, "bytes_per_param": 4, "tp": 8, "pp": 16},
+        m.name: {key: value for key, value in asdict(m).items() if key != "name"}
+        for m in MODEL_CATALOG.values()
     },
     "allowed_dp": [2, 4, 8],
     "jobs": [
@@ -53,18 +52,21 @@ DEFAULT_CONFIG: dict = {
     ],
     "arrival_window_s": 10.0,
     "controller": {
-        "reaction_latency_s": 10e-3,
-        "elephant_threshold_bytes": 1e6,
-        "precomputed_failures": False,
-        "ecmp_fallback_start": False,
+        "reaction_latency_s": ControllerModel.reaction_latency,
+        "elephant_threshold_bytes": ControllerModel.elephant_threshold,
+        "precomputed_failures": ControllerModel.precomputed_failures,
+        "ecmp_fallback_start": ControllerModel.ecmp_fallback_start,
     },
-    "hardware": {"peak_flops": 312e12, "utilization": 0.3, "tokens_per_batch": 2e6},
+    "hardware": asdict(HardwareModel()),
     "schemes": ["greedy", "ecmp"],
     "seeds": [0],
-    "annealing": {"initial_temp": 1.0, "cooling_factor": 0.999, "moves_per_commodity": 100},
-    "exact_max_commodities": 16,
+    "annealing": asdict(AnnealSchedule()),
+    "exact_max_commodities": EXACT_MAX_COMMODITIES,
     "failures": {"time_s": 5.0, "counts": [], "seed": 1},
 }
+
+# the fields of a job and their values when omitted
+_JOB_DEFAULTS = {"model": "random", "dp": "random", "num_iterations": 10, "arrival_time": None}
 
 
 @dataclass(frozen=True)
@@ -75,25 +77,30 @@ class ScenarioConfig:
     allowed_dp: list[int]
     job_specs: list[dict]
     arrival_window: float
-    controller_params: dict
+    controller: ControllerModel  # of scheme greedy; a run replaces the scheme
     hardware: HardwareModel
     schemes: list[str]
     seeds: list[int]
-    anneal_schedule: AnnealSchedule
-    exact_max_commodities: int
     failure_time: float
     failure_counts: list[int]
     failure_seed: int
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(mapping: dict, key: str, kind, path: str):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}: missing required field")
     value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if kind is float and _is_int(value):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    # JSON as Python reads it admits NaN and Infinity
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: must be finite, got {value}")
     return value
 
 
@@ -148,56 +155,59 @@ def parse_config(raw: dict) -> ScenarioConfig:
                 num_params=_require(m, "num_params", float, f"models.{name}"),
                 tp=_require(m, "tp", int, f"models.{name}"),
                 pp=_require(m, "pp", int, f"models.{name}"),
-                bytes_per_param=int(m.get("bytes_per_param", 4)),
+                bytes_per_param=int(m.get("bytes_per_param", ModelConfig.bytes_per_param)),
             )
         except ValueError as exc:
             raise ConfigError(f"models.{name}: {exc}") from exc
 
     allowed_dp = merged["allowed_dp"]
-    if not isinstance(allowed_dp, list) or not all(
-        isinstance(d, int) and d >= 1 for d in allowed_dp
-    ):
+    if not isinstance(allowed_dp, list) or not all(_is_int(d) and d >= 1 for d in allowed_dp):
         raise ConfigError("allowed_dp: must be a list of positive integers")
+    if not allowed_dp:
+        raise ConfigError("allowed_dp: must not be empty")
 
-    job_specs = merged["jobs"]
-    if not isinstance(job_specs, list) or not job_specs:
+    job_specs = []
+    if not isinstance(merged["jobs"], list) or not merged["jobs"]:
         raise ConfigError("jobs: must be a non-empty list")
-    for i, js in enumerate(job_specs):
+    for i, js in enumerate(merged["jobs"]):
         if not isinstance(js, dict):
             raise ConfigError(f"jobs[{i}]: must be an object")
-        unknown = set(js) - {"model", "dp", "num_iterations", "arrival_time"}
+        unknown = set(js) - set(_JOB_DEFAULTS)
         if unknown:
             raise ConfigError(f"jobs[{i}].{sorted(unknown)[0]}: unknown field")
-        model_name = js.get("model", "random")
+        js = {**_JOB_DEFAULTS, **js}
+        job_specs.append(js)
+        model_name = js["model"]
         if model_name != "random" and model_name not in models:
             raise ConfigError(f"jobs[{i}].model: unknown model {model_name!r}")
-        dp = js.get("dp", "random")
+        dp = js["dp"]
         if dp != "random":
-            if not isinstance(dp, int):
+            if not _is_int(dp):
                 raise ConfigError(f"jobs[{i}].dp: expected int or 'random'")
             if dp not in allowed_dp:
                 raise ConfigError(f"jobs[{i}].dp: {dp} not in allowed_dp {allowed_dp}")
-        iters = js.get("num_iterations", 10)
-        if not isinstance(iters, int) or iters < 1:
+        iters = js["num_iterations"]
+        if not _is_int(iters) or iters < 1:
             raise ConfigError(f"jobs[{i}].num_iterations: must be a positive integer")
-        arrival = js.get("arrival_time")
-        if arrival is not None and not isinstance(arrival, (int, float)):
-            raise ConfigError(f"jobs[{i}].arrival_time: must be a number")
+        arrival = js["arrival_time"]
+        if arrival is not None:
+            if not isinstance(arrival, (int, float)) or isinstance(arrival, bool):
+                raise ConfigError(f"jobs[{i}].arrival_time: must be a number")
+            if not 0 <= arrival < math.inf:
+                raise ConfigError(f"jobs[{i}].arrival_time: must be finite and >= 0")
 
     window = merged["arrival_window_s"]
-    if not isinstance(window, (int, float)) or window <= 0:
+    if isinstance(window, bool) or not isinstance(window, (int, float)) or not 0 < window < math.inf:
         raise ConfigError("arrival_window_s: must be a positive number")
 
     c = merged["controller"]
-    controller_params = {
-        "reaction_latency": _require(c, "reaction_latency_s", float, "controller"),
-        "elephant_threshold": _require(c, "elephant_threshold_bytes", float, "controller"),
-        "precomputed_failures": _require(c, "precomputed_failures", bool, "controller"),
-        "ecmp_fallback_start": _require(c, "ecmp_fallback_start", bool, "controller"),
-    }
-    if controller_params["reaction_latency"] < 0:
+    latency = _require(c, "reaction_latency_s", float, "controller")
+    threshold = _require(c, "elephant_threshold_bytes", float, "controller")
+    precomputed_failures = _require(c, "precomputed_failures", bool, "controller")
+    ecmp_fallback_start = _require(c, "ecmp_fallback_start", bool, "controller")
+    if latency < 0:
         raise ConfigError("controller.reaction_latency_s: must be >= 0")
-    if controller_params["elephant_threshold"] < 0:
+    if threshold < 0:
         raise ConfigError("controller.elephant_threshold_bytes: must be >= 0")
 
     h = merged["hardware"]
@@ -218,7 +228,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"schemes[{i}]: unknown scheme {s!r}; valid: {list(SCHEME_NAMES)}")
 
     seeds = merged["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise ConfigError("seeds: must be a non-empty list of integers")
 
     a = merged["annealing"]
@@ -232,14 +242,16 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"annealing: {exc}") from exc
 
     exact_max = merged["exact_max_commodities"]
-    if not isinstance(exact_max, int) or exact_max < 1:
+    if not _is_int(exact_max) or exact_max < 1:
         raise ConfigError("exact_max_commodities: must be a positive integer")
 
     f = merged["failures"]
     failure_time = _require(f, "time_s", float, "failures")
-    failure_counts = f.get("counts", [])
+    if failure_time < 0:
+        raise ConfigError("failures.time_s: must be >= 0")
+    failure_counts = f["counts"]
     if not isinstance(failure_counts, list) or not all(
-        isinstance(k, int) and k >= 0 for k in failure_counts
+        _is_int(k) and k >= 0 for k in failure_counts
     ):
         raise ConfigError("failures.counts: must be a list of non-negative integers")
     if sum(failure_counts) >= topo.num_spines:
@@ -247,8 +259,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
             f"failures.counts: {sum(failure_counts)} failures in total would kill all "
             f"{topo.num_spines} spines"
         )
-    failure_seed = f.get("seed", 0)
-    if not isinstance(failure_seed, int):
+    failure_seed = f["seed"]
+    if not _is_int(failure_seed):
         raise ConfigError("failures.seed: must be an integer")
 
     return ScenarioConfig(
@@ -256,17 +268,22 @@ def parse_config(raw: dict) -> ScenarioConfig:
         topology=topo,
         models=models,
         allowed_dp=list(allowed_dp),
-        job_specs=list(job_specs),
+        job_specs=job_specs,
         arrival_window=float(window),
-        controller_params=controller_params,
+        controller=ControllerModel(
+            reaction_latency=latency,
+            elephant_threshold=threshold,
+            precomputed_failures=precomputed_failures,
+            ecmp_fallback_start=ecmp_fallback_start,
+            anneal_schedule=anneal,
+            exact_max_commodities=exact_max,
+        ),
         hardware=hardware,
         schemes=list(schemes),
         seeds=list(seeds),
-        anneal_schedule=anneal,
-        exact_max_commodities=exact_max,
-        failure_time=float(failure_time),
-        failure_counts=[int(k) for k in failure_counts],
-        failure_seed=int(failure_seed),
+        failure_time=failure_time,
+        failure_counts=list(failure_counts),
+        failure_seed=failure_seed,
     )
 
 
@@ -275,25 +292,25 @@ def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
     choices, draw arrival times, and place every job on free endpoints."""
     # Unless they start on ECMP, elephants wait for the controller, so the exact
     # scheme's first decision after a compute phase sees all of the job's.
-    params = config.controller_params
-    check_exact = "exact" in config.schemes and not params["ecmp_fallback_start"]
+    controller = config.controller
+    check_exact = "exact" in config.schemes and not controller.ecmp_fallback_start
     specs = config.job_specs
     arrivals = arrival_schedule(len(specs), config.arrival_window, stable_seed(seed, "arrivals"))
     jobs: list[Job] = []
     occupied: set = set()
     for i, js in enumerate(specs):
         rng_seed = stable_seed(seed, "job", i)
-        model_name = js.get("model", "random")
+        model_name = js["model"]
         if model_name == "random":
             names = sorted(config.models)
             model_name = names[random.Random(stable_seed(rng_seed, "model")).randrange(len(names))]
         model = config.models[model_name]
-        dp = js.get("dp", "random")
+        dp = js["dp"]
         if dp == "random":
             dp = config.allowed_dp[
                 random.Random(stable_seed(rng_seed, "dp")).randrange(len(config.allowed_dp))
             ]
-        arrival = js.get("arrival_time")
+        arrival = js["arrival_time"]
         if arrival is None:
             arrival = arrivals[i]
         try:
@@ -308,35 +325,25 @@ def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
             model=model,
             dp=dp,
             arrival_time=float(arrival),
-            num_iterations=int(js.get("num_iterations", 10)),
+            num_iterations=js["num_iterations"],
             placement=placement,
         )
         if check_exact:
-            rings = [ring for ring in build_rings(job) if len(ring.members) >= 2]
-            ring_edges = [c for ring in rings for c in ring_allreduce_commodities(ring, 0)]
-            inter = compress(ring_edges, classify(config.topology, ring_edges).inter)
-            elephants = sum(is_elephant(c, params["elephant_threshold"]) for c in inter)
-            if elephants > config.exact_max_commodities:
+            _, kinds, elephant = network_flows(
+                config.topology, build_rings(job), 0, controller.elephant_threshold
+            )
+            elephants = int((kinds.inter & elephant).sum())
+            if elephants > controller.exact_max_commodities:
                 raise ConfigError(
                     f"jobs[{i}]: {model_name} dp={dp}: {elephants} inter-ToR elephant flows "
                     f"per iteration exceed exact_max_commodities = "
-                    f"{config.exact_max_commodities}"
+                    f"{controller.exact_max_commodities}"
                 )
         jobs.append(job)
     return jobs
 
 
-def controller_for(config: ScenarioConfig, scheme: str) -> ControllerModel:
-    return ControllerModel(
-        scheme=scheme,
-        anneal_schedule=config.anneal_schedule,
-        exact_max_commodities=config.exact_max_commodities,
-        **config.controller_params,
-    )
-
-
-def failure_plan(config: ScenarioConfig, counts: list[int] | None = None) -> FailurePlan | None:
-    counts = config.failure_counts if counts is None else counts
+def failure_plan(config: ScenarioConfig, counts: list[int]) -> FailurePlan | None:
     counts = [k for k in counts if k > 0]
     if not counts:
         return None

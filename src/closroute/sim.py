@@ -1,13 +1,15 @@
 """Discrete-event, flow-level simulator of training jobs on a Clos fabric.
 
 Jobs alternate compute phases with communication phases; a communication
-phase emits one flow per ring edge, classified in one ``classify`` call:
-same-host edges take no network time. A centralized controller re-routes all
-active elephant flows whenever a flow starts, a flow ends, or a spine fails,
-after a configurable reaction latency; rates follow max-min fairness on the
-current routes. Mice flows bypass the controller and stay on hashed paths:
-one ``ecmp_assign`` call routes an emission's intra-ToR flows, mice and (in
-fallback mode) elephants, and one re-hashes the mice a spine failure hits.
+phase emits one flow per ring edge that leaves its host (``network_flows``,
+which ``config.build_jobs`` also calls for the exact scheme's size guard),
+classified in one ``classify`` call: same-host edges take no network time. A
+centralized controller re-routes all active elephant flows whenever a flow
+starts, a flow ends, or a spine fails, after a configurable reaction
+latency; rates follow max-min fairness on the current routes. Mice flows
+bypass the controller and stay on hashed paths: one ``ecmp_assign`` call
+routes an emission's intra-ToR flows, mice and (in fallback mode) elephants,
+and one re-hashes the mice a spine failure hits.
 
 An ECMP hash depends only on the flow, the seed and the live spines, so ECMP
 decisions reuse the routed elephants' hashes: a decision hashes only the
@@ -16,17 +18,21 @@ it hashes every elephant again.
 
 Active flows live in one flow table: one array per column (bits remaining
 and sent, rate, start time, volume, the transmitting and elephant flags, the
-spine) and a row of four link ids per flow, padded with -1 (see
-``topology.route_link_rows``). A flow's row is filled when it gets a route:
-at emission, at a decision for the elephants routed there, and on a failure.
-Rates are recomputed from the cached rows of the transmitting flows, which
-the table hands to ``waterfill`` in commodity-id order, and a decision's max
-spine load is a count over the same rows. Slots are in arrival order: flows
-are appended when emitted and the table is compacted stably when some
-complete, so finished flows are logged in arrival order. Advancing time,
-the completion test and the next finish time are array expressions over the
-table, each doing the same floating-point operation per flow as a loop would,
-one time step at a time.
+spine, both ToRs) and a row of four link ids per flow, the NIC-up,
+ToR->spine, spine->ToR and NIC-down link, -1 where unused (the layout of
+``topology.route_link_rows``). Columns 0 and 3 hold ``classify``'s NIC ids
+from emission. Columns 1 and 2 are written from the spine with ``tor_up_id``
+and ``tor_down_id`` when a flow gets a route: at emission for hashed flows,
+at a decision for the elephants routed there, and on a failure for the mice
+it hits; they stay -1 on an intra-ToR route. A failure clears columns 1 and
+2 of the elephants it stalls. Rates are recomputed from the cached rows of
+the transmitting flows, which the table hands to ``waterfill`` in
+commodity-id order, and a decision's max spine load is a count over the
+same rows. Slots are in arrival order: flows are appended when emitted and
+the table is compacted stably when some complete, so finished flows are
+logged in arrival order. Advancing time, the completion test and the next
+finish time are array expressions over the table, each doing the same
+floating-point operation per flow as a loop would, one time step at a time.
 
 The event loop is single threaded and deterministic for a fixed scenario and
 seed: ties in event time resolve by a fixed kind priority, then by insertion
@@ -37,6 +43,7 @@ firing again at the same instant.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -45,22 +52,23 @@ from itertools import compress
 import numpy as np
 
 from .rates import LinkRows, waterfill
-from .routing import AnnealSchedule, assign_by_scheme, ecmp_assign
+from .routing import EXACT_MAX_COMMODITIES, AnnealSchedule, assign_by_scheme, ecmp_assign
 from .routing import max_link_load  # noqa: F401 - kept as sim.max_link_load for tracing wrappers
 from .topology import (
     INTRA_HOST,
     SPINE,
+    Classified,
     ClosTopology,
     Route,
     classify,
     fail_spines,
     max_spine_link_load,
-    route_link_rows,
 )
 from .workload import (
     CommoditySpec,
     HardwareModel,
     Job,
+    Ring,
     build_rings,
     compute_phase_duration,
     ring_allreduce_commodities,
@@ -85,10 +93,21 @@ class SimInvariantError(RuntimeError):
     """An internal consistency check of the simulation failed."""
 
 
-def is_elephant(c: CommoditySpec, threshold: float) -> bool:
-    """Whether the controller routes c: its volume reaches the elephant
-    threshold (both in bytes)."""
-    return c.volume >= threshold
+def network_flows(
+    topo: ClosTopology, rings: list[Ring], iteration: int, threshold: float
+) -> tuple[list[CommoditySpec], Classified, np.ndarray]:
+    """An iteration's ring edges that leave their host, their ``classify``
+    columns, and which are elephants, routed by the controller: those whose
+    volume reaches the threshold (both in bytes). A one-member ring has none."""
+    commodities = [
+        c for ring in rings if len(ring.members) >= 2
+        for c in ring_allreduce_commodities(ring, iteration)
+    ]
+    kinds = classify(topo, commodities)
+    on_net = kinds.kind != INTRA_HOST
+    commodities = list(compress(commodities, on_net))
+    elephant = np.array([c.volume >= threshold for c in commodities], dtype=bool)
+    return commodities, Classified(*(column[on_net] for column in kinds)), elephant
 
 
 def stable_seed(*parts) -> int:
@@ -104,11 +123,11 @@ class ControllerModel:
     precomputed_failures: bool = False
     ecmp_fallback_start: bool = False
     anneal_schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
-    exact_max_commodities: int = 16
+    exact_max_commodities: int = EXACT_MAX_COMMODITIES
 
     def __post_init__(self):
-        if self.reaction_latency < 0 or self.elephant_threshold < 0:
-            raise ValueError("latency and threshold must be >= 0")
+        if not (0 <= self.reaction_latency < math.inf and 0 <= self.elephant_threshold < math.inf):
+            raise ValueError("latency and threshold must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -128,6 +147,8 @@ class FailurePlan:
     def __post_init__(self):
         if len(self.times) != len(self.counts):
             raise ValueError("failure times and counts must align")
+        if not all(0 <= t < math.inf for t in self.times):
+            raise ValueError(f"failure times must be finite and >= 0, got {self.times}")
 
 
 @dataclass(frozen=True)
@@ -166,15 +187,19 @@ class _FlowTable:
         self.transmitting = np.empty(0, dtype=bool)  # has a route
         self.elephant = np.empty(0, dtype=bool)
         self.spine = np.empty(0, dtype=np.int64)  # -1 unless on a spine route
-        self.links = np.empty((0, 4), dtype=np.int64)  # see route_link_rows
+        self.src_tor = np.empty(0, dtype=np.int64)
+        self.dst_tor = np.empty(0, dtype=np.int64)
+        self.links = np.empty((0, 4), dtype=np.int64)  # see the module docstring
         self.rank = np.empty(0, dtype=np.int64)  # ascends with the commodity id
 
     def __len__(self) -> int:
         return len(self.cid)
 
-    def append(self, commodities: list[CommoditySpec], elephant: list[bool], now: float):
+    def append(self, commodities: list[CommoditySpec], kinds: Classified, elephant: np.ndarray,
+               now: float):
         """Add untransmitting flows after the others, then re-rank every slot."""
         k = len(commodities)
+        no_link = np.full(k, -1)
         volume = np.array([c.volume * 8 for c in commodities], dtype=float)
         new = {
             "cid": np.fromiter((c.id for c in commodities), dtype=object, count=k),
@@ -185,9 +210,11 @@ class _FlowTable:
             "transmitted": np.zeros(k),
             "rate": np.zeros(k),
             "transmitting": np.zeros(k, dtype=bool),
-            "elephant": np.array(elephant, dtype=bool),
-            "spine": np.full(k, -1),
-            "links": np.full((k, 4), -1),
+            "elephant": elephant,
+            "spine": no_link,
+            "src_tor": kinds.src_tor,
+            "dst_tor": kinds.dst_tor,
+            "links": np.stack([kinds.nic_up, no_link, no_link, kinds.nic_down], 1),
             "rank": np.zeros(k, dtype=np.int64),
         }
         # the ranked slots in rank order, then the new ones: a sort that merges
@@ -224,8 +251,7 @@ class _Engine:
         self.route_seed = stable_seed(seed, "routes")
 
         self.jobs = {job.id: job for job in jobs}
-        # a one-member ring (dp = 1) has no edges
-        self.rings = {job.id: [r for r in build_rings(job) if len(r.members) >= 2] for job in jobs}
+        self.rings = {job.id: build_rings(job) for job in jobs}
         self.iteration_of = {job.id: 0 for job in jobs}
         self.open_flows: dict[str, int] = {}  # per job, unfinished flows this iteration
         self.iter_records: dict[str, list[tuple[str, float, float]]] = {}
@@ -243,7 +269,7 @@ class _Engine:
 
     def _advance(self, t):
         dt = t - self.now
-        if dt < 0:
+        if not dt >= 0:  # a NaN time fails too: no later time would compare past it
             raise SimInvariantError(f"time moved backwards: {self.now} -> {t}")
         if dt > 0:
             # flows that do not transmit have rate 0 and move 0 bits
@@ -278,9 +304,14 @@ class _Engine:
             self._set_routes(slots, [choice.assignment[c.id] for c in batch])
 
     def _set_routes(self, slots, routes: list[Route]):
+        """Put the flows in slots on routes: their NIC link ids are in the
+        table from emission, so only the spine and its two links change."""
         f = self.flows
-        f.links[slots] = route_link_rows(self.topo, routes)
-        f.spine[slots] = [-1 if r.spine is None else r.spine for r in routes]
+        spine = np.array([-1 if r.spine is None else r.spine for r in routes], dtype=np.int64)
+        off_spine = spine < 0
+        f.links[slots, 1] = np.where(off_spine, -1, self.topo.tor_up_id(f.src_tor[slots], spine))
+        f.links[slots, 2] = np.where(off_spine, -1, self.topo.tor_down_id(spine, f.dst_tor[slots]))
+        f.spine[slots] = spine
         f.transmitting[slots] = True
 
     def _rewaterfill(self):
@@ -318,24 +349,19 @@ class _Engine:
         self._push(self.now + duration, _COMPUTE_DONE, job_id)
 
     def _on_compute_done(self, job_id):
-        job = self.jobs[job_id]
         iteration = self.iteration_of[job_id]
         self.iter_records[job_id] = []
-        rings = self.rings[job_id]
-        commodities = [c for ring in rings for c in ring_allreduce_commodities(ring, iteration)]
-        kind = classify(self.topo, commodities).kind
-        on_net = kind != INTRA_HOST  # same-host transfers take no network time
-        commodities, kind = list(compress(commodities, on_net)), kind[on_net]
+        commodities, kinds, elephant = network_flows(
+            self.topo, self.rings[job_id], iteration, self.controller.elephant_threshold
+        )
         if not commodities:
             self._finish_iteration(job_id, allreduce_time=0.0)
             return
-        threshold = self.controller.elephant_threshold
-        elephant = np.array([is_elephant(c, threshold) for c in commodities], dtype=bool)
         # intra-ToR flows and mice start right away on a hashed path; elephants
         # do so only in fallback mode, otherwise they await the controller
-        hashed = (kind != SPINE) | ~elephant | self.controller.ecmp_fallback_start
+        hashed = ~kinds.inter | ~elephant | self.controller.ecmp_fallback_start
         slots = len(self.flows) + np.flatnonzero(hashed)
-        self.flows.append(commodities, elephant, self.now)
+        self.flows.append(commodities, kinds, elephant, self.now)
         self._hash_routes(slots)
         self.open_flows[job_id] = len(commodities)
         if elephant.any():
@@ -452,7 +478,7 @@ class _Engine:
         f.transmitting[stalled] = False
         f.rate[stalled] = 0.0
         f.spine[stalled] = -1
-        f.links[stalled] = -1
+        f.links[stalled, 1:3] = -1
         self._hash_routes(hit[~f.elephant[hit]])  # mice
         if f.elephant.any():
             latency = 0.0 if self.controller.precomputed_failures else self.controller.reaction_latency

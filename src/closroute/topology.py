@@ -18,17 +18,18 @@ one integer id in [0, num_links), e being an endpoint's position in
   ToR -> NIC e       E + e      spine s -> ToR t   2E + T*S + s*T + t
 
 The ids from ``spine_link_base`` (2E) up are exactly the links that touch a
-spine. Load bookkeeping counts on these ids; ``route_link_rows`` maps routes
-to them in one pass, one row of four ids per route. A Route stores its kind,
-spine and endpoints only; ``Route.links`` is a view derived from them, as
-pairs of tagged nodes.
+spine. Each formula is written once: ``_nic_up_ids`` for the NIC links
+(``classify`` and ``route_link_rows`` both call it), and the methods
+``tor_up_id`` and ``tor_down_id`` for the spine links. Load bookkeeping
+counts on these ids; ``route_link_rows`` maps routes to them in one pass,
+one row of four ids per route. A Route stores its kind, spine and endpoints
+only; ``Route.links`` is a view derived from them, as pairs of tagged nodes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -143,29 +144,6 @@ class ClosTopology:
     def tor_down_id(self, spine: int, tor: int) -> int:
         return self.spine_link_base + (self.num_spines + spine) * self.num_tors + tor
 
-    @cached_property
-    def _route_link_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights and offsets that map a route's columns to its NIC-up,
-        ToR->spine, spine->ToR and NIC-down link ids."""
-        t, s, nic = self.num_tors, self.num_spines, self.nics_per_host
-        host = self.hosts_per_tor * nic
-        weights = np.array(
-            [
-                [0, 0, 0, 0],  # link count
-                [0, 1, t, 0],  # spine
-                [host, s, 0, 0],  # src tor
-                [nic, 0, 0, 0],  # src host
-                [1, 0, 0, 0],  # src nic
-                [0, 0, 1, host],  # dst tor
-                [0, 0, 0, nic],  # dst host
-                [0, 0, 0, 1],  # dst nic
-            ],
-            dtype=np.int64,
-        )
-        base = self.spine_link_base
-        offsets = np.array([0, base, base + t * s, self.num_endpoints], dtype=np.int64)
-        return weights, offsets
-
 
 def build_topology(
     num_spines: int,
@@ -182,11 +160,10 @@ def spine_route(src: Endpoint, dst: Endpoint, spine: int) -> Route:
     return Route(SPINE, spine, src, dst)
 
 
-# links per route kind, in Route.links order
-_LINK_COUNT = {SPINE: 4, INTRA_TOR: 2, INTRA_HOST: 0}
-# a route uses its NIC-up, ToR->spine, spine->ToR and NIC-down link if it has
-# more links than this: spine routes all four, intra-ToR routes the NIC links
-_USES_LINK = np.array([0, 2, 2, 0])
+def _nic_up_ids(topo: ClosTopology, ends: np.ndarray) -> np.ndarray:
+    """The NIC up-link ids of endpoints given as (tor, host, nic) along the
+    last axis of ends: each endpoint's position in ``topo.endpoints()``."""
+    return (ends[..., 0] * topo.hosts_per_tor + ends[..., 1]) * topo.nics_per_host + ends[..., 2]
 
 
 def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
@@ -200,11 +177,16 @@ def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
     columns: list[int] = []
     for route in routes:
         src, dst = route.src, route.dst
-        columns += (_LINK_COUNT[route.kind], route.spine or 0,
+        columns += (route.kind == INTRA_HOST, -1 if route.spine is None else route.spine,
                     src.tor, src.host, src.nic, dst.tor, dst.host, dst.nic)
     cols = np.fromiter(columns, dtype=np.int64, count=len(columns)).reshape(-1, 8)
-    weights, offsets = topo._route_link_map
-    return np.where(cols[:, :1] > _USES_LINK, cols @ weights + offsets, -1)
+    spine = cols[:, 1]
+    nic = _nic_up_ids(topo, cols[:, 2:].reshape(-1, 2, 3))
+    rows = np.stack([nic[:, 0], topo.tor_up_id(cols[:, 2], spine),
+                     topo.tor_down_id(spine, cols[:, 5]), nic[:, 1] + topo.num_endpoints], 1)
+    rows[spine < 0, 1:3] = -1
+    rows[cols[:, 0] == 1] = -1
+    return rows
 
 
 def max_spine_link_load(topo: ClosTopology, rows: np.ndarray) -> int:
@@ -251,8 +233,7 @@ def classify(topo: ClosTopology, commodities) -> Classified:
         raise ValueError(f"commodity {c.id}: {end} endpoint {getattr(c, end)} is off the fabric")
     differs = ends[:, 0] != ends[:, 1]
     kind = _KINDS[np.where(differs[:, 0], 0, np.where(differs[:, 1], 1, 2))]
-    # an endpoint's position in topo.endpoints() is its NIC up-link id
-    nic = (ends[..., 0] * topo.hosts_per_tor + ends[..., 1]) * topo.nics_per_host + ends[..., 2]
+    nic = _nic_up_ids(topo, ends)
     return Classified(kind, ends[:, 0, 0], ends[:, 1, 0], nic[:, 0], nic[:, 1] + topo.num_endpoints)
 
 

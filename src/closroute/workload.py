@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .topology import ClosTopology, Endpoint
@@ -119,22 +120,24 @@ def place_job(
     possible for the given random order.
     """
     needed = model.gpus_per_replica * dp
-    free_by_host: dict[tuple[int, int], list[Endpoint]] = {}
-    for ep in topo.endpoints():
-        if ep not in occupied:
-            free_by_host.setdefault((ep.tor, ep.host), []).append(ep)
-    total_free = sum(len(v) for v in free_by_host.values())
+    nics = topo.nics_per_host
+    taken = Counter((ep.tor, ep.host) for ep in occupied)
+    # the hosts with a free endpoint, in (tor, host) order
+    hosts = [(t, h) for t in range(topo.num_tors) for h in range(topo.hosts_per_tor)
+             if taken[t, h] < nics]
+    total_free = sum(nics - taken[host] for host in hosts)
     if total_free < needed:
         raise ValueError(f"need {needed} free endpoints, only {total_free} available")
 
     rng = random.Random(seed)
-    host_order = rng.sample(sorted(free_by_host), len(free_by_host))
     chosen: list[Endpoint] = []
-    for hk in host_order:
-        for ep in free_by_host[hk]:
-            chosen.append(ep)
-            if len(chosen) == needed:
-                return tuple(chosen)
+    for t, h in rng.sample(hosts, len(hosts)):
+        for n in range(nics):
+            ep = Endpoint(t, h, n)
+            if ep not in occupied:
+                chosen.append(ep)
+                if len(chosen) == needed:
+                    return tuple(chosen)
     raise AssertionError("unreachable: free count checked above")
 
 

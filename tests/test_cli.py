@@ -1,12 +1,15 @@
 import csv
 import hashlib
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from closroute import cli
 from closroute.cli import main
 from closroute.config import ConfigError, build_jobs, default_config, parse_config
+from closroute.workload import build_rings, ring_allreduce_commodities
 
 # a scenario small enough for quick end-to-end runs
 SMALL_CONFIG = {
@@ -112,7 +115,33 @@ def test_unknown_scheme_is_config_error(small_config, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+# Scenario values that Python's json module reads but no run can use: each, merged
+# into the default scenario, must fail as a config error naming the field.
+BAD_VALUES = [
+    ({"controller": {"reaction_latency_s": math.nan}}, "controller.reaction_latency_s"),
+    ({"controller": {"elephant_threshold_bytes": math.inf}}, "controller.elephant_threshold_bytes"),
+    ({"topology": {"link_capacity_bps": math.nan}}, "topology.link_capacity_bps"),
+    ({"hardware": {"peak_flops": math.inf}}, "hardware.peak_flops"),
+    ({"arrival_window_s": math.nan}, "arrival_window_s"),
+    ({"failures": {"time_s": -1.0}}, "failures.time_s"),
+    ({"failures": {"time_s": math.nan}}, "failures.time_s"),
+    ({"jobs": [{"arrival_time": -1.0}]}, r"jobs\[0\]\.arrival_time"),
+    ({"jobs": [{"arrival_time": math.nan}]}, r"jobs\[0\]\.arrival_time"),
+    ({"allowed_dp": [], "jobs": [{"dp": "random"}]}, "allowed_dp"),
+    ({"allowed_dp": [True]}, "allowed_dp"),
+    ({"jobs": [{"num_iterations": True}]}, r"jobs\[0\]\.num_iterations"),
+    ({"allowed_dp": [1, 2], "jobs": [{"dp": True}]}, r"jobs\[0\]\.dp"),
+    ({"seeds": [True]}, "seeds"),
+    ({"failures": {"time_s": 1.0, "counts": [True]}}, "failures.counts"),
+    ({"failures": {"time_s": 1.0, "seed": False}}, "failures.seed"),
+    ({"exact_max_commodities": True}, "exact_max_commodities"),
+]
+
+
 def test_config_error_names_field_paths():
+    for patch, field in BAD_VALUES:
+        with pytest.raises(ConfigError, match=field):
+            parse_config({**default_config(), **patch})
     with pytest.raises(ConfigError, match="topology"):
         parse_config({**default_config(), "topology": {"num_spines": 0}})
     with pytest.raises(ConfigError, match=r"jobs\[0\]\.model"):
@@ -127,6 +156,16 @@ def test_config_error_names_field_paths():
         parse_config({**default_config(), "failures": {"time_s": 0.5, "counts": [20, 20]}})
     with pytest.raises(ConfigError, match=r"jobs\[5\]"):
         build_jobs(parse_config({**default_config(), "jobs": SIX_BLOOM_DP8}), 0)
+
+
+@pytest.mark.parametrize("patch, field", BAD_VALUES, ids=lambda v: json.dumps(v)[:60])
+def test_bad_scenario_value_exits_2_before_simulating(patch, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, **patch}))  # NaN and Infinity as json reads them
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert field.replace("\\", "") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_job_that_does_not_fit_exits_2(tmp_path, capsys):
@@ -318,3 +357,74 @@ def test_golden_output_digests(small_config, tmp_path):
         for name in GOLDEN_DIGESTS
     }
     assert digests == GOLDEN_DIGESTS
+
+
+# One job of tp=2, pp=1, dp=4 on 8 ToRs of one 2-NIC host each: a replica fills
+# a host, so both rings have 4 members on 4 ToRs, and each iteration has 8
+# inter-ToR ring edges, all elephants.
+EXACT_EDGES = 8
+EXACT_AT_GUARD = {
+    "scenario_id": "guard",
+    "topology": {"num_spines": 4, "num_tors": 8, "hosts_per_tor": 1, "nics_per_host": 2,
+                 "link_capacity_bps": 100e9},
+    "models": {"PAIR": {"num_params": 2e9, "tp": 2, "pp": 1}},
+    "allowed_dp": [4],
+    "jobs": [{"model": "PAIR", "dp": 4, "num_iterations": 2}],
+    "hardware": {"peak_flops": 312e12, "utilization": 0.3, "tokens_per_batch": 2e4},
+    "schemes": ["exact"],
+}
+
+
+def test_exact_guard_admits_exactly_its_size(tmp_path, capsys):
+    job = build_jobs(parse_config(EXACT_AT_GUARD), 0)[0]
+    edges = [c for ring in build_rings(job) for c in ring_allreduce_commodities(ring, 0)]
+    assert sum(c.src.tor != c.dst.tor for c in edges) == EXACT_EDGES
+    path, out = tmp_path / "exact.json", tmp_path / "x.csv"
+    path.write_text(json.dumps({**EXACT_AT_GUARD, "exact_max_commodities": EXACT_EDGES}))
+    assert main(["run", "--config", str(path), "--out", str(out), "--schemes", "exact"]) == 0
+    path.write_text(json.dumps({**EXACT_AT_GUARD, "exact_max_commodities": EXACT_EDGES - 1}))
+    out.unlink()
+    assert main(["run", "--config", str(path), "--out", str(out), "--schemes", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert "jobs[0]" in err and f"{EXACT_EDGES} inter-ToR elephant flows" in err
+    assert not out.exists()
+
+
+@pytest.fixture()
+def spans(monkeypatch):
+    """The benchmark's tracer module, imported as it is, without changes."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import spans
+
+    return spans
+
+
+def test_benchmark_tracer_sees_every_call(spans, small_config, tmp_path, monkeypatch):
+    """Each layer that benchmarks/spans.py wraps by module attribute is still
+    called through that attribute, and the CLI runs levels, then schemes, then
+    seeds, the order in which the benchmark reads the results."""
+    runs = []
+    run_scenario = cli.run_scenario
+
+    def recording(topo, jobs, controller, hardware, failures, seed):
+        runs.append((failures.counts if failures else (), controller.scheme, seed))
+        return run_scenario(topo, jobs, controller, hardware=hardware, failures=failures, seed=seed)
+
+    monkeypatch.setattr(cli, "run_scenario", recording)
+    tracer = spans.Tracer(full=True)
+    with tracer.installed():
+        assert cli.main(["run", "--config", small_config, "--out", str(tmp_path / "run.csv"),
+                         "--schemes", "greedy,ecmp,edge_coloring"]) == 0
+        assert cli.main(["failsweep", "--config", small_config,
+                         "--out", str(tmp_path / "sweep.csv"), "--counts", "1,2"]) == 0
+    counts = tracer.take_counts()
+    for module, attr, _ in spans.SPANS:
+        assert callable(getattr(module, attr))
+    # the engine takes its max spine load from the flow table, not max_link_load
+    assert {layer for _, _, layer in spans.SPANS if not counts.get(f"{layer}.calls")} == {
+        "routing.max_link_load"
+    }
+    seeds = (0, 1)
+    assert runs == [((), s, seed) for s in ("greedy", "ecmp", "edge_coloring") for seed in seeds] + [
+        ((k,), s, seed) for k in (1, 2) for s in ("greedy", "ecmp") for seed in seeds
+    ]

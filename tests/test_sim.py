@@ -2,6 +2,7 @@ import dataclasses
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,16 @@ from closroute.sim import (
     run_scenario,
     stable_seed,
 )
-from closroute.topology import Endpoint, Route, build_topology, fail_spines, spine_route
+from closroute.topology import (
+    INTRA_TOR,
+    SPINE,
+    Endpoint,
+    Route,
+    build_topology,
+    fail_spines,
+    route_link_rows,
+    spine_route,
+)
 from closroute.workload import (
     MODEL_CATALOG,
     HardwareModel,
@@ -245,6 +255,32 @@ def test_mice_are_hashed_in_one_call_per_emission_and_failure(cluster, monkeypat
     assert single.flow_log == result.flow_log
 
 
+@pytest.mark.parametrize("threshold", [1e6, 1e12])  # a failure stalls elephants, re-hashes mice
+def test_flow_table_rows_match_route_link_rows(cluster, monkeypatch, threshold):
+    """The rows the engine builds piecewise (NIC ids at emission, spine links
+    when routed) are those of route_link_rows for the flows' routes."""
+    rewaterfill = sim._Engine._rewaterfill
+    checked = []
+
+    def checking(engine):
+        f = engine.flows
+        live = np.flatnonzero(f.transmitting)
+        routes = [
+            Route(SPINE, spine, c.src, c.dst) if spine >= 0 else Route(INTRA_TOR, None, c.src, c.dst)
+            for c, spine in zip(f.commodity[live], f.spine[live].tolist())
+        ]
+        assert (f.links[live] == route_link_rows(engine.topo, routes)).all()
+        checked.append(engine.topo.failed_spines)
+        rewaterfill(engine)
+
+    monkeypatch.setattr(sim._Engine, "_rewaterfill", checking)
+    job = make_job(cluster, MINI, dp=8, seed=3, iters=2)
+    plan = FailurePlan(times=(compute_phase_duration(job, FAST_HW) + 0.01,), counts=(8,), seed=2)
+    controller = ControllerModel(scheme="greedy", elephant_threshold=threshold)
+    run_scenario(cluster, [job], controller, hardware=FAST_HW, failures=plan, seed=1)
+    assert checked[0] == frozenset() and checked[-1]
+
+
 def test_concurrent_jobs_share_fairly(cluster):
     occupied = set()
     jobs = []
@@ -312,6 +348,24 @@ def test_completion_that_cannot_progress_raises(cluster, monkeypatch):
     job = make_job(cluster, MINI, dp=2, seed=6, iters=1)
     with pytest.raises(SimInvariantError, match="none would finish"):
         run_scenario(cluster, [job], ControllerModel(scheme="greedy"), hardware=FAST_HW, seed=3)
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0])
+def test_engine_refuses_a_nan_or_backward_time(cluster, t):
+    # after a NaN time every later time is NaN, which the watchdog never compares past
+    engine = sim._Engine(cluster, [], ControllerModel(), FAST_HW, None, seed=0)
+    with pytest.raises(SimInvariantError):
+        engine._advance(t)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_controller_and_failure_plan_refuse_bad_values(bad):
+    with pytest.raises(ValueError, match="latency and threshold"):
+        ControllerModel(reaction_latency=bad)
+    with pytest.raises(ValueError, match="latency and threshold"):
+        ControllerModel(elephant_threshold=bad)
+    with pytest.raises(ValueError, match="failure times"):
+        FailurePlan(times=(1.0, bad), counts=(1, 1))
 
 
 SMALL_FABRIC = build_topology(4, 4, 2, 2, 100e9)  # 16 GPUs

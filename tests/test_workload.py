@@ -1,6 +1,9 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closroute.topology import Endpoint, build_topology
 from closroute.workload import (
@@ -71,6 +74,43 @@ def test_place_respects_occupied_set(cluster):
     first = place_job(cluster, MODEL_CATALOG["GPT-3"], 2, seed=0)
     second = place_job(cluster, MODEL_CATALOG["GPT-3"], 2, seed=0, occupied=set(first))
     assert not set(first) & set(second)
+
+
+def walk_place_job(topo, model, dp, seed, occupied):
+    """Reference placement: walk every endpoint of the fabric, group the free
+    ones by host, and take hosts in a seeded shuffle of their sorted keys."""
+    needed = model.gpus_per_replica * dp
+    free_by_host = {}
+    for ep in topo.endpoints():
+        if ep not in occupied:
+            free_by_host.setdefault((ep.tor, ep.host), []).append(ep)
+    total_free = sum(len(v) for v in free_by_host.values())
+    if total_free < needed:
+        raise ValueError(f"need {needed} free endpoints, only {total_free} available")
+    host_order = random.Random(seed).sample(sorted(free_by_host), len(free_by_host))
+    return tuple([ep for host in host_order for ep in free_by_host[host]][:needed])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    shape=st.tuples(st.integers(2, 4), st.integers(1, 3), st.integers(1, 4)),
+    tp=st.integers(1, 4),
+    dp=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_place_job_matches_endpoint_walk(shape, tp, dp, seed, data):
+    topo = build_topology(2, *shape, 1.0)
+    occupied = data.draw(st.frozensets(st.sampled_from(list(topo.endpoints()))))
+    model = ModelConfig("M", 1e9, tp=tp, pp=1)
+    try:
+        expected = walk_place_job(topo, model, dp, seed, occupied)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            place_job(topo, model, dp, seed, occupied)
+        assert str(raised.value) == str(exc)
+        return
+    assert place_job(topo, model, dp, seed, occupied) == expected
 
 
 def test_bloom_rings_and_shard_size(cluster):
