@@ -13,7 +13,6 @@ from closroute import (
     assign_by_scheme,
     build_topology,
     max_link_load,
-    min_bandwidth,
     random_commodities,
     unit_commodities_for_pairs,
     waterfill,
@@ -31,7 +30,7 @@ for scheme in ("ecmp", "greedy", "edge_coloring", "annealing", "exact"):
     load = max_link_load(choice, topo)
     alloc = waterfill(sorted(choice.assignment.items()), topo)
     spines = [choice.assignment[c.id].spine for c in commodities]
-    print(f"{scheme:14s} {load:>14d} {min_bandwidth(alloc):>13.2f}  {spines}")
+    print(f"{scheme:14s} {load:>14d} {min(alloc.rates.values()):>13.2f}  {spines}")
 print("(seed 1 makes ECMP hash both of ToR 1's flows onto one spine: "
       "each then runs at half rate)")
 

@@ -6,7 +6,7 @@ fair share and the rest keep growing. The examples show the classic
 behaviors: even splits, bottleneck chains, and insensitivity to input order.
 """
 
-from closroute import Endpoint, build_topology, min_bandwidth, waterfill
+from closroute import Endpoint, build_topology, waterfill
 from closroute.topology import spine_route
 
 topo = build_topology(2, 6, 2, 1, link_capacity=1.0)
@@ -15,7 +15,7 @@ topo = build_topology(2, 6, 2, 1, link_capacity=1.0)
 def show(title, flows):
     alloc = waterfill(flows, topo)
     rates = {cid: round(rate, 4) for cid, rate in alloc.rates.items()}
-    print(f"{title}\n  rates: {rates}  (slowest {min_bandwidth(alloc):.4f})")
+    print(f"{title}\n  rates: {rates}  (slowest {min(alloc.rates.values()):.4f})")
 
 
 # two flows forced onto the same up-link split it evenly

@@ -3,7 +3,7 @@ Clos fabrics: greedy/ECMP/edge-coloring/annealing/exact path assignment,
 max-min fair rate allocation, and a deterministic discrete-event engine."""
 
 from .config import ConfigError, ScenarioConfig, build_jobs, default_config, load_config, parse_config
-from .rates import RateAllocation, min_bandwidth, waterfill
+from .rates import RateAllocation, waterfill
 from .routing import (
     SCHEME_NAMES,
     AnnealSchedule,
@@ -25,8 +25,6 @@ from .sim import (
     FailurePlan,
     MetricsRecord,
     SimResult,
-    decode_udp_port,
-    encode_route_as_udp_port,
     run_scenario,
     stable_seed,
 )

@@ -67,12 +67,6 @@ TRACE_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
     """Write atomically so failed runs leave no partial output behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -81,8 +75,7 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
         with os.fdopen(fd, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows(rows)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -310,7 +303,7 @@ def cmd_bench(args) -> int:
 
 def cmd_failsweep(args) -> int:
     config = _load(args)
-    counts = _counts(args.counts, "--counts") if args.counts else [1, 4, 8]
+    counts = _counts(args.counts, "--counts")
     for k in counts:
         if k >= config.topology.num_spines:
             raise ConfigError(

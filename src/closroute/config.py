@@ -11,7 +11,7 @@ import copy
 import json
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .routing import EXACT_MAX_COMMODITIES, SCHEME_NAMES, AnnealSchedule
 from .sim import ControllerModel, FailurePlan, network_flows, stable_seed
@@ -67,6 +67,8 @@ DEFAULT_CONFIG: dict = {
 
 # the fields of a job and their values when omitted
 _JOB_DEFAULTS = {"model": "random", "dp": "random", "num_iterations": 10, "arrival_time": None}
+# the fields of a model entry
+_MODEL_FIELDS = [f.name for f in fields(ModelConfig) if f.name != "name"]
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,25 @@ def _require(mapping: dict, key: str, kind, path: str):
     return value
 
 
+def _object(value, path: str, known) -> dict:
+    """value, checked to be an object whose keys are all in known."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: must be an object")
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown field")
+    return value
+
+
+def _build(path: str, make, **kwargs):
+    """make(**kwargs), its ValueError a ConfigError naming path. The kwargs are
+    read before the call, so their own errors name their fields alone."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path) as fh:
@@ -126,39 +147,39 @@ def parse_config(raw: dict) -> ScenarioConfig:
     for key, value in raw.items():
         if key not in merged:
             raise ConfigError(f"{key}: unknown field")
-        if isinstance(merged[key], dict) and isinstance(value, dict) and key != "models":
-            merged[key].update(value)
+        if isinstance(merged[key], dict) and key != "models":
+            merged[key].update(_object(value, key, merged[key]))
         else:
             merged[key] = value
 
     scenario_id = _require(merged, "scenario_id", str, "config")
 
     t = merged["topology"]
-    try:
-        topo = build_topology(
-            _require(t, "num_spines", int, "topology"),
-            _require(t, "num_tors", int, "topology"),
-            _require(t, "hosts_per_tor", int, "topology"),
-            _require(t, "nics_per_host", int, "topology"),
-            _require(t, "link_capacity_bps", float, "topology"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"topology: {exc}") from exc
+    topo = _build(
+        "topology",
+        build_topology,
+        num_spines=_require(t, "num_spines", int, "topology"),
+        num_tors=_require(t, "num_tors", int, "topology"),
+        hosts_per_tor=_require(t, "hosts_per_tor", int, "topology"),
+        nics_per_host=_require(t, "nics_per_host", int, "topology"),
+        link_capacity=_require(t, "link_capacity_bps", float, "topology"),
+    )
 
     models: dict[str, ModelConfig] = {}
     if not isinstance(merged["models"], dict) or not merged["models"]:
         raise ConfigError("models: must be a non-empty object")
     for name, m in merged["models"].items():
-        try:
-            models[name] = ModelConfig(
-                name=name,
-                num_params=_require(m, "num_params", float, f"models.{name}"),
-                tp=_require(m, "tp", int, f"models.{name}"),
-                pp=_require(m, "pp", int, f"models.{name}"),
-                bytes_per_param=int(m.get("bytes_per_param", ModelConfig.bytes_per_param)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"models.{name}: {exc}") from exc
+        path = f"models.{name}"
+        m = {"bytes_per_param": ModelConfig.bytes_per_param, **_object(m, path, _MODEL_FIELDS)}
+        models[name] = _build(
+            path,
+            ModelConfig,
+            name=name,
+            num_params=_require(m, "num_params", float, path),
+            tp=_require(m, "tp", int, path),
+            pp=_require(m, "pp", int, path),
+            bytes_per_param=_require(m, "bytes_per_param", int, path),
+        )
 
     allowed_dp = merged["allowed_dp"]
     if not isinstance(allowed_dp, list) or not all(_is_int(d) and d >= 1 for d in allowed_dp):
@@ -170,12 +191,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(merged["jobs"], list) or not merged["jobs"]:
         raise ConfigError("jobs: must be a non-empty list")
     for i, js in enumerate(merged["jobs"]):
-        if not isinstance(js, dict):
-            raise ConfigError(f"jobs[{i}]: must be an object")
-        unknown = set(js) - set(_JOB_DEFAULTS)
-        if unknown:
-            raise ConfigError(f"jobs[{i}].{sorted(unknown)[0]}: unknown field")
-        js = {**_JOB_DEFAULTS, **js}
+        js = {**_JOB_DEFAULTS, **_object(js, f"jobs[{i}]", _JOB_DEFAULTS)}
         job_specs.append(js)
         model_name = js["model"]
         if model_name != "random" and model_name not in models:
@@ -211,14 +227,13 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("controller.elephant_threshold_bytes: must be >= 0")
 
     h = merged["hardware"]
-    try:
-        hardware = HardwareModel(
-            peak_flops=_require(h, "peak_flops", float, "hardware"),
-            utilization=_require(h, "utilization", float, "hardware"),
-            tokens_per_batch=_require(h, "tokens_per_batch", float, "hardware"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"hardware: {exc}") from exc
+    hardware = _build(
+        "hardware",
+        HardwareModel,
+        peak_flops=_require(h, "peak_flops", float, "hardware"),
+        utilization=_require(h, "utilization", float, "hardware"),
+        tokens_per_batch=_require(h, "tokens_per_batch", float, "hardware"),
+    )
 
     schemes = merged["schemes"]
     if not isinstance(schemes, list) or not schemes:
@@ -232,14 +247,13 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("seeds: must be a non-empty list of integers")
 
     a = merged["annealing"]
-    try:
-        anneal = AnnealSchedule(
-            initial_temp=_require(a, "initial_temp", float, "annealing"),
-            cooling_factor=_require(a, "cooling_factor", float, "annealing"),
-            moves_per_commodity=_require(a, "moves_per_commodity", int, "annealing"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"annealing: {exc}") from exc
+    anneal = _build(
+        "annealing",
+        AnnealSchedule,
+        initial_temp=_require(a, "initial_temp", float, "annealing"),
+        cooling_factor=_require(a, "cooling_factor", float, "annealing"),
+        moves_per_commodity=_require(a, "moves_per_commodity", int, "annealing"),
+    )
 
     exact_max = merged["exact_max_commodities"]
     if not _is_int(exact_max) or exact_max < 1:

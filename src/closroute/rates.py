@@ -34,9 +34,6 @@ class RateAllocation:
 
     rates: dict[str, float]
 
-    def finite_rates(self) -> dict[str, float]:
-        return {cid: r for cid, r in self.rates.items() if math.isfinite(r)}
-
 
 class LinkRows(NamedTuple):
     """Flows as link-id rows (see ``topology.route_link_rows``), in ascending
@@ -91,11 +88,3 @@ def waterfill(flows: list[tuple[str, Route]] | LinkRows, topo: ClosTopology) -> 
         unfrozen &= ~freeze
 
     return RateAllocation(dict(zip(cids, rate.tolist())))
-
-
-def min_bandwidth(alloc: RateAllocation) -> float:
-    """Smallest finite rate in the allocation; the slowest-flow objective."""
-    finite = alloc.finite_rates()
-    if not finite:
-        raise ValueError("allocation has no network flows")
-    return min(finite.values())

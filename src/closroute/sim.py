@@ -56,7 +56,6 @@ from .routing import EXACT_MAX_COMMODITIES, AnnealSchedule, assign_by_scheme, ec
 from .routing import max_link_load  # noqa: F401 - kept as sim.max_link_load for tracing wrappers
 from .topology import (
     INTRA_HOST,
-    SPINE,
     Classified,
     ClosTopology,
     Route,
@@ -156,20 +155,6 @@ class SimResult:
     records: list[MetricsRecord]
     controller_log: list[dict]
     flow_log: list[dict]
-
-
-def encode_route_as_udp_port(route: Route) -> int | None:
-    """Spine routes encode their spine in the UDP source port; others have none."""
-    if route.kind != SPINE:
-        return None
-    return DEFAULT_PORT_BASE + route.spine
-
-
-def decode_udp_port(port: int) -> int:
-    spine = port - DEFAULT_PORT_BASE
-    if spine < 0:
-        raise ValueError(f"port {port} below base {DEFAULT_PORT_BASE}")
-    return spine
 
 
 class _FlowTable:

@@ -18,11 +18,12 @@ one integer id in [0, num_links), e being an endpoint's position in
   ToR -> NIC e       E + e      spine s -> ToR t   2E + T*S + s*T + t
 
 The ids from ``spine_link_base`` (2E) up are exactly the links that touch a
-spine. Each formula is written once: ``_nic_up_ids`` for the NIC links
-(``classify`` and ``route_link_rows`` both call it), and the methods
-``tor_up_id`` and ``tor_down_id`` for the spine links. Load bookkeeping
-counts on these ids; ``route_link_rows`` maps routes to them in one pass,
-one row of four ids per route. A Route stores its kind, spine and endpoints
+spine. Each formula is written once: ``_read_endpoints`` for the endpoints
+as integers and ``_nic_up_ids`` for the NIC links (``classify`` and
+``route_link_rows`` both call them), and the methods ``tor_up_id`` and
+``tor_down_id`` for the spine links. Load bookkeeping counts on these ids;
+``route_link_rows`` maps a batch of routes to them at once, one row of four
+ids per route. A Route stores its kind, spine and endpoints
 only; ``Route.links`` is a view derived from them, as pairs of tagged nodes.
 """
 
@@ -33,11 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-
-# Directed link: (tail node, head node). Nodes are tagged tuples:
-#   ("tor", t) | ("spine", s) | ("nic", t, h, n)
-Node = tuple
-Link = tuple[Node, Node]
 
 INTRA_HOST = "intra_host"
 INTRA_TOR = "intra_tor"
@@ -66,8 +62,10 @@ class Route:
     dst: Endpoint
 
     @property
-    def links(self) -> tuple[Link, ...]:
-        """The directed links in path order, derived from the endpoints."""
+    def links(self) -> tuple[tuple, ...]:
+        """The directed links in path order, derived from the endpoints, each
+        a (tail, head) pair of tagged nodes: ("nic", t, h, n), ("tor", t) or
+        ("spine", s)."""
         if self.kind == INTRA_HOST:
             return ()
         src, dst = self.src, self.dst
@@ -166,26 +164,33 @@ def _nic_up_ids(topo: ClosTopology, ends: np.ndarray) -> np.ndarray:
     return (ends[..., 0] * topo.hosts_per_tor + ends[..., 1]) * topo.nics_per_host + ends[..., 2]
 
 
+def _read_endpoints(items) -> np.ndarray:
+    """The src and dst of each item (a commodity or a route) as integers,
+    shape (n, 2, 3): one (tor, host, nic) row per endpoint."""
+    flat: list[int] = []
+    for item in items:
+        src, dst = item.src, item.dst
+        flat += (src.tor, src.host, src.nic, dst.tor, dst.host, dst.nic)
+    return np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, 2, 3)
+
+
 def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
-    """The link ids of routes on topo, one row per route, in one pass.
+    """The link ids of routes on topo, one row per route, all at once.
 
     Columns hold the NIC-up, ToR->spine, spine->ToR and NIC-down link, -1
     where the route does not use it: spine routes use all four, intra-ToR
     routes the NIC links, intra-host routes none. The non-negative ids of a
     row, in column order, are its route's links in ``Route.links`` order.
     """
-    columns: list[int] = []
-    for route in routes:
-        src, dst = route.src, route.dst
-        columns += (route.kind == INTRA_HOST, -1 if route.spine is None else route.spine,
-                    src.tor, src.host, src.nic, dst.tor, dst.host, dst.nic)
-    cols = np.fromiter(columns, dtype=np.int64, count=len(columns)).reshape(-1, 8)
-    spine = cols[:, 1]
-    nic = _nic_up_ids(topo, cols[:, 2:].reshape(-1, 2, 3))
-    rows = np.stack([nic[:, 0], topo.tor_up_id(cols[:, 2], spine),
-                     topo.tor_down_id(spine, cols[:, 5]), nic[:, 1] + topo.num_endpoints], 1)
+    routes = list(routes)
+    ends = _read_endpoints(routes)
+    spine = np.fromiter((-1 if r.spine is None else r.spine for r in routes),
+                        dtype=np.int64, count=len(routes))
+    nic = _nic_up_ids(topo, ends)
+    rows = np.stack([nic[:, 0], topo.tor_up_id(ends[:, 0, 0], spine),
+                     topo.tor_down_id(spine, ends[:, 1, 0]), nic[:, 1] + topo.num_endpoints], 1)
     rows[spine < 0, 1:3] = -1
-    rows[cols[:, 0] == 1] = -1
+    rows[np.fromiter((r.kind == INTRA_HOST for r in routes), dtype=bool, count=len(routes))] = -1
     return rows
 
 
@@ -221,10 +226,7 @@ def classify(topo: ClosTopology, commodities) -> Classified:
     Raises ValueError naming the first commodity with an endpoint off the
     fabric.
     """
-    ends = np.array(
-        [(c.src.tor, c.src.host, c.src.nic, c.dst.tor, c.dst.host, c.dst.nic) for c in commodities],
-        dtype=np.int64,
-    ).reshape(-1, 2, 3)
+    ends = _read_endpoints(commodities)
     off = ((ends < 0) | (ends >= (topo.num_tors, topo.hosts_per_tor, topo.nics_per_host))).any(2)
     bad = np.flatnonzero(off.any(1))
     if bad.size:

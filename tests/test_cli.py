@@ -116,7 +116,8 @@ def test_unknown_scheme_is_config_error(small_config, tmp_path, capsys):
 
 
 # Scenario values that Python's json module reads but no run can use: each, merged
-# into the default scenario, must fail as a config error naming the field.
+# into the default scenario, must fail as a config error whose message starts
+# with the field's path.
 BAD_VALUES = [
     ({"controller": {"reaction_latency_s": math.nan}}, "controller.reaction_latency_s"),
     ({"controller": {"elephant_threshold_bytes": math.inf}}, "controller.elephant_threshold_bytes"),
@@ -135,26 +136,39 @@ BAD_VALUES = [
     ({"failures": {"time_s": 1.0, "counts": [True]}}, "failures.counts"),
     ({"failures": {"time_s": 1.0, "seed": False}}, "failures.seed"),
     ({"exact_max_commodities": True}, "exact_max_commodities"),
+    ({"controller": 5}, "controller"),
+    ({"failures": 3}, "failures"),
+    ({"annealing": None}, "annealing"),
+    ({"models": {"X": 5}}, "models.X"),
+    ({"controller": {"reaction_latency": 0.5}}, "controller.reaction_latency"),
+    ({"topology": {"num_spine": 4}}, "topology.num_spine"),
+    ({"models": {"X": {"num_params": 1e9, "tp": 1, "pp": 1, "bytes": 2}}}, "models.X.bytes"),
+    ({"models": {"X": {"bytes_per_param": True, "num_params": 1e9, "tp": 1, "pp": 1}}},
+     "models.X.bytes_per_param"),
+    ({"models": {"X": {"bytes_per_param": 2.5, "num_params": 1e9, "tp": 1, "pp": 1}}},
+     "models.X.bytes_per_param"),
 ]
 
 
 def test_config_error_names_field_paths():
     for patch, field in BAD_VALUES:
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
             parse_config({**default_config(), **patch})
-    with pytest.raises(ConfigError, match="topology"):
+    with pytest.raises(ConfigError, match="^topology: "):
         parse_config({**default_config(), "topology": {"num_spines": 0}})
-    with pytest.raises(ConfigError, match=r"jobs\[0\]\.model"):
+    with pytest.raises(ConfigError, match="^models.X: "):
+        parse_config({**default_config(), "models": {"X": {"num_params": 1e9, "tp": 0, "pp": 1}}})
+    with pytest.raises(ConfigError, match=r"^jobs\[0\]\.model: "):
         parse_config({**default_config(), "jobs": [{"model": "NOPE"}]})
-    with pytest.raises(ConfigError, match=r"jobs\[0\]\.dp"):
+    with pytest.raises(ConfigError, match=r"^jobs\[0\]\.dp: "):
         parse_config({**default_config(), "jobs": [{"model": "BLOOM", "dp": 3}]})
-    with pytest.raises(ConfigError, match="unknown field"):
+    with pytest.raises(ConfigError, match="^typo_field: unknown field"):
         parse_config({**default_config(), "typo_field": 1})
-    with pytest.raises(ConfigError, match="failures.counts"):
+    with pytest.raises(ConfigError, match="^failures.counts: "):
         parse_config({**default_config(), "failures": {"time_s": 1.0, "counts": [32]}})
-    with pytest.raises(ConfigError, match="failures.counts"):
+    with pytest.raises(ConfigError, match="^failures.counts: "):
         parse_config({**default_config(), "failures": {"time_s": 0.5, "counts": [20, 20]}})
-    with pytest.raises(ConfigError, match=r"jobs\[5\]"):
+    with pytest.raises(ConfigError, match=r"^jobs\[5\]: "):
         build_jobs(parse_config({**default_config(), "jobs": SIX_BLOOM_DP8}), 0)
 
 
@@ -164,7 +178,8 @@ def test_bad_scenario_value_exits_2_before_simulating(patch, field, tmp_path, ca
     path.write_text(json.dumps({**SMALL_CONFIG, **patch}))  # NaN and Infinity as json reads them
     out = tmp_path / "x.csv"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    assert field.replace("\\", "") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + field.replace("\\", "") + ": ")
     assert not out.exists()
 
 
@@ -208,6 +223,12 @@ def test_bench_csv_shape(tmp_path):
 def test_bench_empty_counts(tmp_path):
     out = str(tmp_path / "bench.csv")
     assert main(["bench", "--counts", "", "--schemes", "greedy", "--out", out]) == 0
+    assert read_rows(out) == []
+
+
+def test_failsweep_empty_counts(small_config, tmp_path):
+    out = str(tmp_path / "sweep.csv")
+    assert main(["failsweep", "--config", small_config, "--counts", "", "--out", out]) == 0
     assert read_rows(out) == []
 
 

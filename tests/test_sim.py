@@ -13,20 +13,16 @@ from closroute.sim import (
     ControllerModel,
     FailurePlan,
     SimInvariantError,
-    decode_udp_port,
-    encode_route_as_udp_port,
     run_scenario,
     stable_seed,
 )
 from closroute.topology import (
     INTRA_TOR,
     SPINE,
-    Endpoint,
     Route,
     build_topology,
     fail_spines,
     route_link_rows,
-    spine_route,
 )
 from closroute.workload import (
     MODEL_CATALOG,
@@ -295,18 +291,6 @@ def test_concurrent_jobs_share_fairly(cluster):
     assert all(len(r.flow_records) > 0 for r in result.records)
 
 
-def test_udp_port_encoding_round_trip():
-    for spine in range(32):
-        route = spine_route(Endpoint(0, 0, 0), Endpoint(1, 0, 0), spine)
-        port = encode_route_as_udp_port(route)
-        assert port == 49152 + spine
-        assert decode_udp_port(port) == spine
-    local = Route("intra_host", None, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
-    assert encode_route_as_udp_port(local) is None
-    with pytest.raises(ValueError):
-        decode_udp_port(100)
-
-
 def test_flow_log_carries_udp_ports(cluster):
     job = make_job(cluster, MINI, dp=2, seed=11, iters=1)
     result = run_scenario(cluster, [job], ControllerModel(scheme="greedy"),
@@ -439,5 +423,5 @@ def test_every_flow_completes_once(specs, failures, scheme, threshold, fallback,
         failed_at.append((plan.times[i], topo.failed_spines))
     for e in result.flow_log:
         if e["udp_port"] is not None:
-            spine = decode_udp_port(e["udp_port"])
+            spine = e["udp_port"] - sim.DEFAULT_PORT_BASE
             assert not any(spine in failed for t, failed in failed_at if e["end_s"] > t)
