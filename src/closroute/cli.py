@@ -23,6 +23,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from itertools import repeat
 
 from .config import (
     ConfigError,
@@ -45,26 +46,11 @@ from .routing import (
     random_commodities,
     random_unit_instance,
 )
-from .sim import SimResult, run_scenario, stable_seed
+from .sim import FLOW_COLUMNS, SimResult, run_scenario, stable_seed
 from .topology import ClosTopology, classify
 
 RESULT_COLUMNS = ("scenario", "scheme", "job", "metric", "value", "seed")
-TRACE_COLUMNS = (
-    "scenario",
-    "scheme",
-    "seed",
-    "job",
-    "iteration",
-    "commodity",
-    "src",
-    "dst",
-    "volume_bytes",
-    "start_s",
-    "end_s",
-    "fct_s",
-    "throughput_bps",
-    "udp_port",
-)
+TRACE_COLUMNS = ("scenario", "scheme", "seed", *FLOW_COLUMNS)
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
@@ -111,16 +97,13 @@ def _metric_rows(scenario_id, scheme, seed, result: SimResult) -> list[tuple]:
 
 def _trace_rows(scenario_id, scheme, seed, result: SimResult) -> list[tuple]:
     rows = []
-    for e in result.flow_log:
-        fct = e["end_s"] - e["start_s"]
-        rows.append(
-            (
-                scenario_id, scheme, seed, e["job"], e["iteration"], e["commodity"],
-                str(e["src"]), str(e["dst"]), e["volume_bytes"], e["start_s"], e["end_s"],
-                fct, e["volume_bytes"] * 8 / fct if fct > 0 else 0.0,
-                "" if e["udp_port"] is None else e["udp_port"],
-            )
-        )
+    for (job, iteration, cid, src, dst, volume, start, end, fct, throughput,
+         port) in result.flow_log.columns():
+        rows.extend(zip(
+            repeat(scenario_id), repeat(scheme), repeat(seed), job, iteration, cid,
+            map(str, src), map(str, dst), volume, start, end, fct, throughput,
+            ["" if p is None else p for p in port],
+        ))
     return rows
 
 

@@ -152,7 +152,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
         else:
             merged[key] = value
 
-    scenario_id = _require(merged, "scenario_id", str, "config")
+    scenario_id = merged["scenario_id"]
+    if not isinstance(scenario_id, str):
+        raise ConfigError(f"scenario_id: expected str, got {type(scenario_id).__name__}")
 
     t = merged["topology"]
     topo = _build(
@@ -343,10 +345,8 @@ def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
             placement=placement,
         )
         if check_exact:
-            _, kinds, elephant = network_flows(
-                config.topology, build_rings(job), 0, controller.elephant_threshold
-            )
-            elephants = int((kinds.inter & elephant).sum())
+            flows = network_flows(config.topology, build_rings(job), controller.elephant_threshold)
+            elephants = int((flows.kinds.inter & flows.elephant).sum())
             if elephants > controller.exact_max_commodities:
                 raise ConfigError(
                     f"jobs[{i}]: {model_name} dp={dp}: {elephants} inter-ToR elephant flows "

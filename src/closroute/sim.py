@@ -1,10 +1,17 @@
 """Discrete-event, flow-level simulator of training jobs on a Clos fabric.
 
 Jobs alternate compute phases with communication phases; a communication
-phase emits one flow per ring edge that leaves its host (``network_flows``,
-which ``config.build_jobs`` also calls for the exact scheme's size guard),
-classified in one ``classify`` call: same-host edges take no network time. A
-centralized controller re-routes all active elephant flows whenever a flow
+phase emits one flow per ring edge that leaves its host: same-host edges take
+no network time. A job sends the same edges every iteration, so its flows are
+derived once per run, as a template (``network_flows``, which
+``config.build_jobs`` also calls for the exact scheme's size guard): one
+``ring_allreduce_commodities`` call per ring and one ``classify`` call give
+the off-host edges' endpoints, volumes, kinds, ToRs, NIC link ids and
+elephant flags. An iteration only makes its ids, ``iteration_prefix``
+followed by the template's id tails, and one ``CommoditySpec`` per flow for
+the routing schemes, then appends the template's columns.
+
+A centralized controller re-routes all active elephant flows whenever a flow
 starts, a flow ends, or a spine fails, after a configurable reaction
 latency; rates follow max-min fairness on the current routes. Mice flows
 bypass the controller and stay on hashed paths: one ``ecmp_assign`` call
@@ -16,9 +23,9 @@ decisions reuse the routed elephants' hashes: a decision hashes only the
 elephants without a route, until a spine fails and the first decision after
 it hashes every elephant again.
 
-Active flows live in one flow table: one array per column (bits remaining
-and sent, rate, start time, volume, the transmitting and elephant flags, the
-spine, both ToRs) and a row of four link ids per flow, the NIC-up,
+Active flows live in one flow table: one array per column (the job, the
+flow's position in its template, bits remaining and sent, rate, start time,
+volume, the transmitting and elephant flags, the spine, both ToRs) and a row of four link ids per flow, the NIC-up,
 ToR->spine, spine->ToR and NIC-down link, -1 where unused (the layout of
 ``topology.route_link_rows``). Columns 0 and 3 hold ``classify``'s NIC ids
 from emission. Columns 1 and 2 are written from the spine with ``tor_up_id``
@@ -29,10 +36,16 @@ it hits; they stay -1 on an intra-ToR route. A failure clears columns 1 and
 the transmitting flows, which the table hands to ``waterfill`` in
 commodity-id order, and a decision's max spine load is a count over the
 same rows. Slots are in arrival order: flows are appended when emitted and
-the table is compacted stably when some complete, so finished flows are
-logged in arrival order. Advancing time, the completion test and the next
+the table is compacted stably when some complete. Advancing time, the completion test and the next
 finish time are array expressions over the table, each doing the same
 floating-point operation per flow as a loop would, one time step at a time.
+
+A completion event keeps the columns of the flows it finished, in slot
+order (arrival order), as one batch: ids, job, template position, iteration,
+start, spine, FCT and throughput. A job's ``MetricsRecord.flow_records`` are
+built from its batches when its iteration finishes, and ``SimResult.flow_log``
+is a ``FlowLog`` over all batches: its length needs no rows, and rows (dicts,
+or the trace CSV's columns) are built only when read.
 
 The event loop is single threaded and deterministic for a fixed scenario and
 seed: ties in event time resolve by a fixed kind priority, then by insertion
@@ -47,7 +60,8 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +72,7 @@ from .topology import (
     INTRA_HOST,
     Classified,
     ClosTopology,
+    Endpoint,
     Route,
     classify,
     fail_spines,
@@ -70,6 +85,7 @@ from .workload import (
     Ring,
     build_rings,
     compute_phase_duration,
+    iteration_prefix,
     ring_allreduce_commodities,
 )
 
@@ -92,21 +108,52 @@ class SimInvariantError(RuntimeError):
     """An internal consistency check of the simulation failed."""
 
 
-def network_flows(
-    topo: ClosTopology, rings: list[Ring], iteration: int, threshold: float
-) -> tuple[list[CommoditySpec], Classified, np.ndarray]:
-    """An iteration's ring edges that leave their host, their ``classify``
-    columns, and which are elephants, routed by the controller: those whose
-    volume reaches the threshold (both in bytes). A one-member ring has none."""
+class FlowTemplate(NamedTuple):
+    """A job's flows in any one iteration: its ring edges that leave their
+    host, in ``ring_allreduce_commodities`` order. Iterations differ only in
+    the flows' ids (see ``emit``)."""
+
+    job_id: str
+    tails: list[str]  # each id less its iteration_prefix
+    src: list[Endpoint]
+    dst: list[Endpoint]
+    volume: list[int]  # bytes
+    bits: np.ndarray  # volume * 8, as floats
+    kinds: Classified
+    elephant: np.ndarray  # routed by the controller
+
+    def emit(self, iteration: int) -> tuple[list[str], list[CommoditySpec]]:
+        """The ids and commodities of the flows of an iteration."""
+        prefix = iteration_prefix(self.job_id, iteration)
+        ids = [prefix + tail for tail in self.tails]
+        return ids, list(map(CommoditySpec, ids, repeat(self.job_id), self.src, self.dst,
+                             self.volume))
+
+
+def network_flows(topo: ClosTopology, rings: list[Ring], threshold: float) -> FlowTemplate:
+    """A job's ring edges that leave their host, their ``classify`` columns,
+    and which are elephants, routed by the controller: those whose volume
+    reaches the threshold (both in bytes). A one-member ring has none."""
+    job_id = rings[0].job_id
     commodities = [
         c for ring in rings if len(ring.members) >= 2
-        for c in ring_allreduce_commodities(ring, iteration)
+        for c in ring_allreduce_commodities(ring, 0)
     ]
     kinds = classify(topo, commodities)
     on_net = kinds.kind != INTRA_HOST
     commodities = list(compress(commodities, on_net))
-    elephant = np.array([c.volume >= threshold for c in commodities], dtype=bool)
-    return commodities, Classified(*(column[on_net] for column in kinds)), elephant
+    skip = len(iteration_prefix(job_id, 0))
+    volume = [c.volume for c in commodities]
+    return FlowTemplate(
+        job_id,
+        [c.id[skip:] for c in commodities],
+        [c.src for c in commodities],
+        [c.dst for c in commodities],
+        volume,
+        np.array([v * 8 for v in volume], dtype=float),
+        Classified(*(column[on_net] for column in kinds)),
+        np.array([v >= threshold for v in volume], dtype=bool),
+    )
 
 
 def stable_seed(*parts) -> int:
@@ -150,11 +197,98 @@ class FailurePlan:
             raise ValueError(f"failure times must be finite and >= 0, got {self.times}")
 
 
+# the columns of a finished flow, in FlowLog.columns() order
+FLOW_COLUMNS = (
+    "job",
+    "iteration",
+    "commodity",
+    "src",
+    "dst",
+    "volume_bytes",
+    "start_s",
+    "end_s",
+    "fct_s",
+    "throughput_bps",
+    "udp_port",
+)
+
+
+class _Finished(NamedTuple):
+    """The flows one completion event finished, in slot order."""
+
+    end: float
+    cid: np.ndarray
+    job: np.ndarray  # the job's index in the run
+    pos: np.ndarray  # the flow's position in its job's template
+    iteration: np.ndarray
+    start: np.ndarray
+    spine: np.ndarray
+    fct: np.ndarray
+    throughput: np.ndarray  # bits/second
+
+
+class FlowLog:
+    """A run's finished flows in completion order, kept as the columns of each
+    completion event. ``len`` counts them without building rows; iterating
+    yields one dict per flow, with the keys of ``FLOW_COLUMNS`` less
+    ``fct_s`` and ``throughput_bps``; two logs are equal when their rows are."""
+
+    def __init__(self, templates: list[FlowTemplate], batches: list[_Finished]):
+        self._templates = templates
+        self._batches = batches
+        self._len = sum(len(b.cid) for b in batches)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def columns(self):
+        """For each completion event, its flows' columns as lists, in
+        ``FLOW_COLUMNS`` order. ``udp_port`` is None off a spine."""
+        for b in self._batches:
+            templates = [self._templates[j] for j in b.job.tolist()]
+            pos = b.pos.tolist()
+            port = (b.spine + DEFAULT_PORT_BASE).astype(object)
+            port[b.spine < 0] = None
+            yield (
+                [t.job_id for t in templates],
+                b.iteration.tolist(),
+                b.cid.tolist(),
+                [t.src[p] for t, p in zip(templates, pos)],
+                [t.dst[p] for t, p in zip(templates, pos)],
+                [t.volume[p] for t, p in zip(templates, pos)],
+                b.start.tolist(),
+                [b.end] * len(pos),
+                b.fct.tolist(),
+                b.throughput.tolist(),
+                port.tolist(),
+            )
+
+    def __iter__(self):
+        for columns in self.columns():
+            for job, iteration, cid, src, dst, volume, start, end, _, _, port in zip(*columns):
+                yield {
+                    "job": job,
+                    "iteration": iteration,
+                    "commodity": cid,
+                    "src": src,
+                    "dst": dst,
+                    "volume_bytes": volume,
+                    "start_s": start,
+                    "end_s": end,
+                    "udp_port": port,
+                }
+
+    def __eq__(self, other):
+        if not isinstance(other, FlowLog):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class SimResult:
     records: list[MetricsRecord]
     controller_log: list[dict]
-    flow_log: list[dict]
+    flow_log: FlowLog
 
 
 class _FlowTable:
@@ -164,6 +298,8 @@ class _FlowTable:
     def __init__(self):
         self.cid = np.empty(0, dtype=object)
         self.commodity = np.empty(0, dtype=object)
+        self.job = np.empty(0, dtype=np.int64)  # the job's index in the run
+        self.pos = np.empty(0, dtype=np.int64)  # the flow's position in its job's template
         self.volume = np.empty(0)  # bits
         self.start = np.empty(0)
         self.remaining = np.empty(0)  # bits
@@ -180,22 +316,25 @@ class _FlowTable:
     def __len__(self) -> int:
         return len(self.cid)
 
-    def append(self, commodities: list[CommoditySpec], kinds: Classified, elephant: np.ndarray,
-               now: float):
-        """Add untransmitting flows after the others, then re-rank every slot."""
-        k = len(commodities)
+    def append(self, job: int, template: FlowTemplate, ids: list[str],
+               commodities: list[CommoditySpec], now: float):
+        """Add a job's flows, emitted from its template, after the others,
+        untransmitting, then re-rank every slot."""
+        k = len(ids)
         no_link = np.full(k, -1)
-        volume = np.array([c.volume * 8 for c in commodities], dtype=float)
+        kinds = template.kinds
         new = {
-            "cid": np.fromiter((c.id for c in commodities), dtype=object, count=k),
+            "cid": np.array(ids, dtype=object),
             "commodity": np.fromiter(commodities, dtype=object, count=k),
-            "volume": volume,
+            "job": np.full(k, job),
+            "pos": np.arange(k),
+            "volume": template.bits,
             "start": np.full(k, now),
-            "remaining": volume,
+            "remaining": template.bits,
             "transmitted": np.zeros(k),
             "rate": np.zeros(k),
             "transmitting": np.zeros(k, dtype=bool),
-            "elephant": elephant,
+            "elephant": template.elephant,
             "spine": no_link,
             "src_tor": kinds.src_tor,
             "dst_tor": kinds.dst_tor,
@@ -231,17 +370,21 @@ class _Engine:
         self.hashed_topo: ClosTopology | None = None
         self.records: list[MetricsRecord] = []
         self.controller_log: list[dict] = []
-        self.flow_log: list[dict] = []
+        self.finished: list[_Finished] = []  # one batch per completion event
         # one route seed drives ECMP hashing (mice and scheme) and annealing
         self.route_seed = stable_seed(seed, "routes")
 
-        self.jobs = {job.id: job for job in jobs}
-        self.rings = {job.id: build_rings(job) for job in jobs}
-        self.iteration_of = {job.id: 0 for job in jobs}
-        self.open_flows: dict[str, int] = {}  # per job, unfinished flows this iteration
-        self.iter_records: dict[str, list[tuple[str, float, float]]] = {}
-        for job in jobs:
-            self._push(job.arrival_time, _JOB_ARRIVAL, job.id)
+        # per-job state is indexed by the job's position in jobs
+        self.jobs = list(jobs)
+        self.templates = [
+            network_flows(topo, build_rings(job), controller.elephant_threshold) for job in jobs
+        ]
+        self.iteration_of = [0] * len(jobs)
+        self.open_flows = [0] * len(jobs)  # unfinished flows of the current iteration
+        # the (ids, fcts, throughputs) columns of the current iteration's finished flows
+        self.iter_done: list[list[tuple]] = [[] for _ in jobs]
+        for j, job in enumerate(jobs):
+            self._push(job.arrival_time, _JOB_ARRIVAL, j)
         if failures:
             for i, (t, k) in enumerate(zip(failures.times, failures.counts)):
                 self._push(t, _SPINE_FAILURE, (k, stable_seed(failures.seed, i)))
@@ -326,29 +469,26 @@ class _Engine:
         if len(self.flows):
             raise SimInvariantError(f"{len(self.flows)} flows never completed")
         self.records.sort(key=lambda r: (r.job_id, r.iteration))
-        return SimResult(self.records, self.controller_log, self.flow_log)
+        return SimResult(self.records, self.controller_log, FlowLog(self.templates, self.finished))
 
-    def _start_compute(self, job_id):
-        job = self.jobs[job_id]
-        duration = compute_phase_duration(job, self.hardware)
-        self._push(self.now + duration, _COMPUTE_DONE, job_id)
+    def _start_compute(self, j):
+        duration = compute_phase_duration(self.jobs[j], self.hardware)
+        self._push(self.now + duration, _COMPUTE_DONE, j)
 
-    def _on_compute_done(self, job_id):
-        iteration = self.iteration_of[job_id]
-        self.iter_records[job_id] = []
-        commodities, kinds, elephant = network_flows(
-            self.topo, self.rings[job_id], iteration, self.controller.elephant_threshold
-        )
-        if not commodities:
-            self._finish_iteration(job_id, allreduce_time=0.0)
+    def _on_compute_done(self, j):
+        template = self.templates[j]
+        if not template.tails:
+            self._finish_iteration(j)
             return
+        ids, commodities = template.emit(self.iteration_of[j])
         # intra-ToR flows and mice start right away on a hashed path; elephants
         # do so only in fallback mode, otherwise they await the controller
-        hashed = ~kinds.inter | ~elephant | self.controller.ecmp_fallback_start
+        elephant = template.elephant
+        hashed = ~template.kinds.inter | ~elephant | self.controller.ecmp_fallback_start
         slots = len(self.flows) + np.flatnonzero(hashed)
-        self.flows.append(commodities, kinds, elephant, self.now)
+        self.flows.append(j, template, ids, commodities, self.now)
         self._hash_routes(slots)
-        self.open_flows[job_id] = len(commodities)
+        self.open_flows[j] = len(ids)
         if elephant.any():
             self._schedule_decision(self.controller.reaction_latency)
         self._rewaterfill()
@@ -406,53 +546,40 @@ class _Engine:
             raise SimInvariantError(
                 f"flow {f.cid[done][i]} moved {transmitted[i]:.0f} of {volume[i]:.0f} bits"
             )
-        fct = self.now - f.start[done]
+        job = f.job[done]
+        cid = f.cid[done]
+        start = f.start[done]
+        fct = self.now - start
         throughput = np.divide(volume, fct, out=np.zeros_like(fct), where=fct > 0)
-        touched_jobs = set()
-        for cid, c, start, spine, flow_fct, flow_throughput in zip(
-            f.cid[done].tolist(),
-            f.commodity[done].tolist(),
-            f.start[done].tolist(),
-            f.spine[done].tolist(),
-            fct.tolist(),
-            throughput.tolist(),
-        ):
-            job_id = c.job_id
-            self.iter_records[job_id].append((cid, flow_fct, flow_throughput))
-            self.flow_log.append(
-                {
-                    "job": job_id,
-                    # a job's next iteration starts once all of its flows are done
-                    "iteration": self.iteration_of[job_id],
-                    "commodity": cid,
-                    "src": c.src,
-                    "dst": c.dst,
-                    "volume_bytes": c.volume,
-                    "start_s": start,
-                    "end_s": self.now,
-                    "udp_port": None if spine < 0 else DEFAULT_PORT_BASE + spine,
-                }
-            )
-            self.open_flows[job_id] -= 1
-            touched_jobs.add(job_id)
+        # a job's next iteration starts once all of its flows are done
+        iteration = np.array(self.iteration_of, dtype=np.int64)[job]
+        self.finished.append(_Finished(self.now, cid, job, f.pos[done], iteration, start,
+                                       f.spine[done], fct, throughput))
+        touched, counts = np.unique(job, return_counts=True)
+        for j, count in zip(touched.tolist(), counts.tolist()):
+            mine = job == j
+            self.iter_done[j].append((cid[mine], fct[mine], throughput[mine]))
+            self.open_flows[j] -= count
         f.keep(~done)
-        for job_id in sorted(touched_jobs):
-            if self.open_flows[job_id] == 0:
-                fcts = [r[1] for r in self.iter_records[job_id]]
-                self._finish_iteration(job_id, allreduce_time=max(fcts))
+        for j in sorted(touched.tolist(), key=lambda j: self.jobs[j].id):
+            if self.open_flows[j] == 0:
+                self._finish_iteration(j)
         if len(f):
             if f.elephant.any():
                 self._schedule_decision(self.controller.reaction_latency)
             self._rewaterfill()
 
-    def _finish_iteration(self, job_id, allreduce_time):
-        iteration = self.iteration_of[job_id]
-        records = tuple(sorted(self.iter_records.get(job_id, [])))
-        self.records.append(MetricsRecord(job_id, iteration, allreduce_time, records))
-        self.iter_records[job_id] = []
-        self.iteration_of[job_id] = iteration + 1
-        if self.iteration_of[job_id] < self.jobs[job_id].num_iterations:
-            self._start_compute(job_id)
+    def _finish_iteration(self, j):
+        iteration = self.iteration_of[j]
+        done = self.iter_done[j]
+        self.iter_done[j] = []
+        cid, fct, throughput = [np.concatenate(c).tolist() for c in zip(*done)] or ([], [], [])
+        records = tuple(sorted(zip(cid, fct, throughput)))
+        job = self.jobs[j]
+        self.records.append(MetricsRecord(job.id, iteration, max(fct, default=0.0), records))
+        self.iteration_of[j] = iteration + 1
+        if iteration + 1 < job.num_iterations:
+            self._start_compute(j)
 
     def _on_failure(self, count, fseed):
         self.topo = fail_spines(self.topo, count, fseed)

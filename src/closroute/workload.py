@@ -160,6 +160,12 @@ def build_rings(job: Job) -> list[Ring]:
     return rings
 
 
+def iteration_prefix(job_id: str, iteration: int) -> str:
+    """The start of every commodity id of a job's iteration; the rest of an id
+    names its ring edge."""
+    return f"{job_id}:it{iteration}:"
+
+
 def ring_allreduce_commodities(ring: Ring, iteration: int) -> list[CommoditySpec]:
     """One commodity per ring edge k -> k+1 carrying 2(N-1)/N of the shard.
 
@@ -172,11 +178,12 @@ def ring_allreduce_commodities(ring: Ring, iteration: int) -> list[CommoditySpec
         raise ValueError(f"ring must have >= 2 members, got {n}")
     volume = math.ceil(2 * (n - 1) * ring.shard_bytes / n)
     i, j = ring.coordinate
+    prefix = iteration_prefix(ring.job_id, iteration)
     out = []
     for k in range(n):
         out.append(
             CommoditySpec(
-                id=f"{ring.job_id}:it{iteration}:r{i}.{j}:e{k}",
+                id=f"{prefix}r{i}.{j}:e{k}",
                 job_id=ring.job_id,
                 src=ring.members[k],
                 dst=ring.members[(k + 1) % n],

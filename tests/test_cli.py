@@ -147,6 +147,7 @@ BAD_VALUES = [
      "models.X.bytes_per_param"),
     ({"models": {"X": {"bytes_per_param": 2.5, "num_params": 1e9, "tp": 1, "pp": 1}}},
      "models.X.bytes_per_param"),
+    ({"scenario_id": 5}, "scenario_id"),
 ]
 
 

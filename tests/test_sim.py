@@ -1,6 +1,8 @@
 import dataclasses
 import math
 from collections import Counter
+from itertools import compress
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from closroute.sim import (
     stable_seed,
 )
 from closroute.topology import (
+    INTRA_HOST,
     INTRA_TOR,
     SPINE,
+    Classified,
     Route,
     build_topology,
+    classify,
     fail_spines,
     route_link_rows,
 )
@@ -82,6 +87,34 @@ def test_degenerate_job_without_communication(cluster):
     result = run_scenario(cluster, [job], ControllerModel(scheme="greedy"), seed=0)
     assert [r.allreduce_time for r in result.records] == [0.0, 0.0, 0.0]
     assert all(r.flow_records == () for r in result.records)
+    assert len(result.flow_log) == 0 and list(result.flow_log) == []
+
+
+def test_flow_log_counts_replays_and_compares_its_rows(cluster):
+    first = make_job(cluster, MINI, dp=4, seed=8, iters=2, job_id="a")
+    second = make_job(cluster, MINI, dp=2, seed=9, iters=3,
+                      occupied=frozenset(first.placement), job_id="b")
+    plan = FailurePlan(times=(0.4,), counts=(8,), seed=3)
+    result, again, other = (
+        run_scenario(cluster, [first, second], ControllerModel(scheme=scheme),
+                     hardware=FAST_HW, failures=plan, seed=4)
+        for scheme in ("greedy", "greedy", "ecmp")
+    )
+    log = result.flow_log
+    records = {cid: (fct, throughput)
+               for r in result.records for cid, fct, throughput in r.flow_records}
+    assert len(log) == sum(len(r.flow_records) for r in result.records) == len(records) > 0
+    rows = list(log)
+    assert rows == list(log) and len(rows) == len(log)
+    assert [e["end_s"] for e in rows] == sorted(e["end_s"] for e in rows)  # completion order
+    assert {e["commodity"] for e in rows} == set(records)
+    assert all(records[e["commodity"]][0] == e["end_s"] - e["start_s"] for e in rows)
+    assert again.flow_log == log and other.flow_log != log
+    # the columns carry the engine's FCT and throughput, row for row
+    columns = [list(zip(*batch)) for batch in log.columns()]
+    assert [(c[2], c[8], c[9]) for batch in columns for c in batch] == [
+        (e["commodity"], *records[e["commodity"]]) for e in rows
+    ]
 
 
 def test_iteration_barrier_orders_flows(cluster):
@@ -425,3 +458,81 @@ def test_every_flow_completes_once(specs, failures, scheme, threshold, fallback,
         if e["udp_port"] is not None:
             spine = e["udp_port"] - sim.DEFAULT_PORT_BASE
             assert not any(spine in failed for t, failed in failed_at if e["end_s"] > t)
+
+
+def test_ring_commodities_are_built_once_per_ring(cluster, monkeypatch):
+    calls = []
+    reference = sim.ring_allreduce_commodities
+
+    def counting(ring, iteration):
+        calls.append((ring.coordinate, iteration))
+        return reference(ring, iteration)
+
+    monkeypatch.setattr(sim, "ring_allreduce_commodities", counting)
+    job = make_job(cluster, MINI, dp=4, seed=3, iters=3)
+    result = run_scenario(cluster, [job], ControllerModel(scheme="greedy"), hardware=FAST_HW,
+                          seed=1)
+    assert [r.iteration for r in result.records] == [0, 1, 2]
+    assert sorted(calls) == sorted((ring.coordinate, 0) for ring in build_rings(job))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.sampled_from([(1, 1), (2, 1), (1, 2)]),  # tp, pp
+            st.integers(1, 4),  # dp
+            st.sampled_from([1e5, 1e8, 1e9]),  # parameters
+            st.integers(1, 4),  # iterations
+            st.integers(0, 2**16),  # placement seed
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    threshold=st.sampled_from([0.0, 1e6, 1e9, 1e12]),  # bytes
+)
+def test_emitted_flows_match_the_reference_commodities(specs, threshold):
+    """Every iteration the engine emits, from the job's template, what
+    ring_allreduce_commodities gives for that iteration less the same-host
+    edges, with classify's kinds and the threshold's elephants."""
+    jobs, occupied = [], set()
+    for i, ((tp, pp), dp, params, iters, place_seed) in enumerate(specs):
+        model = ModelConfig(f"M{i}", params, tp=tp, pp=pp)
+        if len(occupied) + model.gpus_per_replica * dp > SMALL_FABRIC.num_endpoints:
+            continue
+        placement = place_job(SMALL_FABRIC, model, dp, place_seed, frozenset(occupied))
+        occupied.update(placement)
+        jobs.append(Job(f"job{i}", model, dp, 0.0, iters, placement))
+    assume(jobs)
+    emitted = {j: [] for j in range(len(jobs))}
+    append = sim._FlowTable.append
+
+    def recording(table, job, template, ids, commodities, now):
+        assert ids == [c.id for c in commodities]
+        emitted[job].append((commodities, template.kinds, template.elephant))
+        append(table, job, template, ids, commodities, now)
+
+    with mock.patch.object(sim._FlowTable, "append", recording):
+        run_scenario(SMALL_FABRIC, jobs, ControllerModel(elephant_threshold=threshold),
+                     hardware=FAST_HW, seed=0)
+
+    for j, job in enumerate(jobs):
+        expected = []
+        for iteration in range(job.num_iterations):
+            reference = [
+                c for ring in build_rings(job) if len(ring.members) >= 2
+                for c in ring_allreduce_commodities(ring, iteration)
+            ]
+            kinds = classify(SMALL_FABRIC, reference)
+            on_net = kinds.kind != INTRA_HOST
+            if on_net.any():
+                expected.append((list(compress(reference, on_net)),
+                                 Classified(*(column[on_net] for column in kinds))))
+        assert len(emitted[j]) == len(expected)
+        for (commodities, kinds, elephant), (reference, reference_kinds) in zip(emitted[j],
+                                                                                expected):
+            assert commodities == reference
+            for column, reference_column in zip(kinds, reference_kinds):
+                assert column.tolist() == reference_column.tolist()
+            assert elephant.tolist() == [c.volume >= threshold for c in reference]
