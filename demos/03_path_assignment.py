@@ -28,7 +28,7 @@ print(f"{'scheme':14s} {'max spine load':>14s} {'slowest flow':>13s}  spine per 
 for scheme in ("ecmp", "greedy", "edge_coloring", "annealing", "exact"):
     choice = assign_by_scheme(scheme, commodities, topo, seed=1)
     load = max_link_load(choice, topo)
-    alloc = waterfill(sorted(choice.assignment.items()), topo)
+    alloc = waterfill(list(choice.assignment.items()), topo)
     spines = [choice.assignment[c.id].spine for c in commodities]
     print(f"{scheme:14s} {load:>14d} {min(alloc.rates.values()):>13.2f}  {spines}")
 print("(seed 1 makes ECMP hash both of ToR 1's flows onto one spine: "

@@ -5,14 +5,13 @@ that bottleneck freeze at its fair share, its capacity is subtracted, and the
 process repeats. The result is the unique max-min fair allocation for the
 given routes: no rate can be raised without lowering an equal-or-smaller one.
 
-One filling core serves two inputs: ``(commodity id, Route)`` pairs in any
-order, which ``waterfill`` sorts by commodity id and maps to link-id rows
-with ``route_link_rows``, and ``LinkRows``, rows already in that order, such
-as the simulator's flow table caches. The core reads the edges (one per flow
-and link) in sorted-commodity-id, then link order. Each round sums the frozen
-flows' rates on a link in one weighted ``bincount`` over those edges, so
-every float sum adds its terms in the same order whichever input was given,
-and the rates are bit-stable: they do not depend on the input order.
+One filling core serves two inputs: ``(commodity id, Route)`` pairs, which
+``waterfill`` maps to link-id rows with ``route_link_rows``, and ``LinkRows``,
+such as the simulator's flow table caches. The core keeps two numbers per
+link, its residual capacity and its count of unfrozen flows, and updates both
+as flows freeze. All flows frozen in one round get the same rate, so a link's
+residual loses that rate times a count, and no float sum depends on the order
+of the flows: the rates are the same, bit for bit, in any input order.
 """
 
 from __future__ import annotations
@@ -30,15 +29,15 @@ FEASIBILITY_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class RateAllocation:
-    """Commodity id -> rate in bits/second; math.inf marks intra-host flows."""
+    """Commodity id -> rate in bits/second, in the order of ``waterfill``'s
+    input; math.inf marks intra-host flows."""
 
     rates: dict[str, float]
 
 
 class LinkRows(NamedTuple):
-    """Flows as link-id rows (see ``topology.route_link_rows``), in ascending
-    commodity-id order: flow ``cids[i]`` crosses the non-negative ids of
-    ``links[i]``."""
+    """Flows as link-id rows (see ``topology.route_link_rows``), in any order:
+    flow ``cids[i]`` crosses the non-negative ids of ``links[i]``."""
 
     cids: list[str]
     links: np.ndarray
@@ -47,17 +46,15 @@ class LinkRows(NamedTuple):
 def waterfill(flows: list[tuple[str, Route]] | LinkRows, topo: ClosTopology) -> RateAllocation:
     """Progressive filling over the flows' links at uniform link capacity.
 
-    Deterministic and independent of input order: flows are indexed by sorted
-    commodity id and ties between equally loaded bottlenecks freeze together.
-    Zero-link (intra-host) flows get an infinite-rate sentinel. The rates come
-    in commodity-id order.
+    Deterministic and independent of input order: ties between equally loaded
+    bottlenecks freeze together, at one rate. Zero-link (intra-host) flows get
+    an infinite-rate sentinel. The rates come in input order.
     """
     if not isinstance(flows, LinkRows):
-        pairs = sorted(flows, key=lambda f: f[0])
-        flows = LinkRows([cid for cid, _ in pairs], route_link_rows(topo, [r for _, r in pairs]))
+        flows = LinkRows([cid for cid, _ in flows], route_link_rows(topo, [r for _, r in flows]))
     cids, links = flows
 
-    # edges in flow-then-link order; le numbers the links the flows use
+    # one edge per flow and link it crosses; le numbers the links the flows use
     on_link = links >= 0
     fe = np.nonzero(on_link)[0]
     ids = links[on_link]
@@ -70,21 +67,18 @@ def waterfill(flows: list[tuple[str, Route]] | LinkRows, topo: ClosTopology) -> 
     le = index[ids]
     unfrozen = on_link.any(axis=1)
     rate = np.where(unfrozen, 0.0, math.inf)
-    capacity = float(topo.link_capacity)
+    residual = np.full(num_links, float(topo.link_capacity))
+    active = np.bincount(le, minlength=num_links)  # unfrozen flows per link
 
     while unfrozen.any():
-        edge_active = unfrozen[fe]
-        active_count = np.bincount(le[edge_active], minlength=num_links)
-        frozen = ~edge_active
-        frozen_use = np.bincount(le[frozen], weights=rate[fe[frozen]], minlength=num_links)
-        residual = np.maximum(capacity - frozen_use, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            share = np.where(active_count > 0, residual / np.maximum(active_count, 1), np.inf)
+        share = np.where(active > 0, residual / np.maximum(active, 1), np.inf)
         level = share.min()
-        hit = (share == level)[le] & edge_active
         freeze = np.zeros(len(cids), dtype=bool)
-        freeze[fe[hit]] = True
+        freeze[fe[(share == level)[le] & unfrozen[fe]]] = True
         rate[freeze] = level
         unfrozen &= ~freeze
+        newly = np.bincount(le[freeze[fe]], minlength=num_links)
+        active -= newly
+        residual = np.maximum(residual - level * newly, 0.0)
 
     return RateAllocation(dict(zip(cids, rate.tolist())))

@@ -448,7 +448,7 @@ def assign_by_scheme(
 
 
 def unit_commodities_for_pairs(
-    topo: ClosTopology, pairs: list[tuple[int, int]], volume: int = 1
+    topo: ClosTopology, pairs: list[tuple[int, int]]
 ) -> list[CommoditySpec]:
     """ToR-level unit commodities, one per (src ToR, dst ToR) pair.
 
@@ -472,7 +472,7 @@ def unit_commodities_for_pairs(
             raise ValueError(f"ToR degree exceeds {nics} NIC slots")
         src = Endpoint(u, src_slot // topo.nics_per_host, src_slot % topo.nics_per_host)
         dst = Endpoint(v, dst_slot // topo.nics_per_host, dst_slot % topo.nics_per_host)
-        commodities.append(CommoditySpec(f"c{i}", "instance", src, dst, volume))
+        commodities.append(CommoditySpec(f"c{i}", "instance", src, dst, 1))
     return commodities
 
 
@@ -496,9 +496,7 @@ def random_unit_instance(
     return topo, unit_commodities_for_pairs(topo, pairs)
 
 
-def random_commodities(
-    topo: ClosTopology, count: int, seed: int, volume: int = 1
-) -> list[CommoditySpec]:
+def random_commodities(topo: ClosTopology, count: int, seed: int) -> list[CommoditySpec]:
     """Seeded random inter-ToR commodities for benchmarks; NIC slots cycle."""
     rng = random.Random(seed)
     out_rank: dict[int, int] = {}
@@ -516,5 +514,5 @@ def random_commodities(
         in_rank[v] = in_rank.get(v, 0) + 1
         src = Endpoint(u, src_slot // topo.nics_per_host, src_slot % topo.nics_per_host)
         dst = Endpoint(v, dst_slot // topo.nics_per_host, dst_slot % topo.nics_per_host)
-        commodities.append(CommoditySpec(f"b{i}", "bench", src, dst, volume))
+        commodities.append(CommoditySpec(f"b{i}", "bench", src, dst, 1))
     return commodities

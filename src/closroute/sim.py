@@ -33,10 +33,12 @@ and ``tor_down_id`` when a flow gets a route: at emission for hashed flows,
 at a decision for the elephants routed there, and on a failure for the mice
 it hits; they stay -1 on an intra-ToR route. A failure clears columns 1 and
 2 of the elephants it stalls. Rates are recomputed from the cached rows of
-the transmitting flows, which the table hands to ``waterfill`` in
-commodity-id order, and a decision's max spine load is a count over the
-same rows. Slots are in arrival order: flows are appended when emitted and
-the table is compacted stably when some complete. Advancing time, the completion test and the next
+the transmitting flows, which the table hands to ``waterfill`` in slot
+order, and a decision's max spine load is a count over the same rows. Slots
+are in arrival order: flows are appended when emitted and the table is
+compacted stably when some complete. The table holds only the unfinished
+flows of each job's current iteration, so an iteration is over once no slot
+holds its job. Advancing time, the completion test and the next
 finish time are array expressions over the table, each doing the same
 floating-point operation per flow as a loop would, one time step at a time.
 
@@ -311,7 +313,6 @@ class _FlowTable:
         self.src_tor = np.empty(0, dtype=np.int64)
         self.dst_tor = np.empty(0, dtype=np.int64)
         self.links = np.empty((0, 4), dtype=np.int64)  # see the module docstring
-        self.rank = np.empty(0, dtype=np.int64)  # ascends with the commodity id
 
     def __len__(self) -> int:
         return len(self.cid)
@@ -319,7 +320,7 @@ class _FlowTable:
     def append(self, job: int, template: FlowTemplate, ids: list[str],
                commodities: list[CommoditySpec], now: float):
         """Add a job's flows, emitted from its template, after the others,
-        untransmitting, then re-rank every slot."""
+        untransmitting."""
         k = len(ids)
         no_link = np.full(k, -1)
         kinds = template.kinds
@@ -339,15 +340,9 @@ class _FlowTable:
             "src_tor": kinds.src_tor,
             "dst_tor": kinds.dst_tor,
             "links": np.stack([kinds.nic_up, no_link, no_link, kinds.nic_down], 1),
-            "rank": np.zeros(k, dtype=np.int64),
         }
-        # the ranked slots in rank order, then the new ones: a sort that merges
-        # the two runs
-        order = np.argsort(self.rank).tolist() + list(range(len(self), len(self) + k))
         for name, column in vars(self).items():
             setattr(self, name, np.concatenate([column, new[name]]))
-        order.sort(key=self.cid.tolist().__getitem__)
-        self.rank[order] = np.arange(len(order))
 
     def keep(self, mask: np.ndarray):
         """Drop the flows outside mask; the rest keep their order."""
@@ -380,7 +375,6 @@ class _Engine:
             network_flows(topo, build_rings(job), controller.elephant_threshold) for job in jobs
         ]
         self.iteration_of = [0] * len(jobs)
-        self.open_flows = [0] * len(jobs)  # unfinished flows of the current iteration
         # the (ids, fcts, throughputs) columns of the current iteration's finished flows
         self.iter_done: list[list[tuple]] = [[] for _ in jobs]
         for j, job in enumerate(jobs):
@@ -445,7 +439,6 @@ class _Engine:
     def _rewaterfill(self):
         f = self.flows
         live = np.flatnonzero(f.transmitting)
-        live = live[np.argsort(f.rank[live])]
         alloc = waterfill(LinkRows(f.cid[live].tolist(), f.links[live]), self.topo)
         f.rate[live] = np.fromiter(alloc.rates.values(), dtype=float, count=len(live))
         self._reschedule_completion()
@@ -488,7 +481,6 @@ class _Engine:
         slots = len(self.flows) + np.flatnonzero(hashed)
         self.flows.append(j, template, ids, commodities, self.now)
         self._hash_routes(slots)
-        self.open_flows[j] = len(ids)
         if elephant.any():
             self._schedule_decision(self.controller.reaction_latency)
         self._rewaterfill()
@@ -555,14 +547,14 @@ class _Engine:
         iteration = np.array(self.iteration_of, dtype=np.int64)[job]
         self.finished.append(_Finished(self.now, cid, job, f.pos[done], iteration, start,
                                        f.spine[done], fct, throughput))
-        touched, counts = np.unique(job, return_counts=True)
-        for j, count in zip(touched.tolist(), counts.tolist()):
+        touched = np.unique(job).tolist()
+        for j in touched:
             mine = job == j
             self.iter_done[j].append((cid[mine], fct[mine], throughput[mine]))
-            self.open_flows[j] -= count
         f.keep(~done)
-        for j in sorted(touched.tolist(), key=lambda j: self.jobs[j].id):
-            if self.open_flows[j] == 0:
+        open_flows = np.bincount(f.job, minlength=len(self.jobs))
+        for j in sorted(touched, key=lambda j: self.jobs[j].id):
+            if open_flows[j] == 0:
                 self._finish_iteration(j)
         if len(f):
             if f.elephant.any():

@@ -75,7 +75,7 @@ def test_criterion_2_worked_example_golden():
     for scheme_fn in (greedy_assign, edge_color_assign, exact_assign):
         choice = scheme_fn(commodities, topo)
         assert max_link_load(choice, topo) == 1
-        alloc = waterfill(sorted(choice.assignment.items()), topo)
+        alloc = waterfill(list(choice.assignment.items()), topo)
         assert min(alloc.rates.values()) == pytest.approx(1.0, abs=1e-9)
 
     # an ECMP seed that hashes both of ToR 1's flows onto one spine
@@ -86,7 +86,7 @@ def test_criterion_2_worked_example_golden():
         == ecmp_assign(commodities, topo, seed).assignment["c2"].spine
     )
     choice = ecmp_assign(commodities, topo, collision_seed)
-    alloc = waterfill(sorted(choice.assignment.items()), topo)
+    alloc = waterfill(list(choice.assignment.items()), topo)
     assert alloc.rates["c1"] == pytest.approx(0.5, abs=1e-9)
     assert alloc.rates["c2"] == pytest.approx(0.5, abs=1e-9)
     report(2, f"all optimal schemes at load 1 / rate 1.0; ECMP seed {collision_seed} halves both")

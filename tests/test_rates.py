@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closroute.rates import FEASIBILITY_RTOL, waterfill
+from closroute.rates import FEASIBILITY_RTOL, LinkRows, waterfill
 from closroute.routing import (
     greedy_assign,
     max_link_load,
@@ -18,12 +19,38 @@ from closroute.topology import (
     Endpoint,
     Route,
     build_topology,
+    route_link_rows,
     spine_route,
 )
 
 
 def flows_for(choice):
     return sorted(choice.assignment.items())
+
+
+def exact_fill(flows, capacity):
+    """Plain progressive filling in exact rationals, for flows that cross
+    links: raise every unfrozen flow to the smallest fair share of a link,
+    freeze the flows on the links at that share, repeat."""
+    links = {cid: route.links for cid, route in flows if route.links}
+    residual = {link: Fraction(capacity) for path in links.values() for link in path}
+    rates = {}
+    while len(rates) < len(links):
+        count = {}
+        for cid, path in links.items():
+            if cid not in rates:
+                for link in path:
+                    count[link] = count.get(link, 0) + 1
+        level = min(residual[link] / n for link, n in count.items())
+        newly = [
+            cid for cid, path in links.items()
+            if cid not in rates and any(residual[link] / count[link] == level for link in path)
+        ]
+        for cid in newly:
+            rates[cid] = level
+            for link in links[cid]:
+                residual[link] -= level
+    return rates
 
 
 def link_usage(flows, rates):
@@ -168,7 +195,7 @@ def fabric_flows(draw):
 def test_waterfill_is_feasible_max_min_and_order_free(case):
     topo, flows, rng = case
     rates = waterfill(flows, topo).rates
-    assert set(rates) == {cid for cid, _ in flows}
+    assert list(rates) == [cid for cid, _ in flows]
     for cid, route in flows:
         assert math.isinf(rates[cid]) == (route.kind == INTRA_HOST)
     usage = link_usage([f for f in flows if f[1].kind != INTRA_HOST], rates)
@@ -190,6 +217,19 @@ def test_waterfill_is_feasible_max_min_and_order_free(case):
     shuffled = flows.copy()
     rng.shuffle(shuffled)
     assert waterfill(shuffled, topo).rates == rates
+    rows = LinkRows([cid for cid, _ in shuffled], route_link_rows(topo, [r for _, r in shuffled]))
+    assert waterfill(rows, topo).rates == rates
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fabric_flows())
+def test_waterfill_matches_exact_progressive_filling(case):
+    topo, flows, _ = case
+    rates = waterfill(flows, topo).rates
+    exact = exact_fill(flows, topo.link_capacity)
+    assert {cid for cid, r in rates.items() if math.isfinite(r)} == set(exact)
+    for cid, rate in exact.items():
+        assert abs(rates[cid] - rate) <= 1e-12 * rate, (cid, rates[cid], rate)
 
 
 def test_uniform_single_bottleneck_share():
