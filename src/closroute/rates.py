@@ -12,6 +12,12 @@ link, its residual capacity and its count of unfrozen flows, and updates both
 as flows freeze. All flows frozen in one round get the same rate, so a link's
 residual loses that rate times a count, and no float sum depends on the order
 of the flows: the rates are the same, bit for bit, in any input order.
+Only the links that two or more flows cross take part; a flow that crosses
+none of them gets the link capacity. This is exact: a link that one flow
+crosses keeps its full capacity as residual until that flow freezes, and no
+share exceeds capacity, so such a link is at the level only once the level
+reaches capacity. Then every shared link of the flow is at capacity too, so
+the flow freezes at capacity in that round either way.
 """
 
 from __future__ import annotations
@@ -47,38 +53,43 @@ def waterfill(flows: list[tuple[str, Route]] | LinkRows, topo: ClosTopology) -> 
     """Progressive filling over the flows' links at uniform link capacity.
 
     Deterministic and independent of input order: ties between equally loaded
-    bottlenecks freeze together, at one rate. Zero-link (intra-host) flows get
-    an infinite-rate sentinel. The rates come in input order.
+    bottlenecks freeze together, at one rate. Only links that two or more flows
+    cross take part (see the module docstring); a flow on none of them gets the
+    link capacity, a zero-link (intra-host) flow an infinite-rate sentinel. The
+    rates come in input order.
     """
     if not isinstance(flows, LinkRows):
         flows = LinkRows([cid for cid, _ in flows], route_link_rows(topo, [r for _, r in flows]))
     cids, links = flows
 
-    # one edge per flow and link it crosses; le numbers the links the flows use
+    # one edge per flow and shared link (two or more flows) it crosses; le
+    # numbers the shared links
     on_link = links >= 0
     fe = np.nonzero(on_link)[0]
     ids = links[on_link]
-    used = np.zeros(topo.num_links, dtype=bool)
-    used[ids] = True
-    used_ids = np.flatnonzero(used)
-    num_links = len(used_ids)
+    count = np.bincount(ids, minlength=topo.num_links)  # flows per link
+    shared = np.flatnonzero(count >= 2)
+    keep = count[ids] >= 2
     index = np.empty(topo.num_links, dtype=np.int64)
-    index[used_ids] = np.arange(num_links)
-    le = index[ids]
-    unfrozen = on_link.any(axis=1)
-    rate = np.where(unfrozen, 0.0, math.inf)
-    residual = np.full(num_links, float(topo.link_capacity))
-    active = np.bincount(le, minlength=num_links)  # unfrozen flows per link
+    index[shared] = np.arange(len(shared))
+    fe, le = fe[keep], index[ids[keep]]
+    capacity = float(topo.link_capacity)
+    rate = np.where(on_link.any(axis=1), capacity, math.inf)
+    residual = np.full(len(shared), capacity)
+    active = count[shared]  # unfrozen flows per shared link
+    frozen = np.zeros(len(cids), dtype=bool)
 
-    while unfrozen.any():
-        share = np.where(active > 0, residual / np.maximum(active, 1), np.inf)
+    while fe.size:  # fe and le keep the edges of the unfrozen flows
+        share = (residual / np.maximum(active, 1))[le]
         level = share.min()
-        freeze = np.zeros(len(cids), dtype=bool)
-        freeze[fe[(share == level)[le] & unfrozen[fe]]] = True
-        rate[freeze] = level
-        unfrozen &= ~freeze
-        newly = np.bincount(le[freeze[fe]], minlength=num_links)
+        hit = fe[share == level]
+        rate[hit] = level
+        frozen[hit] = True
+        gone = frozen[fe]
+        newly = np.bincount(le[gone], minlength=len(shared))
         active -= newly
         residual = np.maximum(residual - level * newly, 0.0)
+        keep = ~gone
+        fe, le = fe[keep], le[keep]
 
     return RateAllocation(dict(zip(cids, rate.tolist())))

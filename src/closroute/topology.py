@@ -52,9 +52,9 @@ class Endpoint:
         return f"t{self.tor}.h{self.host}.n{self.nic}"
 
 
-@dataclass(frozen=True, slots=True)
-class Route:
-    """A concrete path: its kind, spine index (if any) and endpoints."""
+class Route(NamedTuple):
+    """A concrete path: its kind, spine index (if any) and endpoints. A tuple,
+    so it compares equal to a plain tuple of its fields."""
 
     kind: str
     spine: int | None

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,38 @@ def exact_fill(flows, capacity):
     return rates
 
 
+def full_fill(flows, topo):
+    """Progressive filling in which every link the flows use takes part: the
+    reference that ``waterfill``, whose rounds leave out the links only one
+    flow crosses, must match bit for bit."""
+    links = route_link_rows(topo, [route for _, route in flows])
+    on_link = links >= 0
+    fe = np.nonzero(on_link)[0]
+    ids = links[on_link]
+    used = np.zeros(topo.num_links, dtype=bool)
+    used[ids] = True
+    used_ids = np.flatnonzero(used)
+    num_links = len(used_ids)
+    index = np.empty(topo.num_links, dtype=np.int64)
+    index[used_ids] = np.arange(num_links)
+    le = index[ids]
+    unfrozen = on_link.any(axis=1)
+    rate = np.where(unfrozen, 0.0, math.inf)
+    residual = np.full(num_links, float(topo.link_capacity))
+    active = np.bincount(le, minlength=num_links)
+    while unfrozen.any():
+        share = np.where(active > 0, residual / np.maximum(active, 1), np.inf)
+        level = share.min()
+        freeze = np.zeros(len(flows), dtype=bool)
+        freeze[fe[(share == level)[le] & unfrozen[fe]]] = True
+        rate[freeze] = level
+        unfrozen &= ~freeze
+        newly = np.bincount(le[freeze[fe]], minlength=num_links)
+        active -= newly
+        residual = np.maximum(residual - level * newly, 0.0)
+    return dict(zip([cid for cid, _ in flows], rate.tolist()))
+
+
 def link_usage(flows, rates):
     usage = {}
     for cid, route in flows:
@@ -98,11 +131,51 @@ def test_intra_host_flows_get_infinite_sentinel():
     route = Route(INTRA_HOST, None, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
     alloc = waterfill([("local", route)], topo)
     assert math.isinf(alloc.rates["local"])
+    # and beside two flows that share only their destination NIC's link
+    flows = [
+        ("local", route),
+        ("p", spine_route(Endpoint(0, 0, 0), Endpoint(1, 0, 0), 0)),
+        ("q", spine_route(Endpoint(0, 0, 1), Endpoint(1, 0, 0), 1)),
+    ]
+    rows = LinkRows([cid for cid, _ in flows], route_link_rows(topo, [r for _, r in flows]))
+    assert waterfill(rows, topo).rates == {"local": math.inf, "p": 0.5, "q": 0.5}
 
 
 def test_empty_input_is_empty_allocation():
     topo = build_topology(2, 4, 1, 1, 1.0)
     assert waterfill([], topo).rates == {}
+    assert waterfill(LinkRows([], np.empty((0, 4), dtype=np.int64)), topo).rates == {}
+
+
+def test_flows_on_links_of_their_own_get_exactly_link_capacity():
+    # every link here carries one flow, so none takes part in the filling
+    topo = build_topology(4, 4, 2, 2, 3.0)
+    flows = [
+        ("a", spine_route(Endpoint(0, 0, 0), Endpoint(1, 0, 0), 0)),
+        ("b", spine_route(Endpoint(0, 1, 1), Endpoint(1, 1, 1), 1)),
+        ("c", Route(INTRA_TOR, None, Endpoint(2, 0, 0), Endpoint(2, 1, 0))),
+        ("d", Route(INTRA_HOST, None, Endpoint(3, 0, 0), Endpoint(3, 0, 1))),
+    ]
+    rates = waterfill(flows, topo).rates
+    assert rates == {"a": 3.0, "b": 3.0, "c": 3.0, "d": math.inf}
+    rows = LinkRows([cid for cid, _ in flows], route_link_rows(topo, [r for _, r in flows]))
+    assert waterfill(rows, topo).rates == rates
+
+
+def test_two_flows_sharing_only_a_nic_link_halve_it():
+    # one source NIC, two spines, two destination NICs: only the NIC-up link
+    # carries both flows
+    topo = build_topology(2, 2, 2, 1, 100e9)
+    src = Endpoint(0, 0, 0)
+    flows = [
+        ("x", spine_route(src, Endpoint(1, 0, 0), 0)),
+        ("y", spine_route(src, Endpoint(1, 1, 0), 1)),
+        ("z", spine_route(Endpoint(0, 1, 0), Endpoint(1, 1, 0), 0)),
+    ]
+    # z shares both spine-0 links with x and the NIC-down link with y; each
+    # of those links carries two flows, so all three flows get half
+    assert waterfill(flows[:2], topo).rates == {"x": 50e9, "y": 50e9}
+    assert waterfill(flows, topo).rates == {"x": 50e9, "y": 50e9, "z": 50e9}
 
 
 def test_order_invariance():
@@ -182,12 +255,37 @@ def fabric_flows(draw):
             dst = endpoints[draw(pick)]
             if dst == src:
                 continue
-        if src.tor != dst.tor:
-            route = spine_route(src, dst, draw(st.integers(0, topo.num_spines - 1)))
-        else:
-            route = Route(INTRA_HOST if src.host == dst.host else INTRA_TOR, None, src, dst)
-        flows.append((f"f{i}", route))
+        flows.append((f"f{i}", draw_route(draw, topo, src, dst)))
     return topo, flows, draw(st.randoms(use_true_random=False))
+
+
+def draw_route(draw, topo, src, dst):
+    """The route from src to dst, on a spine drawn at random if it needs one."""
+    if src.tor != dst.tor:
+        return spine_route(src, dst, draw(st.integers(0, topo.num_spines - 1)))
+    return Route(INTRA_HOST if src.host == dst.host else INTRA_TOR, None, src, dst)
+
+
+@st.composite
+def hub_flows(draw):
+    """Flows to and from a few hub endpoints, so that the hubs' NIC links
+    carry two or more flows while many spine links carry one; the fabric has
+    up to 8 spines to spread the spine routes over."""
+    topo = build_topology(
+        draw(st.integers(1, 8)), draw(st.integers(2, 5)), draw(st.integers(1, 3)),
+        draw(st.integers(1, 2)), draw(st.sampled_from([1.0, 3.0, 100e9])),
+    )
+    endpoints = list(topo.endpoints())
+    pick = st.integers(0, len(endpoints) - 1)
+    hubs = [endpoints[draw(pick)] for _ in range(draw(st.integers(1, 3)))]
+    flows = []
+    for i in range(draw(st.integers(1, 24))):
+        hub, other = draw(st.sampled_from(hubs)), endpoints[draw(pick)]
+        if other == hub:
+            continue
+        src, dst = (hub, other) if draw(st.booleans()) else (other, hub)
+        flows.append((f"h{i}", draw_route(draw, topo, src, dst)))
+    return topo, flows
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -226,10 +324,18 @@ def test_waterfill_is_feasible_max_min_and_order_free(case):
 def test_waterfill_matches_exact_progressive_filling(case):
     topo, flows, _ = case
     rates = waterfill(flows, topo).rates
+    assert rates == full_fill(flows, topo)
     exact = exact_fill(flows, topo.link_capacity)
     assert {cid for cid, r in rates.items() if math.isfinite(r)} == set(exact)
     for cid, rate in exact.items():
         assert abs(rates[cid] - rate) <= 1e-12 * rate, (cid, rates[cid], rate)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hub_flows())
+def test_waterfill_matches_full_fill_with_shared_endpoints(case):
+    topo, flows = case
+    assert waterfill(flows, topo).rates == full_fill(flows, topo)
 
 
 def test_uniform_single_bottleneck_share():
