@@ -91,12 +91,11 @@ def greedy_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathC
     their unique route; intra-ToR ones still load their NIC links.
     """
     kinds = classify(topo, commodities)
-    return build_routes(commodities, kinds.kind, _greedy_spines(kinds, topo)[0])
+    return build_routes(commodities, kinds.kind, _greedy_spines(kinds, topo))
 
 
-def _greedy_spines(kinds: Classified, topo: ClosTopology) -> tuple[list[int], int]:
-    """Greedy's spines for the inter-ToR commodities, in order, and the peak
-    load they leave on any spine link.
+def _greedy_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
+    """Greedy's spines for the inter-ToR commodities, in order.
 
     A spine's bottleneck for a commodity is the max of its ToR->spine load,
     its spine->ToR load and the commodity's NIC floor, the larger of its two
@@ -143,8 +142,7 @@ def _greedy_spines(kinds: Classified, topo: ClosTopology) -> tuple[list[int], in
         up[i] += 1
         down[down[i]] ^= bit
         down[i] += 1
-    # a row's first level holding every live spine is its busiest link's load
-    return spines, max(row.index(live) for row in rows)
+    return spines
 
 
 def _prior_uses(ids: np.ndarray) -> np.ndarray:
@@ -388,7 +386,7 @@ def exact_assign(
         )
 
     lower_bound = -(-max_tor_degree(kinds) // len(live))
-    greedy_bound = _greedy_spines(kinds, topo)[1]
+    greedy_bound = max_link_load(greedy_assign(commodities, topo), topo)
 
     loads = [0] * topo.num_links  # by link id; only ToR<->spine links are used
     chosen: list[int] = [live[0]] * n

@@ -50,10 +50,15 @@ is a ``FlowLog`` over all batches: its length needs no rows, and rows (dicts,
 or the trace CSV's columns) are built only when read.
 
 The event loop is single threaded and deterministic for a fixed scenario and
-seed: ties in event time resolve by a fixed kind priority, then by insertion
-sequence. A current completion check that finds no flow done while the next
-finish time is not later than now raises ``SimInvariantError`` rather than
-firing again at the same instant.
+seed, and steps time only where the run can change. The heap holds controller
+decisions, compute phases (a job's first ends at its arrival time plus the
+phase, so arrivals are no events) and spine failures; ties resolve by that
+kind priority, then by insertion sequence. The one pending completion check
+sits beside the heap as ``next_done``, the earliest finish time under the
+current rates (inf while no flow moves). It goes before the heap's top when
+not later, so before any event at a tie, and is reset to inf when taken. A
+check that finds no flow done while the next finish time is not later than
+now raises ``SimInvariantError`` rather than firing again at the same instant.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ from .topology import (
     Classified,
     ClosTopology,
     Endpoint,
-    Route,
+    PathChoice,
     classify,
     fail_spines,
     max_spine_link_load,
@@ -99,11 +104,9 @@ DONE_RTOL = 1e-9
 DONE_SLACK_BITS = 1.0
 
 # Event-kind priority at equal timestamps.
-_FLOW_COMPLETED = 0
-_CONTROLLER_DECISION = 1
-_COMPUTE_DONE = 2
-_JOB_ARRIVAL = 3
-_SPINE_FAILURE = 4
+_CONTROLLER_DECISION = 0
+_COMPUTE_DONE = 1
+_SPINE_FAILURE = 2
 
 
 class SimInvariantError(RuntimeError):
@@ -358,7 +361,7 @@ class _Engine:
         self.now = 0.0
         self.heap = []
         self.seq = 0
-        self.epoch = 0
+        self.next_done = math.inf  # the pending completion check (see run)
         self.flows = _FlowTable()
         self.pending_decisions: set[float] = set()
         # the topology the last ECMP decision hashed on (see _on_decision)
@@ -378,7 +381,7 @@ class _Engine:
         # the (ids, fcts, throughputs) columns of the current iteration's finished flows
         self.iter_done: list[list[tuple]] = [[] for _ in jobs]
         for j, job in enumerate(jobs):
-            self._push(job.arrival_time, _JOB_ARRIVAL, j)
+            self._start_compute(j, job.arrival_time)
         if failures:
             for i, (t, k) in enumerate(zip(failures.times, failures.counts)):
                 self._push(t, _SPINE_FAILURE, (k, stable_seed(failures.seed, i)))
@@ -407,29 +410,26 @@ class _Engine:
             self.pending_decisions.add(t)
             self._push(t, _CONTROLLER_DECISION, None)
 
-    def _reschedule_completion(self) -> float | None:
-        """Schedule a completion check at the earliest finish time, and return it."""
-        self.epoch += 1
+    def _reschedule_completion(self):
+        """Set the completion check to the earliest finish time, inf if no flow moves."""
         f = self.flows
         moving = f.rate > 0
-        if not moving.any():
-            return None
-        horizon = float((self.now + np.maximum(f.remaining[moving], 0.0) / f.rate[moving]).min())
-        self._push(horizon, _FLOW_COMPLETED, self.epoch)
-        return horizon
+        finish = self.now + np.maximum(f.remaining[moving], 0.0) / f.rate[moving]
+        self.next_done = float(finish.min(initial=math.inf))
 
     def _hash_routes(self, slots):
         """Route the flows in slots as ECMP would, in one batch."""
         if len(slots):
-            batch = self.flows.commodity[slots].tolist()
-            choice = ecmp_assign(batch, self.topo, self.route_seed)
-            self._set_routes(slots, [choice.assignment[c.id] for c in batch])
+            choice = ecmp_assign(self.flows.commodity[slots].tolist(), self.topo, self.route_seed)
+            self._set_routes(slots, choice)
 
-    def _set_routes(self, slots, routes: list[Route]):
-        """Put the flows in slots on routes: their NIC link ids are in the
-        table from emission, so only the spine and its two links change."""
+    def _set_routes(self, slots, choice: PathChoice):
+        """Put the flows in slots on the routes of choice, one per slot in
+        order: their NIC link ids are in the table from emission, so only the
+        spine and its two links change."""
         f = self.flows
-        spine = np.array([-1 if r.spine is None else r.spine for r in routes], dtype=np.int64)
+        spine = np.array([-1 if r.spine is None else r.spine for r in choice.assignment.values()],
+                         dtype=np.int64)
         off_spine = spine < 0
         f.links[slots, 1] = np.where(off_spine, -1, self.topo.tor_up_id(f.src_tor[slots], spine))
         f.links[slots, 2] = np.where(off_spine, -1, self.topo.tor_down_id(spine, f.dst_tor[slots]))
@@ -446,27 +446,28 @@ class _Engine:
     # -- event handlers -----------------------------------------------------
 
     def run(self) -> SimResult:
-        while self.heap:
-            t, kind, _, payload = heappop(self.heap)
-            self._advance(t)
-            if kind == _FLOW_COMPLETED:
-                self._on_completion(payload)
-            elif kind == _CONTROLLER_DECISION:
-                self._on_decision(t)
-            elif kind == _COMPUTE_DONE:
-                self._on_compute_done(payload)
-            elif kind == _JOB_ARRIVAL:
-                self._start_compute(payload)
-            elif kind == _SPINE_FAILURE:
-                self._on_failure(*payload)
+        while self.heap or self.next_done < math.inf:
+            if self.heap and self.heap[0][0] < self.next_done:
+                t, kind, _, payload = heappop(self.heap)
+                self._advance(t)
+                if kind == _CONTROLLER_DECISION:
+                    self._on_decision(t)
+                elif kind == _COMPUTE_DONE:
+                    self._on_compute_done(payload)
+                elif kind == _SPINE_FAILURE:
+                    self._on_failure(*payload)
+            else:  # due no later than the heap's top: at a tie the check goes first
+                self._advance(self.next_done)
+                self.next_done = math.inf
+                self._on_completion()
         if len(self.flows):
             raise SimInvariantError(f"{len(self.flows)} flows never completed")
         self.records.sort(key=lambda r: (r.job_id, r.iteration))
         return SimResult(self.records, self.controller_log, FlowLog(self.templates, self.finished))
 
-    def _start_compute(self, j):
+    def _start_compute(self, j, start):
         duration = compute_phase_duration(self.jobs[j], self.hardware)
-        self._push(self.now + duration, _COMPUTE_DONE, j)
+        self._push(start + duration, _COMPUTE_DONE, j)
 
     def _on_compute_done(self, j):
         template = self.templates[j]
@@ -508,7 +509,7 @@ class _Engine:
             anneal_schedule=self.controller.anneal_schedule,
             exact_max_commodities=self.controller.exact_max_commodities,
         )
-        self._set_routes(slots, [choice.assignment[c.id] for c in to_route])
+        self._set_routes(slots, choice)
         self.controller_log.append(
             {
                 "time": self.now,
@@ -518,14 +519,12 @@ class _Engine:
         )
         self._rewaterfill()
 
-    def _on_completion(self, epoch):
-        if epoch != self.epoch:
-            return
+    def _on_completion(self):
         f = self.flows
         done = f.transmitting & (f.remaining <= DONE_RTOL * f.volume + DONE_SLACK_BITS)
         if not done.any():
-            horizon = self._reschedule_completion()
-            if horizon is not None and horizon <= self.now:
+            self._reschedule_completion()
+            if self.next_done <= self.now:
                 raise SimInvariantError(
                     f"no flow finished at t={self.now!r} and none would finish later"
                 )
@@ -571,7 +570,7 @@ class _Engine:
         self.records.append(MetricsRecord(job.id, iteration, max(fct, default=0.0), records))
         self.iteration_of[j] = iteration + 1
         if iteration + 1 < job.num_iterations:
-            self._start_compute(j)
+            self._start_compute(j, self.now)
 
     def _on_failure(self, count, fseed):
         self.topo = fail_spines(self.topo, count, fseed)

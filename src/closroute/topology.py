@@ -79,7 +79,8 @@ class Route(NamedTuple):
 
 @dataclass(frozen=True)
 class PathChoice:
-    """Mapping commodity id -> chosen Route, one entry per input commodity."""
+    """Mapping commodity id -> chosen Route, one entry per input commodity,
+    in input order."""
 
     assignment: dict[str, Route]
 

@@ -359,10 +359,10 @@ def test_bench_rejects_counts_above_the_exact_guard_before_timing(tmp_path, caps
 # change only with an output change that CHANGES.md declares.
 GOLDEN_DIGESTS = {
     "run.csv": "c95a7820c79ee6e64e49361f93d5e259e9479b795ec4ad2b30fe61018bad0e68",
-    "run.trace.csv": "6b04511f416ef1348ac60619a0d657c78ecbae1e3b82eb421b72dca14be664f5",
+    "run.trace.csv": "32a04c3dc1b6973b3284c4cd59fc00c909c90a505f1ec0451ac9c1adcad5eaeb",
     "run.summary.txt": "e33aa1f3904104f6879b3a21f7443ddaf5f1a9e3d9ae7be9b473c79f66a0ed18",
     "sweep.csv": "213d49c2900e8b578e05ddcb3d6ef938ef96211d86c14f251494fc5c0cefb4d3",
-    "sweep.trace.csv": "f1b4ddbad69888d48ba8e1463ca6bd991f0c357c490e32a7da889e5810bd6e48",
+    "sweep.trace.csv": "a98ca4bfc511c3ba8d58bee7123f23abe12b4e5c0b9ac712f7f46342810a31d8",
 }
 
 

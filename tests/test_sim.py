@@ -310,6 +310,84 @@ def test_flow_table_rows_match_route_link_rows(cluster, monkeypatch, threshold):
     assert checked[0] == frozenset() and checked[-1]
 
 
+# 1.5 GB ring edges, half of MINI's 3 GB
+HALF = ModelConfig("HALF", 2e9, tp=4, pp=2)
+
+
+def _run_elephants_and_mice(cluster, **controller):
+    """MINI's elephants and, arriving later, HALF's mice, both in flight when
+    8 spines fail and again when 4 more do; returns the jobs."""
+    big = make_job(cluster, MINI, dp=8, seed=3, iters=2, job_id="big")
+    small = dataclasses.replace(
+        make_job(cluster, HALF, dp=8, seed=4, iters=3, occupied=frozenset(big.placement),
+                 job_id="small"),
+        arrival_time=0.02,
+    )
+    plan = FailurePlan(times=(0.18, 0.2), counts=(8, 4), seed=2)
+    run_scenario(cluster, [big, small], ControllerModel(elephant_threshold=2e9, **controller),
+                 hardware=FAST_HW, failures=plan, seed=1)
+    return [big, small]
+
+
+@pytest.mark.parametrize("precomputed", [False, True])
+def test_heap_holds_only_decisions_compute_phases_and_failures(cluster, monkeypatch, precomputed):
+    """No event is pushed only to advance time: a completion check is no heap
+    event, and a job's arrival is its first compute phase."""
+    push = sim.heappush
+    pushed = []
+
+    def checking(heap, entry):
+        push(heap, entry)
+        pushed.append(entry)
+        assert {kind for _, kind, _, _ in heap} <= {
+            sim._CONTROLLER_DECISION, sim._COMPUTE_DONE, sim._SPINE_FAILURE
+        }
+        decisions = [t for t, kind, _, _ in heap if kind == sim._CONTROLLER_DECISION]
+        assert len(decisions) == len(set(decisions))
+        computing = [j for _, kind, _, j in heap if kind == sim._COMPUTE_DONE]
+        assert len(computing) == len(set(computing))
+
+    monkeypatch.setattr(sim, "heappush", checking)
+    jobs = _run_elephants_and_mice(cluster, precomputed_failures=precomputed)
+    first_compute = {}
+    for t, kind, _, j in pushed:
+        if kind == sim._COMPUTE_DONE:
+            first_compute.setdefault(j, t)
+    assert first_compute == {
+        j: job.arrival_time + compute_phase_duration(job, FAST_HW) for j, job in enumerate(jobs)
+    }
+    assert sum(kind == sim._SPINE_FAILURE for _, kind, _, _ in pushed) == 2
+    assert any(kind == sim._CONTROLLER_DECISION for _, kind, _, _ in pushed)
+
+
+@pytest.mark.parametrize("scheme", ["greedy", "ecmp"])
+def test_failure_stalls_elephants_and_rehashes_mice_in_the_link_rows(cluster, monkeypatch, scheme):
+    on_failure = sim._Engine._on_failure
+    seen = []
+
+    def checking(engine, count, fseed):
+        f = engine.flows
+        spine_before = f.spine.copy()
+        on_failure(engine, count, fseed)
+        topo = engine.topo
+        kinds = classify(topo, f.commodity.tolist())
+        assert (f.links[:, 0] == kinds.nic_up).all() and (f.links[:, 3] == kinds.nic_down).all()
+        hit = np.isin(spine_before, list(topo.failed_spines))
+        stalled = hit & f.elephant
+        assert (f.spine[stalled] == -1).all() and (f.rate[stalled] == 0).all()
+        assert not f.transmitting[stalled].any() and (f.links[stalled, 1:3] == -1).all()
+        mice = hit & ~f.elephant
+        spine = f.spine[mice]
+        assert np.isin(spine, topo.live_spines).all()
+        assert (f.links[mice, 1] == topo.tor_up_id(f.src_tor[mice], spine)).all()
+        assert (f.links[mice, 2] == topo.tor_down_id(spine, f.dst_tor[mice])).all()
+        seen.append((int(stalled.sum()), int(mice.sum())))
+
+    monkeypatch.setattr(sim._Engine, "_on_failure", checking)
+    _run_elephants_and_mice(cluster, scheme=scheme)
+    assert len(seen) == 2 and all(stalled and mice for stalled, mice in seen)
+
+
 def test_concurrent_jobs_share_fairly(cluster):
     occupied = set()
     jobs = []
@@ -356,10 +434,10 @@ def test_completion_that_cannot_progress_raises(cluster, monkeypatch):
     checks = []
     on_completion = sim._Engine._on_completion
 
-    def counting(engine, epoch):
-        checks.append(epoch)
+    def counting(engine):
+        checks.append(engine.now)
         assert len(checks) < 1000, "completion checks keep firing without progress"
-        on_completion(engine, epoch)
+        on_completion(engine)
 
     monkeypatch.setattr(sim._Engine, "_on_completion", counting)
     job = make_job(cluster, MINI, dp=2, seed=6, iters=1)
