@@ -306,10 +306,11 @@ def parse_config(raw: dict) -> ScenarioConfig:
 def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
     """Materialize the configured jobs for one seed: resolve random model/dp
     choices, draw arrival times, and place every job on free endpoints."""
-    # Unless they start on ECMP, elephants wait for the controller, so the exact
-    # scheme's first decision after a compute phase sees all of the job's.
+    # A job has one iteration in flight, so one iteration's elephants summed over
+    # jobs bound any exact decision, whether jobs overlap and start on ECMP or not.
     controller = config.controller
-    check_exact = "exact" in config.schemes and not controller.ecmp_fallback_start
+    check_exact = "exact" in config.schemes
+    elephants = 0
     specs = config.job_specs
     arrivals = arrival_schedule(len(specs), config.arrival_window, stable_seed(seed, "arrivals"))
     jobs: list[Job] = []
@@ -346,11 +347,11 @@ def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
         )
         if check_exact:
             flows = network_flows(config.topology, build_rings(job), controller.elephant_threshold)
-            elephants = int((flows.kinds.inter & flows.elephant).sum())
+            elephants += int((flows.kinds.inter & flows.elephant).sum())
             if elephants > controller.exact_max_commodities:
                 raise ConfigError(
-                    f"jobs[{i}]: {model_name} dp={dp}: {elephants} inter-ToR elephant flows "
-                    f"per iteration exceed exact_max_commodities = "
+                    f"jobs[{i}]: {model_name} dp={dp}: jobs[0..{i}] have {elephants} inter-ToR "
+                    f"elephant flows per iteration, more than exact_max_commodities = "
                     f"{controller.exact_max_commodities}"
                 )
         jobs.append(job)

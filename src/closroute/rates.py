@@ -7,23 +7,25 @@ given routes: no rate can be raised without lowering an equal-or-smaller one.
 
 One filling core serves two inputs: ``(commodity id, Route)`` pairs, which
 ``waterfill`` maps to link-id rows with ``route_link_rows``, and ``LinkRows``,
-such as the simulator's flow table caches. The core keeps two numbers per
-link, its residual capacity and its count of unfrozen flows, and updates both
-as flows freeze. All flows frozen in one round get the same rate, so a link's
-residual loses that rate times a count, and no float sum depends on the order
-of the flows: the rates are the same, bit for bit, in any input order.
-Only the links that two or more flows cross take part; a flow that crosses
-none of them gets the link capacity. This is exact: a link that one flow
-crosses keeps its full capacity as residual until that flow freezes, and no
-share exceeds capacity, so such a link is at the level only once the level
-reaches capacity. Then every shared link of the flow is at capacity too, so
-the flow freezes at capacity in that round either way.
+such as the simulator's flow table caches. Rates come back as an array; their
+dict is built only when read. The core keeps two numbers per link, its
+residual capacity and its count of unfrozen flows, and updates both as flows
+freeze. All flows frozen in one round get the same rate, so a link's residual
+loses that rate times a count, and no float sum depends on the order of the
+flows: the rates are the same, bit for bit, in any input order. Only the links
+that two or more flows cross take part; a flow that crosses none of them gets
+the link capacity. This is exact: a link that one flow crosses keeps its full
+capacity as residual until that flow freezes, and no share exceeds capacity,
+so such a link is at the level only once the level reaches capacity. Then
+every shared link of the flow is at capacity too, so the flow freezes at
+capacity in that round either way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,19 +35,25 @@ from .topology import ClosTopology, Route, route_link_rows
 FEASIBILITY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateAllocation:
-    """Commodity id -> rate in bits/second, in the order of ``waterfill``'s
-    input; math.inf marks intra-host flows."""
+    """Flow ``cids[i]`` gets ``rate[i]`` bits/second, in the order of
+    ``waterfill``'s input; math.inf marks intra-host flows."""
 
-    rates: dict[str, float]
+    cids: list[str] | np.ndarray
+    rate: np.ndarray
+
+    @cached_property
+    def rates(self) -> dict[str, float]:
+        """Commodity id -> rate, in input order, built on first read."""
+        return dict(zip(self.cids, self.rate.tolist()))
 
 
 class LinkRows(NamedTuple):
     """Flows as link-id rows (see ``topology.route_link_rows``), in any order:
     flow ``cids[i]`` crosses the non-negative ids of ``links[i]``."""
 
-    cids: list[str]
+    cids: list[str] | np.ndarray
     links: np.ndarray
 
 
@@ -92,4 +100,4 @@ def waterfill(flows: list[tuple[str, Route]] | LinkRows, topo: ClosTopology) -> 
         keep = ~gone
         fe, le = fe[keep], le[keep]
 
-    return RateAllocation(dict(zip(cids, rate.tolist())))
+    return RateAllocation(cids, rate)

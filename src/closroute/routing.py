@@ -45,7 +45,6 @@ from .topology import (
     build_routes,
     classify,
     max_spine_link_load,
-    route_link_rows,
 )
 from .workload import CommoditySpec
 
@@ -69,7 +68,7 @@ class AnnealSchedule:
 
 def max_link_load(choice: PathChoice, topo: ClosTopology) -> int:
     """Maximum commodity count on any link that touches a spine."""
-    return max_spine_link_load(topo, route_link_rows(topo, choice.assignment.values()))
+    return max_spine_link_load(topo, choice.link_rows(topo))
 
 
 def max_tor_degree(kinds: Classified) -> int:
@@ -312,7 +311,7 @@ def anneal_assign(
         return start
 
     tracker = _LoadTracker(topo.num_links)
-    rows = route_link_rows(topo, start.assignment.values())
+    rows = start.link_rows(topo)
     for link in rows[rows >= 0].tolist():
         tracker.bump(link, 1)
     src_tor, dst_tor = kinds.src_tor[inter].tolist(), kinds.dst_tor[inter].tolist()

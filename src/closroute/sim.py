@@ -1,15 +1,15 @@
 """Discrete-event, flow-level simulator of training jobs on a Clos fabric.
 
-Jobs alternate compute phases with communication phases; a communication
-phase emits one flow per ring edge that leaves its host: same-host edges take
-no network time. A job sends the same edges every iteration, so its flows are
+Jobs alternate compute phases with communication phases; a communication phase
+emits one flow per ring edge that leaves its host: same-host edges take no
+network time. A job sends the same edges every iteration, so its flows are
 derived once per run, as a template (``network_flows``, which
 ``config.build_jobs`` also calls for the exact scheme's size guard): one
 ``ring_allreduce_commodities`` call per ring and one ``classify`` call give
-the off-host edges' endpoints, volumes, kinds, ToRs, NIC link ids and
-elephant flags. An iteration only makes its ids, ``iteration_prefix``
-followed by the template's id tails, and one ``CommoditySpec`` per flow for
-the routing schemes, then appends the template's columns.
+the off-host edges' endpoints, volumes, kinds, ToRs, NIC link ids and elephant
+flags. An iteration only makes its ids, ``iteration_prefix`` followed by the
+template's id tails, and one ``CommoditySpec`` per flow for the routing
+schemes, unchecked (see ``emit``), then appends the template's columns.
 
 A centralized controller re-routes all active elephant flows whenever a flow
 starts, a flow ends, or a spine fails, after a configurable reaction
@@ -23,24 +23,26 @@ decisions reuse the routed elephants' hashes: a decision hashes only the
 elephants without a route, until a spine fails and the first decision after
 it hashes every elephant again.
 
-Active flows live in one flow table: one array per column (the job, the
-flow's position in its template, bits remaining and sent, rate, start time,
-volume, the transmitting and elephant flags, the spine, both ToRs) and a row of four link ids per flow, the NIC-up,
-ToR->spine, spine->ToR and NIC-down link, -1 where unused (the layout of
-``topology.route_link_rows``). Columns 0 and 3 hold ``classify``'s NIC ids
-from emission. Columns 1 and 2 are written from the spine with ``tor_up_id``
-and ``tor_down_id`` when a flow gets a route: at emission for hashed flows,
-at a decision for the elephants routed there, and on a failure for the mice
-it hits; they stay -1 on an intra-ToR route. A failure clears columns 1 and
-2 of the elephants it stalls. Rates are recomputed from the cached rows of
-the transmitting flows, which the table hands to ``waterfill`` in slot
-order, and a decision's max spine load is a count over the same rows. Slots
+Active flows live in one flow table: one array per column (the job, the flow's
+position in its template, bits remaining and sent, rate, start time, volume,
+the transmitting and elephant flags, the spine, both ToRs) and a row of four
+link ids per flow, the NIC-up, ToR->spine, spine->ToR and NIC-down link, -1
+where unused (the layout of ``topology.route_link_rows``). Columns 0 and 3
+hold ``classify``'s NIC ids from emission. Columns 1 and 2 are written with
+``tor_up_id`` and ``tor_down_id`` from the spine column of a scheme's
+``PathChoice`` when a flow gets a route: at emission for hashed flows, at a
+decision for the elephants routed there, and on a failure for the mice it
+hits; they stay -1 on an intra-ToR route. A failure clears columns 1 and 2 of
+the elephants it stalls. Rates are recomputed from the cached rows of the
+transmitting flows, which the table hands to ``waterfill`` in slot order; its
+rate array is written back as it is, so no ``Route`` or rate dict is built
+during a run. A decision's max spine load is a count over the same rows. Slots
 are in arrival order: flows are appended when emitted and the table is
-compacted stably when some complete. The table holds only the unfinished
-flows of each job's current iteration, so an iteration is over once no slot
-holds its job. Advancing time, the completion test and the next
-finish time are array expressions over the table, each doing the same
-floating-point operation per flow as a loop would, one time step at a time.
+compacted stably when some complete. The table holds only the unfinished flows
+of each job's current iteration, so an iteration is over once no slot holds
+its job. Advancing time, the completion test and the next finish time are
+array expressions over the table, each doing the same floating-point operation
+per flow as a loop would, one time step at a time.
 
 A completion event keeps the columns of the flows it finished, in slot
 order (arrival order), as one batch: ids, job, template position, iteration,
@@ -128,11 +130,12 @@ class FlowTemplate(NamedTuple):
     elephant: np.ndarray  # routed by the controller
 
     def emit(self, iteration: int) -> tuple[list[str], list[CommoditySpec]]:
-        """The ids and commodities of the flows of an iteration."""
+        """The ids and commodities of the flows of an iteration, unchecked: the
+        template's flows, which differ only in the id, passed the checks."""
         prefix = iteration_prefix(self.job_id, iteration)
         ids = [prefix + tail for tail in self.tails]
-        return ids, list(map(CommoditySpec, ids, repeat(self.job_id), self.src, self.dst,
-                             self.volume))
+        return ids, list(map(CommoditySpec._make,
+                             zip(ids, repeat(self.job_id), self.src, self.dst, self.volume)))
 
 
 def network_flows(topo: ClosTopology, rings: list[Ring], threshold: float) -> FlowTemplate:
@@ -270,18 +273,10 @@ class FlowLog:
 
     def __iter__(self):
         for columns in self.columns():
-            for job, iteration, cid, src, dst, volume, start, end, _, _, port in zip(*columns):
-                yield {
-                    "job": job,
-                    "iteration": iteration,
-                    "commodity": cid,
-                    "src": src,
-                    "dst": dst,
-                    "volume_bytes": volume,
-                    "start_s": start,
-                    "end_s": end,
-                    "udp_port": port,
-                }
+            for row in zip(*columns):
+                flow = dict(zip(FLOW_COLUMNS, row))
+                del flow["fct_s"], flow["throughput_bps"]
+                yield flow
 
     def __eq__(self, other):
         if not isinstance(other, FlowLog):
@@ -428,8 +423,7 @@ class _Engine:
         order: their NIC link ids are in the table from emission, so only the
         spine and its two links change."""
         f = self.flows
-        spine = np.array([-1 if r.spine is None else r.spine for r in choice.assignment.values()],
-                         dtype=np.int64)
+        spine = choice.spine
         off_spine = spine < 0
         f.links[slots, 1] = np.where(off_spine, -1, self.topo.tor_up_id(f.src_tor[slots], spine))
         f.links[slots, 2] = np.where(off_spine, -1, self.topo.tor_down_id(spine, f.dst_tor[slots]))
@@ -439,8 +433,7 @@ class _Engine:
     def _rewaterfill(self):
         f = self.flows
         live = np.flatnonzero(f.transmitting)
-        alloc = waterfill(LinkRows(f.cid[live].tolist(), f.links[live]), self.topo)
-        f.rate[live] = np.fromiter(alloc.rates.values(), dtype=float, count=len(live))
+        f.rate[live] = waterfill(LinkRows(f.cid[live], f.links[live]), self.topo).rate
         self._reschedule_completion()
 
     # -- event handlers -----------------------------------------------------

@@ -8,7 +8,8 @@ capacities.
 The route kind is decided here only. ``classify`` checks every endpoint of a
 commodity list against the fabric at once and returns each commodity's kind,
 ToRs and NIC link ids; a scheme chooses spines for the inter-ToR ones and
-``build_routes`` turns kinds and spines into a ``PathChoice``.
+``build_routes`` keeps kinds and spines as a ``PathChoice``, whose ``Route``
+objects are built only when read.
 
 Link layout: with E endpoints, T ToRs and S spines, every directed link has
 one integer id in [0, num_links), e being an endpoint's position in
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -77,12 +79,27 @@ class Route(NamedTuple):
         return (up, (("tor", src.tor), spine), (spine, ("tor", dst.tor)), down)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathChoice:
-    """Mapping commodity id -> chosen Route, one entry per input commodity,
-    in input order."""
+    """Routes as columns in input order: the commodities, their ``classify``
+    kinds and spines, -1 off a spine. Equal when their assignments are."""
 
-    assignment: dict[str, Route]
+    commodities: list
+    kind: np.ndarray
+    spine: np.ndarray  # int64
+
+    @cached_property
+    def assignment(self) -> dict[str, Route]:
+        """Commodity id -> Route, in input order, built on first read."""
+        return {c.id: Route(k, None if s < 0 else s, c.src, c.dst)
+                for c, k, s in zip(self.commodities, self.kind.tolist(), self.spine.tolist())}
+
+    def link_rows(self, topo: ClosTopology) -> np.ndarray:
+        """``route_link_rows`` of the routes, from the columns."""
+        return _link_rows(topo, self.commodities, self.kind, self.spine)
+
+    def __eq__(self, other):
+        return isinstance(other, PathChoice) and self.assignment == other.assignment
 
 
 @dataclass(frozen=True)
@@ -184,14 +201,18 @@ def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
     row, in column order, are its route's links in ``Route.links`` order.
     """
     routes = list(routes)
-    ends = _read_endpoints(routes)
-    spine = np.fromiter((-1 if r.spine is None else r.spine for r in routes),
-                        dtype=np.int64, count=len(routes))
+    return _link_rows(topo, routes, np.array([r.kind for r in routes], dtype=object),
+                      np.array([-1 if r.spine is None else r.spine for r in routes], dtype=np.int64))
+
+
+def _link_rows(topo: ClosTopology, items, kind: np.ndarray, spine: np.ndarray) -> np.ndarray:
+    """``route_link_rows`` of items with src and dst, given kinds and spines."""
+    ends = _read_endpoints(items)
     nic = _nic_up_ids(topo, ends)
     rows = np.stack([nic[:, 0], topo.tor_up_id(ends[:, 0, 0], spine),
                      topo.tor_down_id(spine, ends[:, 1, 0]), nic[:, 1] + topo.num_endpoints], 1)
     rows[spine < 0, 1:3] = -1
-    rows[np.fromiter((r.kind == INTRA_HOST for r in routes), dtype=bool, count=len(routes))] = -1
+    rows[kind == INTRA_HOST] = -1
     return rows
 
 
@@ -244,13 +265,9 @@ def build_routes(commodities, kind: np.ndarray, spines) -> PathChoice:
     """Each commodity's route, given its kind from ``classify``: a spine
     route on the next of ``spines`` (one per inter-ToR commodity, in order)
     for an inter-ToR commodity, its one forced route otherwise."""
-    spine = iter(spines)
-    return PathChoice(
-        {
-            c.id: Route(k, next(spine) if k == SPINE else None, c.src, c.dst)
-            for c, k in zip(commodities, kind.tolist())
-        }
-    )
+    spine = np.full(len(kind), -1, dtype=np.int64)
+    spine[kind == SPINE] = spines
+    return PathChoice(commodities, kind, spine)
 
 
 def fail_spines(topo: ClosTopology, k: int, seed: int) -> ClosTopology:

@@ -13,6 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .topology import ClosTopology, Endpoint
 
@@ -91,19 +92,25 @@ class Ring:
     shard_bytes: int
 
 
-@dataclass(frozen=True)
-class CommoditySpec:
+class _Commodity(NamedTuple):
     id: str
     job_id: str
     src: Endpoint
     dst: Endpoint
     volume: int  # bytes
 
-    def __post_init__(self):
-        if self.volume <= 0:
+
+class CommoditySpec(_Commodity):
+    """One flow of a job, as a tuple. The constructor checks it; ``_make`` does not."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, job_id: str, src: Endpoint, dst: Endpoint, volume: int):
+        if volume <= 0:
             raise ValueError("volume must be positive")
-        if self.src == self.dst:
+        if src == dst:
             raise ValueError("src and dst must differ")
+        return super().__new__(cls, id, job_id, src, dst, volume)
 
 
 def place_job(

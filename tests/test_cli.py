@@ -324,6 +324,27 @@ def test_exact_guard_is_a_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
 
+# two MINI dp=4 jobs at t=0 have 16 inter-ToR elephants per iteration each,
+# so each passes the guard of 16 alone, but their decisions see 32 together
+OVERLAPPING_EXACT = {
+    **SMALL_CONFIG,
+    "schemes": ["exact"],
+    "jobs": [{"model": "MINI", "dp": 4, "num_iterations": 2, "arrival_time": 0.0}] * 2,
+}
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_exact_guard_sums_the_elephants_of_all_jobs(tmp_path, capsys, fallback):
+    path, out = tmp_path / "exact.json", tmp_path / "x.csv"
+    path.write_text(json.dumps({**OVERLAPPING_EXACT,
+                                "controller": {"ecmp_fallback_start": fallback}}))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "jobs[1]" in err and "exact_max_commodities" in err
+    assert "32 inter-ToR elephant flows" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closroute import routing
+from closroute.rates import LinkRows, waterfill
 from closroute.routing import (
     EXACT_MAX_COMMODITIES,
     SCHEME_NAMES,
@@ -435,9 +437,10 @@ def test_exact_guard_rejects_large_instances():
 
 def test_max_link_load_scopes_and_empty():
     topo = build_topology(2, 4, 2, 1, 1.0)
-    assert max_link_load(PathChoice({}), topo) == 0
+    empty = PathChoice([], np.empty(0, dtype=object), np.empty(0, dtype=np.int64))
+    assert max_link_load(empty, topo) == 0
     cs = unit_commodities_for_pairs(topo, [(0, 1), (2, 1)])
-    forced = PathChoice({c.id: spine_route(c.src, c.dst, 0) for c in cs})
+    forced = PathChoice(cs, np.full(len(cs), SPINE, dtype=object), np.zeros(len(cs), dtype=np.int64))
     assert max_link_load(forced, topo) == 2  # both down spine 0 to ToR 1
     assert link_loads(forced, topo).max() == 2
 
@@ -631,3 +634,52 @@ def test_scheme_choices_match_pinned_digests(family):
                 digest.update(f"{c.id}|{route.kind}|{route.spine}\n".encode())
         digests[scheme] = digest.hexdigest()
     assert digests == PINNED_CHOICES[family]
+
+
+# -- lazy views -----------------------------------------------------------------
+
+
+def eager_assignment(commodities, kind, spines):
+    """Commodity id -> Route, built up front from build_routes' arguments: the
+    next of spines for an inter-ToR commodity, no spine otherwise."""
+    spine = iter(spines)
+    return {c.id: Route(k, next(spine) if k == SPINE else None, c.src, c.dst)
+            for c, k in zip(commodities, kind.tolist())}
+
+
+def lazy_view_instances():
+    """Random unit instances, mixed ring edges on fabrics with failed spines,
+    and random commodities on a fabric with half its spines failed."""
+    failed = fail_spines(build_topology(6, 8, 2, 2, 1.0), 3, seed=1)
+    return ([random_unit_instance(seed) for seed in range(30)] + ring_edge_instances()[:12]
+            + [(failed, random_commodities(failed, n, seed=n)) for n in (5, 14, 40)])
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_lazy_views_match_eager_builds(scheme, monkeypatch):
+    build = routing.build_routes
+    calls = []
+
+    def recording(commodities, kind, spines):
+        calls.append((commodities, kind, list(spines)))
+        return build(commodities, kind, calls[-1][2])
+
+    monkeypatch.setattr(routing, "build_routes", recording)
+    for topo, cs in lazy_view_instances():
+        if scheme == "exact" and sum(c.src.tor != c.dst.tor for c in cs) > EXACT_MAX_COMMODITIES:
+            continue
+        choice = assign_by_scheme(scheme, cs, topo, seed=7)
+        # the result is the last choice the scheme built (exact builds greedy's first)
+        assert repr(choice.assignment) == repr(eager_assignment(*calls[-1]))
+        assert choice.spine.dtype == np.int64
+        assert choice.spine.tolist() == [
+            -1 if r.spine is None else r.spine for r in choice.assignment.values()
+        ]
+        assert np.array_equal(choice.link_rows(topo),
+                              route_link_rows(topo, choice.assignment.values()))
+        alloc = waterfill(list(choice.assignment.items()), topo)
+        assert list(alloc.rates) == [c.id for c in cs]
+        assert alloc.rate.tobytes() == np.array(list(alloc.rates.values())).tobytes()
+        ids = np.array([c.id for c in cs], dtype=object)
+        by_rows = waterfill(LinkRows(ids, choice.link_rows(topo)), topo)
+        assert by_rows.cids is ids and by_rows.rate.tobytes() == alloc.rate.tobytes()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from closroute import routing, sim
 from closroute.cli import measure_scheme_runtime
+from closroute.rates import RateAllocation
 from closroute.sim import (
     ControllerModel,
     FailurePlan,
@@ -199,6 +200,37 @@ def test_ecmp_fallback_start_transmits_during_wait(cluster):
     assert quick.records[0].allreduce_time < slow.records[0].allreduce_time
 
 
+# its ring edges, 2e8 bytes, are mice under a 1e9-byte threshold; MINI's are
+# elephants
+TINY = ModelConfig("TINY", 4e8, tp=4, pp=2)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("scheme", routing.SCHEME_NAMES)
+def test_engine_builds_no_route_or_rate_dict(cluster, monkeypatch, scheme, fallback):
+    """The engine reads a scheme's spines and waterfill's rates as columns:
+    neither dict view is built during a run, whatever the scheme."""
+    elephants = make_job(cluster, MINI, dp=2, seed=6, iters=2, job_id="e")
+    mice = make_job(cluster, TINY, dp=2, seed=7, iters=2,
+                    occupied=frozenset(elephants.placement), job_id="m")
+    # 8 of 32 spines fail during the first all-reduce
+    plan = FailurePlan(times=(compute_phase_duration(elephants, FAST_HW) + 0.01,), counts=(8,),
+                       seed=2)
+    controller = ControllerModel(scheme=scheme, elephant_threshold=1e9,
+                                 ecmp_fallback_start=fallback)
+
+    def refuse(view):
+        raise AssertionError(f"a {type(view).__name__} built its dict")
+
+    monkeypatch.setattr(routing.PathChoice, "assignment", property(refuse))
+    monkeypatch.setattr(RateAllocation, "rates", property(refuse))
+    result = run_scenario(cluster, [elephants, mice], controller, hardware=FAST_HW,
+                          failures=plan, seed=1)
+    assert result.controller_log and len(result.records) == 4
+    volumes = {e["volume_bytes"] for e in result.flow_log}
+    assert min(volumes) < 1e9 <= max(volumes)
+
+
 def _run_ecmp_recording(cluster, monkeypatch):
     """Two jobs under ECMP with 8 spines failing mid-transfer; also returns,
     per decision, the topology and the elephant ids the scheme was given."""
@@ -266,10 +298,9 @@ def test_mice_are_hashed_in_one_call_per_emission_and_failure(cluster, monkeypat
         return hash_batch(commodities, topo, seed)
 
     def one_at_a_time(commodities, topo, seed):
-        routes = {}
-        for c in commodities:
-            routes.update(hash_batch([c], topo, seed).assignment)
-        return routing.PathChoice(routes)
+        choices = [hash_batch([c], topo, seed) for c in commodities]
+        return routing.PathChoice(commodities, np.concatenate([ch.kind for ch in choices]),
+                                  np.concatenate([ch.spine for ch in choices]))
 
     monkeypatch.setattr(sim, "ecmp_assign", recording)
     result = run_scenario(cluster, [job], mice_only, hardware=FAST_HW, failures=plan, seed=1)

@@ -247,5 +247,8 @@ def test_link_ids_match_route_links(topo):
     assert {link: int(loads[id_of[link]]) for link in link_counts} == link_counts
     assert loads.sum() == sum(link_counts.values())
     spine_counts = [n for link, n in link_counts.items() if "spine" in (link[0][0], link[1][0])]
-    choice = PathChoice({str(i): route for i, route in enumerate(routes)})
+    cs = [CommoditySpec(str(i), "j", route.src, route.dst, 1) for i, route in enumerate(routes)]
+    spines = [-1 if route.spine is None else route.spine for route in routes]
+    choice = PathChoice(cs, np.array([route.kind for route in routes], dtype=object),
+                        np.array(spines, dtype=np.int64))
     assert max_link_load(choice, topo) == max(spine_counts, default=0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from closroute.topology import Endpoint, build_topology
 from closroute.workload import (
     MODEL_CATALOG,
+    CommoditySpec,
     HardwareModel,
     Job,
     ModelConfig,
@@ -213,3 +214,20 @@ def test_arrival_schedule_contract():
     assert len(arrival_schedule(1, 10.0, seed=0)) == 1
     with pytest.raises(ValueError):
         arrival_schedule(3, 0.0, seed=0)
+
+
+def test_commodity_is_a_checked_tuple_that_make_does_not_check():
+    src, dst = Endpoint(0, 0, 0), Endpoint(1, 0, 0)
+    fields = ("c", "j", src, dst, 8)
+    c = CommoditySpec(*fields)
+    assert c == fields and hash(c) == hash(fields)
+    assert repr(c) == (
+        "CommoditySpec(id='c', job_id='j', src=Endpoint(tor=0, host=0, nic=0), "
+        "dst=Endpoint(tor=1, host=0, nic=0), volume=8)"
+    )
+    assert CommoditySpec(id="c", job_id="j", src=src, dst=dst, volume=8) == c
+    for ends, volume in (((src, dst), 0), ((src, src), 8)):
+        with pytest.raises(ValueError):
+            CommoditySpec("c", "j", *ends, volume)
+    unchecked = CommoditySpec._make(("c", "j", src, src, 0))
+    assert type(unchecked) is CommoditySpec and unchecked.volume == 0
