@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import statistics
 import sys
 import tempfile
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
-from itertools import repeat
 
 from .config import (
     ConfigError,
@@ -46,27 +47,37 @@ from .routing import (
     random_commodities,
     random_unit_instance,
 )
-from .sim import FLOW_COLUMNS, SimResult, run_scenario, stable_seed
+from .sim import DEFAULT_PORT_BASE, FLOW_COLUMNS, FlowLog, SimResult, run_scenario, stable_seed
 from .topology import ClosTopology, classify
 
 RESULT_COLUMNS = ("scenario", "scheme", "job", "metric", "value", "seed")
 TRACE_COLUMNS = ("scenario", "scheme", "seed", *FLOW_COLUMNS)
 
 
-def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
-    """Write atomically so failed runs leave no partial output behind."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+@contextmanager
+def _atomic_open(path: str):
+    """A text file that replaces path once the block ends without error: it is
+    written as a temporary file beside path, which goes on error, so a failed
+    run leaves no partial output behind. It gets the mode ``open`` would give."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            os.fchmod(fd, 0o666 & ~umask)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]):
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _mean(values) -> float:
@@ -95,16 +106,37 @@ def _metric_rows(scenario_id, scheme, seed, result: SimResult) -> list[tuple]:
     return rows
 
 
-def _trace_rows(scenario_id, scheme, seed, result: SimResult) -> list[tuple]:
-    rows = []
-    for (job, iteration, cid, src, dst, volume, start, end, fct, throughput,
-         port) in result.flow_log.columns():
-        rows.extend(zip(
-            repeat(scenario_id), repeat(scheme), repeat(seed), job, iteration, cid,
-            map(str, src), map(str, dst), volume, start, end, fct, throughput,
-            ["" if p is None else p for p in port],
-        ))
-    return rows
+def _reprs(values: list[float]) -> list[str]:
+    """The reprs of values, each distinct value formatted once."""
+    memo = {v: repr(v) for v in set(values)}
+    return list(map(memo.__getitem__, values))
+
+
+def _write_trace(fh, scenario_id, scheme, seed, log: FlowLog):
+    """Append a run's trace rows to fh, one completion event at a time, as
+    ``csv.writer`` would write them. Only the scenario id comes from the user
+    and may need quoting, so only the run's prefix goes through ``csv.writer``.
+    The other fields are generated names and numbers, formatted once where
+    they repeat: a template's once per run, an event's end time once, and
+    start times, FCTs and throughputs once per distinct value in an event."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow((scenario_id, scheme, seed))
+    prefix = line.getvalue()[:-1] + ","
+    heads = [f"{prefix}{t.job_id}," for t in log.templates]
+    edges = [[f",{s},{d},{v}," for s, d, v in zip(t.src, t.dst, t.volume)] for t in log.templates]
+    ports = {}  # spine -> udp_port field
+    for b in log.batches:
+        job, spine = b.job.tolist(), b.spine.tolist()
+        for s in set(spine) - ports.keys():
+            ports[s] = "" if s < 0 else str(DEFAULT_PORT_BASE + s)
+        end = f",{b.end!r},"
+        fh.write("".join([
+            f"{heads[j]}{it},{cid}{edges[j][p]}{start}{end}{fct},{tput},{ports[s]}\n"
+            for j, it, cid, p, start, fct, tput, s in zip(
+                job, b.iteration.tolist(), b.cid.tolist(), b.pos.tolist(),
+                _reprs(b.start.tolist()), _reprs(b.fct.tolist()),
+                _reprs(b.throughput.tolist()), spine)
+        ]))
 
 
 def _schemes(text: str) -> list[str]:
@@ -142,24 +174,28 @@ def _load(args) -> ScenarioConfig:
 
 def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]]) -> list[tuple]:
     """Simulate each level (a scenario id and its failure counts), scheme and
-    seed in that order; write and return the metric rows, and the trace."""
+    seed in that order; write and return the metric rows. With ``--trace``,
+    each run's flows go to the trace's temporary file as the run ends, and the
+    trace takes its place after the results CSV."""
     # jobs are immutable, so every level and scheme of a seed runs one list
     jobs_by_seed = {seed: build_jobs(config, seed) for seed in config.seeds}
-    rows, trace = [], []
-    for scenario_id, counts in levels:
-        plan = failure_plan(config, counts)
-        for scheme in config.schemes:
-            controller = replace(config.controller, scheme=scheme)
-            for seed in config.seeds:
-                result = run_scenario(config.topology, jobs_by_seed[seed], controller,
-                                      hardware=config.hardware, failures=plan, seed=seed)
-                rows.extend(_metric_rows(scenario_id, scheme, seed, result))
-                if args.trace:
-                    trace.extend(_trace_rows(scenario_id, scheme, seed, result))
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[5]))
-    _write_csv(args.out, RESULT_COLUMNS, rows)
-    if args.trace:
-        _write_csv(_suffixed(args.out, ".trace.csv"), TRACE_COLUMNS, trace)
+    rows = []
+    with _atomic_open(_suffixed(args.out, ".trace.csv")) if args.trace else nullcontext() as trace:
+        if trace:
+            csv.writer(trace, lineterminator="\n").writerow(TRACE_COLUMNS)
+        for scenario_id, counts in levels:
+            plan = failure_plan(config, counts)
+            for scheme in config.schemes:
+                controller = replace(config.controller, scheme=scheme)
+                for seed in config.seeds:
+                    result = run_scenario(config.topology, jobs_by_seed[seed], controller,
+                                          hardware=config.hardware, failures=plan, seed=seed)
+                    rows.extend(_metric_rows(scenario_id, scheme, seed, result))
+                    if trace:
+                        _write_trace(trace, scenario_id, scheme, seed, result.flow_log)
+                        trace.flush()
+        rows.sort(key=lambda r: (r[0], r[1], r[2], r[3], r[5]))
+        _write_csv(args.out, RESULT_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return rows
 
@@ -185,8 +221,7 @@ def _write_summary(out_path: str, rows: list[tuple]):
         by_scheme_metric.setdefault((scheme, metric), []).append(value)
     for (scheme, metric), values in sorted(by_scheme_metric.items()):
         lines.append(f"{scheme:14s} {metric:22s} {_mean(values):.6g}")
-    path = _suffixed(out_path, ".summary.txt")
-    with open(path, "w") as fh:
+    with _atomic_open(_suffixed(out_path, ".summary.txt")) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -234,7 +269,7 @@ def cmd_validate(args) -> int:
     text = "\n".join(report)
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _atomic_open(args.out) as fh:
             fh.write(text + "\n")
     return 4 if violations or coloring_mismatches else 0
 

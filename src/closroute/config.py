@@ -196,6 +196,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         js = {**_JOB_DEFAULTS, **_object(js, f"jobs[{i}]", _JOB_DEFAULTS)}
         job_specs.append(js)
         model_name = js["model"]
+        if not isinstance(model_name, str):
+            raise ConfigError(f"jobs[{i}].model: expected a model name or 'random'")
         if model_name != "random" and model_name not in models:
             raise ConfigError(f"jobs[{i}].model: unknown model {model_name!r}")
         dp = js["dp"]

@@ -48,8 +48,10 @@ A completion event keeps the columns of the flows it finished, in slot
 order (arrival order), as one batch: ids, job, template position, iteration,
 start, spine, FCT and throughput. A job's ``MetricsRecord.flow_records`` are
 built from its batches when its iteration finishes, and ``SimResult.flow_log``
-is a ``FlowLog`` over all batches: its length needs no rows, and rows (dicts,
-or the trace CSV's columns) are built only when read.
+is a ``FlowLog`` over all batches and the templates their job and position
+index: its length needs no rows, and dict rows are built only when iterated.
+The CLI writes the trace CSV from the batches, as each run ends, into a
+temporary file that appears as the trace once the command succeeds.
 
 The event loop is single threaded and deterministic for a fixed scenario and
 seed, and steps time only where the run can change. The heap holds controller
@@ -205,7 +207,7 @@ class FailurePlan:
             raise ValueError(f"failure times must be finite and >= 0, got {self.times}")
 
 
-# the columns of a finished flow, in FlowLog.columns() order
+# the columns of a finished flow in the trace CSV, after the run's scenario, scheme and seed
 FLOW_COLUMNS = (
     "job",
     "iteration",
@@ -237,46 +239,37 @@ class _Finished(NamedTuple):
 
 class FlowLog:
     """A run's finished flows in completion order, kept as the columns of each
-    completion event. ``len`` counts them without building rows; iterating
+    completion event: ``batches``, whose ``job`` and ``pos`` index
+    ``templates``. ``len`` counts them without building rows; iterating
     yields one dict per flow, with the keys of ``FLOW_COLUMNS`` less
     ``fct_s`` and ``throughput_bps``; two logs are equal when their rows are."""
 
     def __init__(self, templates: list[FlowTemplate], batches: list[_Finished]):
-        self._templates = templates
-        self._batches = batches
+        self.templates = templates
+        self.batches = batches
         self._len = sum(len(b.cid) for b in batches)
 
     def __len__(self) -> int:
         return self._len
 
-    def columns(self):
-        """For each completion event, its flows' columns as lists, in
-        ``FLOW_COLUMNS`` order. ``udp_port`` is None off a spine."""
-        for b in self._batches:
-            templates = [self._templates[j] for j in b.job.tolist()]
-            pos = b.pos.tolist()
-            port = (b.spine + DEFAULT_PORT_BASE).astype(object)
-            port[b.spine < 0] = None
-            yield (
-                [t.job_id for t in templates],
-                b.iteration.tolist(),
-                b.cid.tolist(),
-                [t.src[p] for t, p in zip(templates, pos)],
-                [t.dst[p] for t, p in zip(templates, pos)],
-                [t.volume[p] for t, p in zip(templates, pos)],
-                b.start.tolist(),
-                [b.end] * len(pos),
-                b.fct.tolist(),
-                b.throughput.tolist(),
-                port.tolist(),
-            )
-
     def __iter__(self):
-        for columns in self.columns():
-            for row in zip(*columns):
-                flow = dict(zip(FLOW_COLUMNS, row))
-                del flow["fct_s"], flow["throughput_bps"]
-                yield flow
+        for b in self.batches:
+            for j, p, iteration, cid, start, spine in zip(
+                b.job.tolist(), b.pos.tolist(), b.iteration.tolist(), b.cid.tolist(),
+                b.start.tolist(), b.spine.tolist(),
+            ):
+                t = self.templates[j]
+                yield {
+                    "job": t.job_id,
+                    "iteration": iteration,
+                    "commodity": cid,
+                    "src": t.src[p],
+                    "dst": t.dst[p],
+                    "volume_bytes": t.volume[p],
+                    "start_s": start,
+                    "end_s": b.end,
+                    "udp_port": None if spine < 0 else DEFAULT_PORT_BASE + spine,
+                }
 
     def __eq__(self, other):
         if not isinstance(other, FlowLog):

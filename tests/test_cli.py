@@ -1,14 +1,18 @@
 import csv
 import hashlib
+import io
 import json
 import math
+from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import pytest
 
 from closroute import cli
 from closroute.cli import main
-from closroute.config import ConfigError, build_jobs, default_config, parse_config
+from closroute.config import ConfigError, build_jobs, default_config, failure_plan, parse_config
+from closroute.sim import DEFAULT_PORT_BASE, run_scenario
 from closroute.workload import build_rings, ring_allreduce_commodities
 
 # a scenario small enough for quick end-to-end runs
@@ -128,6 +132,8 @@ BAD_VALUES = [
     ({"failures": {"time_s": math.nan}}, "failures.time_s"),
     ({"jobs": [{"arrival_time": -1.0}]}, r"jobs\[0\]\.arrival_time"),
     ({"jobs": [{"arrival_time": math.nan}]}, r"jobs\[0\]\.arrival_time"),
+    ({"jobs": [{"model": ["BLOOM"]}]}, r"jobs\[0\]\.model"),
+    ({"jobs": [{"model": {}}]}, r"jobs\[0\]\.model"),
     ({"allowed_dp": [], "jobs": [{"dp": "random"}]}, "allowed_dp"),
     ({"allowed_dp": [True]}, "allowed_dp"),
     ({"jobs": [{"num_iterations": True}]}, r"jobs\[0\]\.num_iterations"),
@@ -400,6 +406,85 @@ def test_golden_output_digests(small_config, tmp_path):
         for name in GOLDEN_DIGESTS
     }
     assert digests == GOLDEN_DIGESTS
+
+
+def reference_trace(config, levels) -> bytes:
+    """The trace as the CLI once wrote it: one 14-field tuple per flow, every
+    run's tuples held until the end, then one ``csv.writer.writerows``."""
+    jobs_by_seed = {seed: build_jobs(config, seed) for seed in config.seeds}
+    rows = []
+    for scenario_id, counts in levels:
+        plan = failure_plan(config, counts)
+        for scheme in config.schemes:
+            for seed in config.seeds:
+                log = run_scenario(config.topology, jobs_by_seed[seed],
+                                   replace(config.controller, scheme=scheme),
+                                   hardware=config.hardware, failures=plan, seed=seed).flow_log
+                for b in log.batches:
+                    templates = [log.templates[j] for j in b.job.tolist()]
+                    pos = b.pos.tolist()
+                    port = (b.spine + DEFAULT_PORT_BASE).astype(object)
+                    port[b.spine < 0] = None
+                    rows.extend(zip(
+                        repeat(scenario_id), repeat(scheme), repeat(seed),
+                        [t.job_id for t in templates], b.iteration.tolist(), b.cid.tolist(),
+                        [str(t.src[p]) for t, p in zip(templates, pos)],
+                        [str(t.dst[p]) for t, p in zip(templates, pos)],
+                        [t.volume[p] for t, p in zip(templates, pos)],
+                        b.start.tolist(), [b.end] * len(pos), b.fct.tolist(),
+                        b.throughput.tolist(), ["" if p is None else p for p in port.tolist()],
+                    ))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(cli.TRACE_COLUMNS)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+def test_trace_quotes_a_scenario_id_as_csv_writer_does(tmp_path):
+    """Only the scenario id comes from the user; one that holds a comma, a
+    quote and a newline is quoted in every row exactly as csv.writer quotes it."""
+    scenario = dict(SMALL_CONFIG, scenario_id='a,b"c\nd', seeds=[0])
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(scenario))
+    config = parse_config(scenario)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "run.csv"), "--trace",
+                 "--schemes", "greedy,ecmp"]) == 0
+    assert main(["failsweep", "--config", str(path), "--out", str(tmp_path / "sweep.csv"),
+                 "--trace", "--counts", "1"]) == 0
+    run = (tmp_path / "run.trace.csv").read_bytes()
+    assert run.count(b'\n"a,b""c\nd",greedy,0,job') > 0
+    assert run == reference_trace(replace(config, schemes=["greedy", "ecmp"]),
+                                  [(config.scenario_id, config.failure_counts)])
+    assert (tmp_path / "sweep.trace.csv").read_bytes() == reference_trace(
+        config, [(f"{config.scenario_id}:k1", [1])]
+    )
+
+
+def test_trace_streams_each_run_and_a_failed_run_leaves_no_output(small_config, tmp_path,
+                                                                  monkeypatch, capsys):
+    """The first run's rows are in the trace's temporary file when the second
+    run starts; when that run fails, the command exits 3 and leaves no file."""
+    run_scenario = cli.run_scenario
+    first, seen = [], []
+
+    def second_fails(*args, **kwargs):
+        if first:
+            (tmp,) = tmp_path.glob("*.tmp")
+            seen.append(tmp.read_text().splitlines())
+            raise RuntimeError("the second run fails")
+        first.append(run_scenario(*args, **kwargs))
+        return first[0]
+
+    monkeypatch.setattr(cli, "run_scenario", second_fails)
+    assert main(["run", "--config", small_config, "--out", str(tmp_path / "run.csv"),
+                 "--trace"]) == 3
+    assert "the second run fails" in capsys.readouterr().err
+    (lines,) = seen
+    assert lines[0] == ",".join(cli.TRACE_COLUMNS)
+    assert len(lines) == 1 + len(first[0].flow_log) > 1
+    assert all(line.startswith("small,greedy,0,job") for line in lines[1:])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
 # One job of tp=2, pp=1, dp=4 on 8 ToRs of one 2-NIC host each: a replica fills

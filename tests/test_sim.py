@@ -111,11 +111,11 @@ def test_flow_log_counts_replays_and_compares_its_rows(cluster):
     assert {e["commodity"] for e in rows} == set(records)
     assert all(records[e["commodity"]][0] == e["end_s"] - e["start_s"] for e in rows)
     assert again.flow_log == log and other.flow_log != log
-    # the columns carry the engine's FCT and throughput, row for row
-    columns = [list(zip(*batch)) for batch in log.columns()]
-    assert [(c[2], c[8], c[9]) for batch in columns for c in batch] == [
-        (e["commodity"], *records[e["commodity"]]) for e in rows
-    ]
+    # the batches carry the engine's FCT and throughput, row for row
+    assert [
+        flow for b in log.batches
+        for flow in zip(b.cid.tolist(), b.fct.tolist(), b.throughput.tolist())
+    ] == [(e["commodity"], *records[e["commodity"]]) for e in rows]
 
 
 def test_iteration_barrier_orders_flows(cluster):
