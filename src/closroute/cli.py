@@ -378,6 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.out and not os.path.isdir(out_dir := os.path.dirname(os.path.abspath(args.out))):
+            raise ConfigError(f"--out: directory '{out_dir}' does not exist")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

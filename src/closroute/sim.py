@@ -46,8 +46,9 @@ per flow as a loop would, one time step at a time.
 
 A completion event keeps the columns of the flows it finished, in slot
 order (arrival order), as one batch: ids, job, template position, iteration,
-start, spine, FCT and throughput. A job's ``MetricsRecord.flow_records`` are
-built from its batches when its iteration finishes, and ``SimResult.flow_log``
+start, spine, FCT and throughput; no other store keeps a finished flow. A job's
+``MetricsRecord.flow_records`` are its rows, sorted by id, in the batches from
+the one where its iteration began (it has one in flight). ``SimResult.flow_log``
 is a ``FlowLog`` over all batches and the templates their job and position
 index: its length needs no rows, and dict rows are built only when iterated.
 The CLI writes the trace CSV from the batches, as each run ends, into a
@@ -366,8 +367,8 @@ class _Engine:
             network_flows(topo, build_rings(job), controller.elephant_threshold) for job in jobs
         ]
         self.iteration_of = [0] * len(jobs)
-        # the (ids, fcts, throughputs) columns of the current iteration's finished flows
-        self.iter_done: list[list[tuple]] = [[] for _ in jobs]
+        # the first batch of finished that can hold the current iteration's flows
+        self.first_batch = [0] * len(jobs)
         for j, job in enumerate(jobs):
             self._start_compute(j, job.arrival_time)
         if failures:
@@ -457,6 +458,7 @@ class _Engine:
 
     def _on_compute_done(self, j):
         template = self.templates[j]
+        self.first_batch[j] = len(self.finished)
         if not template.tails:
             self._finish_iteration(j)
             return
@@ -476,20 +478,18 @@ class _Engine:
         self.pending_decisions.discard(t)
         f = self.flows
         slots = np.flatnonzero(f.elephant)
-        if not slots.size:
+        active = slots.size
+        if not active:
             return
-        elephants = f.commodity[slots].tolist()
-        to_route = elephants
         if self.controller.scheme == "ecmp":
             # an ECMP route depends only on the commodity, the seed and the live
             # spines: until a spine fails, a routed elephant would hash the same
             if self.topo is self.hashed_topo:
                 slots = slots[~f.transmitting[slots]]
-                to_route = f.commodity[slots].tolist()
             self.hashed_topo = self.topo
         choice = assign_by_scheme(
             self.controller.scheme,
-            to_route,
+            f.commodity[slots].tolist(),
             self.topo,
             seed=self.route_seed,
             anneal_schedule=self.controller.anneal_schedule,
@@ -499,7 +499,7 @@ class _Engine:
         self.controller_log.append(
             {
                 "time": self.now,
-                "flows": len(elephants),
+                "flows": active,
                 "max_spine_load": max_spine_link_load(self.topo, f.links[f.transmitting]),
             }
         )
@@ -532,13 +532,9 @@ class _Engine:
         iteration = np.array(self.iteration_of, dtype=np.int64)[job]
         self.finished.append(_Finished(self.now, cid, job, f.pos[done], iteration, start,
                                        f.spine[done], fct, throughput))
-        touched = np.unique(job).tolist()
-        for j in touched:
-            mine = job == j
-            self.iter_done[j].append((cid[mine], fct[mine], throughput[mine]))
         f.keep(~done)
         open_flows = np.bincount(f.job, minlength=len(self.jobs))
-        for j in sorted(touched, key=lambda j: self.jobs[j].id):
+        for j in sorted(np.unique(job).tolist(), key=lambda j: self.jobs[j].id):
             if open_flows[j] == 0:
                 self._finish_iteration(j)
         if len(f):
@@ -548,8 +544,9 @@ class _Engine:
 
     def _finish_iteration(self, j):
         iteration = self.iteration_of[j]
-        done = self.iter_done[j]
-        self.iter_done[j] = []
+        # a job has one iteration in flight: its rows from the batch where it began are this one's
+        done = [(b.cid[mine], b.fct[mine], b.throughput[mine])
+                for b in self.finished[self.first_batch[j]:] for mine in (b.job == j,)]
         cid, fct, throughput = [np.concatenate(c).tolist() for c in zip(*done)] or ([], [], [])
         records = tuple(sorted(zip(cid, fct, throughput)))
         job = self.jobs[j]

@@ -382,6 +382,27 @@ def test_bench_rejects_counts_above_the_exact_guard_before_timing(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["run", "--trace"], ["failsweep", "--counts", "1"], ["bench", "--counts", "10"],
+     ["validate", "--instances", "2"]],
+    ids=" ".join,
+)
+def test_out_in_a_missing_directory_exits_2_before_any_work(argv, small_config, tmp_path,
+                                                            monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: calls.append(a))
+    if argv[0] in ("run", "failsweep"):
+        argv = argv + ["--config", small_config]
+    missing = tmp_path / "missing"
+    assert main(argv + ["--out", str(missing / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --out")
+    assert f"'{missing}' does not exist" in captured.err
+    assert captured.out == "" and calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
 # SHA-256 of the files two traced commands write on the small scenario. They
 # change only with an output change that CHANGES.md declares.
 GOLDEN_DIGESTS = {

@@ -116,6 +116,20 @@ def test_flow_log_counts_replays_and_compares_its_rows(cluster):
         flow for b in log.batches
         for flow in zip(b.cid.tolist(), b.fct.tolist(), b.throughput.tolist())
     ] == [(e["commodity"], *records[e["commodity"]]) for e in rows]
+    # a record holds its job iteration's rows of the batches, by id: MINI's
+    # template emits r1.0 before r0.1, so neither emission nor completion
+    # order is id order
+    iteration_rows = {}
+    for b in log.batches:
+        for j, it, flow in zip(b.job.tolist(), b.iteration.tolist(),
+                               zip(b.cid.tolist(), b.fct.tolist(), b.throughput.tolist())):
+            iteration_rows.setdefault((log.templates[j].job_id, it), []).append(flow)
+    assert len(iteration_rows) == len(result.records) == 2 + 3
+    for r in result.records:
+        ids = [cid for cid, _, _ in r.flow_records]
+        assert ids == sorted(ids)
+        assert sorted(r.flow_records) == sorted(iteration_rows[r.job_id, r.iteration])
+        assert r.allreduce_time == max(fct for _, fct, _ in r.flow_records)
 
 
 def test_iteration_barrier_orders_flows(cluster):
