@@ -31,6 +31,7 @@ from .config import (
     ScenarioConfig,
     build_jobs,
     default_config,
+    distinct,
     failure_plan,
     load_config,
     parse_config,
@@ -145,11 +146,11 @@ def _schemes(text: str) -> list[str]:
     for s in names:
         if s not in SCHEME_NAMES:
             raise ConfigError(f"--schemes: unknown scheme {s!r}; valid: {list(SCHEME_NAMES)}")
-    return names
+    return distinct(names, "--schemes")
 
 
 def _counts(text: str, flag: str) -> list[int]:
-    """The non-negative integers of a comma-separated flag."""
+    """The distinct non-negative integers of a comma-separated flag; a blank flag has none."""
     try:
         counts = [int(item) for item in text.split(",") if item.strip()]
     except ValueError as exc:
@@ -157,7 +158,7 @@ def _counts(text: str, flag: str) -> list[int]:
     for count in counts:
         if count < 0:
             raise ConfigError(f"{flag}: counts must be >= 0, got {count}")
-    return counts
+    return distinct(counts, flag) if text.strip() else counts
 
 
 def _load(args) -> ScenarioConfig:

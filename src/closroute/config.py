@@ -116,6 +116,16 @@ def _object(value, path: str, known) -> dict:
     return value
 
 
+def distinct(values: list, path: str) -> list:
+    """values, checked to hold an entry and to repeat none, which would rerun its work."""
+    if not values:
+        raise ConfigError(f"{path}: names no entry")
+    for i, value in enumerate(values):
+        if values.index(value) < i:
+            raise ConfigError(f"{path}[{i}]: {value!r} repeats {path}[{values.index(value)}]")
+    return values
+
+
 def _build(path: str, make, **kwargs):
     """make(**kwargs), its ValueError a ConfigError naming path. The kwargs are
     read before the call, so their own errors name their fields alone."""
@@ -245,10 +255,12 @@ def parse_config(raw: dict) -> ScenarioConfig:
     for i, s in enumerate(schemes):
         if s not in SCHEME_NAMES:
             raise ConfigError(f"schemes[{i}]: unknown scheme {s!r}; valid: {list(SCHEME_NAMES)}")
+    distinct(schemes, "schemes")
 
     seeds = merged["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise ConfigError("seeds: must be a non-empty list of integers")
+    distinct(seeds, "seeds")
 
     a = merged["annealing"]
     anneal = _build(

@@ -28,10 +28,10 @@ ascending spine order that switches only on a strictly smaller bottleneck.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
+from hashlib import blake2b
 from itertools import compress
 
 import numpy as np
@@ -203,11 +203,6 @@ def decompose_components(commodities: list[CommoditySpec]) -> list[list[Commodit
     return [groups[root] for root in sorted(groups)]
 
 
-def _stable_hash(text: str) -> int:
-    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 def ecmp_assign(commodities: list[CommoditySpec], topo: ClosTopology, seed: int) -> PathChoice:
     """Hash each inter-ToR commodity onto a live spine, like per-flow ECMP."""
     kinds = classify(topo, commodities)
@@ -217,7 +212,9 @@ def ecmp_assign(commodities: list[CommoditySpec], topo: ClosTopology, seed: int)
 
 def _ecmp_spines(inter, topo: ClosTopology, seed: int) -> list[int]:
     live = topo.live_spines
-    return [live[_stable_hash(f"{c.id}|{seed}") % len(live)] for c in inter]
+    suffix = f"|{seed}"
+    digests = (blake2b((c.id + suffix).encode(), digest_size=8).digest() for c in inter)
+    return [live[int.from_bytes(d, "big") % len(live)] for d in digests]
 
 
 def edge_color_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathChoice:

@@ -21,7 +21,8 @@ and one re-hashes the mice a spine failure hits.
 An ECMP hash depends only on the flow, the seed and the live spines, so ECMP
 decisions reuse the routed elephants' hashes: a decision hashes only the
 elephants without a route, until a spine fails and the first decision after
-it hashes every elephant again.
+it hashes every elephant again. One that finds none to hash logs its entry and
+leaves the rates alone: every event that changes a row refills them.
 
 Active flows live in one flow table: one array per column (the job, the flow's
 position in its template, bits remaining and sent, rate, start time, volume,
@@ -47,10 +48,11 @@ per flow as a loop would, one time step at a time.
 A completion event keeps the columns of the flows it finished, in slot
 order (arrival order), as one batch: ids, job, template position, iteration,
 start, spine, FCT and throughput; no other store keeps a finished flow. A job's
-``MetricsRecord.flow_records`` are its rows, sorted by id, in the batches from
-the one where its iteration began (it has one in flight). ``SimResult.flow_log``
-is a ``FlowLog`` over all batches and the templates their job and position
-index: its length needs no rows, and dict rows are built only when iterated.
+``MetricsRecord.flow_records`` are its rows in the batches from the one where
+its iteration began (it has one in flight), gathered in its template's id order.
+``SimResult.flow_log`` is a ``FlowLog`` over all batches and the templates their
+job and position index: its length needs no rows, and dict rows are built only
+when iterated.
 The CLI writes the trace CSV from the batches, as each run ends, into a
 temporary file that appears as the trace once the command succeeds.
 
@@ -131,6 +133,7 @@ class FlowTemplate(NamedTuple):
     bits: np.ndarray  # volume * 8, as floats
     kinds: Classified
     elephant: np.ndarray  # routed by the controller
+    order: np.ndarray  # the positions in id order, which is tail order
 
     def emit(self, iteration: int) -> tuple[list[str], list[CommoditySpec]]:
         """The ids and commodities of the flows of an iteration, unchecked: the
@@ -154,16 +157,18 @@ def network_flows(topo: ClosTopology, rings: list[Ring], threshold: float) -> Fl
     on_net = kinds.kind != INTRA_HOST
     commodities = list(compress(commodities, on_net))
     skip = len(iteration_prefix(job_id, 0))
+    tails = [c.id[skip:] for c in commodities]
     volume = [c.volume for c in commodities]
     return FlowTemplate(
         job_id,
-        [c.id[skip:] for c in commodities],
+        tails,
         [c.src for c in commodities],
         [c.dst for c in commodities],
         volume,
         np.array([v * 8 for v in volume], dtype=float),
         Classified(*(column[on_net] for column in kinds)),
         np.array([v >= threshold for v in volume], dtype=bool),
+        np.array(sorted(range(len(tails)), key=tails.__getitem__), dtype=np.int64),
     )
 
 
@@ -487,15 +492,15 @@ class _Engine:
             if self.topo is self.hashed_topo:
                 slots = slots[~f.transmitting[slots]]
             self.hashed_topo = self.topo
-        choice = assign_by_scheme(
-            self.controller.scheme,
-            f.commodity[slots].tolist(),
-            self.topo,
-            seed=self.route_seed,
-            anneal_schedule=self.controller.anneal_schedule,
-            exact_max_commodities=self.controller.exact_max_commodities,
-        )
-        self._set_routes(slots, choice)
+        if slots.size:
+            self._set_routes(slots, assign_by_scheme(
+                self.controller.scheme,
+                f.commodity[slots].tolist(),
+                self.topo,
+                seed=self.route_seed,
+                anneal_schedule=self.controller.anneal_schedule,
+                exact_max_commodities=self.controller.exact_max_commodities,
+            ))
         self.controller_log.append(
             {
                 "time": self.now,
@@ -503,7 +508,10 @@ class _Engine:
                 "max_spine_load": max_spine_link_load(self.topo, f.links[f.transmitting]),
             }
         )
-        self._rewaterfill()
+        if slots.size:
+            self._rewaterfill()
+        else:  # no row changed, so the rates stand: every handler that changes a row refills them
+            self._reschedule_completion()  # finish times taken from now, as a refill takes them
 
     def _on_completion(self):
         f = self.flows
@@ -544,11 +552,16 @@ class _Engine:
 
     def _finish_iteration(self, j):
         iteration = self.iteration_of[j]
+        order = self.templates[j].order
+        n = len(order)
+        cid, fct, throughput = np.empty(n, dtype=object), np.empty(n), np.empty(n)
         # a job has one iteration in flight: its rows from the batch where it began are this one's
-        done = [(b.cid[mine], b.fct[mine], b.throughput[mine])
-                for b in self.finished[self.first_batch[j]:] for mine in (b.job == j,)]
-        cid, fct, throughput = [np.concatenate(c).tolist() for c in zip(*done)] or ([], [], [])
-        records = tuple(sorted(zip(cid, fct, throughput)))
+        for b in self.finished[self.first_batch[j]:]:
+            mine = b.job == j
+            pos = b.pos[mine]
+            cid[pos], fct[pos], throughput[pos] = b.cid[mine], b.fct[mine], b.throughput[mine]
+        fct = fct[order].tolist()
+        records = tuple(zip(cid[order].tolist(), fct, throughput[order].tolist()))
         job = self.jobs[j]
         self.records.append(MetricsRecord(job.id, iteration, max(fct, default=0.0), records))
         self.iteration_of[j] = iteration + 1

@@ -154,6 +154,9 @@ BAD_VALUES = [
     ({"models": {"X": {"bytes_per_param": 2.5, "num_params": 1e9, "tp": 1, "pp": 1}}},
      "models.X.bytes_per_param"),
     ({"scenario_id": 5}, "scenario_id"),
+    # a repeated scheme or seed would run the same simulations again
+    ({"schemes": ["greedy", "ecmp", "greedy"]}, r"schemes\[2\]"),
+    ({"seeds": [1, 1]}, r"seeds\[1\]"),
 ]
 
 
@@ -369,6 +372,31 @@ def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert argv[1].split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--schemes", ","], "--schemes: names no entry"),
+        (["run", "--schemes", "greedy,greedy"], "--schemes[1]: 'greedy' repeats --schemes[0]"),
+        (["failsweep", "--schemes", "ecmp, ,ecmp"], "--schemes[1]: 'ecmp' repeats --schemes[0]"),
+        (["failsweep", "--counts", ","], "--counts: names no entry"),
+        (["failsweep", "--counts", "4,1,4"], "--counts[2]: 4 repeats --counts[0]"),
+        (["bench", "--counts", " , "], "--counts: names no entry"),
+        (["bench", "--counts", "10,10"], "--counts[1]: 10 repeats --counts[0]"),
+        (["bench", "--schemes", ","], "--schemes: names no entry"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_empty_or_repeated_list_flag_is_config_error(argv, message, small_config, tmp_path,
+                                                     capsys):
+    """A list flag that names nothing, or one entry twice, would write no rows
+    or the same rows again."""
+    out = tmp_path / "x.csv"
+    config = [] if argv[0] == "bench" else ["--config", small_config]
+    assert main(argv + config + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

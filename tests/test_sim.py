@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from closroute import routing, sim
 from closroute.cli import measure_scheme_runtime
-from closroute.rates import RateAllocation
+from closroute.rates import LinkRows, RateAllocation, waterfill
 from closroute.sim import (
     ControllerModel,
     FailurePlan,
@@ -132,6 +132,34 @@ def test_flow_log_counts_replays_and_compares_its_rows(cluster):
         assert r.allreduce_time == max(fct for _, fct, _ in r.flow_records)
 
 
+# 12 pipeline stages: ring ids run r0.0 ... r0.11, and r0.11 sorts before r0.2
+DEEP = ModelConfig("DEEP", 2.4e9, tp=2, pp=12)
+
+
+def test_records_are_in_id_order_where_it_is_not_ring_order(cluster):
+    deep = make_job(cluster, DEEP, dp=3, seed=5, iters=2, job_id="deep")
+    alone = make_job(cluster, MINI, dp=1, seed=6, iters=2, occupied=frozenset(deep.placement),
+                     job_id="alone")  # one replica: no ring edge leaves a host
+    result = run_scenario(cluster, [deep, alone], ControllerModel(scheme="greedy"),
+                          hardware=FAST_HW, seed=2)
+    iteration_rows = {}
+    for b in result.flow_log.batches:
+        for it, flow in zip(b.iteration.tolist(),
+                            zip(b.cid.tolist(), b.fct.tolist(), b.throughput.tolist())):
+            iteration_rows.setdefault(it, []).append(flow)
+    by_job = {(r.job_id, r.iteration): r for r in result.records}
+    assert set(by_job) == {("deep", 0), ("deep", 1), ("alone", 0), ("alone", 1)}
+    for it in (0, 1):
+        record = by_job["deep", it]
+        ids = [cid for cid, _, _ in record.flow_records]
+        assert ids == sorted(ids)
+        assert ids.index(f"deep:it{it}:r0.11:e0") < ids.index(f"deep:it{it}:r0.2:e0")
+        assert sorted(record.flow_records) == sorted(iteration_rows[it])
+        assert record.allreduce_time == max(fct for _, fct, _ in record.flow_records)
+        assert by_job["alone", it].flow_records == ()
+        assert by_job["alone", it].allreduce_time == 0.0
+
+
 def test_iteration_barrier_orders_flows(cluster):
     job = make_job(cluster, MINI, dp=4, seed=3, iters=3)
     result = run_scenario(cluster, [job], ControllerModel(scheme="greedy"),
@@ -247,17 +275,23 @@ def test_engine_builds_no_route_or_rate_dict(cluster, monkeypatch, scheme, fallb
 
 def _run_ecmp_recording(cluster, monkeypatch):
     """Two jobs under ECMP with 8 spines failing mid-transfer; also returns,
-    per decision, the topology and the elephant ids the scheme was given."""
+    per scheme call, the time, the topology and the elephant ids it was given."""
     first = make_job(cluster, MINI, dp=4, seed=8, iters=2, job_id="a")
     second = make_job(cluster, MINI, dp=2, seed=9, iters=3,
                       occupied=frozenset(first.placement), job_id="b")
-    calls = []
+    calls, engines = [], []
     assign = routing.assign_by_scheme
+    run = sim._Engine.run
+
+    def running(engine):
+        engines.append(engine)
+        return run(engine)
 
     def recording(scheme, commodities, topo, **kwargs):
-        calls.append((topo, [c.id for c in commodities]))
+        calls.append((engines[-1].now, topo, [c.id for c in commodities]))
         return assign(scheme, commodities, topo, **kwargs)
 
+    monkeypatch.setattr(sim._Engine, "run", running)
     monkeypatch.setattr(sim, "assign_by_scheme", recording)
     plan = FailurePlan(times=(0.4,), counts=(8,), seed=3)
     result = run_scenario(cluster, [first, second], ControllerModel(scheme="ecmp"),
@@ -267,21 +301,25 @@ def _run_ecmp_recording(cluster, monkeypatch):
 
 def test_ecmp_decisions_hash_only_unrouted_elephants(cluster, monkeypatch):
     result, calls = _run_ecmp_recording(cluster, monkeypatch)
-    assert len(calls) == len(result.controller_log)
-    topos = [topo for topo, _ in calls]
+    # a decision that finds every elephant routed logs its entry but calls no
+    # scheme; every call is a logged decision's and routes an elephant
+    logged = {e["time"]: e for e in result.controller_log}
+    assert len(logged) == len(result.controller_log) > len(calls)
+    assert all(t in logged and ids for t, _, ids in calls)
+    topos = [topo for _, topo, _ in calls]
     failed_at = next(i for i, topo in enumerate(topos) if topo is not topos[0])
     assert topos[failed_at].failed_spines and all(t is topos[failed_at] for t in topos[failed_at:])
     # between failures each elephant is hashed once, however many decisions
     # it lives through
     for span in (calls[:failed_at], calls[failed_at:]):
-        passed = Counter(cid for _, ids in span for cid in ids)
+        passed = Counter(cid for _, _, ids in span for cid in ids)
         assert set(passed.values()) == {1}
-    assert any(len(ids) < e["flows"] for (_, ids), e in zip(calls, result.controller_log))
+    assert any(len(ids) < logged[t]["flows"] for t, _, ids in calls)
     # the first decision after the failure hashes every active elephant
-    t = result.controller_log[failed_at]["time"]
+    t = calls[failed_at][0]
     active = {e["commodity"] for e in result.flow_log if e["start_s"] < t < e["end_s"]}
-    assert set(calls[failed_at][1]) == active
-    assert len(active) == result.controller_log[failed_at]["flows"]
+    assert set(calls[failed_at][2]) == active
+    assert len(active) == logged[t]["flows"]
 
     # a fresh topology object at every decision defeats the reuse: the scheme
     # then hashes every elephant each time, with the same results
@@ -293,7 +331,9 @@ def test_ecmp_decisions_hash_only_unrouted_elephants(cluster, monkeypatch):
 
     monkeypatch.setattr(sim._Engine, "_on_decision", on_fresh_topology)
     full, full_calls = _run_ecmp_recording(cluster, monkeypatch)
-    assert [len(ids) for _, ids in full_calls] == [e["flows"] for e in full.controller_log]
+    assert [(t, len(ids)) for t, _, ids in full_calls] == [
+        (e["time"], e["flows"]) for e in full.controller_log
+    ]
     assert repr(full.records) == repr(result.records)
     assert full.flow_log == result.flow_log
     assert full.controller_log == result.controller_log
@@ -431,6 +471,35 @@ def test_failure_stalls_elephants_and_rehashes_mice_in_the_link_rows(cluster, mo
     monkeypatch.setattr(sim._Engine, "_on_failure", checking)
     _run_elephants_and_mice(cluster, scheme=scheme)
     assert len(seen) == 2 and all(stalled and mice for stalled, mice in seen)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("scheme", ["greedy", "ecmp"])
+def test_every_handler_leaves_the_max_min_rates_of_its_rows(cluster, monkeypatch, scheme,
+                                                             fallback):
+    """After each event, the transmitting flows' rates are, bit for bit, what a
+    fresh waterfill over the table's rows gives: so an ECMP decision that
+    changes no row may skip the refill."""
+    checked = Counter()
+
+    def checking(name):
+        handler = getattr(sim._Engine, name)
+
+        def check(engine, *args):
+            handler(engine, *args)
+            f = engine.flows
+            live = np.flatnonzero(f.transmitting)
+            fresh = waterfill(LinkRows(f.cid[live], f.links[live]), engine.topo).rate
+            assert f.rate[live].tobytes() == fresh.tobytes(), name
+            assert not f.rate[~f.transmitting].any(), name
+            checked[name] += 1
+
+        return check
+
+    for name in ("_on_compute_done", "_on_completion", "_on_failure", "_on_decision"):
+        monkeypatch.setattr(sim._Engine, name, checking(name))
+    _run_elephants_and_mice(cluster, scheme=scheme, ecmp_fallback_start=fallback)
+    assert checked["_on_failure"] == 2 and min(checked.values()) > 0 and len(checked) == 4
 
 
 def test_concurrent_jobs_share_fairly(cluster):
