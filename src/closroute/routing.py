@@ -24,6 +24,13 @@ its NIC floor up, at which its source ToR's up-mask and its destination
 ToR's down-mask intersect. Every spine in the intersection attains it, so
 the lowest set bit is the lowest such spine: the choice of a scan in
 ascending spine order that switches only on a strictly smaller bottleneck.
+
+Edge coloring keeps the same kind of mask per vertex of the demand
+multigraph: bit c is set while color c is free there. The lowest set bit
+of the two ends' intersection is the first color free at both, the choice
+of a scan in ascending color order. When the intersection is empty, the
+lowest free bits of the two ends are the colors swapped along a Kempe
+chain, and only the chain's two ends change their masks.
 """
 
 from __future__ import annotations
@@ -213,8 +220,9 @@ def ecmp_assign(commodities: list[CommoditySpec], topo: ClosTopology, seed: int)
 def _ecmp_spines(inter, topo: ClosTopology, seed: int) -> list[int]:
     live = topo.live_spines
     suffix = f"|{seed}"
-    digests = (blake2b((c.id + suffix).encode(), digest_size=8).digest() for c in inter)
-    return [live[int.from_bytes(d, "big") % len(live)] for d in digests]
+    n = len(live)
+    return [live[int.from_bytes(blake2b((c.id + suffix).encode(), digest_size=8).digest(),
+                                "big") % n] for c in inter]
 
 
 def edge_color_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathChoice:
@@ -231,19 +239,23 @@ def edge_color_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> P
     inter = kinds.inter
     # vertices: source ToR t is t, destination ToR t is T + t
     edges = np.stack([kinds.src_tor[inter], topo.num_tors + kinds.dst_tor[inter]], 1).tolist()
-    # table[x][c]: the edge colored c at vertex x, -1 if c is free there
-    colors = range(max_tor_degree(kinds))
-    table = [[-1 for _ in colors] for _ in range(2 * topo.num_tors)]
+    degree = max_tor_degree(kinds)
+    # table[x][c]: the edge colored c at vertex x, -1 if c is free there;
+    # bit c of free[x] is set while c is free at x
+    table = [[-1] * degree for _ in range(2 * topo.num_tors)]
+    free = [(1 << degree) - 1] * (2 * topo.num_tors)
     color = [0] * len(edges)
     for e, (u, v) in enumerate(edges):
-        at_u, at_v = table[u], table[v]
-        c = next((c for c in colors if at_u[c] < 0 and at_v[c] < 0), -1)
-        if c < 0:
-            alpha, beta = at_u.index(-1), at_v.index(-1)
+        both = free[u] & free[v]
+        bit = both & -both
+        if not bit:
+            bit, other = free[u] & -free[u], free[v] & -free[v]
+            alpha, beta = bit.bit_length() - 1, other.bit_length() - 1
             # Swap alpha and beta along the maximal alpha/beta chain starting
             # at v, a path whose vertices swap their alpha and beta entries.
             # Bipartite parity keeps it away from u, so alpha becomes free at
-            # both ends.
+            # both ends. Every inner vertex holds both colors before and
+            # after, so only the two ends change their free masks.
             x, want = v, alpha
             while True:
                 row = table[x]
@@ -254,9 +266,13 @@ def edge_color_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> P
                 color[f] = alpha + beta - want
                 x = edges[f][1] if x == edges[f][0] else edges[f][0]
                 want = alpha + beta - want
-            c = alpha
+            free[v] ^= bit | other
+            free[x] ^= bit | other
+        c = bit.bit_length() - 1
         color[e] = c
-        at_u[c] = at_v[c] = e
+        free[u] ^= bit
+        free[v] ^= bit
+        table[u][c] = table[v][c] = e
     live = topo.live_spines
     return build_routes(commodities, kinds.kind, [live[c % len(live)] for c in color])
 
@@ -382,7 +398,8 @@ def exact_assign(
         )
 
     lower_bound = -(-max_tor_degree(kinds) // len(live))
-    greedy_bound = max_link_load(greedy_assign(commodities, topo), topo)
+    greedy = build_routes(commodities, kinds.kind, _greedy_spines(kinds, topo))
+    greedy_bound = max_link_load(greedy, topo)
 
     loads = [0] * topo.num_links  # by link id; only ToR<->spine links are used
     chosen: list[int] = [live[0]] * n

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -90,9 +91,14 @@ class PathChoice:
 
     @cached_property
     def assignment(self) -> dict[str, Route]:
-        """Commodity id -> Route, in input order, built on first read."""
-        return {c.id: Route(k, None if s < 0 else s, c.src, c.dst)
-                for c, k, s in zip(self.commodities, self.kind.tolist(), self.spine.tolist())}
+        """Commodity id -> Route, in input order, built on first read. The
+        routes are made from zipped field tuples by ``tuple.__new__``, which
+        skips the per-route call of the ``Route`` constructor."""
+        cs = self.commodities
+        spines = [None if s < 0 else s for s in self.spine.tolist()]
+        fields = zip(self.kind.tolist(), spines,
+                     map(attrgetter("src"), cs), map(attrgetter("dst"), cs))
+        return dict(zip(map(attrgetter("id"), cs), map(partial(tuple.__new__, Route), fields)))
 
     def link_rows(self, topo: ClosTopology) -> np.ndarray:
         """``route_link_rows`` of the routes, from the columns."""
