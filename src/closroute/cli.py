@@ -48,7 +48,15 @@ from .routing import (
     random_commodities,
     random_unit_instance,
 )
-from .sim import DEFAULT_PORT_BASE, FLOW_COLUMNS, FlowLog, SimResult, run_scenario, stable_seed
+from .sim import (
+    DEFAULT_PORT_BASE,
+    FLOW_COLUMNS,
+    FlowLog,
+    SimResult,
+    flow_templates,
+    run_scenario,
+    stable_seed,
+)
 from .topology import ClosTopology, classify
 
 RESULT_COLUMNS = ("scenario", "scheme", "job", "metric", "value", "seed")
@@ -150,7 +158,7 @@ def _schemes(text: str) -> list[str]:
 
 
 def _counts(text: str, flag: str) -> list[int]:
-    """The distinct non-negative integers of a comma-separated flag; a blank flag has none."""
+    """The distinct non-negative integers of a comma-separated flag, which names at least one."""
     try:
         counts = [int(item) for item in text.split(",") if item.strip()]
     except ValueError as exc:
@@ -158,7 +166,7 @@ def _counts(text: str, flag: str) -> list[int]:
     for count in counts:
         if count < 0:
             raise ConfigError(f"{flag}: counts must be >= 0, got {count}")
-    return distinct(counts, flag) if text.strip() else counts
+    return distinct(counts, flag)
 
 
 def _load(args) -> ScenarioConfig:
@@ -178,8 +186,13 @@ def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]])
     seed in that order; write and return the metric rows. With ``--trace``,
     each run's flows go to the trace's temporary file as the run ends, and the
     trace takes its place after the results CSV."""
-    # jobs are immutable, so every level and scheme of a seed runs one list
+    # jobs are immutable, so every level and scheme of a seed runs one list,
+    # and one list of flow templates: the threshold is the same for every scheme
     jobs_by_seed = {seed: build_jobs(config, seed) for seed in config.seeds}
+    templates_by_seed = {
+        seed: flow_templates(config.topology, jobs, config.controller.elephant_threshold)
+        for seed, jobs in jobs_by_seed.items()
+    }
     rows = []
     with _atomic_open(_suffixed(args.out, ".trace.csv")) if args.trace else nullcontext() as trace:
         if trace:
@@ -190,7 +203,8 @@ def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]])
                 controller = replace(config.controller, scheme=scheme)
                 for seed in config.seeds:
                     result = run_scenario(config.topology, jobs_by_seed[seed], controller,
-                                          hardware=config.hardware, failures=plan, seed=seed)
+                                          hardware=config.hardware, failures=plan, seed=seed,
+                                          templates=templates_by_seed[seed])
                     rows.extend(_metric_rows(scenario_id, scheme, seed, result))
                     if trace:
                         _write_trace(trace, scenario_id, scheme, seed, result.flow_log)

@@ -3,11 +3,15 @@
 Jobs alternate compute phases with communication phases; a communication phase
 emits one flow per ring edge that leaves its host: same-host edges take no
 network time. A job sends the same edges every iteration, so its flows are
-derived once per run, as a template (``network_flows``, which
+derived once per placement, as a template (``network_flows``, which
 ``config.build_jobs`` also calls for the exact scheme's size guard): one
 ``ring_allreduce_commodities`` call per ring and one ``classify`` call give
 the off-host edges' endpoints, volumes, kinds, ToRs, NIC link ids and elephant
-flags. An iteration only makes its ids, ``iteration_prefix`` followed by the
+flags. A template depends only on the fabric, the job's placement and the
+elephant threshold, so the runs of one seed's jobs share their templates
+(``flow_templates``, passed to ``run_scenario``): the CLI builds them once per
+seed for all schemes and failure levels, and a run given none builds its own.
+An iteration only makes its ids, ``iteration_prefix`` followed by the
 template's id tails, and one ``CommoditySpec`` per flow for the routing
 schemes, unchecked (see ``emit``), then appends the template's columns.
 
@@ -22,7 +26,8 @@ An ECMP hash depends only on the flow, the seed and the live spines, so ECMP
 decisions reuse the routed elephants' hashes: a decision hashes only the
 elephants without a route, until a spine fails and the first decision after
 it hashes every elephant again. One that finds none to hash logs its entry and
-leaves the rates alone: every event that changes a row refills them.
+leaves the rates alone: every other event that changes a row refills them,
+unless it is a completion that cannot change a rate (see below).
 
 Active flows live in one flow table: one array per column (the job, the flow's
 position in its template, bits remaining and sent, rate, start time, volume,
@@ -44,6 +49,21 @@ of each job's current iteration, so an iteration is over once no slot holds
 its job. Advancing time, the completion test and the next finish time are
 array expressions over the table, each doing the same floating-point operation
 per flow as a loop would, one time step at a time.
+
+A completion refills the rates only when a finished flow crossed a link that a
+flow still transmitting crosses; otherwise every rate stands and only the next
+finish time is taken again. This is exact. The rates are, by induction, what a
+refill over the rows left plus the finished flows' rows gives. The finished
+flows form connected components of their own in the graph of flows and the
+links they cross, and dropping them changes no other component's rates, bit
+for bit. In progressive filling (``rates.waterfill``) a component's residuals
+and counts of unfrozen flows change only in the rounds where its own flows
+freeze, and it freezes flows exactly when its own smallest share is the
+round's level: so it freezes the same flows at the same levels, in the same
+order, whichever other components are filled beside it. Which of its links
+count as shared (crossed by two or more flows) does not change either, since
+no finished flow crossed them. Finished flows may share links with each
+other: the test looks only at the links of the flows left transmitting.
 
 A completion event keeps the columns of the flows it finished, in slot
 order (arrival order), as one batch: ids, job, template position, iteration,
@@ -73,6 +93,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 from itertools import compress, repeat
 from typing import NamedTuple
@@ -140,7 +161,7 @@ class FlowTemplate(NamedTuple):
         template's flows, which differ only in the id, passed the checks."""
         prefix = iteration_prefix(self.job_id, iteration)
         ids = [prefix + tail for tail in self.tails]
-        return ids, list(map(CommoditySpec._make,
+        return ids, list(map(partial(tuple.__new__, CommoditySpec),
                              zip(ids, repeat(self.job_id), self.src, self.dst, self.volume)))
 
 
@@ -170,6 +191,12 @@ def network_flows(topo: ClosTopology, rings: list[Ring], threshold: float) -> Fl
         np.array([v >= threshold for v in volume], dtype=bool),
         np.array(sorted(range(len(tails)), key=tails.__getitem__), dtype=np.int64),
     )
+
+
+def flow_templates(topo: ClosTopology, jobs: list[Job], threshold: float) -> list[FlowTemplate]:
+    """Each job's ``network_flows``, in job order: a run's templates, which
+    depend only on the fabric, the placements and the elephant threshold."""
+    return [network_flows(topo, build_rings(job), threshold) for job in jobs]
 
 
 def stable_seed(*parts) -> int:
@@ -348,7 +375,7 @@ class _FlowTable:
 
 
 class _Engine:
-    def __init__(self, topo, jobs, controller, hardware, failures, seed):
+    def __init__(self, topo, jobs, controller, hardware, failures, seed, templates=None):
         self.topo = topo
         self.controller = controller
         self.hardware = hardware
@@ -368,9 +395,9 @@ class _Engine:
 
         # per-job state is indexed by the job's position in jobs
         self.jobs = list(jobs)
-        self.templates = [
-            network_flows(topo, build_rings(job), controller.elephant_threshold) for job in jobs
-        ]
+        if templates is None:
+            templates = flow_templates(topo, self.jobs, controller.elephant_threshold)
+        self.templates = templates
         self.iteration_of = [0] * len(jobs)
         # the first batch of finished that can hold the current iteration's flows
         self.first_batch = [0] * len(jobs)
@@ -514,6 +541,10 @@ class _Engine:
             self._reschedule_completion()  # finish times taken from now, as a refill takes them
 
     def _on_completion(self):
+        """Log the flows that are done, end the iterations they close, and
+        refill the rates only if a finished flow crossed a link that a flow
+        still transmitting crosses: otherwise no rate can change (see the
+        module docstring)."""
         f = self.flows
         done = f.transmitting & (f.remaining <= DONE_RTOL * f.volume + DONE_SLACK_BITS)
         if not done.any():
@@ -540,6 +571,7 @@ class _Engine:
         iteration = np.array(self.iteration_of, dtype=np.int64)[job]
         self.finished.append(_Finished(self.now, cid, job, f.pos[done], iteration, start,
                                        f.spine[done], fct, throughput))
+        gone = f.links[done]
         f.keep(~done)
         open_flows = np.bincount(f.job, minlength=len(self.jobs))
         for j in sorted(np.unique(job).tolist(), key=lambda j: self.jobs[j].id):
@@ -548,7 +580,13 @@ class _Engine:
         if len(f):
             if f.elephant.any():
                 self._schedule_decision(self.controller.reaction_latency)
-            self._rewaterfill()
+            kept = f.links[f.transmitting]
+            crossed = np.zeros(self.topo.num_links, dtype=bool)
+            crossed[kept[kept >= 0]] = True
+            if crossed[gone[gone >= 0]].any():
+                self._rewaterfill()
+            else:
+                self._reschedule_completion()
 
     def _finish_iteration(self, j):
         iteration = self.iteration_of[j]
@@ -592,6 +630,10 @@ def run_scenario(
     hardware: HardwareModel = HardwareModel(),
     failures: FailurePlan | None = None,
     seed: int = 0,
+    templates: list[FlowTemplate] | None = None,
 ) -> SimResult:
-    """Simulate the jobs to completion and return metrics plus the runtime log."""
-    return _Engine(topo, jobs, controller, hardware, failures, seed).run()
+    """Simulate the jobs to completion and return metrics plus the runtime log.
+    ``templates``, if given, must be ``flow_templates(topo, jobs,
+    controller.elephant_threshold)``, which runs of the same jobs can share;
+    by default the run builds them."""
+    return _Engine(topo, jobs, controller, hardware, failures, seed, templates).run()

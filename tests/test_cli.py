@@ -3,13 +3,14 @@ import hashlib
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
 import pytest
 
-from closroute import cli
+from closroute import cli, sim
 from closroute.cli import main
 from closroute.config import ConfigError, build_jobs, default_config, failure_plan, parse_config
 from closroute.sim import DEFAULT_PORT_BASE, run_scenario
@@ -230,16 +231,18 @@ def test_bench_csv_shape(tmp_path):
     assert all(float(r["median_s"]) >= 0 for r in rows)
 
 
-def test_bench_empty_counts(tmp_path):
-    out = str(tmp_path / "bench.csv")
-    assert main(["bench", "--counts", "", "--schemes", "greedy", "--out", out]) == 0
-    assert read_rows(out) == []
+def test_bench_empty_counts(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--counts", "", "--schemes", "greedy", "--out", str(out)]) == 2
+    assert "--counts: names no entry" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_failsweep_empty_counts(small_config, tmp_path):
-    out = str(tmp_path / "sweep.csv")
-    assert main(["failsweep", "--config", small_config, "--counts", "", "--out", out]) == 0
-    assert read_rows(out) == []
+def test_failsweep_empty_counts(small_config, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["failsweep", "--config", small_config, "--counts", "", "--out", str(out)]) == 2
+    assert "--counts: names no entry" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failsweep_produces_tagged_groups(small_config, tmp_path):
@@ -567,6 +570,37 @@ def test_exact_guard_admits_exactly_its_size(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, runs", [
+    (["run", "--schemes", "greedy,ecmp"], 4),
+    (["failsweep", "--counts", "1,2"], 8),
+])
+def test_flow_templates_are_built_once_per_job_and_seed(argv, runs, small_config, tmp_path,
+                                                        monkeypatch):
+    """A template depends only on the fabric, the job's placement and the
+    elephant threshold, so every scheme and failure level of a seed shares
+    its jobs' templates: each job's rings are built once."""
+    built = Counter()
+    scenarios = []
+    build_rings = sim.build_rings
+    run_scenario = cli.run_scenario
+
+    def counting(job):
+        built[job] += 1
+        return build_rings(job)
+
+    def recording(topo, jobs, *args, **kwargs):
+        scenarios.append(tuple(jobs))
+        return run_scenario(topo, jobs, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "build_rings", counting)
+    monkeypatch.setattr(cli, "run_scenario", recording)
+    assert main([*argv, "--config", small_config, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(scenarios) == runs
+    jobs = [job for seed_jobs in dict.fromkeys(scenarios) for job in seed_jobs]
+    assert len(jobs) == len(SMALL_CONFIG["seeds"]) * len(SMALL_CONFIG["jobs"])
+    assert built == Counter(jobs)
+
+
 @pytest.fixture()
 def spans(monkeypatch):
     """The benchmark's tracer module, imported as it is, without changes."""
@@ -583,9 +617,10 @@ def test_benchmark_tracer_sees_every_call(spans, small_config, tmp_path, monkeyp
     runs = []
     run_scenario = cli.run_scenario
 
-    def recording(topo, jobs, controller, hardware, failures, seed):
+    def recording(topo, jobs, controller, hardware, failures, seed, templates):
         runs.append((failures.counts if failures else (), controller.scheme, seed))
-        return run_scenario(topo, jobs, controller, hardware=hardware, failures=failures, seed=seed)
+        return run_scenario(topo, jobs, controller, hardware=hardware, failures=failures, seed=seed,
+                            templates=templates)
 
     monkeypatch.setattr(cli, "run_scenario", recording)
     tracer = spans.Tracer(full=True)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 from collections import Counter
@@ -6,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from closroute import routing, sim
@@ -473,6 +474,16 @@ def test_failure_stalls_elephants_and_rehashes_mice_in_the_link_rows(cluster, mo
     assert len(seen) == 2 and all(stalled and mice for stalled, mice in seen)
 
 
+def assert_fresh_rates(engine, name):
+    """The transmitting flows' rates are, bit for bit, what a fresh waterfill
+    over the table's rows gives; the other flows' rates are 0."""
+    f = engine.flows
+    live = np.flatnonzero(f.transmitting)
+    fresh = waterfill(LinkRows(f.cid[live], f.links[live]), engine.topo).rate
+    assert f.rate[live].tobytes() == fresh.tobytes(), name
+    assert not f.rate[~f.transmitting].any(), name
+
+
 @pytest.mark.parametrize("fallback", [False, True])
 @pytest.mark.parametrize("scheme", ["greedy", "ecmp"])
 def test_every_handler_leaves_the_max_min_rates_of_its_rows(cluster, monkeypatch, scheme,
@@ -487,11 +498,7 @@ def test_every_handler_leaves_the_max_min_rates_of_its_rows(cluster, monkeypatch
 
         def check(engine, *args):
             handler(engine, *args)
-            f = engine.flows
-            live = np.flatnonzero(f.transmitting)
-            fresh = waterfill(LinkRows(f.cid[live], f.links[live]), engine.topo).rate
-            assert f.rate[live].tobytes() == fresh.tobytes(), name
-            assert not f.rate[~f.transmitting].any(), name
+            assert_fresh_rates(engine, name)
             checked[name] += 1
 
         return check
@@ -597,10 +604,8 @@ failure_events = st.lists(st.tuples(st.floats(0.0, 1.5), st.integers(1, 3)), max
 )
 
 
-@settings(derandomize=True, deadline=None, max_examples=150,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(
-    specs=job_specs,
+# the other parts of a generated scenario on SMALL_FABRIC (see small_scenario)
+scenario_knobs = dict(
     failures=failure_events,
     scheme=st.sampled_from(["greedy", "ecmp"]),
     threshold=st.sampled_from([1e6, 1e12]),  # bytes; at 1e12 every flow is a mouse
@@ -608,8 +613,11 @@ failure_events = st.lists(st.tuples(st.floats(0.0, 1.5), st.integers(1, 3)), max
     precomputed=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_every_flow_completes_once(specs, failures, scheme, threshold, fallback, precomputed,
-                                   seed):
+
+
+def small_scenario(specs, failures, scheme, threshold, fallback, precomputed, seed):
+    """The jobs of specs that fit on SMALL_FABRIC, in order, the failure plan
+    and the controller, drawn from job_specs and scenario_knobs."""
     jobs, occupied = [], set()
     for i, ((tp, pp), dp, params, arrival, iters, place_seed) in enumerate(specs):
         model = ModelConfig(f"M{i}", params, tp=tp, pp=pp)
@@ -622,6 +630,16 @@ def test_every_flow_completes_once(specs, failures, scheme, threshold, fallback,
     plan = FailurePlan(tuple(t for t, _ in failures), tuple(k for _, k in failures), seed)
     controller = ControllerModel(scheme=scheme, elephant_threshold=threshold,
                                  ecmp_fallback_start=fallback, precomputed_failures=precomputed)
+    return jobs, plan, controller
+
+
+@settings(derandomize=True, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(specs=job_specs, **scenario_knobs)
+def test_every_flow_completes_once(specs, failures, scheme, threshold, fallback, precomputed,
+                                   seed):
+    jobs, plan, controller = small_scenario(specs, failures, scheme, threshold, fallback,
+                                            precomputed, seed)
 
     result = run_scenario(SMALL_FABRIC, jobs, controller, hardware=FAST_HW,
                           failures=plan, seed=seed)
@@ -650,6 +668,55 @@ def test_every_flow_completes_once(specs, failures, scheme, threshold, fallback,
         if e["udp_port"] is not None:
             spine = e["udp_port"] - sim.DEFAULT_PORT_BASE
             assert not any(spine in failed for t, failed in failed_at if e["end_s"] > t)
+
+
+def test_completions_refill_exactly_when_a_survivor_shares_a_link():
+    """After every handler, on generated scenarios, the transmitting flows'
+    rates are, bit for bit, what a fresh waterfill over the table's rows
+    gives, though a completion refills them only when a finished flow crossed
+    a link that a flow still transmitting crosses. Both kinds of completion
+    occur."""
+    tally = Counter()
+    rewaterfill = sim._Engine._rewaterfill
+
+    def counting(engine):
+        tally["refills"] += 1
+        rewaterfill(engine)
+
+    def checking(name):
+        handler = getattr(sim._Engine, name)
+
+        def check(engine, *args):
+            refills, finished = tally["refills"], len(engine.finished)
+            handler(engine, *args)
+            assert_fresh_rates(engine, name)
+            if name == "_on_completion" and len(engine.finished) > finished and len(engine.flows):
+                tally["refilled" if tally["refills"] > refills else "skipped"] += 1
+
+        return check
+
+    # which generated scenarios refill at a completion depends on the modules
+    # that hypothesis mines for constants; these two do, two jobs overlapping
+    no_failure = dict(failures=[], threshold=1e6, fallback=False, precomputed=False)
+
+    @settings(derandomize=True, deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(specs=job_specs, **scenario_knobs)
+    @example(specs=[((2, 1), 4, 1e9, 0.11, 3, 43), ((1, 2), 3, 1e9, 0.12, 2, 41)],
+             scheme="ecmp", seed=88, **no_failure)
+    @example(specs=[((1, 2), 3, 1e5, 0.15, 2, 80), ((1, 2), 2, 1e5, 0.15, 2, 30)],
+             scheme="greedy", seed=52, **no_failure)
+    def run_checked(specs, failures, scheme, threshold, fallback, precomputed, seed):
+        jobs, plan, controller = small_scenario(specs, failures, scheme, threshold, fallback,
+                                                precomputed, seed)
+        run_scenario(SMALL_FABRIC, jobs, controller, hardware=FAST_HW, failures=plan, seed=seed)
+
+    with contextlib.ExitStack() as patches:
+        patches.enter_context(mock.patch.object(sim._Engine, "_rewaterfill", counting))
+        for name in ("_on_compute_done", "_on_completion", "_on_failure", "_on_decision"):
+            patches.enter_context(mock.patch.object(sim._Engine, name, checking(name)))
+        run_checked()
+    assert tally["skipped"] and tally["refilled"], tally
 
 
 def test_ring_commodities_are_built_once_per_ring(cluster, monkeypatch):
