@@ -181,6 +181,20 @@ def _load(args) -> ScenarioConfig:
     return config
 
 
+def _check_exact_guard(config: ScenarioConfig, jobs, templates):
+    """A job has one iteration in flight, so one iteration's inter-ToR
+    elephants summed over jobs bound any exact decision, whether jobs overlap
+    and start on ECMP or not."""
+    limit, elephants = config.controller.exact_max_commodities, 0
+    for i, (job, template) in enumerate(zip(jobs, templates)):
+        elephants += int((template.kinds.inter & template.elephant).sum())
+        if elephants > limit:
+            raise ConfigError(
+                f"jobs[{i}]: {job.model.name} dp={job.dp}: jobs[0..{i}] have {elephants} "
+                f"inter-ToR elephant flows per iteration, more than exact_max_commodities = {limit}"
+            )
+
+
 def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]]) -> list[tuple]:
     """Simulate each level (a scenario id and its failure counts), scheme and
     seed in that order; write and return the metric rows. With ``--trace``,
@@ -193,6 +207,9 @@ def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]])
         seed: flow_templates(config.topology, jobs, config.controller.elephant_threshold)
         for seed, jobs in jobs_by_seed.items()
     }
+    if "exact" in config.schemes:
+        for seed, jobs in jobs_by_seed.items():
+            _check_exact_guard(config, jobs, templates_by_seed[seed])
     rows = []
     with _atomic_open(_suffixed(args.out, ".trace.csv")) if args.trace else nullcontext() as trace:
         if trace:

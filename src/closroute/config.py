@@ -14,7 +14,7 @@ import random
 from dataclasses import asdict, dataclass, fields
 
 from .routing import EXACT_MAX_COMMODITIES, SCHEME_NAMES, AnnealSchedule
-from .sim import ControllerModel, FailurePlan, network_flows, stable_seed
+from .sim import ControllerModel, FailurePlan, stable_seed
 from .topology import ClosTopology, build_topology
 from .workload import (
     MODEL_CATALOG,
@@ -22,7 +22,6 @@ from .workload import (
     Job,
     ModelConfig,
     arrival_schedule,
-    build_rings,
     place_job,
 )
 
@@ -320,11 +319,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
 def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
     """Materialize the configured jobs for one seed: resolve random model/dp
     choices, draw arrival times, and place every job on free endpoints."""
-    # A job has one iteration in flight, so one iteration's elephants summed over
-    # jobs bound any exact decision, whether jobs overlap and start on ECMP or not.
-    controller = config.controller
-    check_exact = "exact" in config.schemes
-    elephants = 0
     specs = config.job_specs
     arrivals = arrival_schedule(len(specs), config.arrival_window, stable_seed(seed, "arrivals"))
     jobs: list[Job] = []
@@ -359,15 +353,6 @@ def build_jobs(config: ScenarioConfig, seed: int) -> list[Job]:
             num_iterations=js["num_iterations"],
             placement=placement,
         )
-        if check_exact:
-            flows = network_flows(config.topology, build_rings(job), controller.elephant_threshold)
-            elephants += int((flows.kinds.inter & flows.elephant).sum())
-            if elephants > controller.exact_max_commodities:
-                raise ConfigError(
-                    f"jobs[{i}]: {model_name} dp={dp}: jobs[0..{i}] have {elephants} inter-ToR "
-                    f"elephant flows per iteration, more than exact_max_commodities = "
-                    f"{controller.exact_max_commodities}"
-                )
         jobs.append(job)
     return jobs
 

@@ -3,17 +3,17 @@
 Jobs alternate compute phases with communication phases; a communication phase
 emits one flow per ring edge that leaves its host: same-host edges take no
 network time. A job sends the same edges every iteration, so its flows are
-derived once per placement, as a template (``network_flows``, which
-``config.build_jobs`` also calls for the exact scheme's size guard): one
+derived once per placement, as a template (``network_flows``): one
 ``ring_allreduce_commodities`` call per ring and one ``classify`` call give
 the off-host edges' endpoints, volumes, kinds, ToRs, NIC link ids and elephant
 flags. A template depends only on the fabric, the job's placement and the
 elephant threshold, so the runs of one seed's jobs share their templates
 (``flow_templates``, passed to ``run_scenario``): the CLI builds them once per
-seed for all schemes and failure levels, and a run given none builds its own.
-An iteration only makes its ids, ``iteration_prefix`` followed by the
-template's id tails, and one ``CommoditySpec`` per flow for the routing
-schemes, unchecked (see ``emit``), then appends the template's columns.
+seed for all schemes and failure levels, and checks the exact scheme's size
+guard on them; a run given none builds its own. An iteration only makes its
+ids, ``iteration_prefix`` followed by the template's id tails, and one
+``CommoditySpec`` per flow for the routing schemes, unchecked (see ``emit``),
+and writes them into its job's slots of the flow table.
 
 A centralized controller re-routes all active elephant flows whenever a flow
 starts, a flow ends, or a spine fails, after a configurable reaction
@@ -29,26 +29,37 @@ it hashes every elephant again. One that finds none to hash logs its entry and
 leaves the rates alone: every other event that changes a row refills them,
 unless it is a completion that cannot change a rate (see below).
 
-Active flows live in one flow table: one array per column (the job, the flow's
-position in its template, bits remaining and sent, rate, start time, volume,
-the transmitting and elephant flags, the spine, both ToRs) and a row of four
+Flows live in one flow table, allocated once per run from its templates: one
+array per column (the job, the flow's position in its template, volume, the
+elephant flag, both ToRs, id, commodity, start time, bits remaining, the live
+and transmitting flags, rate, spine, FCT and throughput) and a row of four
 link ids per flow, the NIC-up, ToR->spine, spine->ToR and NIC-down link, -1
-where unused (the layout of ``topology.route_link_rows``). Columns 0 and 3
-hold ``classify``'s NIC ids from emission. Columns 1 and 2 are written with
+where unused (the layout of ``topology.route_link_rows``). Flow p of job j's
+template keeps slot ``first[j] + p`` in every iteration: a job has one
+iteration in flight, since its next compute phase starts only once all of its
+flows are done. The columns that a template fixes, from the job to the ToRs,
+and the NIC link ids are filled once. An emission writes its iteration's ids,
+commodities, start and bits remaining into the job's slots and marks them
+live; a completion clears their live and transmitting flags, rate, spine and
+spine links, and stores each flow's FCT and throughput there.
+Columns 0 and 3 hold ``classify``'s NIC ids. Columns 1 and 2 are written with
 ``tor_up_id`` and ``tor_down_id`` from the spine column of a scheme's
 ``PathChoice`` when a flow gets a route: at emission for hashed flows, at a
 decision for the elephants routed there, and on a failure for the mice it
 hits; they stay -1 on an intra-ToR route. A failure clears columns 1 and 2 of
 the elephants it stalls. Rates are recomputed from the cached rows of the
-transmitting flows, which the table hands to ``waterfill`` in slot order; its
-rate array is written back as it is, so no ``Route`` or rate dict is built
-during a run. A decision's max spine load is a count over the same rows. Slots
-are in arrival order: flows are appended when emitted and the table is
-compacted stably when some complete. The table holds only the unfinished flows
-of each job's current iteration, so an iteration is over once no slot holds
-its job. Advancing time, the completion test and the next finish time are
-array expressions over the table, each doing the same floating-point operation
-per flow as a loop would, one time step at a time.
+transmitting flows, which the table hands to ``waterfill`` in slot order (its
+rates are the same in any order); its rate array is written back as it is, so
+no ``Route`` or rate dict is built during a run. A decision's max spine load is
+a count over the same rows, and a failure re-hashes the mice it hits each on
+its own. The two consumers whose results depend on order, a decision's
+elephant list and each completion batch, take their flows in emission order
+(``_emission_order``): by their iteration's emission, then by slot, which is
+the order of a table that appends flows as they are emitted and drops them
+stably as they finish. An iteration is over once none of its job's slots is
+live. Advancing time, the completion test and the next finish time are array
+expressions over the table, each doing the same floating-point operation per
+flow as a loop would, one time step at a time.
 
 A completion refills the rates only when a finished flow crossed a link that a
 flow still transmitting crosses; otherwise every rate stands and only the next
@@ -65,11 +76,11 @@ count as shared (crossed by two or more flows) does not change either, since
 no finished flow crossed them. Finished flows may share links with each
 other: the test looks only at the links of the flows left transmitting.
 
-A completion event keeps the columns of the flows it finished, in slot
-order (arrival order), as one batch: ids, job, template position, iteration,
-start, spine, FCT and throughput; no other store keeps a finished flow. A job's
-``MetricsRecord.flow_records`` are its rows in the batches from the one where
-its iteration began (it has one in flight), gathered in its template's id order.
+A completion event keeps the columns of the flows it finished, in emission
+order, as one batch: ids, job, template position, iteration, start, spine, FCT
+and throughput; only its slot, until its job's next emission, keeps a finished
+flow besides. A job's ``MetricsRecord.flow_records`` are read from its slots
+when its iteration ends, in its template's id order.
 ``SimResult.flow_log`` is a ``FlowLog`` over all batches and the templates their
 job and position index: its length needs no rows, and dict rows are built only
 when iterated.
@@ -318,60 +329,38 @@ class SimResult:
 
 
 class _FlowTable:
-    """The engine's active flows, one array per column: slot i of every column
-    is the same flow. Slots are in arrival order (see the module docstring)."""
+    """The engine's flows, one array per column: slot i of every column is the
+    same flow, and job j's flows keep slots ``first[j]:first[j + 1]`` (see the
+    module docstring)."""
 
-    def __init__(self):
-        self.cid = np.empty(0, dtype=object)
-        self.commodity = np.empty(0, dtype=object)
-        self.job = np.empty(0, dtype=np.int64)  # the job's index in the run
-        self.pos = np.empty(0, dtype=np.int64)  # the flow's position in its job's template
-        self.volume = np.empty(0)  # bits
-        self.start = np.empty(0)
-        self.remaining = np.empty(0)  # bits
-        self.transmitted = np.empty(0)  # bits
-        self.rate = np.empty(0)  # bits/second, 0 unless transmitting
-        self.transmitting = np.empty(0, dtype=bool)  # has a route
-        self.elephant = np.empty(0, dtype=bool)
-        self.spine = np.empty(0, dtype=np.int64)  # -1 unless on a spine route
-        self.src_tor = np.empty(0, dtype=np.int64)
-        self.dst_tor = np.empty(0, dtype=np.int64)
-        self.links = np.empty((0, 4), dtype=np.int64)  # see the module docstring
+    def __init__(self, templates: list[FlowTemplate]):
+        sizes = [len(t.tails) for t in templates]
+        self.first = np.cumsum([0] + sizes)
+        n = int(self.first[-1])
+        kinds = [t.kinds for t in templates]
 
-    def __len__(self) -> int:
-        return len(self.cid)
+        def joined(arrays, dtype=np.int64):
+            return np.concatenate([np.empty(0, dtype), *arrays])
 
-    def append(self, job: int, template: FlowTemplate, ids: list[str],
-               commodities: list[CommoditySpec], now: float):
-        """Add a job's flows, emitted from its template, after the others,
-        untransmitting."""
-        k = len(ids)
-        no_link = np.full(k, -1)
-        kinds = template.kinds
-        new = {
-            "cid": np.array(ids, dtype=object),
-            "commodity": np.fromiter(commodities, dtype=object, count=k),
-            "job": np.full(k, job),
-            "pos": np.arange(k),
-            "volume": template.bits,
-            "start": np.full(k, now),
-            "remaining": template.bits,
-            "transmitted": np.zeros(k),
-            "rate": np.zeros(k),
-            "transmitting": np.zeros(k, dtype=bool),
-            "elephant": template.elephant,
-            "spine": no_link,
-            "src_tor": kinds.src_tor,
-            "dst_tor": kinds.dst_tor,
-            "links": np.stack([kinds.nic_up, no_link, no_link, kinds.nic_down], 1),
-        }
-        for name, column in vars(self).items():
-            setattr(self, name, np.concatenate([column, new[name]]))
-
-    def keep(self, mask: np.ndarray):
-        """Drop the flows outside mask; the rest keep their order."""
-        for name, column in vars(self).items():
-            setattr(self, name, column[mask])
+        self.job = np.repeat(np.arange(len(templates)), sizes)  # the job's index in the run
+        self.pos = np.arange(n) - self.first[self.job]  # the flow's position in its job's template
+        self.volume = joined((t.bits for t in templates), float)  # bits
+        self.elephant = joined((t.elephant for t in templates), bool)
+        self.src_tor = joined(k.src_tor for k in kinds)
+        self.dst_tor = joined(k.dst_tor for k in kinds)
+        no_link = np.full(n, -1)
+        self.links = np.stack([joined(k.nic_up for k in kinds), no_link, no_link,
+                               joined(k.nic_down for k in kinds)], 1)  # see the module docstring
+        self.cid = np.empty(n, dtype=object)
+        self.commodity = np.empty(n, dtype=object)
+        self.start = np.zeros(n)
+        self.remaining = np.zeros(n)  # bits
+        self.live = np.zeros(n, dtype=bool)  # emitted and not done
+        self.rate = np.zeros(n)  # bits/second, 0 unless transmitting
+        self.transmitting = np.zeros(n, dtype=bool)  # has a route
+        self.spine = np.full(n, -1)  # -1 unless on a spine route
+        self.fct = np.zeros(n)
+        self.throughput = np.zeros(n)  # bits/second
 
 
 class _Engine:
@@ -383,7 +372,6 @@ class _Engine:
         self.heap = []
         self.seq = 0
         self.next_done = math.inf  # the pending completion check (see run)
-        self.flows = _FlowTable()
         self.pending_decisions: set[float] = set()
         # the topology the last ECMP decision hashed on (see _on_decision)
         self.hashed_topo: ClosTopology | None = None
@@ -398,9 +386,10 @@ class _Engine:
         if templates is None:
             templates = flow_templates(topo, self.jobs, controller.elephant_threshold)
         self.templates = templates
+        self.flows = _FlowTable(templates)
         self.iteration_of = [0] * len(jobs)
-        # the first batch of finished that can hold the current iteration's flows
-        self.first_batch = [0] * len(jobs)
+        # the rank among the run's emissions of each job's current iteration
+        self.emitted_at = np.zeros(len(jobs), dtype=np.int64)
         for j, job in enumerate(jobs):
             self._start_compute(j, job.arrival_time)
         if failures:
@@ -419,10 +408,7 @@ class _Engine:
             raise SimInvariantError(f"time moved backwards: {self.now} -> {t}")
         if dt > 0:
             # flows that do not transmit have rate 0 and move 0 bits
-            f = self.flows
-            sent = f.rate * dt
-            f.remaining -= sent
-            f.transmitted += sent
+            self.flows.remaining -= self.flows.rate * dt
         self.now = t
 
     def _schedule_decision(self, latency):
@@ -438,6 +424,10 @@ class _Engine:
         finish = self.now + np.maximum(f.remaining[moving], 0.0) / f.rate[moving]
         self.next_done = float(finish.min(initial=math.inf))
 
+    def _emission_order(self, slots):
+        """The slots by their iteration's emission, then by slot (see the module docstring)."""
+        return slots[np.argsort(self.emitted_at[self.flows.job[slots]], kind="stable")]
+
     def _hash_routes(self, slots):
         """Route the flows in slots as ECMP would, in one batch."""
         if len(slots):
@@ -446,7 +436,7 @@ class _Engine:
 
     def _set_routes(self, slots, choice: PathChoice):
         """Put the flows in slots on the routes of choice, one per slot in
-        order: their NIC link ids are in the table from emission, so only the
+        order: their NIC link ids are in the table from the start, so only the
         spine and its two links change."""
         f = self.flows
         spine = choice.spine
@@ -455,6 +445,14 @@ class _Engine:
         f.links[slots, 2] = np.where(off_spine, -1, self.topo.tor_down_id(spine, f.dst_tor[slots]))
         f.spine[slots] = spine
         f.transmitting[slots] = True
+
+    def _clear_routes(self, slots):
+        """Take the flows in slots off their routes: no spine, spine links or rate."""
+        f = self.flows
+        f.transmitting[slots] = False
+        f.rate[slots] = 0.0
+        f.spine[slots] = -1
+        f.links[slots, 1:3] = -1
 
     def _rewaterfill(self):
         f = self.flows
@@ -479,8 +477,8 @@ class _Engine:
                 self._advance(self.next_done)
                 self.next_done = math.inf
                 self._on_completion()
-        if len(self.flows):
-            raise SimInvariantError(f"{len(self.flows)} flows never completed")
+        if self.flows.live.any():
+            raise SimInvariantError(f"{self.flows.live.sum()} flows never completed")
         self.records.sort(key=lambda r: (r.job_id, r.iteration))
         return SimResult(self.records, self.controller_log, FlowLog(self.templates, self.finished))
 
@@ -490,18 +488,20 @@ class _Engine:
 
     def _on_compute_done(self, j):
         template = self.templates[j]
-        self.first_batch[j] = len(self.finished)
         if not template.tails:
             self._finish_iteration(j)
             return
         ids, commodities = template.emit(self.iteration_of[j])
+        f = self.flows
+        mine = slice(f.first[j], f.first[j + 1])
+        f.cid[mine], f.commodity[mine] = ids, np.fromiter(commodities, object, len(ids))
+        f.start[mine], f.remaining[mine], f.live[mine] = self.now, template.bits, True
+        self.emitted_at[j] = self.emitted_at.max() + 1
         # intra-ToR flows and mice start right away on a hashed path; elephants
         # do so only in fallback mode, otherwise they await the controller
         elephant = template.elephant
         hashed = ~template.kinds.inter | ~elephant | self.controller.ecmp_fallback_start
-        slots = len(self.flows) + np.flatnonzero(hashed)
-        self.flows.append(j, template, ids, commodities, self.now)
-        self._hash_routes(slots)
+        self._hash_routes(mine.start + np.flatnonzero(hashed))
         if elephant.any():
             self._schedule_decision(self.controller.reaction_latency)
         self._rewaterfill()
@@ -509,7 +509,7 @@ class _Engine:
     def _on_decision(self, t):
         self.pending_decisions.discard(t)
         f = self.flows
-        slots = np.flatnonzero(f.elephant)
+        slots = self._emission_order(np.flatnonzero(f.live & f.elephant))
         active = slots.size
         if not active:
             return
@@ -554,31 +554,32 @@ class _Engine:
                     f"no flow finished at t={self.now!r} and none would finish later"
                 )
             return
+        done = self._emission_order(np.flatnonzero(done))
         volume = f.volume[done]
-        transmitted = f.transmitted[done]
+        transmitted = volume - f.remaining[done]
         bad = np.abs(transmitted - volume) > 1e-6 * volume + 8.0
         if bad.any():
             i = int(np.argmax(bad))
             raise SimInvariantError(
-                f"flow {f.cid[done][i]} moved {transmitted[i]:.0f} of {volume[i]:.0f} bits"
+                f"flow {f.cid[done[i]]} moved {transmitted[i]:.0f} of {volume[i]:.0f} bits"
             )
         job = f.job[done]
-        cid = f.cid[done]
         start = f.start[done]
         fct = self.now - start
         throughput = np.divide(volume, fct, out=np.zeros_like(fct), where=fct > 0)
-        # a job's next iteration starts once all of its flows are done
         iteration = np.array(self.iteration_of, dtype=np.int64)[job]
-        self.finished.append(_Finished(self.now, cid, job, f.pos[done], iteration, start,
+        self.finished.append(_Finished(self.now, f.cid[done], job, f.pos[done], iteration, start,
                                        f.spine[done], fct, throughput))
         gone = f.links[done]
-        f.keep(~done)
-        open_flows = np.bincount(f.job, minlength=len(self.jobs))
+        f.fct[done], f.throughput[done] = fct, throughput
+        f.live[done] = False
+        self._clear_routes(done)
+        # a job's next iteration starts once all of its flows are done
         for j in sorted(np.unique(job).tolist(), key=lambda j: self.jobs[j].id):
-            if open_flows[j] == 0:
+            if not f.live[f.first[j]:f.first[j + 1]].any():
                 self._finish_iteration(j)
-        if len(f):
-            if f.elephant.any():
+        if f.live.any():
+            if (f.live & f.elephant).any():
                 self._schedule_decision(self.controller.reaction_latency)
             kept = f.links[f.transmitting]
             crossed = np.zeros(self.topo.num_links, dtype=bool)
@@ -590,16 +591,11 @@ class _Engine:
 
     def _finish_iteration(self, j):
         iteration = self.iteration_of[j]
-        order = self.templates[j].order
-        n = len(order)
-        cid, fct, throughput = np.empty(n, dtype=object), np.empty(n), np.empty(n)
-        # a job has one iteration in flight: its rows from the batch where it began are this one's
-        for b in self.finished[self.first_batch[j]:]:
-            mine = b.job == j
-            pos = b.pos[mine]
-            cid[pos], fct[pos], throughput[pos] = b.cid[mine], b.fct[mine], b.throughput[mine]
-        fct = fct[order].tolist()
-        records = tuple(zip(cid[order].tolist(), fct, throughput[order].tolist()))
+        f = self.flows
+        # a job has one iteration in flight, so its slots hold this one's flows
+        slots = f.first[j] + self.templates[j].order
+        fct = f.fct[slots].tolist()
+        records = tuple(zip(f.cid[slots].tolist(), fct, f.throughput[slots].tolist()))
         job = self.jobs[j]
         self.records.append(MetricsRecord(job.id, iteration, max(fct, default=0.0), records))
         self.iteration_of[j] = iteration + 1
@@ -611,13 +607,9 @@ class _Engine:
         f = self.flows
         hit = np.flatnonzero(np.isin(f.spine, list(self.topo.failed_spines)))
         # elephants stall until the controller reacts; mice hash again
-        stalled = hit[f.elephant[hit]]
-        f.transmitting[stalled] = False
-        f.rate[stalled] = 0.0
-        f.spine[stalled] = -1
-        f.links[stalled, 1:3] = -1
+        self._clear_routes(hit[f.elephant[hit]])
         self._hash_routes(hit[~f.elephant[hit]])  # mice
-        if f.elephant.any():
+        if (f.live & f.elephant).any():
             latency = 0.0 if self.controller.precomputed_failures else self.controller.reaction_latency
             self._schedule_decision(latency)
         self._rewaterfill()

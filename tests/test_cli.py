@@ -570,6 +570,31 @@ def test_exact_guard_admits_exactly_its_size(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_exact_guard_counts_on_the_templates_the_runs_share(tmp_path, monkeypatch):
+    """With exact listed, the size guard counts the elephants of the flow
+    templates that every scheme's run then shares: each ring's edges are
+    derived once per seed, not once more for the guard."""
+    calls = []
+    commodities = sim.ring_allreduce_commodities
+
+    def counting(ring, iteration):
+        calls.append(ring)
+        return commodities(ring, iteration)
+
+    scenario = {**EXACT_AT_GUARD, "seeds": [0, 1]}
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(scenario))
+    monkeypatch.setattr(sim, "ring_allreduce_commodities", counting)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+                 "--schemes", "exact,greedy"]) == 0
+    built = Counter(calls)
+    config = parse_config(scenario)
+    rings = [ring for seed in config.seeds for job in build_jobs(config, seed)
+             for ring in build_rings(job)]
+    assert len(rings) == 4
+    assert built == Counter(rings)
+
+
 @pytest.mark.parametrize("argv, runs", [
     (["run", "--schemes", "greedy,ecmp"], 4),
     (["failsweep", "--counts", "1,2"], 8),

@@ -453,12 +453,15 @@ def test_failure_stalls_elephants_and_rehashes_mice_in_the_link_rows(cluster, mo
 
     def checking(engine, count, fseed):
         f = engine.flows
-        spine_before = f.spine.copy()
+        live = np.flatnonzero(f.live)
+        spine_before = f.spine[live]
         on_failure(engine, count, fseed)
         topo = engine.topo
-        kinds = classify(topo, f.commodity.tolist())
-        assert (f.links[:, 0] == kinds.nic_up).all() and (f.links[:, 3] == kinds.nic_down).all()
-        hit = np.isin(spine_before, list(topo.failed_spines))
+        kinds = classify(topo, f.commodity[live].tolist())
+        links = f.links[live]
+        assert (links[:, 0] == kinds.nic_up).all() and (links[:, 3] == kinds.nic_down).all()
+        hit = np.zeros(len(f.spine), dtype=bool)
+        hit[live] = np.isin(spine_before, list(topo.failed_spines))
         stalled = hit & f.elephant
         assert (f.spine[stalled] == -1).all() and (f.rate[stalled] == 0).all()
         assert not f.transmitting[stalled].any() and (f.links[stalled, 1:3] == -1).all()
@@ -507,6 +510,50 @@ def test_every_handler_leaves_the_max_min_rates_of_its_rows(cluster, monkeypatch
         monkeypatch.setattr(sim._Engine, name, checking(name))
     _run_elephants_and_mice(cluster, scheme=scheme, ecmp_fallback_start=fallback)
     assert checked["_on_failure"] == 2 and min(checked.values()) > 0 and len(checked) == 4
+
+
+def test_flows_reach_the_schemes_and_the_trace_in_emission_order(cluster, monkeypatch):
+    """Each decision's scheme call gets its elephants, and each completion
+    batch holds its flows, in the order they were emitted: by their
+    iteration's emission, then by their position in the job's template,
+    though here the jobs emit in the reverse of their index order."""
+    occupied = set()
+
+    def arriving(model, dp, seed, job_id, arrival):
+        job = make_job(cluster, model, dp, seed=seed, iters=3,
+                       occupied=frozenset(occupied), job_id=job_id)
+        occupied.update(job.placement)
+        return dataclasses.replace(job, arrival_time=arrival)
+
+    # c, then a, then b's mice emit, each while the others' flows are in flight;
+    # a and c are alike and emit 0.1 ns apart, so their flows end in one batch
+    jobs = [arriving(MINI, 8, 5, "a", 1e-10), arriving(HALF, 8, 6, "b", 0.05),
+            arriving(MINI, 8, 7, "c", 0.0)]
+    rank, emitters, decisions = {}, [], []
+    emit, assign = sim.FlowTemplate.emit, sim.assign_by_scheme
+
+    def recording(template, iteration):
+        ids, commodities = emit(template, iteration)
+        rank.update((cid, (len(emitters), p)) for p, cid in enumerate(ids))
+        emitters.append(template.job_id)
+        return ids, commodities
+
+    def deciding(scheme, commodities, *args, **kwargs):
+        decisions.append([c.id for c in commodities])
+        return assign(scheme, commodities, *args, **kwargs)
+
+    monkeypatch.setattr(sim.FlowTemplate, "emit", recording)
+    monkeypatch.setattr(sim, "assign_by_scheme", deciding)
+    controller = ControllerModel(scheme="greedy", elephant_threshold=2e9)
+    result = run_scenario(cluster, jobs, controller, hardware=FAST_HW, seed=1)
+    assert emitters[:3] == ["c", "a", "b"]
+    batches = [b.cid.tolist() for b in result.flow_log.batches]
+    for name, groups in (("decision", decisions), ("completion batch", batches)):
+        # some of them hold the flows of two emissions, of two jobs
+        assert any(len({rank[cid][0] for cid in cids}) > 1 for cids in groups), name
+        for i, cids in enumerate(groups):
+            order = [rank[cid] for cid in cids]
+            assert order == sorted(order), f"{name} {i} is not in emission order"
 
 
 def test_concurrent_jobs_share_fairly(cluster):
@@ -690,7 +737,8 @@ def test_completions_refill_exactly_when_a_survivor_shares_a_link():
             refills, finished = tally["refills"], len(engine.finished)
             handler(engine, *args)
             assert_fresh_rates(engine, name)
-            if name == "_on_completion" and len(engine.finished) > finished and len(engine.flows):
+            running = engine.flows.live.any()
+            if name == "_on_completion" and len(engine.finished) > finished and running:
                 tally["refilled" if tally["refills"] > refills else "skipped"] += 1
 
         return check
@@ -764,19 +812,20 @@ def test_emitted_flows_match_the_reference_commodities(specs, threshold):
         occupied.update(placement)
         jobs.append(Job(f"job{i}", model, dp, 0.0, iters, placement))
     assume(jobs)
-    emitted = {j: [] for j in range(len(jobs))}
-    append = sim._FlowTable.append
+    emitted = {job.id: [] for job in jobs}
+    emit = sim.FlowTemplate.emit
 
-    def recording(table, job, template, ids, commodities, now):
+    def recording(template, iteration):
+        ids, commodities = emit(template, iteration)
         assert ids == [c.id for c in commodities]
-        emitted[job].append((commodities, template.kinds, template.elephant))
-        append(table, job, template, ids, commodities, now)
+        emitted[template.job_id].append((commodities, template.kinds, template.elephant))
+        return ids, commodities
 
-    with mock.patch.object(sim._FlowTable, "append", recording):
+    with mock.patch.object(sim.FlowTemplate, "emit", recording):
         run_scenario(SMALL_FABRIC, jobs, ControllerModel(elephant_threshold=threshold),
                      hardware=FAST_HW, seed=0)
 
-    for j, job in enumerate(jobs):
+    for job in jobs:
         expected = []
         for iteration in range(job.num_iterations):
             reference = [
@@ -788,8 +837,8 @@ def test_emitted_flows_match_the_reference_commodities(specs, threshold):
             if on_net.any():
                 expected.append((list(compress(reference, on_net)),
                                  Classified(*(column[on_net] for column in kinds))))
-        assert len(emitted[j]) == len(expected)
-        for (commodities, kinds, elephant), (reference, reference_kinds) in zip(emitted[j],
+        assert len(emitted[job.id]) == len(expected)
+        for (commodities, kinds, elephant), (reference, reference_kinds) in zip(emitted[job.id],
                                                                                 expected):
             assert commodities == reference
             for column, reference_column in zip(kinds, reference_kinds):
