@@ -516,7 +516,7 @@ def test_flows_reach_the_schemes_and_the_trace_in_emission_order(cluster, monkey
     """Each decision's scheme call gets its elephants, and each completion
     batch holds its flows, in the order they were emitted: by their
     iteration's emission, then by their position in the job's template,
-    though here the jobs emit in the reverse of their index order."""
+    though here a job of higher index emits first."""
     occupied = set()
 
     def arriving(model, dp, seed, job_id, arrival):
