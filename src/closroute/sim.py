@@ -32,16 +32,16 @@ unless it is a completion that cannot change a rate (see below).
 Flows live in one flow table, allocated once per run from its templates: one
 array per column (the job, the flow's position in its template, volume, the
 elephant flag, both ToRs, id, commodity, start time, bits remaining, the live
-and transmitting flags, rate, spine, FCT and throughput) and a row of four
-link ids per flow, the NIC-up, ToR->spine, spine->ToR and NIC-down link, -1
-where unused (the layout of ``topology.route_link_rows``). Flow p of job j's
-template keeps slot ``first[j] + p`` in every iteration: a job has one
+and transmitting flags, rate, finish time, spine, FCT and throughput) and a
+row of four link ids per flow, the NIC-up, ToR->spine, spine->ToR and NIC-down
+link, -1 where unused (the layout of ``topology.route_link_rows``). Flow p of
+job j's template keeps slot ``first[j] + p`` in every iteration: a job has one
 iteration in flight, since its next compute phase starts only once all of its
 flows are done. The columns that a template fixes, from the job to the ToRs,
 and the NIC link ids are filled once. An emission writes its iteration's ids,
 commodities, start and bits remaining into the job's slots and marks them
-live; a completion clears their live and transmitting flags, rate, spine and
-spine links, and stores each flow's FCT and throughput there.
+live; a completion clears their live and transmitting flags, rate, finish
+time, spine and spine links, and stores each flow's FCT and throughput there.
 Columns 0 and 3 hold ``classify``'s NIC ids. Columns 1 and 2 are written with
 ``tor_up_id`` and ``tor_down_id`` from the spine column of a scheme's
 ``PathChoice`` when a flow gets a route: at emission for hashed flows, at a
@@ -57,13 +57,22 @@ elephant list and each completion batch, take their flows in emission order
 (``_emission_order``): by their iteration's emission, then by slot, which is
 the order of a table that appends flows as they are emitted and drops them
 stably as they finish. An iteration is over once none of its job's slots is
-live. Advancing time, the completion test and the next finish time are array
-expressions over the table, each doing the same floating-point operation per
-flow as a loop would, one time step at a time.
+live.
+
+A flow's bits remaining are those it had when its rate was last set, and its
+finish time is when they run out at that rate, inf while it has none. A refill
+sets both for the flows it refills (one that moved has rate x (finish - now)
+bits left), and a flow taken off its route keeps its bits left: advancing time
+writes no column. The completion check is due at the earliest finish time and
+finds done each flow within its tolerance, ``DONE_RTOL`` of its volume plus
+``DONE_SLACK_BITS``, taken as time at its rate. A finished flow's FCT must be
+positive: where ``t`` is too coarse to resolve it, the run stops. These are
+array expressions over the table, each doing the same floating-point operation
+per flow as a loop would.
 
 A completion refills the rates only when a finished flow crossed a link that a
-flow still transmitting crosses; otherwise every rate stands and only the next
-finish time is taken again. This is exact. The rates are, by induction, what a
+flow still transmitting crosses; otherwise every rate stands, and so does every
+finish time. This is exact. The rates are, by induction, what a
 refill over the rows left plus the finished flows' rows gives. The finished
 flows form connected components of their own in the graph of flows and the
 links they cross, and dropping them changes no other component's rates, bit
@@ -91,12 +100,11 @@ The event loop is single threaded and deterministic for a fixed scenario and
 seed, and steps time only where the run can change. The heap holds controller
 decisions, compute phases (a job's first ends at its arrival time plus the
 phase, so arrivals are no events) and spine failures; ties resolve by that
-kind priority, then by insertion sequence. The one pending completion check
-sits beside the heap as ``next_done``, the earliest finish time under the
-current rates (inf while no flow moves). It goes before the heap's top when
-not later, so before any event at a tie, and is reset to inf when taken. A
-check that finds no flow done while the next finish time is not later than
-now raises ``SimInvariantError`` rather than firing again at the same instant.
+kind priority, then by insertion sequence. The completion check sits beside
+the heap, due at the earliest finish time in the table (none while no flow
+moves). It goes before the heap's top when not later, so before any event at a
+tie. A check that finds no flow done raises ``SimInvariantError`` rather than
+firing again at the same instant.
 """
 
 from __future__ import annotations
@@ -354,9 +362,10 @@ class _FlowTable:
         self.cid = np.empty(n, dtype=object)
         self.commodity = np.empty(n, dtype=object)
         self.start = np.zeros(n)
-        self.remaining = np.zeros(n)  # bits
+        self.remaining = np.zeros(n)  # bits left when the rate was last set
         self.live = np.zeros(n, dtype=bool)  # emitted and not done
         self.rate = np.zeros(n)  # bits/second, 0 unless transmitting
+        self.finish = np.full(n, math.inf)  # when the bits left run out; inf at rate 0
         self.transmitting = np.zeros(n, dtype=bool)  # has a route
         self.spine = np.full(n, -1)  # -1 unless on a spine route
         self.fct = np.zeros(n)
@@ -371,7 +380,6 @@ class _Engine:
         self.now = 0.0
         self.heap = []
         self.seq = 0
-        self.next_done = math.inf  # the pending completion check (see run)
         self.pending_decisions: set[float] = set()
         # the topology the last ECMP decision hashed on (see _on_decision)
         self.hashed_topo: ClosTopology | None = None
@@ -403,12 +411,8 @@ class _Engine:
         heappush(self.heap, (t, kind, self.seq, payload))
 
     def _advance(self, t):
-        dt = t - self.now
-        if not dt >= 0:  # a NaN time fails too: no later time would compare past it
+        if not t >= self.now:  # a NaN time fails too: no later time would compare past it
             raise SimInvariantError(f"time moved backwards: {self.now} -> {t}")
-        if dt > 0:
-            # flows that do not transmit have rate 0 and move 0 bits
-            self.flows.remaining -= self.flows.rate * dt
         self.now = t
 
     def _schedule_decision(self, latency):
@@ -416,13 +420,6 @@ class _Engine:
         if t not in self.pending_decisions:
             self.pending_decisions.add(t)
             self._push(t, _CONTROLLER_DECISION, None)
-
-    def _reschedule_completion(self):
-        """Set the completion check to the earliest finish time, inf if no flow moves."""
-        f = self.flows
-        moving = f.rate > 0
-        finish = self.now + np.maximum(f.remaining[moving], 0.0) / f.rate[moving]
-        self.next_done = float(finish.min(initial=math.inf))
 
     def _emission_order(self, slots):
         """The slots by their iteration's emission, then by slot (see the module docstring)."""
@@ -447,24 +444,32 @@ class _Engine:
         f.transmitting[slots] = True
 
     def _clear_routes(self, slots):
-        """Take the flows in slots off their routes: no spine, spine links or rate."""
+        """Take the flows in slots, which all have a rate, off their routes: no
+        spine, spine links, rate or finish time; the bits they have left are kept."""
         f = self.flows
+        f.remaining[slots] = f.rate[slots] * (f.finish[slots] - self.now)
+        f.finish[slots] = math.inf
         f.transmitting[slots] = False
         f.rate[slots] = 0.0
         f.spine[slots] = -1
         f.links[slots, 1:3] = -1
 
     def _rewaterfill(self):
+        """Refill the transmitting flows' rates, bits left and finish times
+        (see the module docstring)."""
         f = self.flows
         live = np.flatnonzero(f.transmitting)
-        f.rate[live] = waterfill(LinkRows(f.cid[live], f.links[live]), self.topo).rate
-        self._reschedule_completion()
+        remaining, rate = f.remaining[live], f.rate[live]
+        np.multiply(rate, f.finish[live] - self.now, out=remaining, where=rate > 0)
+        rate = waterfill(LinkRows(f.cid[live], f.links[live]), self.topo).rate
+        f.remaining[live], f.rate[live], f.finish[live] = remaining, rate, self.now + remaining / rate
 
     # -- event handlers -----------------------------------------------------
 
     def run(self) -> SimResult:
-        while self.heap or self.next_done < math.inf:
-            if self.heap and self.heap[0][0] < self.next_done:
+        while True:
+            due = float(self.flows.finish.min(initial=math.inf))  # the completion check
+            if self.heap and self.heap[0][0] < due:
                 t, kind, _, payload = heappop(self.heap)
                 self._advance(t)
                 if kind == _CONTROLLER_DECISION:
@@ -473,10 +478,11 @@ class _Engine:
                     self._on_compute_done(payload)
                 elif kind == _SPINE_FAILURE:
                     self._on_failure(*payload)
-            else:  # due no later than the heap's top: at a tie the check goes first
-                self._advance(self.next_done)
-                self.next_done = math.inf
+            elif due < math.inf:  # no later than the heap's top: at a tie the check goes first
+                self._advance(due)
                 self._on_completion()
+            else:
+                break
         if self.flows.live.any():
             raise SimInvariantError(f"{self.flows.live.sum()} flows never completed")
         self.records.sort(key=lambda r: (r.job_id, r.iteration))
@@ -528,6 +534,7 @@ class _Engine:
                 anneal_schedule=self.controller.anneal_schedule,
                 exact_max_commodities=self.controller.exact_max_commodities,
             ))
+            self._rewaterfill()  # otherwise no row changed, and the rates stand
         self.controller_log.append(
             {
                 "time": self.now,
@@ -535,10 +542,6 @@ class _Engine:
                 "max_spine_load": max_spine_link_load(self.topo, f.links[f.transmitting]),
             }
         )
-        if slots.size:
-            self._rewaterfill()
-        else:  # no row changed, so the rates stand: every handler that changes a row refills them
-            self._reschedule_completion()  # finish times taken from now, as a refill takes them
 
     def _on_completion(self):
         """Log the flows that are done, end the iterations they close, and
@@ -546,27 +549,22 @@ class _Engine:
         still transmitting crosses: otherwise no rate can change (see the
         module docstring)."""
         f = self.flows
-        done = f.transmitting & (f.remaining <= DONE_RTOL * f.volume + DONE_SLACK_BITS)
-        if not done.any():
-            self._reschedule_completion()
-            if self.next_done <= self.now:
-                raise SimInvariantError(
-                    f"no flow finished at t={self.now!r} and none would finish later"
-                )
-            return
-        done = self._emission_order(np.flatnonzero(done))
-        volume = f.volume[done]
-        transmitted = volume - f.remaining[done]
-        bad = np.abs(transmitted - volume) > 1e-6 * volume + 8.0
-        if bad.any():
-            i = int(np.argmax(bad))
+        moving = np.flatnonzero(f.transmitting)
+        slack = (DONE_RTOL * f.volume[moving] + DONE_SLACK_BITS) / f.rate[moving]  # seconds
+        done = moving[f.finish[moving] - self.now <= slack]
+        if not done.size:  # the check is due at the earliest finish time, now
             raise SimInvariantError(
-                f"flow {f.cid[done[i]]} moved {transmitted[i]:.0f} of {volume[i]:.0f} bits"
+                f"no flow finished at t={self.now!r} and none would finish later"
             )
+        done = self._emission_order(done)
         job = f.job[done]
         start = f.start[done]
         fct = self.now - start
-        throughput = np.divide(volume, fct, out=np.zeros_like(fct), where=fct > 0)
+        coarse = np.flatnonzero(fct <= 0)
+        if coarse.size:
+            raise SimInvariantError(f"flow {f.cid[done[coarse[0]]]} started and finished at "
+                                    f"t={self.now!r}: t is too coarse for its duration")
+        throughput = f.volume[done] / fct
         iteration = np.array(self.iteration_of, dtype=np.int64)[job]
         self.finished.append(_Finished(self.now, f.cid[done], job, f.pos[done], iteration, start,
                                        f.spine[done], fct, throughput))
@@ -586,8 +584,6 @@ class _Engine:
             crossed[kept[kept >= 0]] = True
             if crossed[gone[gone >= 0]].any():
                 self._rewaterfill()
-            else:
-                self._reschedule_completion()
 
     def _finish_iteration(self, j):
         iteration = self.iteration_of[j]

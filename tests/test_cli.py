@@ -437,11 +437,11 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(argv, small_config, 
 # SHA-256 of the files two traced commands write on the small scenario. They
 # change only with an output change that CHANGES.md declares.
 GOLDEN_DIGESTS = {
-    "run.csv": "c95a7820c79ee6e64e49361f93d5e259e9479b795ec4ad2b30fe61018bad0e68",
-    "run.trace.csv": "32a04c3dc1b6973b3284c4cd59fc00c909c90a505f1ec0451ac9c1adcad5eaeb",
+    "run.csv": "cdf85eb0658367ba29e54fa13de89eafb538d0f06f25e9e7d4f4bd870d961e1d",
+    "run.trace.csv": "d87f61e5b451fecd8957751f4ec352866f8db5a8f511a60ee3fe82d7ecf2ebf7",
     "run.summary.txt": "e33aa1f3904104f6879b3a21f7443ddaf5f1a9e3d9ae7be9b473c79f66a0ed18",
-    "sweep.csv": "213d49c2900e8b578e05ddcb3d6ef938ef96211d86c14f251494fc5c0cefb4d3",
-    "sweep.trace.csv": "a98ca4bfc511c3ba8d58bee7123f23abe12b4e5c0b9ac712f7f46342810a31d8",
+    "sweep.csv": "ef2cb0142778c5faf1a25f1fa8afe92d25a64b96331f4cd9ab8e7d8764f4d39f",
+    "sweep.trace.csv": "3b5fff26ca3a0b3e9e6e51e7b71373dafe706396a1d6aa4e24c2218fd994abed",
 }
 
 
@@ -537,6 +537,35 @@ def test_trace_streams_each_run_and_a_failed_run_leaves_no_output(small_config, 
     assert len(lines) == 1 + len(first[0].flow_log) > 1
     assert all(line.startswith("small,greedy,0,job") for line in lines[1:])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+@pytest.mark.parametrize("peak_flops", [7, 1e3, 1e6])
+def test_flows_at_a_large_time_finish_with_their_fct(peak_flops, tmp_path):
+    """Slow compute puts the flows at t = 1e8 s and later, where link capacity
+    x ulp(t) far exceeds the completion tolerance in bits: every flow still
+    finishes, with a positive FCT that is its end less its start."""
+    path = tmp_path / "slow.json"
+    hardware = {**SMALL_CONFIG["hardware"], "peak_flops": peak_flops}
+    path.write_text(json.dumps({**SMALL_CONFIG, "hardware": hardware}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "slow.csv"),
+                 "--trace"]) == 0
+    trace = read_rows(str(tmp_path / "slow.trace.csv"))
+    assert max(float(row["end_s"]) for row in trace) > 1e8
+    for row in trace:
+        fct = float(row["fct_s"])
+        assert fct > 0 and fct == float(row["end_s"]) - float(row["start_s"])
+
+
+def test_a_time_too_coarse_for_a_flow_exits_3_naming_it(tmp_path, capsys):
+    """At arrival times near 1e20 s a flow's duration is lost in the rounding
+    of t: the run stops rather than log an FCT of 0, and writes nothing."""
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "arrival_window_s": 1e20}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "coarse.csv"),
+                 "--trace"]) == 3
+    err = capsys.readouterr().err
+    assert "flow job" in err and "too coarse" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["coarse.json"]
 
 
 # One job of tp=2, pp=1, dp=4 on 8 ToRs of one 2-NIC host each: a replica fills
