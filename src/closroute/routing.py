@@ -15,7 +15,8 @@ Schemes:
   edge_coloring Koenig-style proper edge coloring of the ToR-to-ToR demand
                 multigraph, optimal for unit demands
   annealing     simulated annealing from an ECMP start
-  exact         branch-and-bound optimum for small instances
+  exact         depth-first search for the first spine vector at the degree
+                bound, the optimum as edge_coloring shows; small instances
 
 Greedy keeps, per ToR and direction, one bitmask of live spines per load
 level: bit s of level l is set when spine s's link at that ToR carries at
@@ -380,10 +381,12 @@ def exact_assign(
 ) -> PathChoice:
     """Provably optimal spine assignment for the min-max spine-link load.
 
-    Depth-first branch and bound over per-commodity spine choices in ascending
-    spine order, pruning branches whose partial max load cannot beat the
-    incumbent and stopping at the degree lower bound ceil(Delta / live spines).
-    Ties resolve to the lexicographically smallest spine vector. Guarded to
+    Every assignment loads some spine link with at least the degree bound
+    ceil(Delta / live spines), and one always loads none above it: the edge
+    coloring that ``edge_color_assign`` builds. So the optimum is the bound,
+    and a depth-first search over per-commodity spines in ascending order,
+    which admits a spine only while both of its links stay within the bound,
+    returns the lexicographically smallest optimal spine vector. Guarded to
     small instances; the search is exponential in the worst case.
     """
     live = topo.live_spines
@@ -397,42 +400,29 @@ def exact_assign(
             f"exact_max_commodities = {max_commodities}"
         )
 
-    lower_bound = -(-max_tor_degree(kinds) // len(live))
-    greedy = build_routes(commodities, kinds.kind, _greedy_spines(kinds, topo))
-    greedy_bound = max_link_load(greedy, topo)
-
+    bound = -(-max_tor_degree(kinds) // len(live))
     loads = [0] * topo.num_links  # by link id; only ToR<->spine links are used
-    chosen: list[int] = [live[0]] * n
-    best_vector: list[int] | None = None
-    best_value = greedy_bound + 1  # optimum can never exceed greedy's load
+    chosen: list[int] = []
 
-    def dfs(pos: int, partial_max: int):
-        nonlocal best_vector, best_value
-        if best_vector is not None and best_value == lower_bound:
-            return
-        if partial_max >= best_value:
-            return
+    def dfs(pos: int) -> bool:
         if pos == n:
-            best_value = partial_max
-            best_vector = chosen.copy()
-            return
+            return True
         for s in live:
             up, down = topo.tor_up_id(src_tor[pos], s), topo.tor_down_id(s, dst_tor[pos])
-            lu, ld = loads[up] + 1, loads[down] + 1
-            new_max = max(partial_max, lu, ld)
-            if new_max >= best_value:
-                continue
-            loads[up], loads[down] = lu, ld
-            chosen[pos] = s
-            dfs(pos + 1, new_max)
-            loads[up], loads[down] = lu - 1, ld - 1
-            if best_vector is not None and best_value == lower_bound:
-                return
+            if loads[up] < bound and loads[down] < bound:
+                loads[up] += 1
+                loads[down] += 1
+                chosen.append(s)
+                if dfs(pos + 1):
+                    return True
+                chosen.pop()
+                loads[up] -= 1
+                loads[down] -= 1
+        return False
 
-    dfs(0, 0)
-    if best_vector is None:
-        raise AssertionError("branch and bound found no assignment")
-    return build_routes(commodities, kinds.kind, best_vector)
+    if not dfs(0):
+        raise AssertionError("no spine assignment meets the degree bound")
+    return build_routes(commodities, kinds.kind, chosen)
 
 
 def assign_by_scheme(

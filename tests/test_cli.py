@@ -109,6 +109,20 @@ def test_run_default_config_smoke(tmp_path):
     assert {r["job"] for r in rows} == {"job0", "job1", "job2", "all"}
 
 
+def test_random_jobs_resolve_per_seed(tmp_path):
+    duo = {"num_params": 1e9, "bytes_per_param": 2, "tp": 2, "pp": 2}
+    cfg = {**SMALL_CONFIG, "models": {**SMALL_CONFIG["models"], "DUO": duo},
+           "jobs": [{"model": "random", "dp": "random", "num_iterations": 1}] * 2}
+    config = parse_config(cfg)
+    drawn = [build_jobs(config, seed) for seed in range(6)]
+    assert {j.model.name for jobs in drawn for j in jobs} == {"MINI", "DUO"}
+    assert {j.dp for jobs in drawn for j in jobs} == {2, 4}
+    assert [build_jobs(config, seed) for seed in range(6)] == drawn
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+
+
 def test_unknown_scheme_is_config_error(small_config, tmp_path, capsys):
     bad = json.loads(open(small_config).read())
     bad["schemes"] = ["greedy", "spray"]
@@ -125,7 +139,9 @@ def test_unknown_scheme_is_config_error(small_config, tmp_path, capsys):
 # with the field's path.
 BAD_VALUES = [
     ({"controller": {"reaction_latency_s": math.nan}}, "controller.reaction_latency_s"),
+    ({"controller": {"reaction_latency_s": -0.5}}, "controller.reaction_latency_s"),
     ({"controller": {"elephant_threshold_bytes": math.inf}}, "controller.elephant_threshold_bytes"),
+    ({"controller": {"elephant_threshold_bytes": -1.0}}, "controller.elephant_threshold_bytes"),
     ({"topology": {"link_capacity_bps": math.nan}}, "topology.link_capacity_bps"),
     ({"hardware": {"peak_flops": math.inf}}, "hardware.peak_flops"),
     ({"arrival_window_s": math.nan}, "arrival_window_s"),
@@ -133,6 +149,7 @@ BAD_VALUES = [
     ({"failures": {"time_s": math.nan}}, "failures.time_s"),
     ({"jobs": [{"arrival_time": -1.0}]}, r"jobs\[0\]\.arrival_time"),
     ({"jobs": [{"arrival_time": math.nan}]}, r"jobs\[0\]\.arrival_time"),
+    ({"jobs": [{"arrival_time": "soon"}]}, r"jobs\[0\]\.arrival_time"),
     ({"jobs": [{"model": ["BLOOM"]}]}, r"jobs\[0\]\.model"),
     ({"jobs": [{"model": {}}]}, r"jobs\[0\]\.model"),
     ({"allowed_dp": [], "jobs": [{"dp": "random"}]}, "allowed_dp"),
@@ -383,6 +400,9 @@ def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
     [
         (["run", "--schemes", ","], "--schemes: names no entry"),
         (["run", "--schemes", "greedy,greedy"], "--schemes[1]: 'greedy' repeats --schemes[0]"),
+        (["run", "--schemes", "greedy,spray"],
+         "--schemes: unknown scheme 'spray'; valid: "
+         "['greedy', 'ecmp', 'edge_coloring', 'annealing', 'exact']"),
         (["failsweep", "--schemes", "ecmp, ,ecmp"], "--schemes[1]: 'ecmp' repeats --schemes[0]"),
         (["failsweep", "--counts", ","], "--counts: names no entry"),
         (["failsweep", "--counts", "4,1,4"], "--counts[2]: 4 repeats --counts[0]"),
@@ -395,7 +415,7 @@ def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
 def test_empty_or_repeated_list_flag_is_config_error(argv, message, small_config, tmp_path,
                                                      capsys):
     """A list flag that names nothing, or one entry twice, would write no rows
-    or the same rows again."""
+    or the same rows again; one that names an unknown scheme could run none."""
     out = tmp_path / "x.csv"
     config = [] if argv[0] == "bench" else ["--config", small_config]
     assert main(argv + config + ["--out", str(out)]) == 2

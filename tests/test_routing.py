@@ -65,17 +65,21 @@ def fig_commodities(fig_topo):
 
 
 def brute_force_min_max_load(commodities, topo):
-    """Independent oracle: enumerate every spine vector, no pruning."""
+    """Independent oracle: enumerate every spine vector, no pruning. Returns
+    the least max spine-link load and the first vector, in
+    ``itertools.product`` order over the live spines, that attains it."""
     live = topo.live_spines
     inter = [c for c in commodities if c.src.tor != c.dst.tor]
-    best = math.inf
+    best, first = math.inf, None
     for vector in itertools.product(live, repeat=len(inter)):
         loads = {}
         for c, s in zip(inter, vector):
             for link in ((c.src.tor, "u", s), (s, "d", c.dst.tor)):
                 loads[link] = loads.get(link, 0) + 1
-        best = min(best, max(loads.values(), default=0))
-    return 0 if best is math.inf else best
+        load = max(loads.values(), default=0)
+        if load < best:
+            best, first = load, list(vector)
+    return best, first
 
 
 def spine_degree_bound(commodities, live_spines):
@@ -417,13 +421,43 @@ def test_exact_single_commodity_prefers_spine_zero():
     assert max_link_load(choice, topo) == 1
 
 
-def test_exact_matches_no_pruning_enumeration():
+def oracle_instances():
+    """Random unit instances, some with spines failed, and ring edges that mix
+    intra-host, intra-ToR and inter-ToR commodities: all few enough spine
+    vectors to enumerate."""
     rng = random.Random(2024)
-    for _ in range(40):
-        topo, cs = random_unit_instance(rng.randrange(10**6), max_tors=6, max_spines=3,
-                                        max_commodities=10)
-        bnb = max_link_load(exact_assign(cs, topo), topo)
-        assert bnb == brute_force_min_max_load(cs, topo)
+    instances = [random_unit_instance(rng.randrange(10**6), max_tors=6, max_spines=3,
+                                      max_commodities=10) for _ in range(40)]
+    for seed in range(12):
+        topo, cs = random_unit_instance(seed, max_tors=6, max_spines=4, max_commodities=8)
+        instances.append((fail_spines(topo, rng.randrange(topo.num_spines), seed), cs))
+    for topo, cs in ring_edge_instances():
+        inter = sum(c.src.tor != c.dst.tor for c in cs)
+        if inter <= EXACT_MAX_COMMODITIES and len(topo.live_spines) ** inter <= 5000:
+            instances.append((topo, cs))
+    return instances
+
+
+def test_exact_matches_no_pruning_enumeration():
+    for topo, cs in oracle_instances():
+        choice = exact_assign(cs, topo)
+        load, first = brute_force_min_max_load(cs, topo)
+        assert max_link_load(choice, topo) == load
+        assert [r.spine for r in choice.assignment.values() if r.kind == SPINE] == first
+
+
+def test_exact_builds_routes_once_and_runs_no_other_scheme(monkeypatch):
+    calls = Counter()
+    for name in ("build_routes", "_greedy_spines", "max_link_load"):
+        def counting(*args, name=name, original=getattr(routing, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(routing, name, counting)
+    for topo, cs in lazy_view_instances()[:40]:
+        calls.clear()
+        exact_assign(cs, topo)
+        assert calls == Counter(build_routes=1)
 
 
 def test_exact_guard_rejects_large_instances():
@@ -752,7 +786,7 @@ def test_lazy_views_match_eager_builds(scheme, monkeypatch):
         if scheme == "exact" and sum(c.src.tor != c.dst.tor for c in cs) > EXACT_MAX_COMMODITIES:
             continue
         choice = assign_by_scheme(scheme, cs, topo, seed=7)
-        # the result is the last choice the scheme built (exact builds greedy's first)
+        # the result is the last choice the scheme built
         assert repr(choice.assignment) == repr(eager_assignment(*calls[-1]))
         assert all(type(r) is Route for r in choice.assignment.values())
         assert choice.spine.dtype == np.int64
