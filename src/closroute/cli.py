@@ -292,6 +292,10 @@ def cmd_validate(args) -> int:
             coloring_mismatches += 1
     report = [
         f"instances: {instances}",
+        f"seed: {seed}",
+        f"max_tors: {args.max_tors}",
+        f"max_spines: {args.max_spines}",
+        f"max_commodities: {args.max_commodities}",
         f"max greedy/exact spine-load ratio: {worst_ratio:.4f}",
         f"greedy 2x bound violations: {violations}",
         f"edge-coloring vs exact mismatches: {coloring_mismatches}",

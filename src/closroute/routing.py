@@ -3,10 +3,12 @@
 All schemes map each commodity to one of its shortest paths (one candidate
 per live spine for inter-ToR pairs, a forced route otherwise) and are
 compared by the congestion they induce: the number of assigned commodities
-crossing each directed link. Each classifies its input once with
-``topology.classify``, which rejects an endpoint off the fabric, chooses a
-spine per inter-ToR commodity and builds the routes with
-``topology.build_routes``.
+crossing each directed link. Each takes a list of ``CommoditySpec`` or a
+``topology.Commodities`` batch, classifies it once with ``topology.classify``
+(which checks a list's endpoints against the fabric and returns a batch's own
+columns), chooses a spine per inter-ToR commodity and builds the routes with
+``topology.build_routes``. ECMP and annealing hash commodity ids, which a
+batch gives as a column.
 
 Schemes:
   greedy        sequential least-congested-path choice, 2-approximate on the
@@ -41,6 +43,7 @@ import random
 from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,6 +51,7 @@ from .topology import (
     INTRA_HOST,
     Classified,
     ClosTopology,
+    Commodities,
     Endpoint,
     PathChoice,
     build_routes,
@@ -59,6 +63,8 @@ from .workload import CommoditySpec
 SCHEME_NAMES = ("greedy", "ecmp", "edge_coloring", "annealing", "exact")
 # the exact solver's default size guard, in inter-ToR commodities
 EXACT_MAX_COMMODITIES = 16
+# what a scheme takes: its commodities, in order, as tuples or as columns
+CommodityInput = list[CommoditySpec] | Commodities
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ def max_tor_degree(kinds: Classified) -> int:
     return max(int(np.bincount(tors, minlength=1).max()) for tors in ends)
 
 
-def greedy_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathChoice:
+def greedy_assign(commodities: CommodityInput, topo: ClosTopology) -> PathChoice:
     """Assign each commodity, in the given order, to its least-congested path.
 
     The running choice starts at the lowest-index live spine and switches only
@@ -211,22 +217,28 @@ def decompose_components(commodities: list[CommoditySpec]) -> list[list[Commodit
     return [groups[root] for root in sorted(groups)]
 
 
-def ecmp_assign(commodities: list[CommoditySpec], topo: ClosTopology, seed: int) -> PathChoice:
+def ecmp_assign(commodities: CommodityInput, topo: ClosTopology, seed: int) -> PathChoice:
     """Hash each inter-ToR commodity onto a live spine, like per-flow ECMP."""
     kinds = classify(topo, commodities)
-    inter = compress(commodities, kinds.inter)
-    return build_routes(commodities, kinds.kind, _ecmp_spines(inter, topo, seed))
+    return build_routes(commodities, kinds.kind, _ecmp_spines(commodities, kinds, topo, seed))
 
 
-def _ecmp_spines(inter, topo: ClosTopology, seed: int) -> list[int]:
+def _ecmp_spines(commodities: CommodityInput, kinds: Classified, topo: ClosTopology,
+                 seed: int) -> list[int]:
+    """ECMP's spines for the inter-ToR commodities, in order: each hashes its
+    id, read from a batch's id column or, lazily, from each tuple."""
+    if isinstance(commodities, Commodities):
+        ids = commodities.id
+    else:
+        ids = map(attrgetter("id"), commodities)
     live = topo.live_spines
     suffix = f"|{seed}"
     n = len(live)
-    return [live[int.from_bytes(blake2b((c.id + suffix).encode(), digest_size=8).digest(),
-                                "big") % n] for c in inter]
+    return [live[int.from_bytes(blake2b((cid + suffix).encode(), digest_size=8).digest(),
+                                "big") % n] for cid in compress(ids, kinds.inter)]
 
 
-def edge_color_assign(commodities: list[CommoditySpec], topo: ClosTopology) -> PathChoice:
+def edge_color_assign(commodities: CommodityInput, topo: ClosTopology) -> PathChoice:
     """Color the ToR-to-ToR demand multigraph with max-degree colors, then map
     color c to live spine c mod k.
 
@@ -304,7 +316,7 @@ class _LoadTracker:
 
 
 def anneal_assign(
-    commodities: list[CommoditySpec],
+    commodities: CommodityInput,
     topo: ClosTopology,
     schedule: AnnealSchedule = AnnealSchedule(),
     seed: int = 0,
@@ -319,7 +331,7 @@ def anneal_assign(
     live = topo.live_spines
     kinds = classify(topo, commodities)
     inter = kinds.inter
-    spine_of = _ecmp_spines(compress(commodities, inter), topo, seed)
+    spine_of = _ecmp_spines(commodities, kinds, topo, seed)
     start = build_routes(commodities, kinds.kind, spine_of)
     if not spine_of or len(live) < 2 or schedule.moves_per_commodity == 0:
         return start
@@ -375,7 +387,7 @@ def anneal_assign(
 
 
 def exact_assign(
-    commodities: list[CommoditySpec],
+    commodities: CommodityInput,
     topo: ClosTopology,
     max_commodities: int = EXACT_MAX_COMMODITIES,
 ) -> PathChoice:
@@ -427,7 +439,7 @@ def exact_assign(
 
 def assign_by_scheme(
     scheme: str,
-    commodities: list[CommoditySpec],
+    commodities: CommodityInput,
     topo: ClosTopology,
     *,
     seed: int = 0,

@@ -11,8 +11,7 @@ elephant threshold, so the runs of one seed's jobs share their templates
 (``flow_templates``, passed to ``run_scenario``): the CLI builds them once per
 seed for all schemes and failure levels, and checks the exact scheme's size
 guard on them; a run given none builds its own. An iteration only makes its
-ids, ``iteration_prefix`` followed by the template's id tails, and one
-``CommoditySpec`` per flow for the routing schemes, unchecked (see ``emit``),
+ids, ``iteration_prefix`` followed by the template's id tails (see ``emit``),
 and writes them into its job's slots of the flow table.
 
 A centralized controller re-routes all active elephant flows whenever a flow
@@ -20,7 +19,11 @@ starts, a flow ends, or a spine fails, after a configurable reaction
 latency; rates follow max-min fairness on the current routes. Mice flows
 bypass the controller and stay on hashed paths: one ``ecmp_assign`` call
 routes an emission's intra-ToR flows, mice and (in fallback mode) elephants,
-and one re-hashes the mice a spine failure hits.
+and one re-hashes the mice a spine failure hits. The schemes get no
+``CommoditySpec``: each call takes the table's own columns for its flows, as
+one ``topology.Commodities`` batch (``_batch``), whose ``classify`` columns
+are the templates', so a run classifies and checks each flow once, when its
+template is built.
 
 An ECMP hash depends only on the flow, the seed and the live spines, so ECMP
 decisions reuse the routed elephants' hashes: a decision hashes only the
@@ -30,18 +33,20 @@ leaves the rates alone: every other event that changes a row refills them,
 unless it is a completion that cannot change a rate (see below).
 
 Flows live in one flow table, allocated once per run from its templates: one
-array per column (the job, the flow's position in its template, volume, the
-elephant flag, both ToRs, id, commodity, start time, bits remaining, the live
-and transmitting flags, rate, finish time, spine, FCT and throughput) and a
-row of four link ids per flow, the NIC-up, ToR->spine, spine->ToR and NIC-down
-link, -1 where unused (the layout of ``topology.route_link_rows``). Flow p of
-job j's template keeps slot ``first[j] + p`` in every iteration: a job has one
-iteration in flight, since its next compute phase starts only once all of its
-flows are done. The columns that a template fixes, from the job to the ToRs,
-and the NIC link ids are filled once. An emission writes its iteration's ids,
-commodities, start and bits remaining into the job's slots and marks them
-live; a completion clears their live and transmitting flags, rate, finish
-time, spine and spine links, and stores each flow's FCT and throughput there.
+array per column (the job and its id, the flow's position in its template,
+endpoints, volume in bytes and in bits, route kind, the elephant flag, both
+ToRs, id, start time, bits remaining, the live and transmitting flags, rate,
+finish time, spine, FCT and throughput) and a row of four link ids per flow,
+the NIC-up, ToR->spine, spine->ToR and NIC-down link, -1 where unused (the
+layout of ``topology.route_link_rows``). There is no commodity column: a
+scheme's batch is read from these. Flow p of job j's template keeps slot
+``first[j] + p`` in every iteration: a job has one iteration in flight, since
+its next compute phase starts only once all of its flows are done. The columns
+that a template fixes, from the job to the ToRs, and the NIC link ids are
+filled once. An emission writes its iteration's ids, start and bits remaining
+into the job's slots and marks them live; a completion clears their live and
+transmitting flags, rate, finish time, spine and spine links, and stores each
+flow's FCT and throughput there.
 Columns 0 and 3 hold ``classify``'s NIC ids. Columns 1 and 2 are written with
 ``tor_up_id`` and ``tor_down_id`` from the spine column of a scheme's
 ``PathChoice`` when a flow gets a route: at emission for hashed flows, at a
@@ -112,9 +117,8 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from functools import partial
 from heapq import heappop, heappush
-from itertools import compress, repeat
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -126,6 +130,7 @@ from .topology import (
     INTRA_HOST,
     Classified,
     ClosTopology,
+    Commodities,
     Endpoint,
     PathChoice,
     classify,
@@ -133,7 +138,6 @@ from .topology import (
     max_spine_link_load,
 )
 from .workload import (
-    CommoditySpec,
     HardwareModel,
     Job,
     Ring,
@@ -175,13 +179,11 @@ class FlowTemplate(NamedTuple):
     elephant: np.ndarray  # routed by the controller
     order: np.ndarray  # the positions in id order, which is tail order
 
-    def emit(self, iteration: int) -> tuple[list[str], list[CommoditySpec]]:
-        """The ids and commodities of the flows of an iteration, unchecked: the
-        template's flows, which differ only in the id, passed the checks."""
+    def emit(self, iteration: int) -> list[str]:
+        """The ids of the flows of an iteration: all that differs between
+        iterations."""
         prefix = iteration_prefix(self.job_id, iteration)
-        ids = [prefix + tail for tail in self.tails]
-        return ids, list(map(partial(tuple.__new__, CommoditySpec),
-                             zip(ids, repeat(self.job_id), self.src, self.dst, self.volume)))
+        return [prefix + tail for tail in self.tails]
 
 
 def network_flows(topo: ClosTopology, rings: list[Ring], threshold: float) -> FlowTemplate:
@@ -350,9 +352,17 @@ class _FlowTable:
         def joined(arrays, dtype=np.int64):
             return np.concatenate([np.empty(0, dtype), *arrays])
 
+        def objects(lists):
+            return np.fromiter(chain.from_iterable(lists), object, n)
+
         self.job = np.repeat(np.arange(len(templates)), sizes)  # the job's index in the run
+        self.job_id = np.repeat(np.array([t.job_id for t in templates], dtype=object), sizes)
         self.pos = np.arange(n) - self.first[self.job]  # the flow's position in its job's template
+        self.src = objects(t.src for t in templates)  # Endpoint objects
+        self.dst = objects(t.dst for t in templates)
+        self.bytes = objects(t.volume for t in templates)  # int objects, as CommoditySpec has
         self.volume = joined((t.bits for t in templates), float)  # bits
+        self.kind = joined((k.kind for k in kinds), object)
         self.elephant = joined((t.elephant for t in templates), bool)
         self.src_tor = joined(k.src_tor for k in kinds)
         self.dst_tor = joined(k.dst_tor for k in kinds)
@@ -360,7 +370,6 @@ class _FlowTable:
         self.links = np.stack([joined(k.nic_up for k in kinds), no_link, no_link,
                                joined(k.nic_down for k in kinds)], 1)  # see the module docstring
         self.cid = np.empty(n, dtype=object)
-        self.commodity = np.empty(n, dtype=object)
         self.start = np.zeros(n)
         self.remaining = np.zeros(n)  # bits left when the rate was last set
         self.live = np.zeros(n, dtype=bool)  # emitted and not done
@@ -425,11 +434,19 @@ class _Engine:
         """The slots by their iteration's emission, then by slot (see the module docstring)."""
         return slots[np.argsort(self.emitted_at[self.flows.job[slots]], kind="stable")]
 
+    def _batch(self, slots) -> Commodities:
+        """The flows in slots, in order, as a scheme takes them: the table's
+        columns, their NIC link ids among their ``classify`` columns."""
+        f = self.flows
+        kinds = Classified(f.kind[slots], f.src_tor[slots], f.dst_tor[slots],
+                           f.links[slots, 0], f.links[slots, 3])
+        return Commodities(f.cid[slots].tolist(), f.job_id[slots], f.src[slots], f.dst[slots],
+                           f.bytes[slots], kinds)
+
     def _hash_routes(self, slots):
         """Route the flows in slots as ECMP would, in one batch."""
         if len(slots):
-            choice = ecmp_assign(self.flows.commodity[slots].tolist(), self.topo, self.route_seed)
-            self._set_routes(slots, choice)
+            self._set_routes(slots, ecmp_assign(self._batch(slots), self.topo, self.route_seed))
 
     def _set_routes(self, slots, choice: PathChoice):
         """Put the flows in slots on the routes of choice, one per slot in
@@ -497,10 +514,9 @@ class _Engine:
         if not template.tails:
             self._finish_iteration(j)
             return
-        ids, commodities = template.emit(self.iteration_of[j])
         f = self.flows
         mine = slice(f.first[j], f.first[j + 1])
-        f.cid[mine], f.commodity[mine] = ids, np.fromiter(commodities, object, len(ids))
+        f.cid[mine] = template.emit(self.iteration_of[j])
         f.start[mine], f.remaining[mine], f.live[mine] = self.now, template.bits, True
         self.emitted_at[j] = self.emitted_at.max() + 1
         # intra-ToR flows and mice start right away on a hashed path; elephants
@@ -528,7 +544,7 @@ class _Engine:
         if slots.size:
             self._set_routes(slots, assign_by_scheme(
                 self.controller.scheme,
-                f.commodity[slots].tolist(),
+                self._batch(slots),
                 self.topo,
                 seed=self.route_seed,
                 anneal_schedule=self.controller.anneal_schedule,

@@ -5,9 +5,13 @@ described by its spine index (or by being intra-ToR / intra-host). Links are
 directed and full duplex: the up and down directions are independent
 capacities.
 
-The route kind is decided here only. ``classify`` checks every endpoint of a
-commodity list against the fabric at once and returns each commodity's kind,
-ToRs and NIC link ids; a scheme chooses spines for the inter-ToR ones and
+The route kind is decided here only. ``classify`` takes commodities in one of
+two forms. A list of ``CommoditySpec`` is checked against the fabric, all
+endpoints at once, and classified: each commodity's kind, ToRs and NIC link
+ids. A ``Commodities`` batch, the form the simulator's flow table hands over,
+carries those columns already, from its flows' templates, whose endpoints
+were checked when the templates were built; ``classify`` returns them as they
+are. A scheme chooses spines for the inter-ToR commodities and
 ``build_routes`` keeps kinds and spines as a ``PathChoice``, whose ``Route``
 objects are built only when read.
 
@@ -20,12 +24,13 @@ one integer id in [0, num_links), e being an endpoint's position in
 
 The ids from ``spine_link_base`` (2E) up are exactly the links that touch a
 spine. Each formula is written once: ``_read_endpoints`` for the endpoints
-as integers and ``_nic_up_ids`` for the NIC links (``classify`` and
-``route_link_rows`` both call them), and the methods ``tor_up_id`` and
-``tor_down_id`` for the spine links. Load bookkeeping counts on these ids;
-``route_link_rows`` maps a batch of routes to them at once, one row of four
-ids per route. A Route stores its kind, spine and endpoints
-only; ``Route.links`` is a view derived from them, as pairs of tagged nodes.
+as integers and ``_columns`` for the ToRs and NIC links of endpoints so read
+(``classify`` and ``route_link_rows`` both call them), and the methods
+``tor_up_id`` and ``tor_down_id`` for the spine links. Load bookkeeping counts
+on these ids; ``_link_rows`` maps ``Classified`` columns and spines to them
+at once, one row of four ids per route, for ``route_link_rows`` and
+``PathChoice.link_rows``. A Route stores its kind, spine and endpoints only;
+``Route.links`` is a view derived from them, as pairs of tagged nodes.
 """
 
 from __future__ import annotations
@@ -93,16 +98,21 @@ class PathChoice:
     def assignment(self) -> dict[str, Route]:
         """Commodity id -> Route, in input order, built on first read. The
         routes are made from zipped field tuples by ``tuple.__new__``, which
-        skips the per-route call of the ``Route`` constructor."""
+        skips the per-route call of the ``Route`` constructor; a
+        ``Commodities`` batch gives its columns, with no ``CommoditySpec``."""
         cs = self.commodities
+        if isinstance(cs, Commodities):
+            ids, src, dst = cs.id, cs.src, cs.dst
+        else:
+            ids, src, dst = (map(attrgetter(name), cs) for name in ("id", "src", "dst"))
         spines = [None if s < 0 else s for s in self.spine.tolist()]
-        fields = zip(self.kind.tolist(), spines,
-                     map(attrgetter("src"), cs), map(attrgetter("dst"), cs))
-        return dict(zip(map(attrgetter("id"), cs), map(partial(tuple.__new__, Route), fields)))
+        fields = zip(self.kind.tolist(), spines, src, dst)
+        return dict(zip(ids, map(partial(tuple.__new__, Route), fields)))
 
     def link_rows(self, topo: ClosTopology) -> np.ndarray:
         """``route_link_rows`` of the routes, from the columns."""
-        return _link_rows(topo, self.commodities, self.kind, self.spine)
+        kinds = classify(topo, self.commodities)._replace(kind=self.kind)
+        return _link_rows(topo, kinds, self.spine)
 
     def __eq__(self, other):
         return isinstance(other, PathChoice) and self.assignment == other.assignment
@@ -207,18 +217,18 @@ def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
     row, in column order, are its route's links in ``Route.links`` order.
     """
     routes = list(routes)
-    return _link_rows(topo, routes, np.array([r.kind for r in routes], dtype=object),
+    kind = np.array([r.kind for r in routes], dtype=object)
+    kinds = _columns(topo, _read_endpoints(routes), kind)
+    return _link_rows(topo, kinds,
                       np.array([-1 if r.spine is None else r.spine for r in routes], dtype=np.int64))
 
 
-def _link_rows(topo: ClosTopology, items, kind: np.ndarray, spine: np.ndarray) -> np.ndarray:
-    """``route_link_rows`` of items with src and dst, given kinds and spines."""
-    ends = _read_endpoints(items)
-    nic = _nic_up_ids(topo, ends)
-    rows = np.stack([nic[:, 0], topo.tor_up_id(ends[:, 0, 0], spine),
-                     topo.tor_down_id(spine, ends[:, 1, 0]), nic[:, 1] + topo.num_endpoints], 1)
+def _link_rows(topo: ClosTopology, kinds: Classified, spine: np.ndarray) -> np.ndarray:
+    """``route_link_rows`` of routes given as their kinds' columns and spines."""
+    rows = np.stack([kinds.nic_up, topo.tor_up_id(kinds.src_tor, spine),
+                     topo.tor_down_id(spine, kinds.dst_tor), kinds.nic_down], 1)
     rows[spine < 0, 1:3] = -1
-    rows[kind == INTRA_HOST] = -1
+    rows[kinds.kind == INTRA_HOST] = -1
     return rows
 
 
@@ -244,16 +254,44 @@ class Classified(NamedTuple):
         return self.kind == SPINE
 
 
+@dataclass(frozen=True, eq=False)
+class Commodities:
+    """Commodities as columns, in order: ids, job ids, endpoints and byte
+    volumes, with their ``classify`` columns. The schemes take one beside a
+    list of ``CommoditySpec``: the simulator's flow table hands its own
+    columns over in this form. ``len`` reads the id column, and iterating
+    yields one ``CommoditySpec`` per commodity, built only as it is read."""
+
+    id: list
+    job_id: np.ndarray
+    src: np.ndarray  # Endpoint objects
+    dst: np.ndarray
+    volume: np.ndarray  # bytes, int objects
+    kinds: Classified
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __iter__(self):
+        from .workload import CommoditySpec  # workload imports this module
+
+        fields = zip(self.id, self.job_id, self.src, self.dst, self.volume)
+        return map(partial(tuple.__new__, CommoditySpec), fields)
+
+
 _KINDS = np.array([SPINE, INTRA_TOR, INTRA_HOST], dtype=object)
 
 
 def classify(topo: ClosTopology, commodities) -> Classified:
-    """The route kind, ToRs and NIC link ids of every commodity, checking all
-    endpoints against the fabric at once.
+    """The route kind, ToRs and NIC link ids of every commodity.
 
-    Raises ValueError naming the first commodity with an endpoint off the
-    fabric.
+    A ``Commodities`` batch carries them, from endpoints checked when its
+    columns were built, and they are returned as they are. A list of
+    ``CommoditySpec`` is read and checked against the fabric at once: raises
+    ValueError naming the first commodity with an endpoint off the fabric.
     """
+    if isinstance(commodities, Commodities):
+        return commodities.kinds
     ends = _read_endpoints(commodities)
     off = ((ends < 0) | (ends >= (topo.num_tors, topo.hosts_per_tor, topo.nics_per_host))).any(2)
     bad = np.flatnonzero(off.any(1))
@@ -262,7 +300,12 @@ def classify(topo: ClosTopology, commodities) -> Classified:
         end = "src" if off[bad[0], 0] else "dst"
         raise ValueError(f"commodity {c.id}: {end} endpoint {getattr(c, end)} is off the fabric")
     differs = ends[:, 0] != ends[:, 1]
-    kind = _KINDS[np.where(differs[:, 0], 0, np.where(differs[:, 1], 1, 2))]
+    return _columns(topo, ends, _KINDS[np.where(differs[:, 0], 0, np.where(differs[:, 1], 1, 2))])
+
+
+def _columns(topo: ClosTopology, ends: np.ndarray, kind: np.ndarray) -> Classified:
+    """The ``Classified`` columns of endpoints read by ``_read_endpoints``,
+    given their kinds."""
     nic = _nic_up_ids(topo, ends)
     return Classified(kind, ends[:, 0, 0], ends[:, 1, 0], nic[:, 0], nic[:, 1] + topo.num_endpoints)
 

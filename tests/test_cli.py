@@ -230,6 +230,23 @@ def test_validate_reports_no_violations(tmp_path, capsys):
     assert "max greedy/exact spine-load ratio" in stdout
 
 
+def test_validate_report_names_its_settings(tmp_path, capsys):
+    """Two runs that differ only in --max-commodities write different reports,
+    each naming the settings it ran with, on stdout as in --out."""
+    texts = []
+    for most in (2, 3):
+        out = tmp_path / f"report{most}.txt"
+        code = main(["validate", "--instances", "5", "--seed", "7", "--max-tors", "3",
+                     "--max-spines", "2", "--max-commodities", str(most), "--out", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert capsys.readouterr().out == text
+        assert text.splitlines()[:5] == ["instances: 5", "seed: 7", "max_tors: 3", "max_spines: 2",
+                                         f"max_commodities: {most}"]
+        texts.append(text)
+    assert texts[0] != texts[1]
+
+
 def test_validate_single_trivial_instance(capsys):
     code = main(["validate", "--instances", "1", "--seed", "0",
                  "--max-tors", "2", "--max-spines", "1", "--max-commodities", "1"])

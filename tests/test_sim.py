@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import math
+import random
 from collections import Counter
 from itertools import compress
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from closroute import routing, sim
+from closroute import routing, sim, topology
 from closroute.cli import measure_scheme_runtime
 from closroute.rates import LinkRows, RateAllocation, waterfill
 from closroute.sim import (
@@ -274,6 +275,49 @@ def test_engine_builds_no_route_or_rate_dict(cluster, monkeypatch, scheme, fallb
     assert min(volumes) < 1e9 <= max(volumes)
 
 
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("scheme", routing.SCHEME_NAMES)
+def test_engine_reads_no_endpoint_after_start_up(cluster, monkeypatch, scheme, fallback):
+    """Given its templates, a run classifies nothing again: every scheme call
+    and mice hash gets the table's batch, whose classify columns are the
+    templates', and no batch is iterated into CommoditySpec tuples."""
+    elephants = make_job(cluster, MINI, dp=2, seed=6, iters=2, job_id="e")
+    mice = make_job(cluster, TINY, dp=2, seed=7, iters=2,
+                    occupied=frozenset(elephants.placement), job_id="m")
+    # 8 spines fail while the mice's first flows are in flight, 8 more during
+    # the elephants' first all-reduce
+    plan = FailurePlan(times=(compute_phase_duration(mice, FAST_HW) + 1e-3,
+                              compute_phase_duration(elephants, FAST_HW) + 0.01), counts=(8, 8),
+                       seed=2)
+    controller = ControllerModel(scheme=scheme, elephant_threshold=1e9,
+                                 ecmp_fallback_start=fallback)
+    templates = sim.flow_templates(cluster, [elephants, mice], controller.elephant_threshold)
+    reads = []
+    read = topology._read_endpoints
+
+    def counting(items):
+        reads.append(len(items))
+        return read(items)
+
+    def refuse(batch):
+        raise AssertionError("a batch was iterated into CommoditySpec tuples")
+
+    monkeypatch.setattr(topology, "_read_endpoints", counting)
+    monkeypatch.setattr(topology.Commodities, "__iter__", refuse)
+    calls = Counter()
+    for module, name in ((sim, "assign_by_scheme"), (sim, "ecmp_assign")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    result = run_scenario(cluster, [elephants, mice], controller, hardware=FAST_HW,
+                          failures=plan, seed=1, templates=templates)
+    assert reads == []
+    # the mice's 2 emissions and the re-hash of the mice the first failure hits
+    assert calls["assign_by_scheme"] and calls["ecmp_assign"] >= 3
+    assert result.controller_log and len(result.records) == 4
+
+
 def _run_ecmp_recording(cluster, monkeypatch):
     """Two jobs under ECMP with 8 spines failing mid-transfer; also returns,
     per scheme call, the time, the topology and the elephant ids it was given."""
@@ -382,7 +426,7 @@ def test_flow_table_rows_match_route_link_rows(cluster, monkeypatch, threshold):
         live = np.flatnonzero(f.transmitting)
         routes = [
             Route(SPINE, spine, c.src, c.dst) if spine >= 0 else Route(INTRA_TOR, None, c.src, c.dst)
-            for c, spine in zip(f.commodity[live], f.spine[live].tolist())
+            for c, spine in zip(engine._batch(live), f.spine[live].tolist())
         ]
         assert (f.links[live] == route_link_rows(engine.topo, routes)).all()
         checked.append(engine.topo.failed_spines)
@@ -457,7 +501,7 @@ def test_failure_stalls_elephants_and_rehashes_mice_in_the_link_rows(cluster, mo
         spine_before = f.spine[live]
         on_failure(engine, count, fseed)
         topo = engine.topo
-        kinds = classify(topo, f.commodity[live].tolist())
+        kinds = classify(topo, list(engine._batch(live)))  # the list path reads the endpoints
         links = f.links[live]
         assert (links[:, 0] == kinds.nic_up).all() and (links[:, 3] == kinds.nic_down).all()
         hit = np.zeros(len(f.spine), dtype=bool)
@@ -533,10 +577,10 @@ def test_flows_reach_the_schemes_and_the_trace_in_emission_order(cluster, monkey
     emit, assign = sim.FlowTemplate.emit, sim.assign_by_scheme
 
     def recording(template, iteration):
-        ids, commodities = emit(template, iteration)
+        ids = emit(template, iteration)
         rank.update((cid, (len(emitters), p)) for p, cid in enumerate(ids))
         emitters.append(template.job_id)
-        return ids, commodities
+        return ids
 
     def deciding(scheme, commodities, *args, **kwargs):
         decisions.append([c.id for c in commodities])
@@ -883,15 +927,24 @@ def test_emitted_flows_match_the_reference_commodities(specs, threshold):
         jobs.append(Job(f"job{i}", model, dp, 0.0, iters, placement))
     assume(jobs)
     emitted = {job.id: [] for job in jobs}
-    emit = sim.FlowTemplate.emit
+    emit, on_compute_done = sim.FlowTemplate.emit, sim._Engine._on_compute_done
+    ids = []
 
     def recording(template, iteration):
-        ids, commodities = emit(template, iteration)
-        assert ids == [c.id for c in commodities]
-        emitted[template.job_id].append((commodities, template.kinds, template.elephant))
-        return ids, commodities
+        ids.append(emit(template, iteration))
+        return ids[-1]
 
-    with mock.patch.object(sim.FlowTemplate, "emit", recording):
+    def batching(engine, j):
+        """After an emission, the job's slots as the batch a scheme would get."""
+        on_compute_done(engine, j)
+        template, f = engine.templates[j], engine.flows
+        if template.tails:
+            batch = engine._batch(np.arange(f.first[j], f.first[j + 1]))
+            assert batch.id == ids[-1] == [c.id for c in batch]
+            emitted[template.job_id].append((batch, template.kinds, template.elephant))
+
+    with mock.patch.object(sim.FlowTemplate, "emit", recording), \
+            mock.patch.object(sim._Engine, "_on_compute_done", batching):
         run_scenario(SMALL_FABRIC, jobs, ControllerModel(elephant_threshold=threshold),
                      hardware=FAST_HW, seed=0)
 
@@ -908,9 +961,50 @@ def test_emitted_flows_match_the_reference_commodities(specs, threshold):
                 expected.append((list(compress(reference, on_net)),
                                  Classified(*(column[on_net] for column in kinds))))
         assert len(emitted[job.id]) == len(expected)
-        for (commodities, kinds, elephant), (reference, reference_kinds) in zip(emitted[job.id],
-                                                                                expected):
-            assert commodities == reference
-            for column, reference_column in zip(kinds, reference_kinds):
-                assert column.tolist() == reference_column.tolist()
+        for (batch, kinds, elephant), (reference, reference_kinds) in zip(emitted[job.id],
+                                                                          expected):
+            assert list(batch) == reference
+            for columns in (kinds, classify(SMALL_FABRIC, batch)):
+                for column, reference_column in zip(columns, reference_kinds):
+                    assert column.tolist() == reference_column.tolist()
             assert elephant.tolist() == [c.volume >= threshold for c in reference]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(specs=job_specs, failed=st.integers(0, 3), pick=st.integers(0, 2**16))
+# pinned, since the derandomized draws depend on the loaded modules: 7 inter-ToR
+# and 2 intra-ToR flows of two jobs on an intact and on a degraded fabric, and
+# 2 inter-ToR and 4 intra-ToR flows with one spine left
+@example(specs=[((2, 1), 4, 1e9, 0.0, 1, 0), ((1, 1), 4, 1e5, 0.0, 1, 1)], failed=0, pick=5)
+@example(specs=[((2, 1), 4, 1e9, 0.0, 1, 0), ((1, 1), 4, 1e5, 0.0, 1, 1)], failed=2, pick=5)
+@example(specs=[((1, 2), 2, 1e9, 0.0, 1, 0), ((1, 1), 4, 1e5, 0.0, 1, 1)], failed=3, pick=0)
+def test_schemes_choose_alike_for_an_engine_batch_and_its_list(specs, failed, pick):
+    """A batch the engine hands a scheme carries the columns that classify
+    reads off its CommoditySpec list, and every scheme chooses the same
+    routes for the batch as for the list."""
+    jobs, _, controller = small_scenario(specs, [], "greedy", 1e6, False, False, pick)
+    engine = sim._Engine(SMALL_FABRIC, jobs, controller, FAST_HW, None, pick)
+    f = engine.flows
+    for j, template in enumerate(engine.templates):
+        f.cid[f.first[j]:f.first[j + 1]] = template.emit(0)
+    rng = random.Random(pick)
+    slots = np.array(sorted(rng.sample(range(len(f.cid)), rng.randint(0, len(f.cid)))),
+                     dtype=np.int64)
+    batch = engine._batch(slots)
+    listed = list(batch)
+    assert len(batch) == len(listed) == len(slots)
+    topo = fail_spines(SMALL_FABRIC, failed, pick)
+    assert classify(topo, batch) is batch.kinds
+    for column, listed_column in zip(batch.kinds, classify(topo, listed)):
+        assert column.tolist() == listed_column.tolist()
+    schedule = routing.AnnealSchedule(moves_per_commodity=20)
+    # 16 GPUs send at most 16 flows, so every batch is within the exact guard
+    for scheme in routing.SCHEME_NAMES:
+        by_batch, by_list = (
+            routing.assign_by_scheme(scheme, commodities, topo, seed=pick,
+                                     anneal_schedule=schedule)
+            for commodities in (batch, listed)
+        )
+        assert by_batch.spine.tolist() == by_list.spine.tolist(), scheme
+        assert by_batch.assignment == by_list.assignment, scheme
