@@ -25,9 +25,10 @@ for spine in topo.live_spines:
     print(f"  via spine {route.spine}: {hops}")
 
 # Same-rack and same-host transfers have one forced route that never touches
-# the spine layer. classify tells the kinds of a whole commodity list at once.
+# the spine layer. classify reads a commodity list into one batch, checking
+# every endpoint once, and its kinds column tells each commodity's route kind.
 neighbor = Endpoint(tor=1, host=1, nic=0)
-kind = classify(topo, [CommoditySpec("c", "demo", src, neighbor, 1)]).kind[0]
+kind = classify(topo, [CommoditySpec("c", "demo", src, neighbor, 1)]).kinds.kind[0]
 print(f"\nroute {src} -> {neighbor}: {kind}")
 
 # Spine failures shrink the route set; sampling is seeded and reproducible.

@@ -278,12 +278,13 @@ def cmd_validate(args) -> int:
             max_spines=args.max_spines,
             max_commodities=args.max_commodities,
         )
-        greedy_load = max_link_load(greedy_assign(commodities, topo), topo)
+        batch = classify(topo, commodities)
+        greedy_load = max_link_load(greedy_assign(batch, topo), topo)
         exact_load = max_link_load(
-            exact_assign(commodities, topo, max_commodities=args.max_commodities), topo
+            exact_assign(batch, topo, max_commodities=args.max_commodities), topo
         )
-        coloring_load = max_link_load(edge_color_assign(commodities, topo), topo)
-        bound = math.ceil(max_tor_degree(classify(topo, commodities)) / len(topo.live_spines))
+        coloring_load = max_link_load(edge_color_assign(batch, topo), topo)
+        bound = math.ceil(max_tor_degree(batch.kinds) / len(topo.live_spines))
         ratio = greedy_load / exact_load
         worst_ratio = max(worst_ratio, ratio)
         if greedy_load > 2 * exact_load:

@@ -4,11 +4,11 @@ All schemes map each commodity to one of its shortest paths (one candidate
 per live spine for inter-ToR pairs, a forced route otherwise) and are
 compared by the congestion they induce: the number of assigned commodities
 crossing each directed link. Each takes a list of ``CommoditySpec`` or a
-``topology.Commodities`` batch, classifies it once with ``topology.classify``
-(which checks a list's endpoints against the fabric and returns a batch's own
-columns), chooses a spine per inter-ToR commodity and builds the routes with
-``topology.build_routes``. ECMP and annealing hash commodity ids, which a
-batch gives as a column.
+``topology.Commodities`` batch and reads it once, at its top, into a batch
+with ``topology.classify`` (which checks a list's endpoints against the fabric
+and returns a batch as it is). From there it works on the batch's columns
+alone: it chooses a spine per inter-ToR commodity and builds the routes with
+``topology.build_routes``. ECMP and annealing hash the id column.
 
 Schemes:
   greedy        sequential least-congested-path choice, 2-approximate on the
@@ -43,7 +43,6 @@ import random
 from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import compress
-from operator import attrgetter
 
 import numpy as np
 
@@ -63,7 +62,7 @@ from .workload import CommoditySpec
 SCHEME_NAMES = ("greedy", "ecmp", "edge_coloring", "annealing", "exact")
 # the exact solver's default size guard, in inter-ToR commodities
 EXACT_MAX_COMMODITIES = 16
-# what a scheme takes: its commodities, in order, as tuples or as columns
+# what a scheme takes: its commodities, in order, as tuples or as a batch
 CommodityInput = list[CommoditySpec] | Commodities
 
 
@@ -103,8 +102,8 @@ def greedy_assign(commodities: CommodityInput, topo: ClosTopology) -> PathChoice
     links, NIC links included. Forced intra-host/intra-ToR commodities take
     their unique route; intra-ToR ones still load their NIC links.
     """
-    kinds = classify(topo, commodities)
-    return build_routes(commodities, kinds.kind, _greedy_spines(kinds, topo))
+    batch = classify(topo, commodities)
+    return build_routes(batch, _greedy_spines(batch.kinds, topo))
 
 
 def _greedy_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
@@ -219,23 +218,17 @@ def decompose_components(commodities: list[CommoditySpec]) -> list[list[Commodit
 
 def ecmp_assign(commodities: CommodityInput, topo: ClosTopology, seed: int) -> PathChoice:
     """Hash each inter-ToR commodity onto a live spine, like per-flow ECMP."""
-    kinds = classify(topo, commodities)
-    return build_routes(commodities, kinds.kind, _ecmp_spines(commodities, kinds, topo, seed))
+    batch = classify(topo, commodities)
+    return build_routes(batch, _ecmp_spines(batch, topo, seed))
 
 
-def _ecmp_spines(commodities: CommodityInput, kinds: Classified, topo: ClosTopology,
-                 seed: int) -> list[int]:
-    """ECMP's spines for the inter-ToR commodities, in order: each hashes its
-    id, read from a batch's id column or, lazily, from each tuple."""
-    if isinstance(commodities, Commodities):
-        ids = commodities.id
-    else:
-        ids = map(attrgetter("id"), commodities)
+def _ecmp_spines(batch: Commodities, topo: ClosTopology, seed: int) -> list[int]:
+    """ECMP's spines for the inter-ToR commodities, in order: each hashes its id."""
     live = topo.live_spines
     suffix = f"|{seed}"
     n = len(live)
     return [live[int.from_bytes(blake2b((cid + suffix).encode(), digest_size=8).digest(),
-                                "big") % n] for cid in compress(ids, kinds.inter)]
+                                "big") % n] for cid in compress(batch.id, batch.kinds.inter)]
 
 
 def edge_color_assign(commodities: CommodityInput, topo: ClosTopology) -> PathChoice:
@@ -248,7 +241,8 @@ def edge_color_assign(commodities: CommodityInput, topo: ClosTopology) -> PathCh
     Each ToR then sees every color at most once, giving every ToR<->spine link
     a load of at most ceil(Delta / live spines), which is optimal.
     """
-    kinds = classify(topo, commodities)
+    batch = classify(topo, commodities)
+    kinds = batch.kinds
     inter = kinds.inter
     # vertices: source ToR t is t, destination ToR t is T + t
     edges = np.stack([kinds.src_tor[inter], topo.num_tors + kinds.dst_tor[inter]], 1).tolist()
@@ -287,7 +281,7 @@ def edge_color_assign(commodities: CommodityInput, topo: ClosTopology) -> PathCh
         free[v] ^= bit
         table[u][c] = table[v][c] = e
     live = topo.live_spines
-    return build_routes(commodities, kinds.kind, [live[c % len(live)] for c in color])
+    return build_routes(batch, [live[c % len(live)] for c in color])
 
 
 class _LoadTracker:
@@ -329,10 +323,10 @@ def anneal_assign(
     exp(-delta / temperature) otherwise. Returns the best state seen.
     """
     live = topo.live_spines
-    kinds = classify(topo, commodities)
-    inter = kinds.inter
-    spine_of = _ecmp_spines(commodities, kinds, topo, seed)
-    start = build_routes(commodities, kinds.kind, spine_of)
+    batch = classify(topo, commodities)
+    inter = batch.kinds.inter
+    spine_of = _ecmp_spines(batch, topo, seed)
+    start = build_routes(batch, spine_of)
     if not spine_of or len(live) < 2 or schedule.moves_per_commodity == 0:
         return start
 
@@ -340,7 +334,7 @@ def anneal_assign(
     rows = start.link_rows(topo)
     for link in rows[rows >= 0].tolist():
         tracker.bump(link, 1)
-    src_tor, dst_tor = kinds.src_tor[inter].tolist(), kinds.dst_tor[inter].tolist()
+    src_tor, dst_tor = batch.kinds.src_tor[inter].tolist(), batch.kinds.dst_tor[inter].tolist()
 
     # Integer scalarization of the lexicographic energy: a max-load step always
     # outweighs any reachable sum-of-squares difference.
@@ -383,7 +377,7 @@ def anneal_assign(
                 tracker.bump(link, 1)
         temp *= schedule.cooling_factor
 
-    return build_routes(commodities, kinds.kind, best_spines)
+    return build_routes(batch, best_spines)
 
 
 def exact_assign(
@@ -402,9 +396,9 @@ def exact_assign(
     small instances; the search is exponential in the worst case.
     """
     live = topo.live_spines
-    kinds = classify(topo, commodities)
-    inter = kinds.inter
-    src_tor, dst_tor = kinds.src_tor[inter].tolist(), kinds.dst_tor[inter].tolist()
+    batch = classify(topo, commodities)
+    inter = batch.kinds.inter
+    src_tor, dst_tor = batch.kinds.src_tor[inter].tolist(), batch.kinds.dst_tor[inter].tolist()
     n = len(src_tor)
     if n > max_commodities:
         raise ValueError(
@@ -412,7 +406,7 @@ def exact_assign(
             f"exact_max_commodities = {max_commodities}"
         )
 
-    bound = -(-max_tor_degree(kinds) // len(live))
+    bound = -(-max_tor_degree(batch.kinds) // len(live))
     loads = [0] * topo.num_links  # by link id; only ToR<->spine links are used
     chosen: list[int] = []
 
@@ -434,7 +428,7 @@ def exact_assign(
 
     if not dfs(0):
         raise AssertionError("no spine assignment meets the degree bound")
-    return build_routes(commodities, kinds.kind, chosen)
+    return build_routes(batch, chosen)
 
 
 def assign_by_scheme(

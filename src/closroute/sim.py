@@ -21,9 +21,9 @@ bypass the controller and stay on hashed paths: one ``ecmp_assign`` call
 routes an emission's intra-ToR flows, mice and (in fallback mode) elephants,
 and one re-hashes the mice a spine failure hits. The schemes get no
 ``CommoditySpec``: each call takes the table's own columns for its flows, as
-one ``topology.Commodities`` batch (``_batch``), whose ``classify`` columns
-are the templates', so a run classifies and checks each flow once, when its
-template is built.
+one ``topology.Commodities`` batch (``_batch``), the form that every scheme
+reads its input into. Its ``classify`` columns are the templates', so a run
+classifies and checks each flow once, when its template is built.
 
 An ECMP hash depends only on the flow, the seed and the live spines, so ECMP
 decisions reuse the routed elephants' hashes: a decision hashes only the
@@ -124,8 +124,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .rates import LinkRows, waterfill
-from .routing import EXACT_MAX_COMMODITIES, AnnealSchedule, assign_by_scheme, ecmp_assign
-from .routing import max_link_load  # noqa: F401 - kept as sim.max_link_load for tracing wrappers
+from .routing import EXACT_MAX_COMMODITIES, SCHEME_NAMES, AnnealSchedule, assign_by_scheme
+from .routing import ecmp_assign, max_link_load  # noqa: F401 - sim.max_link_load, for tracing
 from .topology import (
     INTRA_HOST,
     Classified,
@@ -195,20 +195,20 @@ def network_flows(topo: ClosTopology, rings: list[Ring], threshold: float) -> Fl
         c for ring in rings if len(ring.members) >= 2
         for c in ring_allreduce_commodities(ring, 0)
     ]
-    kinds = classify(topo, commodities)
-    on_net = kinds.kind != INTRA_HOST
-    commodities = list(compress(commodities, on_net))
+    batch = classify(topo, commodities)
+    on_net = batch.kinds.kind != INTRA_HOST
+    ids, src, dst, volume = (list(compress(column, on_net))
+                             for column in (batch.id, batch.src, batch.dst, batch.volume))
     skip = len(iteration_prefix(job_id, 0))
-    tails = [c.id[skip:] for c in commodities]
-    volume = [c.volume for c in commodities]
+    tails = [cid[skip:] for cid in ids]
     return FlowTemplate(
         job_id,
         tails,
-        [c.src for c in commodities],
-        [c.dst for c in commodities],
+        src,
+        dst,
         volume,
         np.array([v * 8 for v in volume], dtype=float),
-        Classified(*(column[on_net] for column in kinds)),
+        Classified(*(column[on_net] for column in batch.kinds)),
         np.array([v >= threshold for v in volume], dtype=bool),
         np.array(sorted(range(len(tails)), key=tails.__getitem__), dtype=np.int64),
     )
@@ -236,8 +236,12 @@ class ControllerModel:
     exact_max_commodities: int = EXACT_MAX_COMMODITIES
 
     def __post_init__(self):
+        if self.scheme not in SCHEME_NAMES:
+            raise ValueError(f"scheme: {self.scheme!r} is not one of {SCHEME_NAMES}")
         if not (0 <= self.reaction_latency < math.inf and 0 <= self.elephant_threshold < math.inf):
             raise ValueError("latency and threshold must be finite and >= 0")
+        if not self.exact_max_commodities >= 1:
+            raise ValueError(f"exact_max_commodities must be >= 1, got {self.exact_max_commodities}")
 
 
 @dataclass(frozen=True)
@@ -259,6 +263,8 @@ class FailurePlan:
             raise ValueError("failure times and counts must align")
         if not all(0 <= t < math.inf for t in self.times):
             raise ValueError(f"failure times must be finite and >= 0, got {self.times}")
+        if not all(k >= 0 for k in self.counts):
+            raise ValueError(f"failure counts must be >= 0, got {self.counts}")
 
 
 # the columns of a finished flow in the trace CSV, after the run's scenario, scheme and seed

@@ -5,15 +5,15 @@ described by its spine index (or by being intra-ToR / intra-host). Links are
 directed and full duplex: the up and down directions are independent
 capacities.
 
-The route kind is decided here only. ``classify`` takes commodities in one of
-two forms. A list of ``CommoditySpec`` is checked against the fabric, all
-endpoints at once, and classified: each commodity's kind, ToRs and NIC link
-ids. A ``Commodities`` batch, the form the simulator's flow table hands over,
-carries those columns already, from its flows' templates, whose endpoints
-were checked when the templates were built; ``classify`` returns them as they
-are. A scheme chooses spines for the inter-ToR commodities and
-``build_routes`` keeps kinds and spines as a ``PathChoice``, whose ``Route``
-objects are built only when read.
+The route kind is decided here only. The schemes work on one form, a
+``Commodities`` batch: ids, job ids, endpoints and volumes as columns, with
+each commodity's kind, ToRs and NIC link ids. Each public scheme reads its
+input once, with ``classify``: a batch, which the simulator builds from
+templates whose endpoints were checked when they were built, comes back as it
+is; a list of ``CommoditySpec`` is checked against the fabric, all endpoints
+at once, and read into one. A scheme chooses spines for the inter-ToR
+commodities and ``build_routes`` keeps the batch and spines as a
+``PathChoice``, whose ``Route`` objects are built only when read.
 
 Link layout: with E endpoints, T ToRs and S spines, every directed link has
 one integer id in [0, num_links), e being an endpoint's position in
@@ -38,8 +38,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from operator import attrgetter
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -87,32 +87,26 @@ class Route(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PathChoice:
-    """Routes as columns in input order: the commodities, their ``classify``
-    kinds and spines, -1 off a spine. Equal when their assignments are."""
+    """Routes as columns in input order: the ``classify`` batch and each
+    commodity's spine, -1 off a spine. Equal when their assignments are."""
 
-    commodities: list
-    kind: np.ndarray
+    commodities: Commodities
     spine: np.ndarray  # int64
 
     @cached_property
     def assignment(self) -> dict[str, Route]:
-        """Commodity id -> Route, in input order, built on first read. The
-        routes are made from zipped field tuples by ``tuple.__new__``, which
-        skips the per-route call of the ``Route`` constructor; a
-        ``Commodities`` batch gives its columns, with no ``CommoditySpec``."""
+        """Commodity id -> Route, in input order, built on first read from the
+        batch's columns. The routes are made from zipped field tuples by
+        ``tuple.__new__``, which skips the per-route call of the ``Route``
+        constructor."""
         cs = self.commodities
-        if isinstance(cs, Commodities):
-            ids, src, dst = cs.id, cs.src, cs.dst
-        else:
-            ids, src, dst = (map(attrgetter(name), cs) for name in ("id", "src", "dst"))
         spines = [None if s < 0 else s for s in self.spine.tolist()]
-        fields = zip(self.kind.tolist(), spines, src, dst)
-        return dict(zip(ids, map(partial(tuple.__new__, Route), fields)))
+        fields = zip(cs.kinds.kind.tolist(), spines, cs.src, cs.dst)
+        return dict(zip(cs.id, map(partial(tuple.__new__, Route), fields)))
 
     def link_rows(self, topo: ClosTopology) -> np.ndarray:
         """``route_link_rows`` of the routes, from the columns."""
-        kinds = classify(topo, self.commodities)._replace(kind=self.kind)
-        return _link_rows(topo, kinds, self.spine)
+        return _link_rows(topo, self.commodities.kinds, self.spine)
 
     def __eq__(self, other):
         return isinstance(other, PathChoice) and self.assignment == other.assignment
@@ -257,16 +251,17 @@ class Classified(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class Commodities:
     """Commodities as columns, in order: ids, job ids, endpoints and byte
-    volumes, with their ``classify`` columns. The schemes take one beside a
-    list of ``CommoditySpec``: the simulator's flow table hands its own
-    columns over in this form. ``len`` reads the id column, and iterating
-    yields one ``CommoditySpec`` per commodity, built only as it is read."""
+    volumes, with their ``classify`` columns; the form every scheme works on.
+    A column needs only a length and repeated iteration: the simulator's flow
+    table gives arrays, and ``classify`` a list's fields, read in place
+    (``_Field``). ``len`` reads the id column, and iterating yields one
+    ``CommoditySpec`` per commodity, built only as it is read."""
 
-    id: list
-    job_id: np.ndarray
-    src: np.ndarray  # Endpoint objects
-    dst: np.ndarray
-    volume: np.ndarray  # bytes, int objects
+    id: Iterable[str]
+    job_id: Iterable[str]
+    src: Iterable[Endpoint]
+    dst: Iterable[Endpoint]
+    volume: Iterable[int]  # bytes
     kinds: Classified
 
     def __len__(self) -> int:
@@ -279,19 +274,35 @@ class Commodities:
         return map(partial(tuple.__new__, CommoditySpec), fields)
 
 
+class _Field:
+    """Field ``index`` of each tuple in ``rows``, as a column read in place. A
+    copied column would hold memory for as long as a choice holds its batch,
+    and the garbage collector would traverse it."""
+
+    def __init__(self, rows: list, index: int):
+        self.rows, self.get = rows, itemgetter(index)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(self.get, self.rows)
+
+
 _KINDS = np.array([SPINE, INTRA_TOR, INTRA_HOST], dtype=object)
 
 
-def classify(topo: ClosTopology, commodities) -> Classified:
-    """The route kind, ToRs and NIC link ids of every commodity.
+def classify(topo: ClosTopology, commodities) -> Commodities:
+    """Commodities as a batch, with each one's route kind, ToRs and NIC link ids.
 
     A ``Commodities`` batch carries them, from endpoints checked when its
-    columns were built, and they are returned as they are. A list of
-    ``CommoditySpec`` is read and checked against the fabric at once: raises
-    ValueError naming the first commodity with an endpoint off the fabric.
+    columns were built, and comes back as it is. A list of ``CommoditySpec``
+    has its endpoints read and checked against the fabric at once (raises
+    ValueError naming the first commodity with an endpoint off the fabric),
+    and its fields become the batch's columns in place.
     """
     if isinstance(commodities, Commodities):
-        return commodities.kinds
+        return commodities
     ends = _read_endpoints(commodities)
     off = ((ends < 0) | (ends >= (topo.num_tors, topo.hosts_per_tor, topo.nics_per_host))).any(2)
     bad = np.flatnonzero(off.any(1))
@@ -300,23 +311,25 @@ def classify(topo: ClosTopology, commodities) -> Classified:
         end = "src" if off[bad[0], 0] else "dst"
         raise ValueError(f"commodity {c.id}: {end} endpoint {getattr(c, end)} is off the fabric")
     differs = ends[:, 0] != ends[:, 1]
-    return _columns(topo, ends, _KINDS[np.where(differs[:, 0], 0, np.where(differs[:, 1], 1, 2))])
+    kinds = _columns(topo, ends, _KINDS[np.where(differs[:, 0], 0, np.where(differs[:, 1], 1, 2))])
+    return Commodities(*(_Field(commodities, i) for i in range(5)), kinds)
 
 
 def _columns(topo: ClosTopology, ends: np.ndarray, kind: np.ndarray) -> Classified:
     """The ``Classified`` columns of endpoints read by ``_read_endpoints``,
-    given their kinds."""
+    given their kinds: copies, so that a batch does not hold ``ends``."""
     nic = _nic_up_ids(topo, ends)
-    return Classified(kind, ends[:, 0, 0], ends[:, 1, 0], nic[:, 0], nic[:, 1] + topo.num_endpoints)
+    return Classified(kind, ends[:, 0, 0].copy(), ends[:, 1, 0].copy(), nic[:, 0].copy(),
+                      nic[:, 1] + topo.num_endpoints)
 
 
-def build_routes(commodities, kind: np.ndarray, spines) -> PathChoice:
-    """Each commodity's route, given its kind from ``classify``: a spine
-    route on the next of ``spines`` (one per inter-ToR commodity, in order)
-    for an inter-ToR commodity, its one forced route otherwise."""
-    spine = np.full(len(kind), -1, dtype=np.int64)
-    spine[kind == SPINE] = spines
-    return PathChoice(commodities, kind, spine)
+def build_routes(commodities: Commodities, spines) -> PathChoice:
+    """Each commodity's route: a spine route on the next of ``spines`` (one
+    per inter-ToR commodity, in order) for an inter-ToR commodity, its one
+    forced route otherwise."""
+    spine = np.full(len(commodities), -1, dtype=np.int64)
+    spine[commodities.kinds.inter] = spines
+    return PathChoice(commodities, spine)
 
 
 def fail_spines(topo: ClosTopology, k: int, seed: int) -> ClosTopology:

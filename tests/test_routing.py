@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from closroute import routing
+from closroute import routing, topology
 from closroute.rates import LinkRows, waterfill
 from closroute.routing import (
     EXACT_MAX_COMMODITIES,
@@ -163,7 +163,7 @@ def test_greedy_sees_nic_links_in_bottleneck():
     assert choice.assignment["f1"].spine == 0
     assert choice.assignment["f2"].spine == 0
     loads = link_loads(choice, topo)
-    assert loads.max() == loads[classify(topo, cs).nic_up[0]] == 2  # the shared NIC up-link
+    assert loads.max() == loads[classify(topo, cs).kinds.nic_up[0]] == 2  # the shared NIC up-link
 
 
 def scan_greedy(commodities, topo):
@@ -472,12 +472,34 @@ def test_exact_guard_rejects_large_instances():
 
 def test_max_link_load_scopes_and_empty():
     topo = build_topology(2, 4, 2, 1, 1.0)
-    empty = PathChoice([], np.empty(0, dtype=object), np.empty(0, dtype=np.int64))
+    empty = PathChoice(classify(topo, []), np.empty(0, dtype=np.int64))
     assert max_link_load(empty, topo) == 0
     cs = unit_commodities_for_pairs(topo, [(0, 1), (2, 1)])
-    forced = PathChoice(cs, np.full(len(cs), SPINE, dtype=object), np.zeros(len(cs), dtype=np.int64))
+    batch = classify(topo, cs)
+    assert batch.kinds.kind.tolist() == [SPINE, SPINE]
+    forced = PathChoice(batch, np.zeros(len(cs), dtype=np.int64))
     assert max_link_load(forced, topo) == 2  # both down spine 0 to ToR 1
     assert link_loads(forced, topo).max() == 2
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_a_scheme_reads_a_lists_endpoints_once(scheme, monkeypatch):
+    """A scheme reads a list into a batch once, at its top, and works on the
+    batch alone: one endpoint read per call, and none for its choice's load."""
+    topo = fail_spines(build_topology(4, 6, 2, 2, 1.0), 1, seed=3)
+    cs = random_commodities(topo, 12, seed=4)  # inter-ToR, within the exact guard
+    reads = []
+    read = topology._read_endpoints
+
+    def counting(items):
+        reads.append(len(items))
+        return read(items)
+
+    monkeypatch.setattr(topology, "_read_endpoints", counting)
+    choice = assign_by_scheme(scheme, cs, topo, seed=2)
+    assert reads == [len(cs)]
+    assert max_link_load(choice, topo) >= 1
+    assert reads == [len(cs)]
 
 
 def test_max_tor_degree_counts_inter_tor_commodities_only():
@@ -487,7 +509,7 @@ def test_max_tor_degree_counts_inter_tor_commodities_only():
     topo = build_topology(2, 4, 2, 2, 1.0)
     cs = unit_commodities_for_pairs(topo, [(0, 1), (0, 2), (3, 2), (1, 2)])
     local = CommoditySpec("x", "j", Endpoint(2, 0, 0), Endpoint(2, 1, 0), 1)
-    degree = lambda commodities: max_tor_degree(classify(topo, commodities))  # noqa: E731
+    degree = lambda commodities: max_tor_degree(classify(topo, commodities).kinds)  # noqa: E731
     assert degree(cs) == degree(cs + [local]) == 3  # into ToR 2
     assert degree([local]) == degree([]) == 0
 
@@ -756,12 +778,12 @@ def test_scheme_choices_match_pinned_digests(family):
 # -- lazy views -----------------------------------------------------------------
 
 
-def eager_assignment(commodities, kind, spines):
+def eager_assignment(commodities, spines):
     """Commodity id -> Route, built up front from build_routes' arguments: the
     next of spines for an inter-ToR commodity, no spine otherwise."""
     spine = iter(spines)
     return {c.id: Route(k, next(spine) if k == SPINE else None, c.src, c.dst)
-            for c, k in zip(commodities, kind.tolist())}
+            for c, k in zip(commodities, commodities.kinds.kind.tolist())}
 
 
 def lazy_view_instances():
@@ -777,9 +799,9 @@ def test_lazy_views_match_eager_builds(scheme, monkeypatch):
     build = routing.build_routes
     calls = []
 
-    def recording(commodities, kind, spines):
-        calls.append((commodities, kind, list(spines)))
-        return build(commodities, kind, calls[-1][2])
+    def recording(commodities, spines):
+        calls.append((commodities, list(spines)))
+        return build(commodities, calls[-1][1])
 
     monkeypatch.setattr(routing, "build_routes", recording)
     for topo, cs in lazy_view_instances():

@@ -398,8 +398,7 @@ def test_mice_are_hashed_in_one_call_per_emission_and_failure(cluster, monkeypat
 
     def one_at_a_time(commodities, topo, seed):
         choices = [hash_batch([c], topo, seed) for c in commodities]
-        return routing.PathChoice(commodities, np.concatenate([ch.kind for ch in choices]),
-                                  np.concatenate([ch.spine for ch in choices]))
+        return routing.PathChoice(commodities, np.concatenate([ch.spine for ch in choices]))
 
     monkeypatch.setattr(sim, "ecmp_assign", recording)
     result = run_scenario(cluster, [job], mice_only, hardware=FAST_HW, failures=plan, seed=1)
@@ -501,7 +500,7 @@ def test_failure_stalls_elephants_and_rehashes_mice_in_the_link_rows(cluster, mo
         spine_before = f.spine[live]
         on_failure(engine, count, fseed)
         topo = engine.topo
-        kinds = classify(topo, list(engine._batch(live)))  # the list path reads the endpoints
+        kinds = classify(topo, list(engine._batch(live))).kinds  # a list's endpoints are read
         links = f.links[live]
         assert (links[:, 0] == kinds.nic_up).all() and (links[:, 3] == kinds.nic_down).all()
         hit = np.zeros(len(f.spine), dtype=bool)
@@ -673,6 +672,21 @@ def test_controller_and_failure_plan_refuse_bad_values(bad):
         ControllerModel(elephant_threshold=bad)
     with pytest.raises(ValueError, match="failure times"):
         FailurePlan(times=(1.0, bad), counts=(1, 1))
+
+
+def test_controller_refuses_an_unknown_scheme():
+    with pytest.raises(ValueError, match="scheme: 'gredy' is not one of"):
+        ControllerModel(scheme="gredy")
+
+
+def test_controller_refuses_an_exact_guard_below_one():
+    with pytest.raises(ValueError, match="exact_max_commodities must be >= 1, got 0"):
+        ControllerModel(exact_max_commodities=0)
+
+
+def test_failure_plan_refuses_a_negative_count():
+    with pytest.raises(ValueError, match=r"failure counts must be >= 0, got \(-1,\)"):
+        FailurePlan(times=(0.5,), counts=(-1,))
 
 
 SMALL_FABRIC = build_topology(4, 4, 2, 2, 100e9)  # 16 GPUs
@@ -955,7 +969,7 @@ def test_emitted_flows_match_the_reference_commodities(specs, threshold):
                 c for ring in build_rings(job) if len(ring.members) >= 2
                 for c in ring_allreduce_commodities(ring, iteration)
             ]
-            kinds = classify(SMALL_FABRIC, reference)
+            kinds = classify(SMALL_FABRIC, reference).kinds
             on_net = kinds.kind != INTRA_HOST
             if on_net.any():
                 expected.append((list(compress(reference, on_net)),
@@ -964,7 +978,7 @@ def test_emitted_flows_match_the_reference_commodities(specs, threshold):
         for (batch, kinds, elephant), (reference, reference_kinds) in zip(emitted[job.id],
                                                                           expected):
             assert list(batch) == reference
-            for columns in (kinds, classify(SMALL_FABRIC, batch)):
+            for columns in (kinds, classify(SMALL_FABRIC, batch).kinds):
                 for column, reference_column in zip(columns, reference_kinds):
                     assert column.tolist() == reference_column.tolist()
             assert elephant.tolist() == [c.volume >= threshold for c in reference]
@@ -995,8 +1009,11 @@ def test_schemes_choose_alike_for_an_engine_batch_and_its_list(specs, failed, pi
     listed = list(batch)
     assert len(batch) == len(listed) == len(slots)
     topo = fail_spines(SMALL_FABRIC, failed, pick)
-    assert classify(topo, batch) is batch.kinds
-    for column, listed_column in zip(batch.kinds, classify(topo, listed)):
+    assert classify(topo, batch) is batch
+    read = classify(topo, listed)
+    for name in ("id", "job_id", "src", "dst", "volume"):
+        assert list(getattr(read, name)) == list(getattr(batch, name)), name
+    for column, listed_column in zip(batch.kinds, read.kinds):
         assert column.tolist() == listed_column.tolist()
     schedule = routing.AnnealSchedule(moves_per_commodity=20)
     # 16 GPUs send at most 16 flows, so every batch is within the exact guard

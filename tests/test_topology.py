@@ -74,7 +74,7 @@ def test_intra_host_and_intra_tor_routes():
         CommoditySpec("host", "j", Endpoint(0, 0, 0), Endpoint(0, 0, 1), 1),
         CommoditySpec("tor", "j", Endpoint(0, 0, 0), Endpoint(0, 1, 0), 1),
     ]
-    routes = build_routes(cs, classify(topo, cs).kind, []).assignment
+    routes = build_routes(classify(topo, cs), []).assignment
     assert routes["host"].kind == INTRA_HOST
     assert routes["host"].links == ()
     assert routes["tor"].kind == INTRA_TOR
@@ -180,7 +180,8 @@ def test_classify_matches_hand_cases():
         (Endpoint(3, 1, 1), Endpoint(2, 1, 0), SPINE),
     ]
     cs = [CommoditySpec(f"c{i}", "j", src, dst, 1) for i, (src, dst, _) in enumerate(cases)]
-    kinds = classify(topo, cs)
+    batch = classify(topo, cs)
+    kinds = batch.kinds
     assert kinds.kind.tolist() == [kind for _, _, kind in cases]
     assert kinds.inter.tolist() == [False, False, True, True]
     assert kinds.src_tor.tolist() == [src.tor for src, _, _ in cases]
@@ -188,11 +189,12 @@ def test_classify_matches_hand_cases():
     assert list(zip(kinds.nic_up.tolist(), kinds.nic_down.tolist())) == [
         nic_ids(topo, src, dst) for src, dst, _ in cases
     ]
-    routes = build_routes(cs, kinds.kind, [1, 0]).assignment
+    routes = build_routes(batch, [1, 0]).assignment
     assert [(r.kind, r.spine, r.src, r.dst) for r in routes.values()] == [
         (kind, {2: 1, 3: 0}.get(i), src, dst) for i, (src, dst, kind) in enumerate(cases)
     ]
-    assert classify(topo, []).kind.tolist() == []
+    assert len(batch) == len(cs) and list(batch) == list(batch) == cs  # columns iterate again
+    assert classify(topo, []).kinds.kind.tolist() == [] and list(classify(topo, [])) == []
 
 
 # -- the integer link layout ----------------------------------------------------
@@ -249,6 +251,7 @@ def test_link_ids_match_route_links(topo):
     spine_counts = [n for link, n in link_counts.items() if "spine" in (link[0][0], link[1][0])]
     cs = [CommoditySpec(str(i), "j", route.src, route.dst, 1) for i, route in enumerate(routes)]
     spines = [-1 if route.spine is None else route.spine for route in routes]
-    choice = PathChoice(cs, np.array([route.kind for route in routes], dtype=object),
-                        np.array(spines, dtype=np.int64))
+    batch = classify(topo, cs)
+    assert batch.kinds.kind.tolist() == [route.kind for route in routes]
+    choice = PathChoice(batch, np.array(spines, dtype=np.int64))
     assert max_link_load(choice, topo) == max(spine_counts, default=0)
