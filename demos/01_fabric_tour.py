@@ -6,7 +6,7 @@ space for a flow is simply the set of live spines.
 """
 
 from closroute import CommoditySpec, Endpoint, build_topology, fail_spines
-from closroute.topology import classify, spine_route
+from closroute.topology import build_routes, classify, spine_route
 
 # The reference fabric: 32 spines, 64 ToRs, 4 hosts per rack, 8 NICs per host.
 big = build_topology(32, 64, 4, 8, link_capacity=100e9)
@@ -26,10 +26,12 @@ for spine in topo.live_spines:
 
 # Same-rack and same-host transfers have one forced route that never touches
 # the spine layer. classify reads a commodity list into one batch, checking
-# every endpoint once, and its kinds column tells each commodity's route kind.
+# every endpoint once; build_routes gives each commodity off a spine its
+# forced route, whose kind says which.
 neighbor = Endpoint(tor=1, host=1, nic=0)
-kind = classify(topo, [CommoditySpec("c", "demo", src, neighbor, 1)]).kinds.kind[0]
-print(f"\nroute {src} -> {neighbor}: {kind}")
+batch = classify(topo, [CommoditySpec("c", "demo", src, neighbor, 1)])
+route = build_routes(batch, []).assignment["c"]
+print(f"\nroute {src} -> {neighbor}: {route.kind}")
 
 # Spine failures shrink the route set; sampling is seeded and reproducible.
 degraded = fail_spines(big, k=8, seed=7)

@@ -47,7 +47,6 @@ from itertools import compress
 import numpy as np
 
 from .topology import (
-    INTRA_HOST,
     Classified,
     ClosTopology,
     Commodities,
@@ -122,12 +121,12 @@ def _greedy_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
     strictly smaller bottleneck. A link going from load v to v + 1 leaves
     level mask v only.
     """
-    kind, src_tor, dst_tor, nic_up, nic_down = kinds
+    src_tor, dst_tor, nic_up, nic_down = kinds
     inter = kinds.inter
     # no spine link can carry more than the max ToR degree, so level ``top``
     # holds every live spine, and a NIC floor above it chooses as ``top`` does
     top = max_tor_degree(kinds)
-    off_host = kind != INTRA_HOST
+    off_host = nic_up >= 0
     n = int(off_host.sum())
     prior = _prior_uses(np.concatenate([nic_up[off_host], nic_down[off_host]]))
     floor = np.minimum(np.maximum(prior[:n], prior[n:]), top)[inter[off_host]]
@@ -244,15 +243,16 @@ def edge_color_assign(commodities: CommodityInput, topo: ClosTopology) -> PathCh
     batch = classify(topo, commodities)
     kinds = batch.kinds
     inter = kinds.inter
-    # vertices: source ToR t is t, destination ToR t is T + t
-    edges = np.stack([kinds.src_tor[inter], topo.num_tors + kinds.dst_tor[inter]], 1).tolist()
+    # vertices: source ToR t is t, destination ToR t is T + t. Edge e joins
+    # src[e] and dst[e]: a list per edge would be one more GC object each
+    src, dst = kinds.src_tor[inter].tolist(), (topo.num_tors + kinds.dst_tor[inter]).tolist()
     degree = max_tor_degree(kinds)
     # table[x][c]: the edge colored c at vertex x, -1 if c is free there;
     # bit c of free[x] is set while c is free at x
     table = [[-1] * degree for _ in range(2 * topo.num_tors)]
     free = [(1 << degree) - 1] * (2 * topo.num_tors)
-    color = [0] * len(edges)
-    for e, (u, v) in enumerate(edges):
+    color = [0] * len(src)
+    for e, (u, v) in enumerate(zip(src, dst)):
         both = free[u] & free[v]
         bit = both & -both
         if not bit:
@@ -271,7 +271,7 @@ def edge_color_assign(commodities: CommodityInput, topo: ClosTopology) -> PathCh
                 if f < 0:
                     break
                 color[f] = alpha + beta - want
-                x = edges[f][1] if x == edges[f][0] else edges[f][0]
+                x = dst[f] if x == src[f] else src[f]
                 want = alpha + beta - want
             free[v] ^= bit | other
             free[x] ^= bit | other

@@ -5,7 +5,7 @@ emits one flow per ring edge that leaves its host: same-host edges take no
 network time. A job sends the same edges every iteration, so its flows are
 derived once per placement, as a template (``network_flows``): one
 ``ring_allreduce_commodities`` call per ring and one ``classify`` call give
-the off-host edges' endpoints, volumes, kinds, ToRs, NIC link ids and elephant
+the off-host edges' endpoints, volumes, ToRs, NIC link ids and elephant
 flags. A template depends only on the fabric, the job's placement and the
 elephant threshold, so the runs of one seed's jobs share their templates
 (``flow_templates``, passed to ``run_scenario``): the CLI builds them once per
@@ -34,9 +34,9 @@ unless it is a completion that cannot change a rate (see below).
 
 Flows live in one flow table, allocated once per run from its templates: one
 array per column (the job and its id, the flow's position in its template,
-endpoints, volume in bytes and in bits, route kind, the elephant flag, both
-ToRs, id, start time, bits remaining, the live and transmitting flags, rate,
-finish time, spine, FCT and throughput) and a row of four link ids per flow,
+endpoints, volume in bytes and in bits, the elephant flag, both ToRs, id,
+start time, bits remaining, the live and transmitting flags, rate, finish
+time, spine, FCT and throughput) and a row of four link ids per flow,
 the NIC-up, ToR->spine, spine->ToR and NIC-down link, -1 where unused (the
 layout of ``topology.route_link_rows``). There is no commodity column: a
 scheme's batch is read from these. Flow p of job j's template keeps slot
@@ -127,7 +127,6 @@ from .rates import LinkRows, waterfill
 from .routing import EXACT_MAX_COMMODITIES, SCHEME_NAMES, AnnealSchedule, assign_by_scheme
 from .routing import ecmp_assign, max_link_load  # noqa: F401 - sim.max_link_load, for tracing
 from .topology import (
-    INTRA_HOST,
     Classified,
     ClosTopology,
     Commodities,
@@ -196,7 +195,7 @@ def network_flows(topo: ClosTopology, rings: list[Ring], threshold: float) -> Fl
         for c in ring_allreduce_commodities(ring, 0)
     ]
     batch = classify(topo, commodities)
-    on_net = batch.kinds.kind != INTRA_HOST
+    on_net = batch.kinds.nic_up >= 0
     ids, src, dst, volume = (list(compress(column, on_net))
                              for column in (batch.id, batch.src, batch.dst, batch.volume))
     skip = len(iteration_prefix(job_id, 0))
@@ -368,7 +367,6 @@ class _FlowTable:
         self.dst = objects(t.dst for t in templates)
         self.bytes = objects(t.volume for t in templates)  # int objects, as CommoditySpec has
         self.volume = joined((t.bits for t in templates), float)  # bits
-        self.kind = joined((k.kind for k in kinds), object)
         self.elephant = joined((t.elephant for t in templates), bool)
         self.src_tor = joined(k.src_tor for k in kinds)
         self.dst_tor = joined(k.dst_tor for k in kinds)
@@ -444,8 +442,7 @@ class _Engine:
         """The flows in slots, in order, as a scheme takes them: the table's
         columns, their NIC link ids among their ``classify`` columns."""
         f = self.flows
-        kinds = Classified(f.kind[slots], f.src_tor[slots], f.dst_tor[slots],
-                           f.links[slots, 0], f.links[slots, 3])
+        kinds = Classified(f.src_tor[slots], f.dst_tor[slots], f.links[slots, 0], f.links[slots, 3])
         return Commodities(f.cid[slots].tolist(), f.job_id[slots], f.src[slots], f.dst[slots],
                            f.bytes[slots], kinds)
 

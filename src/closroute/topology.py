@@ -5,15 +5,17 @@ described by its spine index (or by being intra-ToR / intra-host). Links are
 directed and full duplex: the up and down directions are independent
 capacities.
 
-The route kind is decided here only. The schemes work on one form, a
-``Commodities`` batch: ids, job ids, endpoints and volumes as columns, with
-each commodity's kind, ToRs and NIC link ids. Each public scheme reads its
-input once, with ``classify``: a batch, which the simulator builds from
-templates whose endpoints were checked when they were built, comes back as it
-is; a list of ``CommoditySpec`` is checked against the fabric, all endpoints
-at once, and read into one. A scheme chooses spines for the inter-ToR
-commodities and ``build_routes`` keeps the batch and spines as a
-``PathChoice``, whose ``Route`` objects are built only when read.
+Where a commodity goes is read here only, off its endpoints: it crosses a
+spine when its ToRs differ, and no link at all, its NIC link ids being -1,
+when they share a host. The schemes work on one form, a ``Commodities``
+batch: ids, job ids, endpoints and volumes as columns, with each commodity's
+ToRs and NIC link ids. Each public scheme reads its input once, with
+``classify``: a batch, which the simulator builds from templates whose
+endpoints were checked when they were built, comes back as it is; a list of
+``CommoditySpec`` is checked against the fabric, all endpoints at once, and
+read into one. A scheme chooses spines for the inter-ToR commodities and
+``build_routes`` keeps the batch and spines as a ``PathChoice``, whose
+``Route`` objects are built only when read.
 
 Link layout: with E endpoints, T ToRs and S spines, every directed link has
 one integer id in [0, num_links), e being an endpoint's position in
@@ -46,6 +48,7 @@ import numpy as np
 INTRA_HOST = "intra_host"
 INTRA_TOR = "intra_tor"
 SPINE = "spine"
+_KINDS = np.array([SPINE, INTRA_TOR, INTRA_HOST], dtype=object)  # indexed in PathChoice.assignment
 
 
 @dataclass(frozen=True, order=True)
@@ -96,12 +99,15 @@ class PathChoice:
     @cached_property
     def assignment(self) -> dict[str, Route]:
         """Commodity id -> Route, in input order, built on first read from the
-        batch's columns. The routes are made from zipped field tuples by
+        batch's columns: a route on a spine is SPINE, one off a spine that
+        crosses its NIC links INTRA_TOR, and one that crosses no link
+        INTRA_HOST. The routes are made from zipped field tuples by
         ``tuple.__new__``, which skips the per-route call of the ``Route``
         constructor."""
         cs = self.commodities
+        kind = _KINDS[np.where(self.spine >= 0, 0, np.where(cs.kinds.nic_up >= 0, 1, 2))]
         spines = [None if s < 0 else s for s in self.spine.tolist()]
-        fields = zip(cs.kinds.kind.tolist(), spines, cs.src, cs.dst)
+        fields = zip(kind.tolist(), spines, cs.src, cs.dst)
         return dict(zip(cs.id, map(partial(tuple.__new__, Route), fields)))
 
     def link_rows(self, topo: ClosTopology) -> np.ndarray:
@@ -208,21 +214,19 @@ def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
     Columns hold the NIC-up, ToR->spine, spine->ToR and NIC-down link, -1
     where the route does not use it: spine routes use all four, intra-ToR
     routes the NIC links, intra-host routes none. The non-negative ids of a
-    row, in column order, are its route's links in ``Route.links`` order.
+    row, in column order, are its route's links in ``Route.links`` order. A
+    row is read off the route's endpoints and spine alone.
     """
     routes = list(routes)
-    kind = np.array([r.kind for r in routes], dtype=object)
-    kinds = _columns(topo, _read_endpoints(routes), kind)
-    return _link_rows(topo, kinds,
+    return _link_rows(topo, _columns(topo, _read_endpoints(routes)),
                       np.array([-1 if r.spine is None else r.spine for r in routes], dtype=np.int64))
 
 
 def _link_rows(topo: ClosTopology, kinds: Classified, spine: np.ndarray) -> np.ndarray:
-    """``route_link_rows`` of routes given as their kinds' columns and spines."""
+    """``route_link_rows`` of routes given as their ``Classified`` columns and spines."""
     rows = np.stack([kinds.nic_up, topo.tor_up_id(kinds.src_tor, spine),
                      topo.tor_down_id(spine, kinds.dst_tor), kinds.nic_down], 1)
     rows[spine < 0, 1:3] = -1
-    rows[kinds.kind == INTRA_HOST] = -1
     return rows
 
 
@@ -234,18 +238,18 @@ def max_spine_link_load(topo: ClosTopology, rows: np.ndarray) -> int:
 
 
 class Classified(NamedTuple):
-    """Per-commodity columns from ``classify``, in input order."""
+    """Per-commodity columns from ``classify``, in input order. A commodity
+    crosses a spine when its ToRs differ, and no link when its NIC ids are -1."""
 
-    kind: np.ndarray  # SPINE (inter-ToR), INTRA_TOR or INTRA_HOST
     src_tor: np.ndarray
     dst_tor: np.ndarray
-    nic_up: np.ndarray  # link id of the source NIC's up-link
-    nic_down: np.ndarray  # link id of the destination NIC's down-link
+    nic_up: np.ndarray  # link id of the source NIC's up-link, -1 within a host
+    nic_down: np.ndarray  # link id of the destination NIC's down-link, -1 within a host
 
     @property
     def inter(self) -> np.ndarray:
         """Which commodities cross a spine: one candidate route per live spine."""
-        return self.kind == SPINE
+        return self.src_tor != self.dst_tor
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,11 +293,8 @@ class _Field:
         return map(self.get, self.rows)
 
 
-_KINDS = np.array([SPINE, INTRA_TOR, INTRA_HOST], dtype=object)
-
-
 def classify(topo: ClosTopology, commodities) -> Commodities:
-    """Commodities as a batch, with each one's route kind, ToRs and NIC link ids.
+    """Commodities as a batch, with each one's ToRs and NIC link ids.
 
     A ``Commodities`` batch carries them, from endpoints checked when its
     columns were built, and comes back as it is. A list of ``CommoditySpec``
@@ -310,17 +311,16 @@ def classify(topo: ClosTopology, commodities) -> Commodities:
         c = commodities[bad[0]]
         end = "src" if off[bad[0], 0] else "dst"
         raise ValueError(f"commodity {c.id}: {end} endpoint {getattr(c, end)} is off the fabric")
-    differs = ends[:, 0] != ends[:, 1]
-    kinds = _columns(topo, ends, _KINDS[np.where(differs[:, 0], 0, np.where(differs[:, 1], 1, 2))])
-    return Commodities(*(_Field(commodities, i) for i in range(5)), kinds)
+    return Commodities(*(_Field(commodities, i) for i in range(5)), _columns(topo, ends))
 
 
-def _columns(topo: ClosTopology, ends: np.ndarray, kind: np.ndarray) -> Classified:
-    """The ``Classified`` columns of endpoints read by ``_read_endpoints``,
-    given their kinds: copies, so that a batch does not hold ``ends``."""
-    nic = _nic_up_ids(topo, ends)
-    return Classified(kind, ends[:, 0, 0].copy(), ends[:, 1, 0].copy(), nic[:, 0].copy(),
-                      nic[:, 1] + topo.num_endpoints)
+def _columns(topo: ClosTopology, ends: np.ndarray) -> Classified:
+    """The ``Classified`` columns of endpoints read by ``_read_endpoints``:
+    copies, so that a batch does not hold ``ends``. Endpoints that share a
+    host (their ToR and host match) get NIC link ids of -1."""
+    nic = _nic_up_ids(topo, ends) + (0, topo.num_endpoints)
+    nic[(ends[:, 0, :2] == ends[:, 1, :2]).all(1)] = -1
+    return Classified(*ends[:, :, 0].T.copy(), *nic.T.copy())
 
 
 def build_routes(commodities: Commodities, spines) -> PathChoice:

@@ -476,7 +476,7 @@ def test_max_link_load_scopes_and_empty():
     assert max_link_load(empty, topo) == 0
     cs = unit_commodities_for_pairs(topo, [(0, 1), (2, 1)])
     batch = classify(topo, cs)
-    assert batch.kinds.kind.tolist() == [SPINE, SPINE]
+    assert batch.kinds.inter.tolist() == [True, True]
     forced = PathChoice(batch, np.zeros(len(cs), dtype=np.int64))
     assert max_link_load(forced, topo) == 2  # both down spine 0 to ToR 1
     assert link_loads(forced, topo).max() == 2
@@ -779,11 +779,18 @@ def test_scheme_choices_match_pinned_digests(family):
 
 
 def eager_assignment(commodities, spines):
-    """Commodity id -> Route, built up front from build_routes' arguments: the
-    next of spines for an inter-ToR commodity, no spine otherwise."""
+    """Commodity id -> Route, built up front from build_routes' arguments, its
+    kind read off the endpoints: the next of spines for an inter-ToR
+    commodity, no spine otherwise."""
     spine = iter(spines)
-    return {c.id: Route(k, next(spine) if k == SPINE else None, c.src, c.dst)
-            for c, k in zip(commodities, commodities.kinds.kind.tolist())}
+    routes = {}
+    for c in commodities:
+        src, dst = c.src, c.dst
+        if src.tor != dst.tor:
+            routes[c.id] = Route(SPINE, next(spine), src, dst)
+        else:
+            routes[c.id] = Route(INTRA_HOST if src.host == dst.host else INTRA_TOR, None, src, dst)
+    return routes
 
 
 def lazy_view_instances():

@@ -182,19 +182,25 @@ def test_classify_matches_hand_cases():
     cs = [CommoditySpec(f"c{i}", "j", src, dst, 1) for i, (src, dst, _) in enumerate(cases)]
     batch = classify(topo, cs)
     kinds = batch.kinds
-    assert kinds.kind.tolist() == [kind for _, _, kind in cases]
-    assert kinds.inter.tolist() == [False, False, True, True]
+    assert kinds.inter.tolist() == (kinds.src_tor != kinds.dst_tor).tolist()
+    assert kinds.inter.tolist() == [kind == SPINE for _, _, kind in cases]
     assert kinds.src_tor.tolist() == [src.tor for src, _, _ in cases]
     assert kinds.dst_tor.tolist() == [dst.tor for _, dst, _ in cases]
+    # a commodity within its host crosses no link: both NIC link ids are -1
     assert list(zip(kinds.nic_up.tolist(), kinds.nic_down.tolist())) == [
-        nic_ids(topo, src, dst) for src, dst, _ in cases
+        (-1, -1) if kind == INTRA_HOST else nic_ids(topo, src, dst) for src, dst, kind in cases
     ]
-    routes = build_routes(batch, [1, 0]).assignment
+    choice = build_routes(batch, [1, 0])
+    routes = choice.assignment
     assert [(r.kind, r.spine, r.src, r.dst) for r in routes.values()] == [
         (kind, {2: 1, 3: 0}.get(i), src, dst) for i, (src, dst, kind) in enumerate(cases)
     ]
+    rows = route_link_rows(topo, routes.values())
+    assert rows[0].tolist() == [-1] * 4 and (rows[1, 1:3] == -1).all() and (rows[2:] >= 0).all()
+    assert np.array_equal(rows, choice.link_rows(topo))
     assert len(batch) == len(cs) and list(batch) == list(batch) == cs  # columns iterate again
-    assert classify(topo, []).kinds.kind.tolist() == [] and list(classify(topo, [])) == []
+    empty = classify(topo, [])
+    assert all(column.tolist() == [] for column in empty.kinds) and list(empty) == []
 
 
 # -- the integer link layout ----------------------------------------------------
@@ -252,6 +258,7 @@ def test_link_ids_match_route_links(topo):
     cs = [CommoditySpec(str(i), "j", route.src, route.dst, 1) for i, route in enumerate(routes)]
     spines = [-1 if route.spine is None else route.spine for route in routes]
     batch = classify(topo, cs)
-    assert batch.kinds.kind.tolist() == [route.kind for route in routes]
+    assert batch.kinds.inter.tolist() == [route.kind == SPINE for route in routes]
     choice = PathChoice(batch, np.array(spines, dtype=np.int64))
+    assert list(choice.assignment.values()) == routes  # kinds included
     assert max_link_load(choice, topo) == max(spine_counts, default=0)
