@@ -63,6 +63,7 @@ SCHEME_NAMES = ("greedy", "ecmp", "edge_coloring", "annealing", "exact")
 EXACT_MAX_COMMODITIES = 16
 # what a scheme takes: its commodities, in order, as tuples or as a batch
 CommodityInput = list[CommoditySpec] | Commodities
+_ECMP_HASH = blake2b(digest_size=8)  # copied for each ECMP id: cheaper than a new hasher
 
 
 @dataclass(frozen=True)
@@ -222,12 +223,17 @@ def ecmp_assign(commodities: CommodityInput, topo: ClosTopology, seed: int) -> P
 
 
 def _ecmp_spines(batch: Commodities, topo: ClosTopology, seed: int) -> list[int]:
-    """ECMP's spines for the inter-ToR commodities, in order: each hashes its id."""
-    live = topo.live_spines
+    """ECMP's spines for the inter-ToR commodities, in order: live spine d mod
+    (live count), d being the big-endian blake2b digest of the id and ``|seed``
+    from a copy of ``_ECMP_HASH``, with all the digests decoded at once."""
     suffix = f"|{seed}"
-    n = len(live)
-    return [live[int.from_bytes(blake2b((cid + suffix).encode(), digest_size=8).digest(),
-                                "big") % n] for cid in compress(batch.id, batch.kinds.inter)]
+    digests = []
+    for cid in compress(batch.id, batch.kinds.inter):
+        hasher = _ECMP_HASH.copy()
+        hasher.update((cid + suffix).encode())
+        digests.append(hasher.digest())
+    live = topo.live_spines
+    return np.array(live)[np.frombuffer(b"".join(digests), ">u8") % len(live)].tolist()
 
 
 def edge_color_assign(commodities: CommodityInput, topo: ClosTopology) -> PathChoice:

@@ -25,14 +25,14 @@ one integer id in [0, num_links), e being an endpoint's position in
   ToR -> NIC e       E + e      spine s -> ToR t   2E + T*S + s*T + t
 
 The ids from ``spine_link_base`` (2E) up are exactly the links that touch a
-spine. Each formula is written once: ``_read_endpoints`` for the endpoints
-as integers and ``_columns`` for the ToRs and NIC links of endpoints so read
-(``classify`` and ``route_link_rows`` both call them), and the methods
-``tor_up_id`` and ``tor_down_id`` for the spine links. Load bookkeeping counts
-on these ids; ``_link_rows`` maps ``Classified`` columns and spines to them
-at once, one row of four ids per route, for ``route_link_rows`` and
-``PathChoice.link_rows``. A Route stores its kind, spine and endpoints only;
-``Route.links`` is a view derived from them, as pairs of tagged nodes.
+spine. Each formula is written once: ``_read_endpoints`` for the endpoints,
+unpacked from each ``Endpoint.key``, ``_check_on_fabric`` for those off the
+fabric and ``_columns`` for their ToRs and NIC links (``classify`` and
+``route_link_rows`` call all three), and ``tor_up_id`` and ``tor_down_id``
+for the spine links. Load bookkeeping counts on these ids; ``_link_rows``
+maps ``Classified`` columns and spines to them, one row of four ids per route,
+for ``route_link_rows`` and ``PathChoice.link_rows``. A Route stores its kind,
+spine and endpoints; ``Route.links`` derives pairs of tagged nodes from them.
 """
 
 from __future__ import annotations
@@ -49,15 +49,22 @@ INTRA_HOST = "intra_host"
 INTRA_TOR = "intra_tor"
 SPINE = "spine"
 _KINDS = np.array([SPINE, INTRA_TOR, INTRA_HOST], dtype=object)  # indexed in PathChoice.assignment
+_PART = 1 << 20  # the bound of every fabric dimension, so every endpoint on a fabric packs
 
 
 @dataclass(frozen=True, order=True)
 class Endpoint:
-    """One GPU/NIC position: rack, host within rack, NIC within host."""
+    """One GPU/NIC position: rack, host within rack, NIC within host. ``key``, never
+    compared or hashed, is ``tor << 40 | host << 20 | nic`` if each is in [0, 2^20), else -1."""
 
     tor: int
     host: int
     nic: int
+    key: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        t, h, n = self.tor, self.host, self.nic
+        object.__setattr__(self, "key", t << 40 | h << 20 | n if 0 <= t | h | n < _PART else -1)
 
     def __str__(self) -> str:
         return f"t{self.tor}.h{self.host}.n{self.nic}"
@@ -128,14 +135,10 @@ class ClosTopology:
     failed_spines: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.num_spines < 1:
-            raise ValueError(f"num_spines must be >= 1, got {self.num_spines}")
-        if self.num_tors < 2:
-            raise ValueError(f"num_tors must be >= 2, got {self.num_tors}")
-        if self.hosts_per_tor < 1:
-            raise ValueError(f"hosts_per_tor must be >= 1, got {self.hosts_per_tor}")
-        if self.nics_per_host < 1:
-            raise ValueError(f"nics_per_host must be >= 1, got {self.nics_per_host}")
+        for name, least in (("num_spines", 1), ("num_tors", 2), ("hosts_per_tor", 1),
+                            ("nics_per_host", 1)):
+            if not least <= getattr(self, name) <= _PART:
+                raise ValueError(f"{name} must be in [{least}, 2**20], got {getattr(self, name)}")
         if self.link_capacity <= 0:
             raise ValueError(f"link_capacity must be > 0, got {self.link_capacity}")
         bad = [s for s in self.failed_spines if not 0 <= s < self.num_spines]
@@ -199,13 +202,13 @@ def _nic_up_ids(topo: ClosTopology, ends: np.ndarray) -> np.ndarray:
 
 
 def _read_endpoints(items) -> np.ndarray:
-    """The src and dst of each item (a commodity or a route) as integers,
-    shape (n, 2, 3): one (tor, host, nic) row per endpoint."""
-    flat: list[int] = []
+    """The src and dst of each item (a commodity or a route) as integers, shape
+    (n, 2, 3), each part contiguous: (tor, host, nic) from each key, -1 as ToR -1."""
+    keys: list[int] = []
     for item in items:
-        src, dst = item.src, item.dst
-        flat += (src.tor, src.host, src.nic, dst.tor, dst.host, dst.nic)
-    return np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, 2, 3)
+        keys += (item.src.key, item.dst.key)
+    parts = np.fromiter(keys, dtype=np.int64, count=len(keys)) >> [[40], [20], [0]]
+    return (parts & [[-1], [_PART - 1], [_PART - 1]]).T.reshape(-1, 2, 3)
 
 
 def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
@@ -215,11 +218,17 @@ def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
     where the route does not use it: spine routes use all four, intra-ToR
     routes the NIC links, intra-host routes none. The non-negative ids of a
     row, in column order, are its route's links in ``Route.links`` order. A
-    row is read off the route's endpoints and spine alone.
+    row is read off the route's endpoints and spine (None or -1: none) alone.
+    Raises ValueError naming the first route off the fabric or its spines.
     """
     routes = list(routes)
-    return _link_rows(topo, _columns(topo, _read_endpoints(routes)),
-                      np.array([-1 if r.spine is None else r.spine for r in routes], dtype=np.int64))
+    ends = _read_endpoints(routes)
+    spine = np.array([-1 if r.spine is None else r.spine for r in routes], dtype=np.int64)
+    _check_on_fabric(topo, ends, routes, lambda i: f"route {i}")
+    bad = np.flatnonzero((spine < -1) | (spine >= topo.num_spines))
+    if bad.size:
+        raise ValueError(f"route {bad[0]}: spine {spine[bad[0]]} is not in [0, {topo.num_spines})")
+    return _link_rows(topo, _columns(topo, ends), spine)
 
 
 def _link_rows(topo: ClosTopology, kinds: Classified, spine: np.ndarray) -> np.ndarray:
@@ -305,13 +314,18 @@ def classify(topo: ClosTopology, commodities) -> Commodities:
     if isinstance(commodities, Commodities):
         return commodities
     ends = _read_endpoints(commodities)
-    off = ((ends < 0) | (ends >= (topo.num_tors, topo.hosts_per_tor, topo.nics_per_host))).any(2)
-    bad = np.flatnonzero(off.any(1))
-    if bad.size:
-        c = commodities[bad[0]]
-        end = "src" if off[bad[0], 0] else "dst"
-        raise ValueError(f"commodity {c.id}: {end} endpoint {getattr(c, end)} is off the fabric")
+    _check_on_fabric(topo, ends, commodities, lambda i: f"commodity {commodities[i].id}")
     return Commodities(*(_Field(commodities, i) for i in range(5)), _columns(topo, ends))
+
+
+def _check_on_fabric(topo: ClosTopology, ends: np.ndarray, items, name) -> None:
+    """Raises ValueError naming, as name(i), the first item i whose ends leave topo."""
+    tor, host, nic = ends.reshape(-1, 3).T  # as _read_endpoints reads them: only a ToR is < 0
+    off = (tor < 0) | (tor >= topo.num_tors) | (host >= topo.hosts_per_tor) | (nic >= topo.nics_per_host)
+    if off.any():
+        i, side = divmod(int(np.flatnonzero(off)[0]), 2)
+        end = ("src", "dst")[side]
+        raise ValueError(f"{name(i)}: {end} endpoint {getattr(items[i], end)} is off the fabric")
 
 
 def _columns(topo: ClosTopology, ends: np.ndarray) -> Classified:
@@ -319,7 +333,7 @@ def _columns(topo: ClosTopology, ends: np.ndarray) -> Classified:
     copies, so that a batch does not hold ``ends``. Endpoints that share a
     host (their ToR and host match) get NIC link ids of -1."""
     nic = _nic_up_ids(topo, ends) + (0, topo.num_endpoints)
-    nic[(ends[:, 0, :2] == ends[:, 1, :2]).all(1)] = -1
+    nic[(ends[:, 0, 0] == ends[:, 1, 0]) & (ends[:, 0, 1] == ends[:, 1, 1])] = -1
     return Classified(*ends[:, :, 0].T.copy(), *nic.T.copy())
 
 

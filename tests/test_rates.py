@@ -105,6 +105,28 @@ def test_two_flows_share_a_unit_link_evenly():
     assert alloc.rates == {"c0": 0.5, "c1": 0.5}
 
 
+def test_waterfill_rejects_routes_off_the_fabric():
+    """A link row is read off a route's endpoints and spine alone, so an
+    endpoint off the fabric or a spine out of range would name some other
+    link's id: route_link_rows raises, naming the first such route."""
+    topo = build_topology(2, 4, 1, 2, 100.0)
+    ok = ("a", spine_route(Endpoint(0, 0, 1), Endpoint(2, 0, 0), 0))
+    for route, named in [
+        # NIC -1 on host t1.h0 would read as NIC-up id 1, t0.h0.n1's link
+        (spine_route(Endpoint(1, 0, -1), Endpoint(3, 0, 0), 1), "src endpoint t1.h0.n-1"),
+        (spine_route(Endpoint(1, 0, 0), Endpoint(9, 0, 0), 1), "dst endpoint t9.h0.n0"),
+        (Route(INTRA_TOR, None, Endpoint(3, 0, 1), Endpoint(3, 1, 0)), "dst endpoint t3.h1.n0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^route 1: {named} is off the fabric$"):
+            waterfill([ok, ("b", route)], topo)
+    for spine in (2, -2):
+        route = spine_route(Endpoint(1, 0, 0), Endpoint(3, 0, 0), spine)
+        with pytest.raises(ValueError, match=rf"^route 1: spine {spine} is not in \[0, 2\)$"):
+            waterfill([ok, ("b", route)], topo)
+    fits = ("b", spine_route(Endpoint(1, 0, 0), Endpoint(3, 0, 0), 1))
+    assert waterfill([ok, fits], topo).rates == {"a": 100.0, "b": 100.0}
+
+
 def test_lone_flow_gets_line_rate():
     topo = build_topology(2, 4, 2, 1, 100e9)
     cs = unit_commodities_for_pairs(topo, [(0, 1)])

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import math
 import random
 from collections import Counter
@@ -989,14 +990,17 @@ def test_emitted_flows_match_the_reference_commodities(specs, threshold):
 @given(specs=job_specs, failed=st.integers(0, 3), pick=st.integers(0, 2**16))
 # pinned, since the derandomized draws depend on the loaded modules: 7 inter-ToR
 # and 2 intra-ToR flows of two jobs on an intact and on a degraded fabric, and
-# 2 inter-ToR and 4 intra-ToR flows with one spine left
+# 2 inter-ToR and 4 intra-ToR flows with one spine left, and 3 intra-ToR flows alone
 @example(specs=[((2, 1), 4, 1e9, 0.0, 1, 0), ((1, 1), 4, 1e5, 0.0, 1, 1)], failed=0, pick=5)
 @example(specs=[((2, 1), 4, 1e9, 0.0, 1, 0), ((1, 1), 4, 1e5, 0.0, 1, 1)], failed=2, pick=5)
 @example(specs=[((1, 2), 2, 1e9, 0.0, 1, 0), ((1, 1), 4, 1e5, 0.0, 1, 1)], failed=3, pick=0)
+@example(specs=[((1, 2), 2, 1e9, 0.0, 1, 0), ((1, 1), 4, 1e5, 0.0, 1, 1)], failed=1, pick=25)
 def test_schemes_choose_alike_for_an_engine_batch_and_its_list(specs, failed, pick):
     """A batch the engine hands a scheme carries the columns that classify
     reads off its CommoditySpec list, and every scheme chooses the same
-    routes for the batch as for the list."""
+    routes for the batch as for the list. ECMP, and annealing with no moves,
+    give each inter-ToR commodity the spine that its id hashes to, one id at a
+    time, on both."""
     jobs, _, controller = small_scenario(specs, [], "greedy", 1e6, False, False, pick)
     engine = sim._Engine(SMALL_FABRIC, jobs, controller, FAST_HW, None, pick)
     f = engine.flows
@@ -1025,3 +1029,13 @@ def test_schemes_choose_alike_for_an_engine_batch_and_its_list(specs, failed, pi
         )
         assert by_batch.spine.tolist() == by_list.spine.tolist(), scheme
         assert by_batch.assignment == by_list.assignment, scheme
+    live = topo.live_spines
+    hashed = [
+        live[int.from_bytes(hashlib.blake2b((c.id + f"|{pick}").encode(), digest_size=8).digest(),
+                            "big") % len(live)] if c.src.tor != c.dst.tor else -1
+        for c in listed
+    ]
+    unmoved = routing.AnnealSchedule(moves_per_commodity=0)
+    for commodities in (batch, listed):
+        assert routing.ecmp_assign(commodities, topo, pick).spine.tolist() == hashed
+        assert routing.anneal_assign(commodities, topo, unmoved, pick).spine.tolist() == hashed

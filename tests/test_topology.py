@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from closroute import topology
 from closroute.routing import PathChoice, max_link_load
 from closroute.topology import (
     INTRA_HOST,
@@ -110,6 +112,77 @@ def test_enumerate_rejects_same_endpoint_and_out_of_bounds():
         cs = [ok, CommoditySpec("x", "j", src, dst, 1)]
         with pytest.raises(ValueError, match=f"commodity x: {named} is off the fabric"):
             classify(topo, cs)
+
+
+PART = 2**20  # the bound of each part of an Endpoint key
+# the largest fabric, on which every endpoint whose parts are in [0, 2**20) lies
+LARGEST = build_topology(PART, PART, PART, PART, 1.0)
+
+
+def pin_each_part(test):
+    """Pinned examples: each part of src at 0, 2**20 - 1, 2**20 and -1."""
+    for i in range(3):
+        for value in (0, PART - 1, PART, -1):
+            parts = [1, 1, 1]
+            parts[i] = value
+            test = example(src=tuple(parts), dst=(0, 1, 1))(test)
+    return test
+
+
+part = st.one_of(st.sampled_from([0, 1, PART - 1, PART, -1]), st.integers(-2, 5),
+                 st.integers(-PART, 2 * PART))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(src=st.tuples(part, part, part), dst=st.tuples(part, part, part))
+@pin_each_part
+def test_endpoint_keys_read_as_their_parts(src, dst):
+    """An Endpoint packs its parts into one key when each is in [0, 2**20),
+    and _read_endpoints unpacks them; an endpoint with a part out of that
+    range, or off the fabric, is rejected by classify with its message."""
+    assume(src != dst)
+    a, b = Endpoint(*src), Endpoint(*dst)
+    assert a == Endpoint(*src) and hash(a) == hash(Endpoint(*src))
+    assert repr(a) == "Endpoint(tor={}, host={}, nic={})".format(*src)
+    assert dataclasses.astuple(a)[:3] == src and (a < b) == (src < dst)
+    def on(topo):
+        dims = (topo.num_tors, topo.hosts_per_tor, topo.nics_per_host)
+        return [all(0 <= p < d for p, d in zip(ends, dims)) for ends in (src, dst)]
+
+    if all(on(LARGEST)):
+        routes = [Route(SPINE, 0, a, b), Route(SPINE, 0, b, a)]
+        # the reference reads each endpoint attribute by attribute
+        reference = [[[e.tor, e.host, e.nic] for e in (r.src, r.dst)] for r in routes]
+        assert topology._read_endpoints(routes).tolist() == reference
+    else:
+        assert -1 in (a.key, b.key)
+    cs = [CommoditySpec("ok", "j", Endpoint(0, 0, 0), Endpoint(1, 0, 0), 1),
+          CommoditySpec("x", "j", a, b, 1)]
+    for topo in (LARGEST, build_topology(2, 4, 2, 3, 1.0)):
+        src_on, dst_on = on(topo)
+        if src_on and dst_on:
+            assert classify(topo, cs).kinds.src_tor.tolist() == [0, src[0]]
+        else:
+            end, off = ("dst", b) if src_on else ("src", a)
+            with pytest.raises(ValueError,
+                               match=f"^commodity x: {end} endpoint {off} is off the fabric$"):
+                classify(topo, cs)
+
+
+@pytest.mark.parametrize("field", ["num_spines", "num_tors", "hosts_per_tor", "nics_per_host"])
+def test_a_fabric_dimension_above_2_to_the_20_is_refused(field, tmp_path, capsys):
+    """Every endpoint on a fabric must pack into its key, so no dimension may
+    exceed 2**20; a scenario that asks for more exits 2 naming the field."""
+    from closroute.cli import main
+
+    sizes = {"num_spines": 2, "num_tors": 4, "hosts_per_tor": 1, "nics_per_host": 1}
+    assert getattr(build_topology(**{**sizes, field: PART}, link_capacity=1.0), field) == PART
+    with pytest.raises(ValueError, match=rf"^{field} must be in \[\d, 2\*\*20\], got {PART + 1}$"):
+        build_topology(**{**sizes, field: PART + 1}, link_capacity=1.0)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"topology": {field: PART + 1}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: topology: {field} must be in ")
 
 
 def test_failed_spines_are_filtered_from_routes():
