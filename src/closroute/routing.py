@@ -8,7 +8,11 @@ crossing each directed link. Each takes a list of ``CommoditySpec`` or a
 with ``topology.classify`` (which checks a list's endpoints against the fabric
 and returns a batch as it is). From there it works on the batch's columns
 alone: it chooses a spine per inter-ToR commodity and builds the routes with
-``topology.build_routes``. ECMP and annealing hash the id column.
+``topology.build_routes``. ECMP and annealing hash the id column. Greedy,
+edge coloring and exact read no id: each chooses its spines in a core over
+the batch's ``Classified`` columns and the fabric (``_greedy_spines``,
+``_color_spines``, ``_exact_spines``), so they take an optional memo of the
+spines each input got (``_spines``), which the simulator keeps per run.
 
 Schemes:
   greedy        sequential least-congested-path choice, 2-approximate on the
@@ -93,17 +97,35 @@ def max_tor_degree(kinds: Classified) -> int:
     return max(int(np.bincount(tors, minlength=1).max()) for tors in ends)
 
 
-def greedy_assign(commodities: CommodityInput, topo: ClosTopology) -> PathChoice:
+def greedy_assign(commodities: CommodityInput, topo: ClosTopology,
+                  memo: dict | None = None) -> PathChoice:
     """Assign each commodity, in the given order, to its least-congested path.
 
     The running choice starts at the lowest-index live spine and switches only
     on a strictly smaller bottleneck load, so ties keep the lowest spine. The
     bottleneck load of a candidate is the max current load over all four of its
     links, NIC links included. Forced intra-host/intra-ToR commodities take
-    their unique route; intra-ToR ones still load their NIC links.
+    their unique route; intra-ToR ones still load their NIC links. With a
+    memo, the spines of an input seen before are read from it (``_spines``).
     """
     batch = classify(topo, commodities)
-    return build_routes(batch, _greedy_spines(batch.kinds, topo))
+    return build_routes(batch, _spines(_greedy_spines, batch.kinds, topo, memo))
+
+
+def _spines(core, kinds: Classified, topo: ClosTopology, memo: dict | None) -> list[int]:
+    """``core(kinds, topo)``, the spines of a scheme that reads no id, stored
+    in memo, if one is given, and read from it when the same core meets the
+    same columns on the same fabric again. A core reads nothing but the
+    ``Classified`` columns, in order, and the fabric with its live spines, so
+    the key is exact: the core, the four columns as one int64 buffer (whose
+    length fixes their length), and the ``ClosTopology`` value."""
+    if memo is None:
+        return core(kinds, topo)
+    key = (core, np.array(kinds, dtype=np.int64).tobytes(), topo)
+    spines = memo.get(key)
+    if spines is None:
+        spines = memo[key] = core(kinds, topo)
+    return spines
 
 
 def _greedy_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
@@ -236,7 +258,8 @@ def _ecmp_spines(batch: Commodities, topo: ClosTopology, seed: int) -> list[int]
     return np.array(live)[np.frombuffer(b"".join(digests), ">u8") % len(live)].tolist()
 
 
-def edge_color_assign(commodities: CommodityInput, topo: ClosTopology) -> PathChoice:
+def edge_color_assign(commodities: CommodityInput, topo: ClosTopology,
+                      memo: dict | None = None) -> PathChoice:
     """Color the ToR-to-ToR demand multigraph with max-degree colors, then map
     color c to live spine c mod k.
 
@@ -244,10 +267,15 @@ def edge_color_assign(commodities: CommodityInput, topo: ClosTopology) -> PathCh
     right, one edge per inter-ToR commodity), so a proper coloring with
     Delta = max degree colors exists; it is found by Kempe-chain recoloring.
     Each ToR then sees every color at most once, giving every ToR<->spine link
-    a load of at most ceil(Delta / live spines), which is optimal.
+    a load of at most ceil(Delta / live spines), which is optimal. With a
+    memo, the spines of an input seen before are read from it (``_spines``).
     """
     batch = classify(topo, commodities)
-    kinds = batch.kinds
+    return build_routes(batch, _spines(_color_spines, batch.kinds, topo, memo))
+
+
+def _color_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
+    """Edge coloring's spines for the inter-ToR commodities, in order."""
     inter = kinds.inter
     # vertices: source ToR t is t, destination ToR t is T + t. Edge e joins
     # src[e] and dst[e]: a list per edge would be one more GC object each
@@ -287,7 +315,7 @@ def edge_color_assign(commodities: CommodityInput, topo: ClosTopology) -> PathCh
         free[v] ^= bit
         table[u][c] = table[v][c] = e
     live = topo.live_spines
-    return build_routes(batch, [live[c % len(live)] for c in color])
+    return [live[c % len(live)] for c in color]
 
 
 class _LoadTracker:
@@ -390,6 +418,7 @@ def exact_assign(
     commodities: CommodityInput,
     topo: ClosTopology,
     max_commodities: int = EXACT_MAX_COMMODITIES,
+    memo: dict | None = None,
 ) -> PathChoice:
     """Provably optimal spine assignment for the min-max spine-link load.
 
@@ -399,20 +428,26 @@ def exact_assign(
     and a depth-first search over per-commodity spines in ascending order,
     which admits a spine only while both of its links stay within the bound,
     returns the lexicographically smallest optimal spine vector. Guarded to
-    small instances; the search is exponential in the worst case.
+    small instances, before any memo lookup (``_spines``); the search is
+    exponential in the worst case.
     """
-    live = topo.live_spines
     batch = classify(topo, commodities)
-    inter = batch.kinds.inter
-    src_tor, dst_tor = batch.kinds.src_tor[inter].tolist(), batch.kinds.dst_tor[inter].tolist()
-    n = len(src_tor)
+    n = int(batch.kinds.inter.sum())
     if n > max_commodities:
         raise ValueError(
             f"{n} inter-ToR commodities exceed the exact-solver guard "
             f"exact_max_commodities = {max_commodities}"
         )
+    return build_routes(batch, _spines(_exact_spines, batch.kinds, topo, memo))
 
-    bound = -(-max_tor_degree(batch.kinds) // len(live))
+
+def _exact_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
+    """The exact search's spines for the inter-ToR commodities, in order."""
+    live = topo.live_spines
+    inter = kinds.inter
+    src_tor, dst_tor = kinds.src_tor[inter].tolist(), kinds.dst_tor[inter].tolist()
+    n = len(src_tor)
+    bound = -(-max_tor_degree(kinds) // len(live))
     loads = [0] * topo.num_links  # by link id; only ToR<->spine links are used
     chosen: list[int] = []
 
@@ -434,7 +469,7 @@ def exact_assign(
 
     if not dfs(0):
         raise AssertionError("no spine assignment meets the degree bound")
-    return build_routes(batch, chosen)
+    return chosen
 
 
 def assign_by_scheme(
@@ -445,18 +480,20 @@ def assign_by_scheme(
     seed: int = 0,
     anneal_schedule: AnnealSchedule = AnnealSchedule(),
     exact_max_commodities: int = EXACT_MAX_COMMODITIES,
+    memo: dict | None = None,
 ) -> PathChoice:
-    """Dispatch to a scheme by name; see SCHEME_NAMES for the valid set."""
+    """Dispatch to a scheme by name; see SCHEME_NAMES for the valid set. The
+    memo goes to the schemes that read no id: greedy, edge_coloring and exact."""
     if scheme == "greedy":
-        return greedy_assign(commodities, topo)
+        return greedy_assign(commodities, topo, memo=memo)
     if scheme == "ecmp":
         return ecmp_assign(commodities, topo, seed)
     if scheme == "edge_coloring":
-        return edge_color_assign(commodities, topo)
+        return edge_color_assign(commodities, topo, memo=memo)
     if scheme == "annealing":
         return anneal_assign(commodities, topo, anneal_schedule, seed)
     if scheme == "exact":
-        return exact_assign(commodities, topo, exact_max_commodities)
+        return exact_assign(commodities, topo, exact_max_commodities, memo=memo)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_NAMES}")
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -55,7 +55,8 @@ _PART = 1 << 20  # the bound of every fabric dimension, so every endpoint on a f
 @dataclass(frozen=True, order=True)
 class Endpoint:
     """One GPU/NIC position: rack, host within rack, NIC within host. ``key``, never
-    compared or hashed, is ``tor << 40 | host << 20 | nic`` if each is in [0, 2^20), else -1."""
+    compared or hashed, is ``tor << 40 | host << 20 | nic`` if each is in [0, 2^20), else -1,
+    packed from each part as a Python int (a NumPy integer would wrap)."""
 
     tor: int
     host: int
@@ -63,7 +64,7 @@ class Endpoint:
     key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t, h, n = self.tor, self.host, self.nic
+        t, h, n = index(self.tor), index(self.host), index(self.nic)
         object.__setattr__(self, "key", t << 40 | h << 20 | n if 0 <= t | h | n < _PART else -1)
 
     def __str__(self) -> str:
@@ -219,7 +220,8 @@ def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
     routes the NIC links, intra-host routes none. The non-negative ids of a
     row, in column order, are its route's links in ``Route.links`` order. A
     row is read off the route's endpoints and spine (None or -1: none) alone.
-    Raises ValueError naming the first route off the fabric or its spines.
+    Raises ValueError naming the first route off the fabric or its spines, or
+    whose spine does not fit its ToRs: a route has one exactly when they differ.
     """
     routes = list(routes)
     ends = _read_endpoints(routes)
@@ -228,7 +230,13 @@ def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
     bad = np.flatnonzero((spine < -1) | (spine >= topo.num_spines))
     if bad.size:
         raise ValueError(f"route {bad[0]}: spine {spine[bad[0]]} is not in [0, {topo.num_spines})")
-    return _link_rows(topo, _columns(topo, ends), spine)
+    kinds = _columns(topo, ends)
+    bad = np.flatnonzero((spine >= 0) != kinds.inter)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"route {i}: spine {routes[i].spine} does not fit ToRs "
+                         f"{kinds.src_tor[i]} -> {kinds.dst_tor[i]}")
+    return _link_rows(topo, kinds, spine)
 
 
 def _link_rows(topo: ClosTopology, kinds: Classified, spine: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from closroute.routing import (
 from closroute.topology import (
     INTRA_HOST,
     INTRA_TOR,
+    SPINE,
     Endpoint,
     Route,
     build_topology,
@@ -123,6 +124,19 @@ def test_waterfill_rejects_routes_off_the_fabric():
         route = spine_route(Endpoint(1, 0, 0), Endpoint(3, 0, 0), spine)
         with pytest.raises(ValueError, match=rf"^route 1: spine {spine} is not in \[0, 2\)$"):
             waterfill([ok, ("b", route)], topo)
+    # a route takes a spine exactly when its ToRs differ: without one, the
+    # first would cross no spine link, and the second would load two
+    n0, n1 = Endpoint(0, 0, 0), Endpoint(1, 0, 0)
+    for route, named in [
+        (Route(SPINE, None, n0, n1), "None does not fit ToRs 0 -> 1"),
+        (Route(INTRA_TOR, 1, n0, n0), "1 does not fit ToRs 0 -> 0"),
+        (Route(SPINE, -1, Endpoint(2, 0, 0), Endpoint(3, 0, 0)), "-1 does not fit ToRs 2 -> 3"),
+        (Route(INTRA_TOR, 0, Endpoint(3, 0, 0), Endpoint(3, 0, 0)), "0 does not fit ToRs 3 -> 3"),
+    ]:
+        with pytest.raises(ValueError, match=f"^route 1: spine {named}$"):
+            waterfill([ok, ("b", route)], topo)
+        with pytest.raises(ValueError, match=f"^route 0: spine {named}$"):
+            route_link_rows(build_topology(2, 4, 1, 1, 100.0), [route])
     fits = ("b", spine_route(Endpoint(1, 0, 0), Endpoint(3, 0, 0), 1))
     assert waterfill([ok, fits], topo).rates == {"a": 100.0, "b": 100.0}
 

@@ -26,6 +26,7 @@ from closroute.topology import (
     INTRA_TOR,
     SPINE,
     Classified,
+    Endpoint,
     Route,
     build_topology,
     classify,
@@ -34,6 +35,7 @@ from closroute.topology import (
 )
 from closroute.workload import (
     MODEL_CATALOG,
+    CommoditySpec,
     HardwareModel,
     Job,
     ModelConfig,
@@ -1039,3 +1041,139 @@ def test_schemes_choose_alike_for_an_engine_batch_and_its_list(specs, failed, pi
     for commodities in (batch, listed):
         assert routing.ecmp_assign(commodities, topo, pick).spine.tolist() == hashed
         assert routing.anneal_assign(commodities, topo, unmoved, pick).spine.tolist() == hashed
+
+
+# the schemes that read no id, each with its public function and its spine core
+MEMO_SCHEMES = {
+    "greedy": ("greedy_assign", "_greedy_spines"),
+    "edge_coloring": ("edge_color_assign", "_color_spines"),
+    "exact": ("exact_assign", "_exact_spines"),
+}
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing, so that every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@contextlib.contextmanager
+def counting_scheme_calls(scheme, calls, forget=False):
+    """Count the calls of scheme's public function and of its core in calls;
+    with forget, every decision gets a memo that never hits."""
+    public, core = MEMO_SCHEMES[scheme]
+    decide = sim.assign_by_scheme
+
+    def counted(name):
+        fn = getattr(routing, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    def forgetting(*args, memo, **kwargs):
+        assert isinstance(memo, dict)
+        return decide(*args, memo=_Forgetful(), **kwargs)
+
+    with contextlib.ExitStack() as patches:
+        for name in (public, core):
+            patches.enter_context(mock.patch.object(routing, name, counted(name)))
+        if forget:
+            patches.enter_context(mock.patch.object(sim, "assign_by_scheme", forgetting))
+        yield
+
+
+def test_the_memo_changes_no_result():
+    """On generated scenarios under the schemes that read no id, a run with
+    the engine's memo and a run whose memo never hits give equal results:
+    records, controller log and flow log with its UDP ports. Each makes one
+    call of the scheme per logged decision, every one of which routes
+    elephants; only the memo's misses reach the scheme's core, and some
+    decisions hit."""
+    tally = Counter()
+
+    # pinned, since the derandomized draws depend on the loaded modules: an
+    # elephant job and a mice job over three iterations, with 2 of 4 spines
+    # failing under elephants routed on them, so that the decision after the
+    # failure meets the columns of the one before it, under each scheme
+    pinned = dict(specs=[((2, 1), 4, 1e9, 0.0, 3, 2), ((1, 1), 4, 1e5, 0.02, 3, 19)],
+                  failures=[(0.35, 2)], threshold=1e6, seed=37)
+
+    @settings(derandomize=True, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(specs=job_specs, **{**scenario_knobs, "scheme": st.sampled_from(list(MEMO_SCHEMES))})
+    @example(scheme="greedy", fallback=False, precomputed=False, **pinned)
+    @example(scheme="edge_coloring", fallback=True, precomputed=False, **pinned)
+    @example(scheme="exact", fallback=False, precomputed=True, **pinned)
+    def run_both(specs, failures, scheme, threshold, fallback, precomputed, seed):
+        jobs, plan, controller = small_scenario(specs, failures, scheme, threshold, fallback,
+                                                precomputed, seed)
+        public, core = MEMO_SCHEMES[scheme]
+        results = []
+        for forget in (False, True):
+            calls = Counter()
+            with counting_scheme_calls(scheme, calls, forget):
+                results.append(run_scenario(SMALL_FABRIC, jobs, controller, hardware=FAST_HW,
+                                            failures=plan, seed=seed))
+            decisions = len(results[-1].controller_log)
+            assert calls[public] == decisions
+            assert calls[core] == decisions if forget else calls[core] <= decisions
+            if not forget:
+                tally["hits"] += decisions - calls[core]
+                tally["decisions"] += decisions
+        remembered, forgotten = results
+        assert remembered.records == forgotten.records
+        assert remembered.controller_log == forgotten.controller_log
+        assert list(remembered.flow_log) == list(forgotten.flow_log)
+
+    run_both()
+    assert 0 < tally["hits"] < tally["decisions"], tally
+
+
+@pytest.mark.parametrize("scheme", list(MEMO_SCHEMES))
+def test_a_multi_iteration_run_routes_its_repeated_decisions_from_the_memo(cluster, scheme):
+    """A job's next iteration hands the controller the columns of its last,
+    so the memo hits; the scheme is still called once per decision."""
+    job = make_job(cluster, MINI, dp=2, seed=4, iters=4)
+    controller = ControllerModel(scheme=scheme, exact_max_commodities=64)
+    public, core = MEMO_SCHEMES[scheme]
+    calls = Counter()
+    with counting_scheme_calls(scheme, calls):
+        result = run_scenario(cluster, [job], controller, hardware=FAST_HW, seed=1)
+    assert calls[public] == len(result.controller_log) == 4
+    assert calls[core] == 1
+
+
+def test_equal_columns_on_other_live_spines_miss():
+    """The memo keys on the fabric with its live spines and on the core: the
+    same commodities on a fabric with spine 0 failed, or under another scheme,
+    get what they get with no memo, and each meeting adds a key."""
+    topo = build_topology(4, 4, 2, 2, 100e9)
+    degraded = dataclasses.replace(topo, failed_spines=frozenset({0}))
+    commodities = routing.unit_commodities_for_pairs(topo, [(0, 1), (0, 2), (1, 2), (3, 1)])
+    memo = {}
+    for n, (public, _) in enumerate(MEMO_SCHEMES.values()):
+        assign = getattr(routing, public)
+        intact, failed = assign(commodities, topo), assign(commodities, degraded)
+        assert 0 in intact.spine.tolist() and 0 not in failed.spine.tolist()
+        for fabric, expected in ((topo, intact), (degraded, failed), (topo, intact)):
+            batch = classify(fabric, commodities)
+            assert assign(batch, fabric, memo=memo).spine.tolist() == expected.spine.tolist()
+        assert len(memo) == 2 * (n + 1)
+
+
+def test_columns_that_differ_only_in_their_nics_miss():
+    """Greedy weighs NIC links, so two inputs with the same ToRs are apart in
+    the memo: two flows between the same two NICs share a spine, and between
+    two other pairs of NICs they do not."""
+    topo = build_topology(4, 4, 2, 2, 100e9)
+    a, b, c, d = Endpoint(0, 0, 0), Endpoint(0, 0, 1), Endpoint(1, 0, 0), Endpoint(1, 0, 1)
+    shared = [CommoditySpec("x", "j", a, c, 1), CommoditySpec("y", "j", a, c, 1)]
+    apart = [CommoditySpec("x", "j", a, c, 1), CommoditySpec("y", "j", b, d, 1)]
+    memo = {}
+    for commodities, spines in ((shared, [0, 0]), (apart, [0, 1]), (shared, [0, 0])):
+        assert routing.greedy_assign(commodities, topo, memo=memo).spine.tolist() == spines
+    assert len(memo) == 2

@@ -152,6 +152,12 @@ def test_endpoint_keys_read_as_their_parts(src, dst):
 
     in_range = on(LARGEST)
     assert [e.key == -1 for e in (a, b)] == [not packs for packs in in_range]
+    # NumPy integer parts, wherever their type holds them, read as the equal ints
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64):
+        info = np.iinfo(dtype)
+        for parts, e in ((src, a), (dst, b)):
+            if all(info.min <= p <= info.max for p in parts):
+                assert Endpoint(*map(dtype, parts)).key == e.key, dtype
     if all(in_range):
         routes = [Route(SPINE, 0, a, b), Route(SPINE, 0, b, a)]
         # the reference reads each endpoint attribute by attribute
