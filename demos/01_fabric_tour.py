@@ -27,11 +27,12 @@ for spine in topo.live_spines:
 # Same-rack and same-host transfers have one forced route that never touches
 # the spine layer. classify reads a commodity list into one batch, checking
 # every endpoint once; build_routes gives each commodity off a spine its
-# forced route, whose kind says which.
+# forced route, whose links its endpoints decide: the two NIC links here.
 neighbor = Endpoint(tor=1, host=1, nic=0)
 batch = classify(topo, [CommoditySpec("c", "demo", src, neighbor, 1)])
 route = build_routes(batch, []).assignment["c"]
-print(f"\nroute {src} -> {neighbor}: {route.kind}")
+hops = " -> ".join(str(link[0]) for link in route.links) + f" -> {route.links[-1][1]}"
+print(f"\nroute {src} -> {neighbor}, off the spines: {hops}")
 
 # Spine failures shrink the route set; sampling is seeded and reproducible.
 degraded = fail_spines(big, k=8, seed=7)

@@ -62,11 +62,11 @@ filled once. An emission writes its iteration's ids, start and bits remaining
 into the job's slots and marks them live; a completion clears their live and
 transmitting flags, rate, finish time, spine and spine links, and stores each
 flow's FCT and throughput there.
-Columns 0 and 3 hold ``classify``'s NIC ids. Columns 1 and 2 are written with
-``tor_up_id`` and ``tor_down_id`` from the spine column of a scheme's
-``PathChoice`` when a flow gets a route: at emission for hashed flows, at a
-decision for the elephants routed there, and on a failure for the mice it
-hits; they stay -1 on an intra-ToR route. A failure clears columns 1 and 2 of
+Columns 0 and 3 hold ``classify``'s NIC ids. When a flow gets a route (at
+emission for hashed flows, at a decision for the elephants routed there, and
+on a failure for the mice it hits) its row is rewritten with the scheme's
+``PathChoice.link_rows``, whose batch holds the table's NIC ids, so only
+columns 1 and 2 change, -1 off a spine. A failure clears columns 1 and 2 of
 the elephants it stalls. Rates are recomputed from the cached rows of the
 transmitting flows, which the table hands to ``waterfill`` in slot order (its
 rates are the same in any order); its rate array is written back as it is, so
@@ -471,14 +471,11 @@ class _Engine:
 
     def _set_routes(self, slots, choice: PathChoice):
         """Put the flows in slots on the routes of choice, one per slot in
-        order: their NIC link ids are in the table from the start, so only the
-        spine and its two links change."""
+        order: the choice's batch holds the table's NIC link ids, so its link
+        rows change only the spine and its two links."""
         f = self.flows
-        spine = choice.spine
-        off_spine = spine < 0
-        f.links[slots, 1] = np.where(off_spine, -1, self.topo.tor_up_id(f.src_tor[slots], spine))
-        f.links[slots, 2] = np.where(off_spine, -1, self.topo.tor_down_id(spine, f.dst_tor[slots]))
-        f.spine[slots] = spine
+        f.links[slots] = choice.link_rows(self.topo)
+        f.spine[slots] = choice.spine
         f.transmitting[slots] = True
 
     def _clear_routes(self, slots):

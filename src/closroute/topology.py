@@ -31,8 +31,9 @@ fabric and ``_columns`` for their ToRs and NIC links (``classify`` and
 ``route_link_rows`` call all three), and ``tor_up_id`` and ``tor_down_id``
 for the spine links. Load bookkeeping counts on these ids; ``_link_rows``
 maps ``Classified`` columns and spines to them, one row of four ids per route,
-for ``route_link_rows`` and ``PathChoice.link_rows``. A Route stores its kind,
-spine and endpoints; ``Route.links`` derives pairs of tagged nodes from them.
+for ``route_link_rows`` and ``PathChoice.link_rows``. A Route is its spine
+and endpoints alone; ``Route.links`` derives pairs of tagged nodes from them
+by the rule ``_columns`` applies, so it and the route's row cannot disagree.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-INTRA_HOST = "intra_host"
-INTRA_TOR = "intra_tor"
-SPINE = "spine"
-_KINDS = np.array([SPINE, INTRA_TOR, INTRA_HOST], dtype=object)  # indexed in PathChoice.assignment
 _PART = 1 << 20  # the bound of every fabric dimension, so every endpoint on a fabric packs
 
 
@@ -72,10 +69,9 @@ class Endpoint:
 
 
 class Route(NamedTuple):
-    """A concrete path: its kind, spine index (if any) and endpoints. A tuple,
-    so it compares equal to a plain tuple of its fields."""
+    """A concrete path: its spine index (None off a spine) and endpoints. A
+    tuple, so it compares equal to a plain tuple of its fields."""
 
-    kind: str
     spine: int | None
     src: Endpoint
     dst: Endpoint
@@ -84,13 +80,14 @@ class Route(NamedTuple):
     def links(self) -> tuple[tuple, ...]:
         """The directed links in path order, derived from the endpoints, each
         a (tail, head) pair of tagged nodes: ("nic", t, h, n), ("tor", t) or
-        ("spine", s)."""
-        if self.kind == INTRA_HOST:
-            return ()
+        ("spine", s): no link when the endpoints share a host, the two NIC
+        links when they share a ToR, and the four through the spine otherwise."""
         src, dst = self.src, self.dst
+        if src.tor == dst.tor and src.host == dst.host:
+            return ()
         up = (("nic", src.tor, src.host, src.nic), ("tor", src.tor))
         down = (("tor", dst.tor), ("nic", dst.tor, dst.host, dst.nic))
-        if self.kind == INTRA_TOR:
+        if src.tor == dst.tor:
             return (up, down)
         spine = ("spine", self.spine)
         return (up, (("tor", src.tor), spine), (spine, ("tor", dst.tor)), down)
@@ -107,15 +104,12 @@ class PathChoice:
     @cached_property
     def assignment(self) -> dict[str, Route]:
         """Commodity id -> Route, in input order, built on first read from the
-        batch's columns: a route on a spine is SPINE, one off a spine that
-        crosses its NIC links INTRA_TOR, and one that crosses no link
-        INTRA_HOST. The routes are made from zipped field tuples by
-        ``tuple.__new__``, which skips the per-route call of the ``Route``
-        constructor."""
+        spine column (-1 reads as None) and the batch's endpoints. The routes
+        are made from zipped field tuples by ``tuple.__new__``, which skips the
+        per-route call of the ``Route`` constructor."""
         cs = self.commodities
-        kind = _KINDS[np.where(self.spine >= 0, 0, np.where(cs.kinds.nic_up >= 0, 1, 2))]
         spines = [None if s < 0 else s for s in self.spine.tolist()]
-        fields = zip(kind.tolist(), spines, cs.src, cs.dst)
+        fields = zip(spines, cs.src, cs.dst)
         return dict(zip(cs.id, map(partial(tuple.__new__, Route), fields)))
 
     def link_rows(self, topo: ClosTopology) -> np.ndarray:
@@ -193,7 +187,7 @@ def build_topology(
 
 
 def spine_route(src: Endpoint, dst: Endpoint, spine: int) -> Route:
-    return Route(SPINE, spine, src, dst)
+    return Route(spine, src, dst)
 
 
 def _nic_up_ids(topo: ClosTopology, ends: np.ndarray) -> np.ndarray:
@@ -216,12 +210,13 @@ def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
     """The link ids of routes on topo, one row per route, all at once.
 
     Columns hold the NIC-up, ToR->spine, spine->ToR and NIC-down link, -1
-    where the route does not use it: spine routes use all four, intra-ToR
-    routes the NIC links, intra-host routes none. The non-negative ids of a
-    row, in column order, are its route's links in ``Route.links`` order. A
-    row is read off the route's endpoints and spine (None or -1: none) alone.
-    Raises ValueError naming the first route off the fabric or its spines, or
-    whose spine does not fit its ToRs: a route has one exactly when they differ.
+    where the route does not use it: a route between ToRs uses all four, one
+    within a ToR the NIC links, one within a host none. A row is read off the
+    route's endpoints and spine (None or -1: none) alone, as ``Route.links``
+    is, so its non-negative ids, in column order, are the route's links.
+    Raises ValueError naming the first route off the fabric or its spines,
+    whose spine does not fit its ToRs (a route has one exactly when they
+    differ), or whose spine has failed.
     """
     routes = list(routes)
     ends = _read_endpoints(routes)
@@ -230,6 +225,12 @@ def route_link_rows(topo: ClosTopology, routes) -> np.ndarray:
     bad = np.flatnonzero((spine < -1) | (spine >= topo.num_spines))
     if bad.size:
         raise ValueError(f"route {bad[0]}: spine {spine[bad[0]]} is not in [0, {topo.num_spines})")
+    if topo.failed_spines:  # indexed by the spine column, -1 reading the padding
+        dead = np.zeros(topo.num_spines + 1, dtype=bool)
+        dead[list(topo.failed_spines)] = True
+        bad = np.flatnonzero(dead[spine])
+        if bad.size:
+            raise ValueError(f"route {bad[0]}: spine {spine[bad[0]]} has failed")
     kinds = _columns(topo, ends)
     bad = np.flatnonzero((spine >= 0) != kinds.inter)
     if bad.size:

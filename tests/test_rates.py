@@ -15,12 +15,10 @@ from closroute.routing import (
     unit_commodities_for_pairs,
 )
 from closroute.topology import (
-    INTRA_HOST,
-    INTRA_TOR,
-    SPINE,
     Endpoint,
     Route,
     build_topology,
+    fail_spines,
     route_link_rows,
     spine_route,
 )
@@ -116,7 +114,7 @@ def test_waterfill_rejects_routes_off_the_fabric():
         # NIC -1 on host t1.h0 would read as NIC-up id 1, t0.h0.n1's link
         (spine_route(Endpoint(1, 0, -1), Endpoint(3, 0, 0), 1), "src endpoint t1.h0.n-1"),
         (spine_route(Endpoint(1, 0, 0), Endpoint(9, 0, 0), 1), "dst endpoint t9.h0.n0"),
-        (Route(INTRA_TOR, None, Endpoint(3, 0, 1), Endpoint(3, 1, 0)), "dst endpoint t3.h1.n0"),
+        (Route(None, Endpoint(3, 0, 1), Endpoint(3, 1, 0)), "dst endpoint t3.h1.n0"),
     ]:
         with pytest.raises(ValueError, match=f"^route 1: {named} is off the fabric$"):
             waterfill([ok, ("b", route)], topo)
@@ -128,10 +126,10 @@ def test_waterfill_rejects_routes_off_the_fabric():
     # first would cross no spine link, and the second would load two
     n0, n1 = Endpoint(0, 0, 0), Endpoint(1, 0, 0)
     for route, named in [
-        (Route(SPINE, None, n0, n1), "None does not fit ToRs 0 -> 1"),
-        (Route(INTRA_TOR, 1, n0, n0), "1 does not fit ToRs 0 -> 0"),
-        (Route(SPINE, -1, Endpoint(2, 0, 0), Endpoint(3, 0, 0)), "-1 does not fit ToRs 2 -> 3"),
-        (Route(INTRA_TOR, 0, Endpoint(3, 0, 0), Endpoint(3, 0, 0)), "0 does not fit ToRs 3 -> 3"),
+        (Route(None, n0, n1), "None does not fit ToRs 0 -> 1"),
+        (Route(1, n0, n0), "1 does not fit ToRs 0 -> 0"),
+        (Route(-1, Endpoint(2, 0, 0), Endpoint(3, 0, 0)), "-1 does not fit ToRs 2 -> 3"),
+        (Route(0, Endpoint(3, 0, 0), Endpoint(3, 0, 0)), "0 does not fit ToRs 3 -> 3"),
     ]:
         with pytest.raises(ValueError, match=f"^route 1: spine {named}$"):
             waterfill([ok, ("b", route)], topo)
@@ -139,6 +137,16 @@ def test_waterfill_rejects_routes_off_the_fabric():
             route_link_rows(build_topology(2, 4, 1, 1, 100.0), [route])
     fits = ("b", spine_route(Endpoint(1, 0, 0), Endpoint(3, 0, 0), 1))
     assert waterfill([ok, fits], topo).rates == {"a": 100.0, "b": 100.0}
+    # a spine that has failed carries nothing: a route over it would fill a dead link
+    down = fail_spines(build_topology(2, 4, 1, 1, 100.0), 1, seed=0)
+    assert down.failed_spines == {1}
+    over = spine_route(Endpoint(0, 0, 0), Endpoint(1, 0, 0), 1)
+    with pytest.raises(ValueError, match="^route 0: spine 1 has failed$"):
+        waterfill([("a", over)], down)
+    live = ("a", spine_route(Endpoint(2, 0, 0), Endpoint(3, 0, 0), 0))
+    with pytest.raises(ValueError, match="^route 1: spine 1 has failed$"):
+        route_link_rows(down, [live[1], over, Route(None, Endpoint(2, 0, 0), Endpoint(2, 0, 0))])
+    assert waterfill([live, ("b", over._replace(spine=0))], down).rates == {"a": 100.0, "b": 100.0}
 
 
 def test_lone_flow_gets_line_rate():
@@ -164,7 +172,7 @@ def test_three_flow_bottleneck_chain():
 
 def test_intra_host_flows_get_infinite_sentinel():
     topo = build_topology(2, 4, 2, 2, 1.0)
-    route = Route(INTRA_HOST, None, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
+    route = Route(None, Endpoint(0, 0, 0), Endpoint(0, 0, 1))
     alloc = waterfill([("local", route)], topo)
     assert math.isinf(alloc.rates["local"])
     # and beside two flows that share only their destination NIC's link
@@ -189,8 +197,8 @@ def test_flows_on_links_of_their_own_get_exactly_link_capacity():
     flows = [
         ("a", spine_route(Endpoint(0, 0, 0), Endpoint(1, 0, 0), 0)),
         ("b", spine_route(Endpoint(0, 1, 1), Endpoint(1, 1, 1), 1)),
-        ("c", Route(INTRA_TOR, None, Endpoint(2, 0, 0), Endpoint(2, 1, 0))),
-        ("d", Route(INTRA_HOST, None, Endpoint(3, 0, 0), Endpoint(3, 0, 1))),
+        ("c", Route(None, Endpoint(2, 0, 0), Endpoint(2, 1, 0))),
+        ("d", Route(None, Endpoint(3, 0, 0), Endpoint(3, 0, 1))),
     ]
     rates = waterfill(flows, topo).rates
     assert rates == {"a": 3.0, "b": 3.0, "c": 3.0, "d": math.inf}
@@ -299,7 +307,7 @@ def draw_route(draw, topo, src, dst):
     """The route from src to dst, on a spine drawn at random if it needs one."""
     if src.tor != dst.tor:
         return spine_route(src, dst, draw(st.integers(0, topo.num_spines - 1)))
-    return Route(INTRA_HOST if src.host == dst.host else INTRA_TOR, None, src, dst)
+    return Route(None, src, dst)
 
 
 @st.composite
@@ -331,8 +339,8 @@ def test_waterfill_is_feasible_max_min_and_order_free(case):
     rates = waterfill(flows, topo).rates
     assert list(rates) == [cid for cid, _ in flows]
     for cid, route in flows:
-        assert math.isinf(rates[cid]) == (route.kind == INTRA_HOST)
-    usage = link_usage([f for f in flows if f[1].kind != INTRA_HOST], rates)
+        assert math.isinf(rates[cid]) == (route.links == ())
+    usage = link_usage([f for f in flows if f[1].links], rates)
     cap = topo.link_capacity
     assert all(used <= cap * (1 + FEASIBILITY_RTOL) for used in usage.values())
     on_link = {}
@@ -342,7 +350,7 @@ def test_waterfill_is_feasible_max_min_and_order_free(case):
     # max-min certificate: each finite-rate flow crosses a saturated link on
     # which no flow gets more than it does
     for cid, route in flows:
-        if route.kind == INTRA_HOST:
+        if not route.links:
             continue
         assert any(
             usage[link] >= cap * (1 - FEASIBILITY_RTOL) and rates[cid] >= max(on_link[link])

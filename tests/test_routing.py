@@ -31,9 +31,6 @@ from closroute.routing import (
     unit_commodities_for_pairs,
 )
 from closroute.topology import (
-    INTRA_HOST,
-    INTRA_TOR,
-    SPINE,
     Endpoint,
     Route,
     build_topology,
@@ -106,7 +103,7 @@ def assert_choice_valid(choice, commodities, topo):
         if src.tor != dst.tor:
             candidates = [spine_route(src, dst, s) for s in topo.live_spines]
         else:
-            candidates = [Route(INTRA_HOST if src.host == dst.host else INTRA_TOR, None, src, dst)]
+            candidates = [Route(None, src, dst)]
         assert choice.assignment[c.id] in candidates
 
 
@@ -211,7 +208,7 @@ def test_greedy_matches_plain_scan(case):
     spines, peak = scan_greedy(cs, topo)
     choice = greedy_assign(cs, topo)
     assert_choice_valid(choice, cs, topo)
-    assert {i: r.spine for i, r in choice.assignment.items() if r.kind == SPINE} == spines
+    assert {i: r.spine for i, r in choice.assignment.items() if r.spine is not None} == spines
     assert max_link_load(choice, topo) == peak
 
 
@@ -443,7 +440,7 @@ def test_exact_matches_no_pruning_enumeration():
         choice = exact_assign(cs, topo)
         load, first = brute_force_min_max_load(cs, topo)
         assert max_link_load(choice, topo) == load
-        assert [r.spine for r in choice.assignment.values() if r.kind == SPINE] == first
+        assert [r.spine for r in choice.assignment.values() if r.spine is not None] == first
 
 
 def test_exact_builds_routes_once_and_runs_no_other_scheme(monkeypatch):
@@ -678,7 +675,7 @@ def test_schemes_work_with_failed_spines():
     live = set(topo.live_spines)
     for scheme in ("greedy", "ecmp", "edge_coloring", "annealing", "exact"):
         choice = assign_by_scheme(scheme, cs, topo, seed=2)
-        assert {r.spine for r in choice.assignment.values() if r.kind == SPINE} <= live
+        assert {r.spine for r in choice.assignment.values() if r.spine is not None} <= live
 
 
 # -- pinned choices -----------------------------------------------------------
@@ -770,7 +767,10 @@ def test_scheme_choices_match_pinned_digests(family):
             choice = assign_by_scheme(scheme, cs, topo, seed=7, anneal_schedule=schedule)
             for c in cs:
                 route = choice.assignment[c.id]
-                digest.update(f"{c.id}|{route.kind}|{route.spine}\n".encode())
+                # the kind string of the recorded digests, read off the route
+                kind = "intra_tor" if route.links else "intra_host"
+                kind = "spine" if route.spine is not None else kind
+                digest.update(f"{c.id}|{kind}|{route.spine}\n".encode())
         digests[scheme] = digest.hexdigest()
     assert digests == PINNED_CHOICES[family]
 
@@ -779,18 +779,11 @@ def test_scheme_choices_match_pinned_digests(family):
 
 
 def eager_assignment(commodities, spines):
-    """Commodity id -> Route, built up front from build_routes' arguments, its
-    kind read off the endpoints: the next of spines for an inter-ToR
-    commodity, no spine otherwise."""
+    """Commodity id -> Route, built up front from build_routes' arguments: the
+    next of spines for an inter-ToR commodity, no spine otherwise."""
     spine = iter(spines)
-    routes = {}
-    for c in commodities:
-        src, dst = c.src, c.dst
-        if src.tor != dst.tor:
-            routes[c.id] = Route(SPINE, next(spine), src, dst)
-        else:
-            routes[c.id] = Route(INTRA_HOST if src.host == dst.host else INTRA_TOR, None, src, dst)
-    return routes
+    return {c.id: Route(next(spine) if c.src.tor != c.dst.tor else None, c.src, c.dst)
+            for c in commodities}
 
 
 def lazy_view_instances():

@@ -23,8 +23,6 @@ from closroute.sim import (
     stable_seed,
 )
 from closroute.topology import (
-    INTRA_TOR,
-    SPINE,
     Classified,
     Endpoint,
     Route,
@@ -426,7 +424,7 @@ def test_flow_table_rows_match_route_link_rows(cluster, monkeypatch, threshold):
         f = engine.flows
         live = np.flatnonzero(f.transmitting)
         routes = [
-            Route(SPINE, spine, c.src, c.dst) if spine >= 0 else Route(INTRA_TOR, None, c.src, c.dst)
+            Route(spine if spine >= 0 else None, c.src, c.dst)
             for c, spine in zip(engine._batch(live), f.spine[live].tolist())
         ]
         assert (f.links[live] == route_link_rows(engine.topo, routes)).all()

@@ -9,11 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from closroute import topology
+from closroute.rates import waterfill
 from closroute.routing import PathChoice, max_link_load
 from closroute.topology import (
-    INTRA_HOST,
-    INTRA_TOR,
-    SPINE,
     ClosTopology,
     Endpoint,
     Route,
@@ -31,7 +29,7 @@ def candidate_routes(topo, src, dst):
     """Every shortest path: the one forced route, or one route per live spine."""
     if src.tor != dst.tor:
         return [spine_route(src, dst, s) for s in topo.live_spines]
-    return [Route(INTRA_HOST if src.host == dst.host else INTRA_TOR, None, src, dst)]
+    return [Route(None, src, dst)]
 
 
 def nic_ids(topo, src, dst):
@@ -77,9 +75,9 @@ def test_intra_host_and_intra_tor_routes():
         CommoditySpec("tor", "j", Endpoint(0, 0, 0), Endpoint(0, 1, 0), 1),
     ]
     routes = build_routes(classify(topo, cs), []).assignment
-    assert routes["host"].kind == INTRA_HOST
+    assert routes["host"].spine is None
     assert routes["host"].links == ()
-    assert routes["tor"].kind == INTRA_TOR
+    assert routes["tor"].spine is None
     assert len(routes["tor"].links) == 2
 
 
@@ -87,7 +85,7 @@ def test_inter_tor_routes_one_per_live_spine_ascending():
     topo = build_topology(4, 4, 1, 1, 1.0)
     routes = candidate_routes(topo, Endpoint(0, 0, 0), Endpoint(3, 0, 0))
     assert [r.spine for r in routes] == [0, 1, 2, 3]
-    assert all(r.kind == SPINE and len(r.links) == 4 for r in routes)
+    assert all(r.spine is not None and len(r.links) == 4 for r in routes)
 
 
 def test_route_links_chain_head_to_tail():
@@ -159,7 +157,7 @@ def test_endpoint_keys_read_as_their_parts(src, dst):
             if all(info.min <= p <= info.max for p in parts):
                 assert Endpoint(*map(dtype, parts)).key == e.key, dtype
     if all(in_range):
-        routes = [Route(SPINE, 0, a, b), Route(SPINE, 0, b, a)]
+        routes = [Route(0, a, b), Route(0, b, a)]
         # the reference reads each endpoint attribute by attribute
         reference = [[[e.tor, e.host, e.nic] for e in (r.src, r.dst)] for r in routes]
         assert topology._read_endpoints(routes).tolist() == reference
@@ -253,27 +251,29 @@ def test_all_spines_failed_rejects_inter_tor_routing():
 
 def test_classify_matches_hand_cases():
     topo = build_topology(2, 4, 2, 2, 1.0)
+    # each case with the number of links its route crosses: none within a
+    # host, the two NIC links within a ToR, four through a spine
     cases = [
-        (Endpoint(0, 0, 0), Endpoint(0, 0, 1), INTRA_HOST),
-        (Endpoint(0, 0, 0), Endpoint(0, 1, 1), INTRA_TOR),
-        (Endpoint(0, 0, 0), Endpoint(1, 0, 0), SPINE),
-        (Endpoint(3, 1, 1), Endpoint(2, 1, 0), SPINE),
+        (Endpoint(0, 0, 0), Endpoint(0, 0, 1), 0),
+        (Endpoint(0, 0, 0), Endpoint(0, 1, 1), 2),
+        (Endpoint(0, 0, 0), Endpoint(1, 0, 0), 4),
+        (Endpoint(3, 1, 1), Endpoint(2, 1, 0), 4),
     ]
     cs = [CommoditySpec(f"c{i}", "j", src, dst, 1) for i, (src, dst, _) in enumerate(cases)]
     batch = classify(topo, cs)
     kinds = batch.kinds
     assert kinds.inter.tolist() == (kinds.src_tor != kinds.dst_tor).tolist()
-    assert kinds.inter.tolist() == [kind == SPINE for _, _, kind in cases]
+    assert kinds.inter.tolist() == [hops == 4 for _, _, hops in cases]
     assert kinds.src_tor.tolist() == [src.tor for src, _, _ in cases]
     assert kinds.dst_tor.tolist() == [dst.tor for _, dst, _ in cases]
     # a commodity within its host crosses no link: both NIC link ids are -1
     assert list(zip(kinds.nic_up.tolist(), kinds.nic_down.tolist())) == [
-        (-1, -1) if kind == INTRA_HOST else nic_ids(topo, src, dst) for src, dst, kind in cases
+        (-1, -1) if hops == 0 else nic_ids(topo, src, dst) for src, dst, hops in cases
     ]
     choice = build_routes(batch, [1, 0])
     routes = choice.assignment
-    assert [(r.kind, r.spine, r.src, r.dst) for r in routes.values()] == [
-        (kind, {2: 1, 3: 0}.get(i), src, dst) for i, (src, dst, kind) in enumerate(cases)
+    assert [(r.spine, r.src, r.dst, len(r.links)) for r in routes.values()] == [
+        ({2: 1, 3: 0}.get(i), src, dst, hops) for i, (src, dst, hops) in enumerate(cases)
     ]
     rows = route_link_rows(topo, routes.values())
     assert rows[0].tolist() == [-1] * 4 and (rows[1, 1:3] == -1).all() and (rows[2:] >= 0).all()
@@ -315,7 +315,7 @@ def test_link_ids_match_route_links(topo):
             assert id_of.setdefault(link, link_id) == link_id
             touches_spine = "spine" in (link[0][0], link[1][0])
             assert (link_id >= topo.spine_link_base) == touches_spine
-        if route.kind == SPINE:
+        if route.spine is not None:
             src, dst, s = route.src, route.dst, route.spine
             nic_up, nic_down = nic_ids(topo, src, dst)
             assert route_ids.tolist() == [
@@ -338,7 +338,81 @@ def test_link_ids_match_route_links(topo):
     cs = [CommoditySpec(str(i), "j", route.src, route.dst, 1) for i, route in enumerate(routes)]
     spines = [-1 if route.spine is None else route.spine for route in routes]
     batch = classify(topo, cs)
-    assert batch.kinds.inter.tolist() == [route.kind == SPINE for route in routes]
+    assert batch.kinds.inter.tolist() == [route.spine is not None for route in routes]
     choice = PathChoice(batch, np.array(spines, dtype=np.int64))
-    assert list(choice.assignment.values()) == routes  # kinds included
+    assert list(choice.assignment.values()) == routes
     assert max_link_load(choice, topo) == max(spine_counts, default=0)
+
+
+def layout_id(topo, link):
+    """A link's id by the layout formulas of the topology module docstring."""
+    E, T, S = topo.num_endpoints, topo.num_tors, topo.num_spines
+    position = {ep: i for i, ep in enumerate(topo.endpoints())}
+    (tail_kind, *tail), (head_kind, *head) = link
+    if tail_kind == "nic":
+        return position[Endpoint(*tail)]
+    if head_kind == "nic":
+        return E + position[Endpoint(*head)]
+    if head_kind == "spine":
+        return 2 * E + tail[0] * S + head[0]
+    return 2 * E + T * S + tail[0] * T + head[0]
+
+
+@st.composite
+def fabric_routes(draw):
+    """A small fabric with 0-2 failed spines, and routes between any two of its
+    endpoints, a route from an endpoint to itself included, each with a spine
+    of None, -1 or any index on the fabric."""
+    topo = build_topology(draw(st.integers(1, 4)), draw(st.integers(2, 4)),
+                          draw(st.integers(1, 3)), draw(st.integers(1, 2)), 100.0)
+    failed = draw(st.integers(0, min(2, topo.num_spines - 1)))
+    topo = fail_spines(topo, failed, seed=draw(st.integers(0, 99)))
+    end = st.sampled_from(list(topo.endpoints()))
+    spine = st.one_of(st.none(), st.just(-1), st.integers(0, topo.num_spines - 1))
+    return topo, draw(st.lists(st.builds(Route, spine, end, end), max_size=8))
+
+
+FIG = build_topology(2, 4, 2, 1, 100.0)
+ONE_DOWN = fail_spines(build_topology(2, 4, 1, 1, 100.0), 1, seed=0)  # spine 1 has failed
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(fabric_routes())
+# a route within a ToR across two hosts, and one from an endpoint to itself
+@example((FIG, [Route(None, Endpoint(0, 0, 0), Endpoint(0, 1, 0)),
+                Route(None, Endpoint(0, 0, 0), Endpoint(0, 0, 0))]))
+@example((ONE_DOWN, [Route(0, Endpoint(0, 0, 0), Endpoint(1, 0, 0)),
+                     Route(1, Endpoint(0, 0, 0), Endpoint(1, 0, 0))]))
+@example((ONE_DOWN, [Route(-1, Endpoint(2, 0, 0), Endpoint(3, 0, 0)),
+                     Route(0, Endpoint(3, 0, 0), Endpoint(3, 0, 0))]))
+def test_a_route_row_holds_its_links(case):
+    """route_link_rows refuses a route exactly when its spine does not fit its
+    ToRs or has failed; otherwise the row's ids, in order, are the route's
+    links by the layout formulas, and the route's rate is inf exactly when it
+    crosses no link."""
+    topo, routes = case
+
+    def fits(route):
+        on_spine = route.spine is not None and route.spine >= 0
+        fits_tors = on_spine == (route.src.tor != route.dst.tor)
+        return fits_tors and route.spine not in topo.failed_spines
+
+    accepted = []
+    for route in routes:
+        if fits(route):
+            accepted.append(route)
+            assert route_link_rows(topo, [route]).shape == (1, 4)
+        else:
+            why = "has failed" if route.spine in topo.failed_spines else "does not fit ToRs"
+            with pytest.raises(ValueError, match=f"^route 0: spine {route.spine} {why}"):
+                route_link_rows(topo, [route])
+    if len(accepted) < len(routes):
+        with pytest.raises(ValueError, match="^route "):
+            route_link_rows(topo, routes)
+    rows = route_link_rows(topo, accepted)
+    for route, row in zip(accepted, rows.tolist()):
+        assert [i for i in row if i >= 0] == [layout_id(topo, link) for link in route.links]
+        hops = len(route.links)
+        assert [i >= 0 for i in row] == [hops > 0, hops == 4, hops == 4, hops > 0]
+    rates = waterfill([(str(i), route) for i, route in enumerate(accepted)], topo).rate
+    assert np.isinf(rates).tolist() == [route.links == () for route in accepted]
