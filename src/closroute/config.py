@@ -1,17 +1,23 @@
 """Scenario configuration: JSON schema, validation, and scenario building.
 
 A scenario file describes the fabric, the model catalogue, the jobs, the
-controller, and the experiment knobs (schemes, seeds, failure plan). Every
-validation error names the offending field path.
+controller, and the experiment knobs (schemes, seeds, failure plan). Its
+schema is ``FIELDS``, one row per leaf field, and one walker checks a
+scenario against it: every error reads ``path: message``, with one wording
+per rule. What a row cannot say is checked after the walk: a job's model
+and dp against ``models`` and ``allowed_dp``, the failure total against the
+spines, and the ranges that the fabric, model, hardware and annealing
+constructors check themselves.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
 import random
-from dataclasses import asdict, dataclass, fields
+import sys
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .routing import EXACT_MAX_COMMODITIES, SCHEME_NAMES, AnnealSchedule
 from .sim import ControllerModel, FailurePlan, stable_seed
@@ -30,44 +36,183 @@ class ConfigError(ValueError):
     """Scenario configuration failed validation; message names the field."""
 
 
-DEFAULT_CONFIG: dict = {
-    "scenario_id": "clos32x64",
-    "topology": {
-        "num_spines": 32,
-        "num_tors": 64,
-        "hosts_per_tor": 4,
-        "nics_per_host": 8,
-        "link_capacity_bps": 100e9,
-    },
+REQUIRED = object()  # the default of a field that a scenario must give
+
+
+class Field(NamedTuple):
+    """A leaf of the scenario schema. Its path's "models.*" stands for every
+    model entry and "jobs[*]" for every job. Its kind is "str", "bool",
+    "int", "number" (finite, read as a float), "number or null", "int or
+    'random'", or a "list of" one; a boolean is neither an int nor a number.
+    Its bounds hold each number, or each number of a list: ">= 0", "> 0" and
+    ">= 1"; and a list: "non-empty", "distinct" and "scheme" (every entry a
+    name in ``SCHEME_NAMES``)."""
+
+    path: str
+    kind: str
+    bounds: tuple[str, ...]
+    default: object
+
+
+# the scenario schema, in the order the walker checks it
+FIELDS = [
+    Field("scenario_id", "str", (), "clos32x64"),
+    Field("topology.num_spines", "int", (), 32),
+    Field("topology.num_tors", "int", (), 64),
+    Field("topology.hosts_per_tor", "int", (), 4),
+    Field("topology.nics_per_host", "int", (), 8),
+    Field("topology.link_capacity_bps", "number", (), 100e9),
+    Field("models.*.num_params", "number", (), REQUIRED),
+    Field("models.*.tp", "int", (), REQUIRED),
+    Field("models.*.pp", "int", (), REQUIRED),
+    Field("models.*.bytes_per_param", "int", (), ModelConfig.bytes_per_param),
+    Field("allowed_dp", "list of int", (">= 1", "non-empty"), [2, 4, 8]),
+    Field("jobs[*].model", "str", (), "random"),
+    Field("jobs[*].dp", "int or 'random'", (), "random"),
+    Field("jobs[*].num_iterations", "int", (">= 1",), 10),
+    Field("jobs[*].arrival_time", "number or null", (">= 0",), None),
+    Field("arrival_window_s", "number", ("> 0",), 10.0),
+    Field("controller.reaction_latency_s", "number", (">= 0",), ControllerModel.reaction_latency),
+    Field("controller.elephant_threshold_bytes", "number", (">= 0",),
+          ControllerModel.elephant_threshold),
+    Field("controller.precomputed_failures", "bool", (), ControllerModel.precomputed_failures),
+    Field("controller.ecmp_fallback_start", "bool", (), ControllerModel.ecmp_fallback_start),
+    Field("hardware.peak_flops", "number", (), HardwareModel.peak_flops),
+    Field("hardware.utilization", "number", (), HardwareModel.utilization),
+    Field("hardware.tokens_per_batch", "number", (), HardwareModel.tokens_per_batch),
+    Field("schemes", "list of str", ("scheme", "distinct"), ["greedy", "ecmp"]),
+    Field("seeds", "list of int", ("distinct",), [0]),
+    Field("annealing.initial_temp", "number", (), AnnealSchedule.initial_temp),
+    Field("annealing.cooling_factor", "number", (), AnnealSchedule.cooling_factor),
+    Field("annealing.moves_per_commodity", "int", (), AnnealSchedule.moves_per_commodity),
+    Field("exact_max_commodities", "int", (">= 1",), EXACT_MAX_COMMODITIES),
+    Field("failures.time_s", "number", (">= 0",), 5.0),
+    Field("failures.counts", "list of int", (">= 0",), []),
+    Field("failures.seed", "int", (), 1),
+]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+_KINDS = {
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int": _is_int,
+    "number": _is_number,
+    "number or null": lambda v: v is None or _is_number(v),
+    "int or 'random'": lambda v: v == "random" or _is_int(v),
+}
+_BOUNDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0, ">= 1": lambda v: v >= 1}
+
+
+def distinct(values: list, path: str) -> list:
+    """values, checked to hold an entry and to repeat none, which would rerun its work."""
+    if not values:
+        raise ConfigError(f"{path}: names no entry")
+    for i, value in enumerate(values):
+        if values.index(value) < i:
+            raise ConfigError(f"{path}[{i}]: {value!r} repeats {path}[{values.index(value)}]")
+    return values
+
+
+def _check(value, kind: str, bounds: tuple[str, ...], path: str):
+    """value, checked to be of a field's kind within its bounds, a number read
+    as a float. A list's entries are checked as a value is, under the list's
+    path; the list's own bounds name the entry that breaks them."""
+    if kind.startswith("list of "):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected {kind}, got {type(value).__name__}")
+        value = [_check(v, kind[len("list of "):], bounds, path) for v in value]
+        for bound in bounds:
+            if bound == "non-empty" and not value:
+                raise ConfigError(f"{path}: must not be empty")
+            if bound == "distinct":
+                distinct(value, path)
+            if bound == "scheme":
+                for i, name in enumerate(value):
+                    if name not in SCHEME_NAMES:
+                        raise ConfigError(
+                            f"{path}[{i}]: unknown scheme {name!r}; valid: {list(SCHEME_NAMES)}")
+        return value
+    if not _KINDS[kind](value):
+        raise ConfigError(f"{path}: expected {kind}, got {type(value).__name__}")
+    if not _is_number(value):
+        return value
+    if kind.startswith("number"):
+        # NaN fails the comparison, and so does an int past the float range
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path}: must be finite, got {value}")
+        value = float(value)
+    for bound in bounds:
+        if bound in _BOUNDS and not _BOUNDS[bound](value):
+            raise ConfigError(f"{path}: must be {bound}, got {value}")
+    return value
+
+
+def _tree(fields: list[Field]) -> dict:
+    """The rows as nested dicts of path parts, "*" and "[*]" holding the
+    entries, each row at its leaf."""
+    tree: dict = {}
+    for field in fields:
+        *sections, name = field.path.replace("[*]", ".[*]").split(".")
+        node = tree
+        for part in sections:
+            node = node.setdefault(part, {})
+        node[name] = field
+    return tree
+
+
+_TREE = _tree(FIELDS)
+
+
+def _walk(value, node, path: str):
+    """value checked against node of ``_TREE``: a field; the entries of a
+    non-empty object ("*") or list ("[*]"); or a section, whose unknown keys
+    are errors and whose missing fields take their defaults (a missing
+    section is empty). Returns the checked value as a new object."""
+    if isinstance(node, Field):
+        return _check(value, node.kind, node.bounds, path)
+    if "[*]" in node:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: must be a non-empty list")
+        return [_walk(v, node["[*]"], f"{path}[{i}]") for i, v in enumerate(value)]
+    if "*" in node:
+        if not isinstance(value, dict) or not value:
+            raise ConfigError(f"{path}: must be a non-empty object")
+        return {name: _walk(v, node["*"], f"{path}.{name}") for name, v in value.items()}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: must be an object")
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(value) - set(node))
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown field")
+    checked = {}
+    for key, sub in node.items():
+        given = value.get(key, {} if isinstance(sub, dict) else sub.default)
+        if given is REQUIRED:
+            raise ConfigError(f"{prefix}{key}: missing required field")
+        checked[key] = _walk(given, sub, prefix + key)
+    return checked
+
+
+# every field's default, with the model catalogue and three jobs
+DEFAULT_CONFIG: dict = _walk({
     "models": {
         m.name: {key: value for key, value in asdict(m).items() if key != "name"}
         for m in MODEL_CATALOG.values()
     },
-    "allowed_dp": [2, 4, 8],
     "jobs": [
         {"model": "BLOOM", "dp": 8, "num_iterations": 10},
         {"model": "GPT-3", "dp": 4, "num_iterations": 10},
         {"model": "LLaMA2-70B", "dp": 2, "num_iterations": 10},
     ],
-    "arrival_window_s": 10.0,
-    "controller": {
-        "reaction_latency_s": ControllerModel.reaction_latency,
-        "elephant_threshold_bytes": ControllerModel.elephant_threshold,
-        "precomputed_failures": ControllerModel.precomputed_failures,
-        "ecmp_fallback_start": ControllerModel.ecmp_fallback_start,
-    },
-    "hardware": asdict(HardwareModel()),
-    "schemes": ["greedy", "ecmp"],
-    "seeds": [0],
-    "annealing": asdict(AnnealSchedule()),
-    "exact_max_commodities": EXACT_MAX_COMMODITIES,
-    "failures": {"time_s": 5.0, "counts": [], "seed": 1},
-}
-
-# the fields of a job and their values when omitted
-_JOB_DEFAULTS = {"model": "random", "dp": "random", "num_iterations": 10, "arrival_time": None}
-# the fields of a model entry
-_MODEL_FIELDS = [f.name for f in fields(ModelConfig) if f.name != "name"]
+}, _TREE, "")
 
 
 @dataclass(frozen=True)
@@ -87,49 +232,10 @@ class ScenarioConfig:
     failure_seed: int
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require(mapping: dict, key: str, kind, path: str):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    value = mapping[key]
-    if kind is float and _is_int(value):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
-    # JSON as Python reads it admits NaN and Infinity
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite, got {value}")
-    return value
-
-
-def _object(value, path: str, known) -> dict:
-    """value, checked to be an object whose keys are all in known."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be an object")
-    unknown = sorted(set(value) - set(known))
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}: unknown field")
-    return value
-
-
-def distinct(values: list, path: str) -> list:
-    """values, checked to hold an entry and to repeat none, which would rerun its work."""
-    if not values:
-        raise ConfigError(f"{path}: names no entry")
-    for i, value in enumerate(values):
-        if values.index(value) < i:
-            raise ConfigError(f"{path}[{i}]: {value!r} repeats {path}[{values.index(value)}]")
-    return values
-
-
-def _build(path: str, make, **kwargs):
-    """make(**kwargs), its ValueError a ConfigError naming path. The kwargs are
-    read before the call, so their own errors name their fields alone."""
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError a ConfigError naming path."""
     try:
-        return make(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -152,167 +258,46 @@ def default_config() -> dict:
 def parse_config(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    merged = default_config()
-    for key, value in raw.items():
-        if key not in merged:
-            raise ConfigError(f"{key}: unknown field")
-        if isinstance(merged[key], dict) and key != "models":
-            merged[key].update(_object(value, key, merged[key]))
-        else:
-            merged[key] = value
-
-    scenario_id = merged["scenario_id"]
-    if not isinstance(scenario_id, str):
-        raise ConfigError(f"scenario_id: expected str, got {type(scenario_id).__name__}")
-
-    t = merged["topology"]
-    topo = _build(
-        "topology",
-        build_topology,
-        num_spines=_require(t, "num_spines", int, "topology"),
-        num_tors=_require(t, "num_tors", int, "topology"),
-        hosts_per_tor=_require(t, "hosts_per_tor", int, "topology"),
-        nics_per_host=_require(t, "nics_per_host", int, "topology"),
-        link_capacity=_require(t, "link_capacity_bps", float, "topology"),
-    )
-
-    models: dict[str, ModelConfig] = {}
-    if not isinstance(merged["models"], dict) or not merged["models"]:
-        raise ConfigError("models: must be a non-empty object")
-    for name, m in merged["models"].items():
-        path = f"models.{name}"
-        m = {"bytes_per_param": ModelConfig.bytes_per_param, **_object(m, path, _MODEL_FIELDS)}
-        models[name] = _build(
-            path,
-            ModelConfig,
-            name=name,
-            num_params=_require(m, "num_params", float, path),
-            tp=_require(m, "tp", int, path),
-            pp=_require(m, "pp", int, path),
-            bytes_per_param=_require(m, "bytes_per_param", int, path),
-        )
-
-    allowed_dp = merged["allowed_dp"]
-    if not isinstance(allowed_dp, list) or not all(_is_int(d) and d >= 1 for d in allowed_dp):
-        raise ConfigError("allowed_dp: must be a list of positive integers")
-    if not allowed_dp:
-        raise ConfigError("allowed_dp: must not be empty")
-
-    job_specs = []
-    if not isinstance(merged["jobs"], list) or not merged["jobs"]:
-        raise ConfigError("jobs: must be a non-empty list")
-    for i, js in enumerate(merged["jobs"]):
-        js = {**_JOB_DEFAULTS, **_object(js, f"jobs[{i}]", _JOB_DEFAULTS)}
-        job_specs.append(js)
-        model_name = js["model"]
-        if not isinstance(model_name, str):
-            raise ConfigError(f"jobs[{i}].model: expected a model name or 'random'")
-        if model_name != "random" and model_name not in models:
-            raise ConfigError(f"jobs[{i}].model: unknown model {model_name!r}")
-        dp = js["dp"]
-        if dp != "random":
-            if not _is_int(dp):
-                raise ConfigError(f"jobs[{i}].dp: expected int or 'random'")
-            if dp not in allowed_dp:
-                raise ConfigError(f"jobs[{i}].dp: {dp} not in allowed_dp {allowed_dp}")
-        iters = js["num_iterations"]
-        if not _is_int(iters) or iters < 1:
-            raise ConfigError(f"jobs[{i}].num_iterations: must be a positive integer")
-        arrival = js["arrival_time"]
-        if arrival is not None:
-            if not isinstance(arrival, (int, float)) or isinstance(arrival, bool):
-                raise ConfigError(f"jobs[{i}].arrival_time: must be a number")
-            if not 0 <= arrival < math.inf:
-                raise ConfigError(f"jobs[{i}].arrival_time: must be finite and >= 0")
-
-    window = merged["arrival_window_s"]
-    if isinstance(window, bool) or not isinstance(window, (int, float)) or not 0 < window < math.inf:
-        raise ConfigError("arrival_window_s: must be a positive number")
-
-    c = merged["controller"]
-    latency = _require(c, "reaction_latency_s", float, "controller")
-    threshold = _require(c, "elephant_threshold_bytes", float, "controller")
-    precomputed_failures = _require(c, "precomputed_failures", bool, "controller")
-    ecmp_fallback_start = _require(c, "ecmp_fallback_start", bool, "controller")
-    if latency < 0:
-        raise ConfigError("controller.reaction_latency_s: must be >= 0")
-    if threshold < 0:
-        raise ConfigError("controller.elephant_threshold_bytes: must be >= 0")
-
-    h = merged["hardware"]
-    hardware = _build(
-        "hardware",
-        HardwareModel,
-        peak_flops=_require(h, "peak_flops", float, "hardware"),
-        utilization=_require(h, "utilization", float, "hardware"),
-        tokens_per_batch=_require(h, "tokens_per_batch", float, "hardware"),
-    )
-
-    schemes = merged["schemes"]
-    if not isinstance(schemes, list) or not schemes:
-        raise ConfigError("schemes: must be a non-empty list")
-    for i, s in enumerate(schemes):
-        if s not in SCHEME_NAMES:
-            raise ConfigError(f"schemes[{i}]: unknown scheme {s!r}; valid: {list(SCHEME_NAMES)}")
-    distinct(schemes, "schemes")
-
-    seeds = merged["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
-        raise ConfigError("seeds: must be a non-empty list of integers")
-    distinct(seeds, "seeds")
-
-    a = merged["annealing"]
-    anneal = _build(
-        "annealing",
-        AnnealSchedule,
-        initial_temp=_require(a, "initial_temp", float, "annealing"),
-        cooling_factor=_require(a, "cooling_factor", float, "annealing"),
-        moves_per_commodity=_require(a, "moves_per_commodity", int, "annealing"),
-    )
-
-    exact_max = merged["exact_max_commodities"]
-    if not _is_int(exact_max) or exact_max < 1:
-        raise ConfigError("exact_max_commodities: must be a positive integer")
-
-    f = merged["failures"]
-    failure_time = _require(f, "time_s", float, "failures")
-    if failure_time < 0:
-        raise ConfigError("failures.time_s: must be >= 0")
-    failure_counts = f["counts"]
-    if not isinstance(failure_counts, list) or not all(
-        _is_int(k) and k >= 0 for k in failure_counts
-    ):
-        raise ConfigError("failures.counts: must be a list of non-negative integers")
-    if sum(failure_counts) >= topo.num_spines:
+    c = _walk({**DEFAULT_CONFIG, **raw}, _TREE, "")
+    t = c["topology"]
+    topo = _build("topology", build_topology, t["num_spines"], t["num_tors"], t["hosts_per_tor"],
+                  t["nics_per_host"], t["link_capacity_bps"])
+    models = {name: _build(f"models.{name}", ModelConfig, name=name, **m)
+              for name, m in c["models"].items()}
+    for i, js in enumerate(c["jobs"]):
+        if js["model"] != "random" and js["model"] not in models:
+            raise ConfigError(f"jobs[{i}].model: unknown model {js['model']!r}")
+        if js["dp"] != "random" and js["dp"] not in c["allowed_dp"]:
+            raise ConfigError(f"jobs[{i}].dp: {js['dp']} not in allowed_dp {c['allowed_dp']}")
+    hardware = _build("hardware", HardwareModel, **c["hardware"])
+    anneal = _build("annealing", AnnealSchedule, **c["annealing"])
+    f, ctl = c["failures"], c["controller"]
+    if sum(f["counts"]) >= topo.num_spines:
         raise ConfigError(
-            f"failures.counts: {sum(failure_counts)} failures in total would kill all "
+            f"failures.counts: {sum(f['counts'])} failures in total would kill all "
             f"{topo.num_spines} spines"
         )
-    failure_seed = f["seed"]
-    if not _is_int(failure_seed):
-        raise ConfigError("failures.seed: must be an integer")
-
     return ScenarioConfig(
-        scenario_id=scenario_id,
+        scenario_id=c["scenario_id"],
         topology=topo,
         models=models,
-        allowed_dp=list(allowed_dp),
-        job_specs=job_specs,
-        arrival_window=float(window),
+        allowed_dp=c["allowed_dp"],
+        job_specs=c["jobs"],
+        arrival_window=c["arrival_window_s"],
         controller=ControllerModel(
-            reaction_latency=latency,
-            elephant_threshold=threshold,
-            precomputed_failures=precomputed_failures,
-            ecmp_fallback_start=ecmp_fallback_start,
+            reaction_latency=ctl["reaction_latency_s"],
+            elephant_threshold=ctl["elephant_threshold_bytes"],
+            precomputed_failures=ctl["precomputed_failures"],
+            ecmp_fallback_start=ctl["ecmp_fallback_start"],
             anneal_schedule=anneal,
-            exact_max_commodities=exact_max,
+            exact_max_commodities=c["exact_max_commodities"],
         ),
         hardware=hardware,
-        schemes=list(schemes),
-        seeds=list(seeds),
-        failure_time=failure_time,
-        failure_counts=list(failure_counts),
-        failure_seed=failure_seed,
+        schemes=c["schemes"],
+        seeds=c["seeds"],
+        failure_time=f["time_s"],
+        failure_counts=f["counts"],
+        failure_seed=f["seed"],
     )
 
 

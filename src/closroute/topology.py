@@ -81,8 +81,12 @@ class Route(NamedTuple):
         """The directed links in path order, derived from the endpoints, each
         a (tail, head) pair of tagged nodes: ("nic", t, h, n), ("tor", t) or
         ("spine", s): no link when the endpoints share a host, the two NIC
-        links when they share a ToR, and the four through the spine otherwise."""
+        links when they share a ToR, and the four through the spine otherwise.
+        Raises ValueError, as ``route_link_rows`` does, when the route has a
+        spine (not None, >= 0) and its ToRs are the same, or none and they differ."""
         src, dst = self.src, self.dst
+        if (self.spine is not None and self.spine >= 0) != (src.tor != dst.tor):
+            raise ValueError(f"spine {self.spine} does not fit ToRs {src.tor} -> {dst.tor}")
         if src.tor == dst.tor and src.host == dst.host:
             return ()
         up = (("nic", src.tor, src.host, src.nic), ("tor", src.tor))

@@ -385,27 +385,39 @@ ONE_DOWN = fail_spines(build_topology(2, 4, 1, 1, 100.0), 1, seed=0)  # spine 1 
                      Route(1, Endpoint(0, 0, 0), Endpoint(1, 0, 0))]))
 @example((ONE_DOWN, [Route(-1, Endpoint(2, 0, 0), Endpoint(3, 0, 0)),
                      Route(0, Endpoint(3, 0, 0), Endpoint(3, 0, 0))]))
+# no spine between ToRs, and a spine within one, on a fabric with every spine up
+@example((FIG, [Route(None, Endpoint(0, 0, 0), Endpoint(1, 0, 0)),
+                Route(-1, Endpoint(0, 0, 0), Endpoint(1, 0, 0)),
+                Route(0, Endpoint(0, 0, 0), Endpoint(0, 1, 0))]))
 def test_a_route_row_holds_its_links(case):
     """route_link_rows refuses a route exactly when its spine does not fit its
-    ToRs or has failed; otherwise the row's ids, in order, are the route's
+    ToRs or has failed, and Route.links, which knows no fabric, exactly when
+    the spine does not fit; otherwise the row's ids, in order, are the route's
     links by the layout formulas, and the route's rate is inf exactly when it
     crosses no link."""
     topo, routes = case
 
-    def fits(route):
+    def fits_tors(route):
         on_spine = route.spine is not None and route.spine >= 0
-        fits_tors = on_spine == (route.src.tor != route.dst.tor)
-        return fits_tors and route.spine not in topo.failed_spines
+        return on_spine == (route.src.tor != route.dst.tor)
 
     accepted = []
     for route in routes:
-        if fits(route):
+        misfit = f"spine {route.spine} does not fit ToRs {route.src.tor} -> {route.dst.tor}$"
+        if fits_tors(route):
+            assert len(route.links) in (0, 2, 4)
+        else:
+            with pytest.raises(ValueError, match=f"^{misfit}"):
+                route.links
+        if route.spine in topo.failed_spines:
+            with pytest.raises(ValueError, match=f"^route 0: spine {route.spine} has failed$"):
+                route_link_rows(topo, [route])
+        elif not fits_tors(route):
+            with pytest.raises(ValueError, match=f"^route 0: {misfit}"):
+                route_link_rows(topo, [route])
+        else:
             accepted.append(route)
             assert route_link_rows(topo, [route]).shape == (1, 4)
-        else:
-            why = "has failed" if route.spine in topo.failed_spines else "does not fit ToRs"
-            with pytest.raises(ValueError, match=f"^route 0: spine {route.spine} {why}"):
-                route_link_rows(topo, [route])
     if len(accepted) < len(routes):
         with pytest.raises(ValueError, match="^route "):
             route_link_rows(topo, routes)
