@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import os
 import statistics
 import sys
@@ -30,21 +29,23 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     build_jobs,
+    check_failures,
+    check_value,
+    construct,
     default_config,
-    distinct,
     failure_plan,
     load_config,
     parse_config,
 )
 from .routing import (
     EXACT_MAX_COMMODITIES,
-    SCHEME_NAMES,
     assign_by_scheme,
+    degree_bound,
     edge_color_assign,
     exact_assign,
+    exact_guard,
     greedy_assign,
     max_link_load,
-    max_tor_degree,
     random_commodities,
     random_unit_instance,
 )
@@ -149,24 +150,18 @@ def _write_trace(fh, scenario_id, scheme, seed, log: FlowLog):
 
 
 def _schemes(text: str) -> list[str]:
-    """The scheme names of a comma-separated --schemes flag."""
+    """The scheme names of a comma-separated --schemes flag, checked as ``schemes`` is."""
     names = [s.strip() for s in text.split(",") if s.strip()]
-    for s in names:
-        if s not in SCHEME_NAMES:
-            raise ConfigError(f"--schemes: unknown scheme {s!r}; valid: {list(SCHEME_NAMES)}")
-    return distinct(names, "--schemes")
+    return check_value(names, "list of str", ("scheme", "distinct"), "--schemes")
 
 
-def _counts(text: str, flag: str) -> list[int]:
-    """The distinct non-negative integers of a comma-separated flag, which names at least one."""
+def _counts(text: str) -> list[int]:
+    """The distinct non-negative integers of a comma-separated --counts flag, at least one."""
     try:
         counts = [int(item) for item in text.split(",") if item.strip()]
     except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-    for count in counts:
-        if count < 0:
-            raise ConfigError(f"{flag}: counts must be >= 0, got {count}")
-    return distinct(counts, flag)
+        raise ConfigError(f"--counts: {exc}") from None
+    return check_value(counts, "list of int", (">= 0", "distinct"), "--counts")
 
 
 def _load(args) -> ScenarioConfig:
@@ -174,9 +169,9 @@ def _load(args) -> ScenarioConfig:
         config = load_config(args.config)
     else:
         config = parse_config(default_config())
-    if getattr(args, "schemes", None):
+    if args.schemes:
         config = replace(config, schemes=_schemes(args.schemes))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, seeds=[args.seed])
     return config
 
@@ -259,15 +254,13 @@ def _write_summary(out_path: str, rows: list[tuple]):
 
 def cmd_validate(args) -> int:
     for flag, value, least in (
-        ("--max-tors", args.max_tors, 2),
-        ("--max-spines", args.max_spines, 1),
-        ("--max-commodities", args.max_commodities, 1),
-        ("--instances", args.instances, 1),
+        ("--max-tors", args.max_tors, ">= 2"),
+        ("--max-spines", args.max_spines, ">= 1"),
+        ("--max-commodities", args.max_commodities, ">= 1"),
+        ("--instances", args.instances, ">= 1"),
     ):
-        if value < least:
-            raise ConfigError(f"{flag}: must be >= {least}, got {value}")
-    instances = args.instances
-    seed = args.seed if args.seed is not None else 0
+        check_value(value, "int", (least,), flag)
+    instances, seed = args.instances, args.seed
     worst_ratio = 0.0
     violations = 0
     coloring_mismatches = 0
@@ -284,7 +277,7 @@ def cmd_validate(args) -> int:
             exact_assign(batch, topo, max_commodities=args.max_commodities), topo
         )
         coloring_load = max_link_load(edge_color_assign(batch, topo), topo)
-        bound = math.ceil(max_tor_degree(batch.kinds) / len(topo.live_spines))
+        bound = degree_bound(batch.kinds, topo)
         ratio = greedy_load / exact_load
         worst_ratio = max(worst_ratio, ratio)
         if greedy_load > 2 * exact_load:
@@ -334,22 +327,17 @@ def measure_scheme_runtime(
 
 
 def cmd_bench(args) -> int:
-    counts = _counts(args.counts, "--counts")
+    counts = _counts(args.counts)
     schemes = (
         _schemes(args.schemes) if args.schemes else ["greedy", "ecmp", "edge_coloring", "annealing"]
     )
-    if "exact" in schemes:
+    if "exact" in schemes:  # every commodity that random_commodities draws is inter-ToR
         for count in counts:
-            if count > EXACT_MAX_COMMODITIES:
-                raise ConfigError(
-                    f"--counts: {count} commodities exceed the exact-solver guard of "
-                    f"{EXACT_MAX_COMMODITIES}"
-                )
-    seed = args.seed if args.seed is not None else 0
+            construct("--counts", exact_guard, count, EXACT_MAX_COMMODITIES)
     topo = parse_config(default_config()).topology
     rows = []
     for scheme in schemes:
-        for count, median in measure_scheme_runtime(scheme, counts, topo, seed):
+        for count, median in measure_scheme_runtime(scheme, counts, topo, args.seed):
             rows.append((scheme, count, median))
             print(f"{scheme:14s} n={count:<6d} median {median * 1e3:.3f} ms")
     _write_csv(args.out, ("scheme", "count", "median_s"), rows)
@@ -358,12 +346,9 @@ def cmd_bench(args) -> int:
 
 def cmd_failsweep(args) -> int:
     config = _load(args)
-    counts = _counts(args.counts, "--counts")
+    counts = _counts(args.counts)
     for k in counts:
-        if k >= config.topology.num_spines:
-            raise ConfigError(
-                f"--counts: {k} failures would kill all {config.topology.num_spines} spines"
-            )
+        check_failures([k], config.topology, "--counts")
     _simulate(args, config, [(f"{config.scenario_id}:k{k}", [k]) for k in counts])
     return 0
 
@@ -376,12 +361,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="simulate the scenario for every scheme x seed")
-    p_run.add_argument("--config", help="scenario JSON (defaults to the built-in scenario)")
-    p_run.add_argument("--out", required=True, help="result CSV path")
-    p_run.add_argument("--seed", type=int, help="override the config's seed list")
-    p_run.add_argument("--schemes", help="comma-separated scheme override")
-    p_run.add_argument("--trace", action="store_true", help="also write a per-flow CSV")
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--config", help="scenario JSON (defaults to the built-in scenario)")
+    run_flags.add_argument("--out", required=True, help="result CSV path")
+    run_flags.add_argument("--seed", type=int, help="override the config's seed list")
+    run_flags.add_argument("--schemes", help="comma-separated scheme override")
+    run_flags.add_argument("--trace", action="store_true", help="also write a per-flow CSV")
+
+    p_run = sub.add_parser("run", parents=[run_flags],
+                           help="simulate the scenario for every scheme x seed")
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="compare greedy to the exact optimum")
@@ -400,13 +388,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(func=cmd_bench)
 
-    p_fail = sub.add_parser("failsweep", help="re-run the scenario under spine failures")
-    p_fail.add_argument("--config")
-    p_fail.add_argument("--out", required=True)
-    p_fail.add_argument("--seed", type=int)
-    p_fail.add_argument("--schemes")
+    p_fail = sub.add_parser("failsweep", parents=[run_flags],
+                            help="re-run the scenario under spine failures")
     p_fail.add_argument("--counts", default="1,4,8", help="failure counts, comma separated")
-    p_fail.add_argument("--trace", action="store_true")
     p_fail.set_defaults(func=cmd_failsweep)
 
     return parser
@@ -417,6 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out and not os.path.isdir(out_dir := os.path.dirname(os.path.abspath(args.out))):
             raise ConfigError(f"--out: directory '{out_dir}' does not exist")
+        if args.out and os.path.isdir(args.out):
+            raise ConfigError(f"--out: '{args.out}' is a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,7 +7,8 @@ scenario against it: every error reads ``path: message``, with one wording
 per rule. What a row cannot say is checked after the walk: a job's model
 and dp against ``models`` and ``allowed_dp``, the failure total against the
 spines, and the ranges that the fabric, model, hardware and annealing
-constructors check themselves.
+constructors check themselves. The CLI checks its flags by the same rules:
+``check_value``, ``check_failures`` and ``construct``.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class Field(NamedTuple):
     model entry and "jobs[*]" for every job. Its kind is "str", "bool",
     "int", "number" (finite, read as a float), "number or null", "int or
     'random'", or a "list of" one; a boolean is neither an int nor a number.
-    Its bounds hold each number, or each number of a list: ">= 0", "> 0" and
-    ">= 1"; and a list: "non-empty", "distinct" and "scheme" (every entry a
-    name in ``SCHEME_NAMES``)."""
+    Its bounds hold each number, or each number of a list: ">= 0", "> 0",
+    ">= 1" and ">= 2"; and a list: "non-empty", "distinct" and "scheme"
+    (every entry a name in ``SCHEME_NAMES``)."""
 
     path: str
     kind: str
@@ -108,32 +109,27 @@ _KINDS = {
     "number or null": lambda v: v is None or _is_number(v),
     "int or 'random'": lambda v: v == "random" or _is_int(v),
 }
-_BOUNDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0, ">= 1": lambda v: v >= 1}
+_BOUNDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0, ">= 1": lambda v: v >= 1,
+           ">= 2": lambda v: v >= 2}
 
 
-def distinct(values: list, path: str) -> list:
-    """values, checked to hold an entry and to repeat none, which would rerun its work."""
-    if not values:
-        raise ConfigError(f"{path}: names no entry")
-    for i, value in enumerate(values):
-        if values.index(value) < i:
-            raise ConfigError(f"{path}[{i}]: {value!r} repeats {path}[{values.index(value)}]")
-    return values
-
-
-def _check(value, kind: str, bounds: tuple[str, ...], path: str):
+def check_value(value, kind: str, bounds: tuple[str, ...], path: str):
     """value, checked to be of a field's kind within its bounds, a number read
     as a float. A list's entries are checked as a value is, under the list's
     path; the list's own bounds name the entry that breaks them."""
     if kind.startswith("list of "):
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected {kind}, got {type(value).__name__}")
-        value = [_check(v, kind[len("list of "):], bounds, path) for v in value]
+        value = [check_value(v, kind[len("list of "):], bounds, path) for v in value]
         for bound in bounds:
             if bound == "non-empty" and not value:
                 raise ConfigError(f"{path}: must not be empty")
-            if bound == "distinct":
-                distinct(value, path)
+            if bound == "distinct":  # no entry, or one twice, would skip or rerun its work
+                if not value:
+                    raise ConfigError(f"{path}: names no entry")
+                for i, v in enumerate(value):
+                    if value.index(v) < i:
+                        raise ConfigError(f"{path}[{i}]: {v!r} repeats {path}[{value.index(v)}]")
             if bound == "scheme":
                 for i, name in enumerate(value):
                     if name not in SCHEME_NAMES:
@@ -177,7 +173,7 @@ def _walk(value, node, path: str):
     are errors and whose missing fields take their defaults (a missing
     section is empty). Returns the checked value as a new object."""
     if isinstance(node, Field):
-        return _check(value, node.kind, node.bounds, path)
+        return check_value(value, node.kind, node.bounds, path)
     if "[*]" in node:
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path}: must be a non-empty list")
@@ -232,12 +228,20 @@ class ScenarioConfig:
     failure_seed: int
 
 
-def _build(path: str, make, *args, **kwargs):
+def construct(path: str, make, *args, **kwargs):
     """make(*args, **kwargs), its ValueError a ConfigError naming path."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def check_failures(counts: list[int], topo: ClosTopology, path: str):
+    """counts, checked to leave a spine of topo alive once all of them have failed."""
+    if sum(counts) >= topo.num_spines:
+        raise ConfigError(
+            f"{path}: {sum(counts)} failures in total would kill all {topo.num_spines} spines"
+        )
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -260,23 +264,19 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("config root must be an object")
     c = _walk({**DEFAULT_CONFIG, **raw}, _TREE, "")
     t = c["topology"]
-    topo = _build("topology", build_topology, t["num_spines"], t["num_tors"], t["hosts_per_tor"],
-                  t["nics_per_host"], t["link_capacity_bps"])
-    models = {name: _build(f"models.{name}", ModelConfig, name=name, **m)
+    topo = construct("topology", build_topology, t["num_spines"], t["num_tors"],
+                     t["hosts_per_tor"], t["nics_per_host"], t["link_capacity_bps"])
+    models = {name: construct(f"models.{name}", ModelConfig, name=name, **m)
               for name, m in c["models"].items()}
     for i, js in enumerate(c["jobs"]):
         if js["model"] != "random" and js["model"] not in models:
             raise ConfigError(f"jobs[{i}].model: unknown model {js['model']!r}")
         if js["dp"] != "random" and js["dp"] not in c["allowed_dp"]:
             raise ConfigError(f"jobs[{i}].dp: {js['dp']} not in allowed_dp {c['allowed_dp']}")
-    hardware = _build("hardware", HardwareModel, **c["hardware"])
-    anneal = _build("annealing", AnnealSchedule, **c["annealing"])
+    hardware = construct("hardware", HardwareModel, **c["hardware"])
+    anneal = construct("annealing", AnnealSchedule, **c["annealing"])
     f, ctl = c["failures"], c["controller"]
-    if sum(f["counts"]) >= topo.num_spines:
-        raise ConfigError(
-            f"failures.counts: {sum(f['counts'])} failures in total would kill all "
-            f"{topo.num_spines} spines"
-        )
+    check_failures(f["counts"], topo, "failures.counts")
     return ScenarioConfig(
         scenario_id=c["scenario_id"],
         topology=topo,

@@ -77,7 +77,7 @@ class AnnealSchedule:
     moves_per_commodity: int = 100
 
     def __post_init__(self):
-        if self.initial_temp <= 0 or self.moves_per_commodity < 0:
+        if not (self.initial_temp > 0 and self.moves_per_commodity >= 0):
             raise ValueError("annealing schedule parameters must be positive")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must be in (0, 1)")
@@ -90,11 +90,16 @@ def max_link_load(choice: PathChoice, topo: ClosTopology) -> int:
 
 def max_tor_degree(kinds: Classified) -> int:
     """Most inter-ToR commodities leaving or entering one ToR: the max degree
-    of the ToR-to-ToR demand multigraph. Every assignment puts at least
-    ceil(degree / live spines) of them on some spine link."""
+    of the ToR-to-ToR demand multigraph."""
     inter = kinds.inter
     ends = (kinds.src_tor[inter], kinds.dst_tor[inter])
     return max(int(np.bincount(tors, minlength=1).max()) for tors in ends)
+
+
+def degree_bound(kinds: Classified, topo: ClosTopology) -> int:
+    """ceil(max ToR degree / live spines): every assignment puts at least this
+    many inter-ToR commodities on some spine link, and edge coloring no more."""
+    return -(-max_tor_degree(kinds) // len(topo.live_spines))
 
 
 def greedy_assign(commodities: CommodityInput, topo: ClosTopology,
@@ -432,13 +437,17 @@ def exact_assign(
     exponential in the worst case.
     """
     batch = classify(topo, commodities)
-    n = int(batch.kinds.inter.sum())
+    exact_guard(int(batch.kinds.inter.sum()), max_commodities)
+    return build_routes(batch, _spines(_exact_spines, batch.kinds, topo, memo))
+
+
+def exact_guard(n: int, max_commodities: int):
+    """Refuse an exact search over n inter-ToR commodities above the guard."""
     if n > max_commodities:
         raise ValueError(
             f"{n} inter-ToR commodities exceed the exact-solver guard "
             f"exact_max_commodities = {max_commodities}"
         )
-    return build_routes(batch, _spines(_exact_spines, batch.kinds, topo, memo))
 
 
 def _exact_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
@@ -447,7 +456,7 @@ def _exact_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
     inter = kinds.inter
     src_tor, dst_tor = kinds.src_tor[inter].tolist(), kinds.dst_tor[inter].tolist()
     n = len(src_tor)
-    bound = -(-max_tor_degree(kinds) // len(live))
+    bound = degree_bound(kinds, topo)
     loads = [0] * topo.num_links  # by link id; only ToR<->spine links are used
     chosen: list[int] = []
 

@@ -138,7 +138,7 @@ class ClosTopology:
                             ("nics_per_host", 1)):
             if not least <= getattr(self, name) <= _PART:
                 raise ValueError(f"{name} must be in [{least}, 2**20], got {getattr(self, name)}")
-        if self.link_capacity <= 0:
+        if not self.link_capacity > 0:
             raise ValueError(f"link_capacity must be > 0, got {self.link_capacity}")
         bad = [s for s in self.failed_spines if not 0 <= s < self.num_spines]
         if bad:

@@ -27,11 +27,11 @@ class ModelConfig:
     bytes_per_param: int = 4
 
     def __post_init__(self):
-        if self.num_params <= 0:
+        if not self.num_params > 0:
             raise ValueError("num_params must be positive")
-        if self.tp < 1 or self.pp < 1:
+        if not (self.tp >= 1 and self.pp >= 1):
             raise ValueError("tp and pp must be >= 1")
-        if self.bytes_per_param <= 0:
+        if not self.bytes_per_param > 0:
             raise ValueError("bytes_per_param must be positive")
 
     @property
@@ -57,8 +57,10 @@ class HardwareModel:
     tokens_per_batch: float = 2e6
 
     def __post_init__(self):
-        if self.peak_flops <= 0 or self.utilization <= 0 or self.tokens_per_batch <= 0:
+        if not (self.peak_flops > 0 and self.tokens_per_batch > 0):
             raise ValueError("hardware parameters must be positive")
+        if not 0 < self.utilization <= 1:
+            raise ValueError(f"utilization must be in (0, 1], got {self.utilization}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class CommoditySpec(_Commodity):
     __slots__ = ()
 
     def __new__(cls, id: str, job_id: str, src: Endpoint, dst: Endpoint, volume: int):
-        if volume <= 0:
+        if not volume > 0:
             raise ValueError("volume must be positive")
         if src == dst:
             raise ValueError("src and dst must differ")
@@ -214,7 +216,7 @@ def compute_phase_duration(job: Job, hw: HardwareModel) -> float:
 
 def arrival_schedule(num_jobs: int, window: float, seed: int) -> list[float]:
     """num_jobs i.i.d. uniform draws over [0, window), sorted ascending."""
-    if window <= 0:
+    if not window > 0:
         raise ValueError("window must be positive")
     rng = random.Random(seed)
     return sorted(rng.random() * window for _ in range(num_jobs))

@@ -144,6 +144,7 @@ BAD_VALUES = [
     ({"controller": {"elephant_threshold_bytes": -1.0}}, "controller.elephant_threshold_bytes"),
     ({"topology": {"link_capacity_bps": math.nan}}, "topology.link_capacity_bps"),
     ({"hardware": {"peak_flops": math.inf}}, "hardware.peak_flops"),
+    ({"hardware": {"utilization": 7.5}}, "hardware"),  # more than the GPUs' peak rate
     ({"arrival_window_s": math.nan}, "arrival_window_s"),
     ({"failures": {"time_s": -1.0}}, "failures.time_s"),
     ({"failures": {"time_s": math.nan}}, "failures.time_s"),
@@ -418,7 +419,7 @@ def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
         (["run", "--schemes", ","], "--schemes: names no entry"),
         (["run", "--schemes", "greedy,greedy"], "--schemes[1]: 'greedy' repeats --schemes[0]"),
         (["run", "--schemes", "greedy,spray"],
-         "--schemes: unknown scheme 'spray'; valid: "
+         "--schemes[1]: unknown scheme 'spray'; valid: "
          "['greedy', 'ecmp', 'edge_coloring', 'annealing', 'exact']"),
         (["failsweep", "--schemes", "ecmp, ,ecmp"], "--schemes[1]: 'ecmp' repeats --schemes[0]"),
         (["failsweep", "--counts", ","], "--counts: names no entry"),
@@ -426,13 +427,22 @@ def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
         (["bench", "--counts", " , "], "--counts: names no entry"),
         (["bench", "--counts", "10,10"], "--counts[1]: 10 repeats --counts[0]"),
         (["bench", "--schemes", ","], "--schemes: names no entry"),
+        (["bench", "--counts", "10,-1"], "--counts: must be >= 0, got -1"),
+        (["failsweep", "--counts", "1,-1"], "--counts: must be >= 0, got -1"),
+        # SMALL_CONFIG has 4 spines
+        (["failsweep", "--counts", "1,4"],
+         "--counts: 4 failures in total would kill all 4 spines"),
+        (["bench", "--schemes", "greedy,exact", "--counts", "10,100"],
+         "--counts: 100 inter-ToR commodities exceed the exact-solver guard "
+         "exact_max_commodities = 16"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_empty_or_repeated_list_flag_is_config_error(argv, message, small_config, tmp_path,
                                                      capsys):
     """A list flag that names nothing, or one entry twice, would write no rows
-    or the same rows again; one that names an unknown scheme could run none."""
+    or the same rows again; one that names an unknown scheme could run none.
+    A count is refused by the rule its scenario field or scheme states."""
     out = tmp_path / "x.csv"
     config = [] if argv[0] == "bench" else ["--config", small_config]
     assert main(argv + config + ["--out", str(out)]) == 2
@@ -458,6 +468,8 @@ def test_bench_rejects_counts_above_the_exact_guard_before_timing(tmp_path, caps
 )
 def test_out_in_a_missing_directory_exits_2_before_any_work(argv, small_config, tmp_path,
                                                             monkeypatch, capsys):
+    """An --out in a missing directory, or one that is a directory, which the
+    final rename into place would fail on."""
     calls = []
     monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: calls.append(a))
     if argv[0] in ("run", "failsweep"):
@@ -469,6 +481,15 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(argv, small_config, 
     assert f"'{missing}' does not exist" in captured.err
     assert captured.out == "" and calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert main(argv + ["--out", str(folder)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --out: '{folder}' is a directory\n"
+    assert captured.out == "" and calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "scenario.json"]
+    assert list(folder.iterdir()) == []
 
 
 # SHA-256 of the files two traced commands write on the small scenario. They

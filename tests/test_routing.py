@@ -370,6 +370,14 @@ def test_coloring_always_hits_degree_bound_on_random_instances():
 # -- annealing ----------------------------------------------------------------
 
 
+def test_anneal_schedule_rejects_parameters_no_search_can_use():
+    for bad in ({"initial_temp": 0.0}, {"initial_temp": math.nan}, {"moves_per_commodity": -1},
+                {"moves_per_commodity": math.nan}, {"cooling_factor": 1.0},
+                {"cooling_factor": math.nan}):
+        with pytest.raises(ValueError):
+            AnnealSchedule(**bad)
+
+
 def test_anneal_zero_moves_is_ecmp(fig_topo, fig_commodities):
     schedule = AnnealSchedule(moves_per_commodity=0)
     assert anneal_assign(fig_commodities, fig_topo, schedule, seed=3) == ecmp_assign(

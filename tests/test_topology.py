@@ -61,6 +61,7 @@ def test_build_example_and_minimal_fabrics():
         (2, 4, 1, 0, 1.0),
         (2, 4, 1, 1, 0.0),
         (2, 4, 1, 1, -5.0),
+        (2, 4, 1, 1, float("nan")),
     ],
 )
 def test_build_rejects_bad_sizes(args):

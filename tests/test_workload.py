@@ -204,6 +204,21 @@ def test_compute_duration_rejects_bad_hardware():
         HardwareModel(peak_flops=0)
     with pytest.raises(ValueError):
         HardwareModel(utilization=-0.1)
+    for bad in ({"peak_flops": math.nan}, {"tokens_per_batch": math.nan},
+                {"utilization": math.nan}):
+        with pytest.raises(ValueError):
+            HardwareModel(**bad)
+    assert HardwareModel(utilization=1.0).utilization == 1.0
+    # a utilization above 1 would compute faster than the GPUs' peak rate
+    with pytest.raises(ValueError, match=r"^utilization must be in \(0, 1\], got 7.5$"):
+        HardwareModel(utilization=7.5)
+
+
+def test_model_config_rejects_sizes_no_model_has():
+    for args in ((0, 1, 1), (math.nan, 1, 1), (1e9, 0, 1), (1e9, 1, 0), (1e9, 1, math.nan),
+                 (1e9, 1, 1, 0), (1e9, 1, 1, math.nan)):
+        with pytest.raises(ValueError):
+            ModelConfig("x", *args)
 
 
 def test_arrival_schedule_contract():
@@ -212,8 +227,9 @@ def test_arrival_schedule_contract():
     assert times == sorted(times)
     assert all(0.0 <= t < 10.0 for t in times)
     assert len(arrival_schedule(1, 10.0, seed=0)) == 1
-    with pytest.raises(ValueError):
-        arrival_schedule(3, 0.0, seed=0)
+    for window in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            arrival_schedule(3, window, seed=0)
 
 
 def test_commodity_is_a_checked_tuple_that_make_does_not_check():
@@ -226,7 +242,7 @@ def test_commodity_is_a_checked_tuple_that_make_does_not_check():
         "dst=Endpoint(tor=1, host=0, nic=0), volume=8)"
     )
     assert CommoditySpec(id="c", job_id="j", src=src, dst=dst, volume=8) == c
-    for ends, volume in (((src, dst), 0), ((src, src), 8)):
+    for ends, volume in (((src, dst), 0), ((src, dst), math.nan), ((src, src), 8)):
         with pytest.raises(ValueError):
             CommoditySpec("c", "j", *ends, volume)
     unchecked = CommoditySpec._make(("c", "j", src, src, 0))
