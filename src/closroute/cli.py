@@ -39,6 +39,7 @@ from .config import (
 )
 from .routing import (
     EXACT_MAX_COMMODITIES,
+    SCHEME_NAMES,
     assign_by_scheme,
     degree_bound,
     edge_color_assign,
@@ -206,7 +207,7 @@ def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]])
         for seed, jobs in jobs_by_seed.items():
             _check_exact_guard(config, jobs, templates_by_seed[seed])
     rows = []
-    with _atomic_open(_suffixed(args.out, ".trace.csv")) if args.trace else nullcontext() as trace:
+    with _atomic_open(_outputs(args)["trace"]) if args.trace else nullcontext() as trace:
         if trace:
             csv.writer(trace, lineterminator="\n").writerow(TRACE_COLUMNS)
         for scenario_id, counts in levels:
@@ -230,16 +231,22 @@ def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]])
 def cmd_run(args) -> int:
     config = _load(args)
     rows = _simulate(args, config, [(config.scenario_id, config.failure_counts)])
-    _write_summary(args.out, rows)
+    _write_summary(_outputs(args)["summary"], rows)
     return 0
 
 
-def _suffixed(path: str, suffix: str) -> str:
-    root, _ = os.path.splitext(path)
-    return root + suffix
+def _outputs(args) -> dict[str, str]:
+    """The files a command writes: --out and, named after it, the --trace file and run's summary."""
+    root, _ = os.path.splitext(args.out)
+    outputs = {"out": args.out}
+    if getattr(args, "trace", False):
+        outputs["trace"] = root + ".trace.csv"
+    if args.command == "run":
+        outputs["summary"] = root + ".summary.txt"
+    return outputs
 
 
-def _write_summary(out_path: str, rows: list[tuple]):
+def _write_summary(path: str, rows: list[tuple]):
     lines = ["per-scheme means", ""]
     by_scheme_metric: dict[tuple[str, str], list[float]] = {}
     for _, scheme, job, metric, value, _ in rows:
@@ -248,7 +255,7 @@ def _write_summary(out_path: str, rows: list[tuple]):
         by_scheme_metric.setdefault((scheme, metric), []).append(value)
     for (scheme, metric), values in sorted(by_scheme_metric.items()):
         lines.append(f"{scheme:14s} {metric:22s} {_mean(values):.6g}")
-    with _atomic_open(_suffixed(out_path, ".summary.txt")) as fh:
+    with _atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -328,9 +335,8 @@ def measure_scheme_runtime(
 
 def cmd_bench(args) -> int:
     counts = _counts(args.counts)
-    schemes = (
-        _schemes(args.schemes) if args.schemes else ["greedy", "ecmp", "edge_coloring", "annealing"]
-    )
+    # by default every scheme but exact, whose guard the default counts exceed
+    schemes = _schemes(args.schemes) if args.schemes else [s for s in SCHEME_NAMES if s != "exact"]
     if "exact" in schemes:  # every commodity that random_commodities draws is inter-ToR
         for count in counts:
             construct("--counts", exact_guard, count, EXACT_MAX_COMMODITIES)
@@ -401,8 +407,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.out and not os.path.isdir(out_dir := os.path.dirname(os.path.abspath(args.out))):
             raise ConfigError(f"--out: directory '{out_dir}' does not exist")
-        if args.out and os.path.isdir(args.out):
-            raise ConfigError(f"--out: '{args.out}' is a directory")
+        if args.out and (dirs := [p for p in _outputs(args).values() if os.path.isdir(p)]):
+            raise ConfigError(f"--out: '{dirs[0]}' is a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

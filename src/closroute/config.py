@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .routing import EXACT_MAX_COMMODITIES, SCHEME_NAMES, AnnealSchedule
+from .routing import EXACT_MAX_COMMODITIES, AnnealSchedule, check_scheme
 from .sim import ControllerModel, FailurePlan, stable_seed
 from .topology import ClosTopology, build_topology
 from .workload import (
@@ -47,7 +47,7 @@ class Field(NamedTuple):
     'random'", or a "list of" one; a boolean is neither an int nor a number.
     Its bounds hold each number, or each number of a list: ">= 0", "> 0",
     ">= 1" and ">= 2"; and a list: "non-empty", "distinct" and "scheme"
-    (every entry a name in ``SCHEME_NAMES``)."""
+    (every entry passes ``routing.check_scheme``)."""
 
     path: str
     kind: str
@@ -113,6 +113,14 @@ _BOUNDS = {">= 0": lambda v: v >= 0, "> 0": lambda v: v > 0, ">= 1": lambda v: v
            ">= 2": lambda v: v >= 2}
 
 
+def construct(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError a ConfigError naming path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def check_value(value, kind: str, bounds: tuple[str, ...], path: str):
     """value, checked to be of a field's kind within its bounds, a number read
     as a float. A list's entries are checked as a value is, under the list's
@@ -132,9 +140,7 @@ def check_value(value, kind: str, bounds: tuple[str, ...], path: str):
                         raise ConfigError(f"{path}[{i}]: {v!r} repeats {path}[{value.index(v)}]")
             if bound == "scheme":
                 for i, name in enumerate(value):
-                    if name not in SCHEME_NAMES:
-                        raise ConfigError(
-                            f"{path}[{i}]: unknown scheme {name!r}; valid: {list(SCHEME_NAMES)}")
+                    construct(f"{path}[{i}]", check_scheme, name)
         return value
     if not _KINDS[kind](value):
         raise ConfigError(f"{path}: expected {kind}, got {type(value).__name__}")
@@ -226,14 +232,6 @@ class ScenarioConfig:
     failure_time: float
     failure_counts: list[int]
     failure_seed: int
-
-
-def construct(path: str, make, *args, **kwargs):
-    """make(*args, **kwargs), its ValueError a ConfigError naming path."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def check_failures(counts: list[int], topo: ClosTopology, path: str):

@@ -83,6 +83,12 @@ class AnnealSchedule:
             raise ValueError("cooling_factor must be in (0, 1)")
 
 
+def check_scheme(name: str):
+    """Refuse a name that is not in ``SCHEME_NAMES``."""
+    if name not in SCHEME_NAMES:
+        raise ValueError(f"unknown scheme {name!r}; valid: {list(SCHEME_NAMES)}")
+
+
 def max_link_load(choice: PathChoice, topo: ClosTopology) -> int:
     """Maximum commodity count on any link that touches a spine."""
     return max_spine_link_load(topo, choice.link_rows(topo))
@@ -324,11 +330,11 @@ def _color_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
 
 
 class _LoadTracker:
-    """Loads by link id with O(1) amortized max and sum-of-squares maintenance."""
+    """Loads by link id, their max and sum of squares kept in O(1) per bump of +1 or -1."""
 
     def __init__(self, num_links: int):
         self.loads = [0] * num_links
-        self.hist: dict[int, int] = {}
+        self.hist = {0: num_links}  # links by load
         self.max_load = 0
         self.sum_sq = 0
 
@@ -337,15 +343,11 @@ class _LoadTracker:
         new = old + delta
         self.loads[link] = new
         self.sum_sq += new * new - old * old
-        if old > 0:
-            self.hist[old] -= 1
-        if new > 0:
-            self.hist[new] = self.hist.get(new, 0) + 1
-        if new > self.max_load:
+        self.hist[old] -= 1
+        self.hist[new] = self.hist.get(new, 0) + 1
+        # a bump moves a load by 1, so a link that leaves the max alone holds the new max
+        if new > self.max_load or old == self.max_load and not self.hist[old]:
             self.max_load = new
-        elif old == self.max_load and self.hist.get(old, 0) == 0:
-            while self.max_load > 0 and self.hist.get(self.max_load, 0) == 0:
-                self.max_load -= 1
 
 
 def anneal_assign(
@@ -491,8 +493,9 @@ def assign_by_scheme(
     exact_max_commodities: int = EXACT_MAX_COMMODITIES,
     memo: dict | None = None,
 ) -> PathChoice:
-    """Dispatch to a scheme by name; see SCHEME_NAMES for the valid set. The
-    memo goes to the schemes that read no id: greedy, edge_coloring and exact."""
+    """Dispatch to a scheme by name, checked before the input is read. The memo
+    goes to the schemes that read no id: greedy, edge_coloring and exact."""
+    check_scheme(scheme)
     if scheme == "greedy":
         return greedy_assign(commodities, topo, memo=memo)
     if scheme == "ecmp":
@@ -501,9 +504,7 @@ def assign_by_scheme(
         return edge_color_assign(commodities, topo, memo=memo)
     if scheme == "annealing":
         return anneal_assign(commodities, topo, anneal_schedule, seed)
-    if scheme == "exact":
-        return exact_assign(commodities, topo, exact_max_commodities, memo=memo)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEME_NAMES}")
+    return exact_assign(commodities, topo, exact_max_commodities, memo=memo)
 
 
 def unit_commodities_for_pairs(

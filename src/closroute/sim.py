@@ -139,7 +139,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rates import LinkRows, waterfill
-from .routing import EXACT_MAX_COMMODITIES, SCHEME_NAMES, AnnealSchedule, assign_by_scheme
+from .routing import EXACT_MAX_COMMODITIES, AnnealSchedule, assign_by_scheme, check_scheme
 from .routing import ecmp_assign, max_link_load  # noqa: F401 - sim.max_link_load, for tracing
 from .topology import (
     Classified,
@@ -250,8 +250,7 @@ class ControllerModel:
     exact_max_commodities: int = EXACT_MAX_COMMODITIES
 
     def __post_init__(self):
-        if self.scheme not in SCHEME_NAMES:
-            raise ValueError(f"scheme: {self.scheme!r} is not one of {SCHEME_NAMES}")
+        check_scheme(self.scheme)
         if not (0 <= self.reaction_latency < math.inf and 0 <= self.elephant_threshold < math.inf):
             raise ValueError("latency and threshold must be finite and >= 0")
         if not self.exact_max_commodities >= 1:

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from closroute import cli, sim
+from closroute import cli, routing, sim
 from closroute.cli import main
 from closroute.config import ConfigError, build_jobs, default_config, failure_plan, parse_config
-from closroute.sim import DEFAULT_PORT_BASE, run_scenario
+from closroute.sim import DEFAULT_PORT_BASE, ControllerModel, run_scenario
 from closroute.workload import build_rings, ring_allreduce_commodities
 
 # a scenario small enough for quick end-to-end runs
@@ -132,6 +132,35 @@ def test_unknown_scheme_is_config_error(small_config, tmp_path, capsys):
     assert code == 2
     assert "schemes[1]" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("where", ["schemes", "--schemes", "ControllerModel", "assign_by_scheme"])
+def test_an_unknown_scheme_reads_the_same_everywhere(where, small_config, tmp_path, capsys):
+    """The scenario, the flag, the controller and the dispatcher refuse a
+    scheme name by one rule, in one wording after their path prefix. The
+    dispatcher checks the name before it reads its commodities, so it refuses
+    it even when they are not an input it could read."""
+    out = tmp_path / "x.csv"
+    if where == "schemes":
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, "schemes": ["greedy", "spray"]}))
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        prefix, text = "config error: schemes[1]: ", capsys.readouterr().err[:-1]
+    elif where == "--schemes":
+        argv = ["run", "--config", small_config, "--schemes", "greedy,spray", "--out", str(out)]
+        assert main(argv) == 2
+        prefix, text = "config error: --schemes[1]: ", capsys.readouterr().err[:-1]
+    else:
+        with pytest.raises(ValueError) as refused:
+            if where == "ControllerModel":
+                ControllerModel(scheme="spray")
+            else:
+                routing.assign_by_scheme("spray", "not commodities",
+                                         parse_config(SMALL_CONFIG).topology)
+        prefix, text = "", str(refused.value)
+    assert text == (f"{prefix}unknown scheme 'spray'; valid: "
+                    "['greedy', 'ecmp', 'edge_coloring', 'annealing', 'exact']")
+    assert not out.exists()
 
 
 # Scenario values that Python's json module reads but no run can use: each, merged
@@ -264,6 +293,14 @@ def test_bench_csv_shape(tmp_path):
     assert len(rows) == 4
     assert {r["scheme"] for r in rows} == {"greedy", "edge_coloring"}
     assert all(float(r["median_s"]) >= 0 for r in rows)
+
+
+def test_bench_defaults_to_every_scheme_but_exact(tmp_path, capsys):
+    out = str(tmp_path / "bench.csv")
+    assert main(["bench", "--counts", "10", "--out", out]) == 0
+    schemes = ["greedy", "ecmp", "edge_coloring", "annealing"]
+    assert [r["scheme"] for r in read_rows(out)] == schemes
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == schemes
 
 
 def test_bench_empty_counts(tmp_path, capsys):
@@ -463,13 +500,14 @@ def test_bench_rejects_counts_above_the_exact_guard_before_timing(tmp_path, caps
 @pytest.mark.parametrize(
     "argv",
     [["run"], ["run", "--trace"], ["failsweep", "--counts", "1"], ["bench", "--counts", "10"],
-     ["validate", "--instances", "2"]],
+     ["validate", "--instances", "2"], ["failsweep", "--counts", "1", "--trace"]],
     ids=" ".join,
 )
 def test_out_in_a_missing_directory_exits_2_before_any_work(argv, small_config, tmp_path,
                                                             monkeypatch, capsys):
-    """An --out in a missing directory, or one that is a directory, which the
-    final rename into place would fail on."""
+    """An --out in a missing directory, or one that is a directory, or whose
+    trace or summary path is one, which the final rename into place would
+    fail on."""
     calls = []
     monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: calls.append(a))
     if argv[0] in ("run", "failsweep"):
@@ -490,6 +528,18 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(argv, small_config, 
     assert captured.out == "" and calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "scenario.json"]
     assert list(folder.iterdir()) == []
+
+    derived = [".trace.csv"] * ("--trace" in argv) + [".summary.txt"] * (argv[0] == "run")
+    for suffix in derived:
+        folder.rmdir()
+        folder = tmp_path / f"r{suffix}"
+        folder.mkdir()
+        assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --out: '{folder}' is a directory\n"
+        assert captured.out == "" and calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == [folder.name, "scenario.json"]
+        assert list(folder.iterdir()) == []
 
 
 # SHA-256 of the files two traced commands write on the small scenario. They

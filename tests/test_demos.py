@@ -1,20 +1,24 @@
 """The demos import only names that closroute still has, and all but the
-slowest run to completion.
+slowest run to completion; README's scenario and library examples still
+parse and run.
 
 Each demo is parsed for the import check, which costs milliseconds. Demos
 01-05 then run in subprocesses, about two seconds together; demo 06 times
 every scheme at sizes up to 1500 commodities, close to 20 seconds, so it is
-only parsed.
+only parsed. README's library example simulates one BLOOM job, about 0.3 s.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from closroute.config import default_config, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -52,3 +56,19 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def readme_block(language: str) -> str:
+    """The first fenced block of README.md in language."""
+    return (ROOT / "README.md").read_text().split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_scenario_describes_the_default_fabric():
+    config = parse_config(json.loads(readme_block("json")))
+    assert config.topology == parse_config(default_config()).topology
+
+
+def test_readme_library_example_syncs_bloom_in_criterion_3s_window(capsys):
+    namespace = {}
+    exec(readme_block("python"), namespace)
+    assert 2.0 <= namespace["result"].records[0].allreduce_time <= 2.3

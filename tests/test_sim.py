@@ -675,7 +675,7 @@ def test_controller_and_failure_plan_refuse_bad_values(bad):
 
 
 def test_controller_refuses_an_unknown_scheme():
-    with pytest.raises(ValueError, match="scheme: 'gredy' is not one of"):
+    with pytest.raises(ValueError, match="unknown scheme 'gredy'; valid: "):
         ControllerModel(scheme="gredy")
 
 
