@@ -29,7 +29,6 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     build_jobs,
-    check_failures,
     check_value,
     construct,
     default_config,
@@ -59,7 +58,7 @@ from .sim import (
     run_scenario,
     stable_seed,
 )
-from .topology import ClosTopology, classify
+from .topology import ClosTopology, classify, fail_spines
 
 RESULT_COLUMNS = ("scenario", "scheme", "job", "metric", "value", "seed")
 TRACE_COLUMNS = ("scenario", "scheme", "seed", *FLOW_COLUMNS)
@@ -181,14 +180,11 @@ def _check_exact_guard(config: ScenarioConfig, jobs, templates):
     """A job has one iteration in flight, so one iteration's inter-ToR
     elephants summed over jobs bound any exact decision, whether jobs overlap
     and start on ECMP or not."""
-    limit, elephants = config.controller.exact_max_commodities, 0
+    elephants = 0
     for i, (job, template) in enumerate(zip(jobs, templates)):
         elephants += int((template.kinds.inter & template.elephant).sum())
-        if elephants > limit:
-            raise ConfigError(
-                f"jobs[{i}]: {job.model.name} dp={job.dp}: jobs[0..{i}] have {elephants} "
-                f"inter-ToR elephant flows per iteration, more than exact_max_commodities = {limit}"
-            )
+        construct(f"jobs[{i}]: {job.model.name} dp={job.dp}: jobs[0..{i}] per iteration",
+                  exact_guard, elephants, config.controller.exact_max_commodities)
 
 
 def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]]) -> list[tuple]:
@@ -311,21 +307,14 @@ def cmd_validate(args) -> int:
     return 4 if violations or coloring_mismatches else 0
 
 
-def measure_scheme_runtime(
-    scheme: str,
-    commodity_counts: list[int],
-    topo: ClosTopology,
-    seed: int,
-    repetitions: int = 5,
-) -> list[tuple[int, float]]:
-    """Median wall-clock seconds per scheme invocation at each commodity count."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+def measure_scheme_runtime(scheme: str, commodity_counts: list[int], topo: ClosTopology,
+                           seed: int) -> list[tuple[int, float]]:
+    """Median wall-clock seconds of 5 scheme invocations at each commodity count."""
     results = []
     for count in commodity_counts:
         commodities = random_commodities(topo, count, stable_seed(seed, count))
         samples = []
-        for _ in range(repetitions):
+        for _ in range(5):
             start = time.perf_counter()
             assign_by_scheme(scheme, commodities, topo, seed=seed)
             samples.append(time.perf_counter() - start)
@@ -354,7 +343,7 @@ def cmd_failsweep(args) -> int:
     config = _load(args)
     counts = _counts(args.counts)
     for k in counts:
-        check_failures([k], config.topology, "--counts")
+        construct("--counts", fail_spines, config.topology, k, config.failure_seed)
     _simulate(args, config, [(f"{config.scenario_id}:k{k}", [k]) for k in counts])
     return 0
 

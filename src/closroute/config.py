@@ -8,7 +8,7 @@ per rule. What a row cannot say is checked after the walk: a job's model
 and dp against ``models`` and ``allowed_dp``, the failure total against the
 spines, and the ranges that the fabric, model, hardware and annealing
 constructors check themselves. The CLI checks its flags by the same rules:
-``check_value``, ``check_failures`` and ``construct``.
+``check_value``, and ``construct`` around the check that a library call makes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .routing import EXACT_MAX_COMMODITIES, AnnealSchedule, check_scheme
 from .sim import ControllerModel, FailurePlan, stable_seed
-from .topology import ClosTopology, build_topology
+from .topology import ClosTopology, build_topology, fail_spines
 from .workload import (
     MODEL_CATALOG,
     HardwareModel,
@@ -234,14 +234,6 @@ class ScenarioConfig:
     failure_seed: int
 
 
-def check_failures(counts: list[int], topo: ClosTopology, path: str):
-    """counts, checked to leave a spine of topo alive once all of them have failed."""
-    if sum(counts) >= topo.num_spines:
-        raise ConfigError(
-            f"{path}: {sum(counts)} failures in total would kill all {topo.num_spines} spines"
-        )
-
-
 def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path) as fh:
@@ -274,7 +266,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
     hardware = construct("hardware", HardwareModel, **c["hardware"])
     anneal = construct("annealing", AnnealSchedule, **c["annealing"])
     f, ctl = c["failures"], c["controller"]
-    check_failures(f["counts"], topo, "failures.counts")
+    # a run refuses the level at which the total reaches the live spines, as this call does
+    construct("failures.counts", fail_spines, topo, sum(f["counts"]), f["seed"])
     return ScenarioConfig(
         scenario_id=c["scenario_id"],
         topology=topo,

@@ -17,9 +17,9 @@ read into one. A scheme chooses spines for the inter-ToR commodities and
 ``build_routes`` keeps the batch and spines as a ``PathChoice``, whose
 ``Route`` objects are built only when read.
 
-Link layout: with E endpoints, T ToRs and S spines, every directed link has
-one integer id in [0, num_links), e being an endpoint's position in
-``ClosTopology.endpoints()``:
+Link layout: with E endpoints, T ToRs of H hosts of N NICs, and S spines,
+every directed link has one integer id in [0, num_links), e = (t*H + h)*N + n
+being endpoint (t, h, n)'s position in (tor, host, nic) order (``_nic_up_ids``):
 
   NIC e -> its ToR   e          ToR t -> spine s   2E + t*S + s
   ToR -> NIC e       E + e      spine s -> ToR t   2E + T*S + s*T + t
@@ -29,9 +29,10 @@ spine. Each formula is written once: ``_read_endpoints`` for the endpoints,
 unpacked from each ``Endpoint.key``, ``_check_on_fabric`` for those off the
 fabric and ``_columns`` for their ToRs and NIC links (``classify`` and
 ``route_link_rows`` call all three), and ``tor_up_id`` and ``tor_down_id``
-for the spine links. Load bookkeeping counts on these ids; ``_link_rows``
-maps ``Classified`` columns and spines to them, one row of four ids per route,
-for ``route_link_rows`` and ``PathChoice.link_rows``. A Route is its spine
+for the spine links. ``max_spine_link_load`` and waterfill count loads on
+these ids, greedy its spine links on per-ToR level rows. ``_link_rows`` maps
+``Classified`` columns and spines to ids, one row of four per route, for
+``route_link_rows`` and ``PathChoice.link_rows``. A Route is its spine
 and endpoints alone; ``Route.links`` derives pairs of tagged nodes from them
 by the rule ``_columns`` applies, so it and the route's row cannot disagree.
 """
@@ -154,13 +155,6 @@ class ClosTopology:
     def num_endpoints(self) -> int:
         return self.num_tors * self.hosts_per_tor * self.nics_per_host
 
-    def endpoints(self):
-        """All GPU/NIC endpoints in (tor, host, nic) order."""
-        for t in range(self.num_tors):
-            for h in range(self.hosts_per_tor):
-                for n in range(self.nics_per_host):
-                    yield Endpoint(t, h, n)
-
     # -- link layout (see the module docstring) -------------------------------
 
     @property
@@ -196,7 +190,7 @@ def spine_route(src: Endpoint, dst: Endpoint, spine: int) -> Route:
 
 def _nic_up_ids(topo: ClosTopology, ends: np.ndarray) -> np.ndarray:
     """The NIC up-link ids of endpoints given as (tor, host, nic) along the
-    last axis of ends: each endpoint's position in ``topo.endpoints()``."""
+    last axis of ends: each endpoint's position (see the module docstring)."""
     return (ends[..., 0] * topo.hosts_per_tor + ends[..., 1]) * topo.nics_per_host + ends[..., 2]
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import shlex
 from collections import Counter
 from dataclasses import replace
 from itertools import repeat
@@ -13,7 +14,8 @@ import pytest
 from closroute import cli, routing, sim
 from closroute.cli import main
 from closroute.config import ConfigError, build_jobs, default_config, failure_plan, parse_config
-from closroute.sim import DEFAULT_PORT_BASE, ControllerModel, run_scenario
+from closroute.sim import DEFAULT_PORT_BASE, ControllerModel, FailurePlan, run_scenario
+from closroute.topology import fail_spines
 from closroute.workload import build_rings, ring_allreduce_commodities
 
 # a scenario small enough for quick end-to-end runs
@@ -160,6 +162,60 @@ def test_an_unknown_scheme_reads_the_same_everywhere(where, small_config, tmp_pa
         prefix, text = "", str(refused.value)
     assert text == (f"{prefix}unknown scheme 'spray'; valid: "
                     "['greedy', 'ecmp', 'edge_coloring', 'annealing', 'exact']")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["failures.counts", "--counts", "fail_spines", "run_scenario"])
+def test_a_failure_total_reads_the_same_everywhere(where, small_config, tmp_path, capsys):
+    """The scenario, a failsweep level, the library call and a run refuse
+    failing every spine by one check, in one wording after their path prefix.
+    SMALL_CONFIG's fabric has 4 spines."""
+    out = tmp_path / "x.csv"
+    if where == "failures.counts":
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, "failures": {"counts": [4]}}))
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        prefix, text = "config error: failures.counts: ", capsys.readouterr().err[:-1]
+    elif where == "--counts":
+        argv = ["failsweep", "--config", small_config, "--counts", "4", "--out", str(out)]
+        assert main(argv) == 2
+        prefix, text = "config error: --counts: ", capsys.readouterr().err[:-1]
+    else:
+        config = parse_config(SMALL_CONFIG)
+        with pytest.raises(ValueError) as refused:
+            if where == "fail_spines":
+                fail_spines(config.topology, 4, seed=1)
+            else:
+                run_scenario(config.topology, build_jobs(config, 0), config.controller,
+                             failures=FailurePlan(times=(0.5,), counts=(4,), seed=1))
+        prefix, text = "", str(refused.value)
+    assert text == f"{prefix}cannot fail 4 of 4 live spines; one must survive"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["schemes", "bench --counts", "exact_assign"])
+def test_the_exact_guard_reads_the_same_everywhere(where, tmp_path, capsys):
+    """A scenario that lists exact, bench's counts and the solver refuse an
+    exact search above the guard by one check, in one wording after their path
+    prefix. SMALL_CONFIG's two jobs have 16 + 8 inter-ToR elephants per
+    iteration, and every commodity that random_commodities draws is inter-ToR."""
+    out = tmp_path / "x.csv"
+    if where == "schemes":
+        bad = tmp_path / "exact.json"
+        bad.write_text(json.dumps({**SMALL_CONFIG, "schemes": ["exact"], "seeds": [0]}))
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        prefix = "config error: jobs[1]: MINI dp=2: jobs[0..1] per iteration: "
+        text = capsys.readouterr().err[:-1]
+    elif where == "bench --counts":
+        assert main(["bench", "--schemes", "exact", "--counts", "24", "--out", str(out)]) == 2
+        prefix, text = "config error: --counts: ", capsys.readouterr().err[:-1]
+    else:
+        topo = parse_config(SMALL_CONFIG).topology
+        with pytest.raises(ValueError) as refused:
+            routing.exact_assign(routing.random_commodities(topo, 24, seed=0), topo)
+        prefix, text = "", str(refused.value)
+    assert text == (f"{prefix}24 inter-ToR commodities exceed the exact-solver guard "
+                    "exact_max_commodities = 16")
     assert not out.exists()
 
 
@@ -425,7 +481,7 @@ def test_exact_guard_sums_the_elephants_of_all_jobs(tmp_path, capsys, fallback):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "jobs[1]" in err and "exact_max_commodities" in err
-    assert "32 inter-ToR elephant flows" in err
+    assert "32 inter-ToR commodities exceed" in err
     assert not out.exists()
 
 
@@ -452,7 +508,7 @@ def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv, message",
-    [
+    [pytest.param(argv, message, id=shlex.join(argv)) for argv, message in [
         (["run", "--schemes", ","], "--schemes: names no entry"),
         (["run", "--schemes", "greedy,greedy"], "--schemes[1]: 'greedy' repeats --schemes[0]"),
         (["run", "--schemes", "greedy,spray"],
@@ -468,12 +524,11 @@ def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
         (["failsweep", "--counts", "1,-1"], "--counts: must be >= 0, got -1"),
         # SMALL_CONFIG has 4 spines
         (["failsweep", "--counts", "1,4"],
-         "--counts: 4 failures in total would kill all 4 spines"),
+         "--counts: cannot fail 4 of 4 live spines; one must survive"),
         (["bench", "--schemes", "greedy,exact", "--counts", "10,100"],
          "--counts: 100 inter-ToR commodities exceed the exact-solver guard "
          "exact_max_commodities = 16"),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    ]],
 )
 def test_empty_or_repeated_list_flag_is_config_error(argv, message, small_config, tmp_path,
                                                      capsys):
@@ -703,7 +758,7 @@ def test_exact_guard_admits_exactly_its_size(tmp_path, capsys):
     out.unlink()
     assert main(["run", "--config", str(path), "--out", str(out), "--schemes", "exact"]) == 2
     err = capsys.readouterr().err
-    assert "jobs[0]" in err and f"{EXACT_EDGES} inter-ToR elephant flows" in err
+    assert "jobs[0]" in err and f"{EXACT_EDGES} inter-ToR commodities exceed" in err
     assert not out.exists()
 
 

@@ -1,6 +1,6 @@
 """The demos import only names that closroute still has, and all but the
 slowest run to completion; README's scenario and library examples still
-parse and run.
+parse and run, and its command lines still parse.
 
 Each demo is parsed for the import check, which costs milliseconds. Demos
 01-05 then run in subprocesses, about two seconds together; demo 06 times
@@ -12,12 +12,14 @@ import ast
 import importlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from closroute.cli import _build_parser
 from closroute.config import default_config, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,3 +74,16 @@ def test_readme_library_example_syncs_bloom_in_criterion_3s_window(capsys):
     namespace = {}
     exec(readme_block("python"), namespace)
     assert 2.0 <= namespace["result"].records[0].allreduce_time <= 2.3
+
+
+def test_readme_command_lines_parse():
+    """Every ``closroute`` line of README's sh blocks names flags the CLI has."""
+    blocks = (ROOT / "README.md").read_text().split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("closroute ")]
+    assert lines
+    for line in lines:
+        try:
+            _build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README's {line!r} does not parse")

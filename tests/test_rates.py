@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_topology import all_endpoints
+
 from closroute.rates import FEASIBILITY_RTOL, LinkRows, waterfill
 from closroute.routing import (
     greedy_assign,
@@ -285,7 +287,7 @@ def fabric_flows(draw):
         draw(st.integers(1, 4)), draw(st.integers(2, 5)), draw(st.integers(1, 3)),
         draw(st.integers(1, 3)), draw(st.sampled_from([1.0, 3.0, 100e9])),
     )
-    endpoints = list(topo.endpoints())
+    endpoints = all_endpoints(topo)
     pick = st.integers(0, len(endpoints) - 1)
     flows = []
     for i in range(draw(st.integers(1, 40))):
@@ -319,7 +321,7 @@ def hub_flows(draw):
         draw(st.integers(1, 8)), draw(st.integers(2, 5)), draw(st.integers(1, 3)),
         draw(st.integers(1, 2)), draw(st.sampled_from([1.0, 3.0, 100e9])),
     )
-    endpoints = list(topo.endpoints())
+    endpoints = all_endpoints(topo)
     pick = st.integers(0, len(endpoints) - 1)
     hubs = [endpoints[draw(pick)] for _ in range(draw(st.integers(1, 3)))]
     flows = []

@@ -1,8 +1,11 @@
-"""Every public module-level name of closroute is reached from outside its own
+"""Every name that closroute defines is reached from outside its own
 definition: by another part of the package (the simulator, the CLI) or by the
-benchmark. A name that only tests and demos call is dead weight."""
+benchmark. That holds for module-level names, public and private, and for the
+methods and properties of its classes. A name that only tests and demos call
+is dead weight."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -12,14 +15,14 @@ def _parse(paths) -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(paths)}
 
 
-def _loaded(node: ast.AST) -> set[str]:
-    """The names node loads, as names or as attributes."""
-    names = set()
+def _loaded(node: ast.AST) -> Counter:
+    """How often node loads each name, as a name or as an attribute."""
+    names = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.id)
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.attr)
+            names[sub.attr] += 1
     return names
 
 
@@ -34,15 +37,40 @@ def _defined(statement: ast.stmt) -> list[str]:
     return []
 
 
+PACKAGE = _parse(p for p in (ROOT / "src" / "closroute").glob("*.py") if p.stem != "__init__")
+BENCHMARK = set().union(*map(_loaded, _parse((ROOT / "benchmarks").glob("*.py")).values()))
+LOADS = sum(map(_loaded, PACKAGE.values()), Counter())
+
+
+def _unreached(definitions) -> list[str]:
+    """The labels of the (label, name, node) definitions whose name neither the
+    benchmark nor any package code outside node loads."""
+    return [label for label, name, node in definitions
+            if name not in BENCHMARK and LOADS[name] <= _loaded(node)[name]]
+
+
+def _module_names(private: bool) -> list[tuple[str, str, ast.stmt]]:
+    return [(f"{module}.{name}", name, statement)
+            for module, tree in PACKAGE.items() for statement in tree.body
+            for name in _defined(statement) if name.startswith("_") == private]
+
+
 def test_every_public_name_is_reached():
-    package = _parse(p for p in (ROOT / "src" / "closroute").glob("*.py") if p.stem != "__init__")
-    benchmark = set().union(*map(_loaded, _parse((ROOT / "benchmarks").glob("*.py")).values()))
-    statements = [(module, s, _loaded(s)) for module, tree in package.items() for s in tree.body]
-    unreached = [
-        f"{module}.{name}"
-        for module, statement, _ in statements
-        for name in _defined(statement)
-        if not name.startswith("_") and name not in benchmark
-        and not any(name in loads for _, other, loads in statements if other is not statement)
+    assert _unreached(_module_names(private=False)) == []
+
+
+def test_every_private_name_is_reached():
+    assert _unreached(_module_names(private=True)) == []
+
+
+def test_every_method_is_reached():
+    """Methods and properties alike, a class's dunders aside: those the
+    language calls."""
+    methods = [
+        (f"{module}.{statement.name}.{method.name}", method.name, method)
+        for module, tree in PACKAGE.items() for statement in tree.body
+        if isinstance(statement, ast.ClassDef) for method in statement.body
+        if isinstance(method, ast.FunctionDef)
+        and not (method.name.startswith("__") and method.name.endswith("__"))
     ]
-    assert unreached == []
+    assert _unreached(methods) == []

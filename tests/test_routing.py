@@ -10,6 +10,8 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from test_topology import all_endpoints
+
 from closroute import routing, topology
 from closroute.rates import LinkRows, waterfill
 from closroute.routing import (
@@ -196,7 +198,7 @@ def mixed_instances(draw):
     topo = build_topology(draw(st.integers(1, 4)), draw(st.integers(2, 4)),
                           draw(st.integers(1, 2)), draw(st.integers(1, 2)), 1.0)
     topo = fail_spines(topo, draw(st.integers(0, topo.num_spines - 1)), draw(st.integers(0, 99)))
-    ends = st.sampled_from(list(topo.endpoints()))
+    ends = st.sampled_from(all_endpoints(topo))
     pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=40))
     return topo, [CommoditySpec(f"c{i}", "j", src, dst, 1) for i, (src, dst) in enumerate(pairs)]
 

@@ -624,12 +624,12 @@ def test_flow_log_carries_udp_ports(cluster):
 
 
 def test_runtime_measurement_shape_and_ordering(cluster):
-    rows = measure_scheme_runtime("greedy", [0, 100], cluster, seed=0, repetitions=3)
+    rows = measure_scheme_runtime("greedy", [0, 100], cluster, seed=0)
     assert [count for count, _ in rows] == [0, 100]
     assert all(median >= 0.0 for _, median in rows)
 
-    greedy = measure_scheme_runtime("greedy", [1000], cluster, seed=0, repetitions=3)
-    anneal = measure_scheme_runtime("annealing", [1000], cluster, seed=0, repetitions=3)
+    greedy = measure_scheme_runtime("greedy", [1000], cluster, seed=0)
+    anneal = measure_scheme_runtime("annealing", [1000], cluster, seed=0)
     assert greedy[0][1] <= anneal[0][1]
 
 

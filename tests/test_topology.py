@@ -25,6 +25,12 @@ from closroute.topology import (
 from closroute.workload import CommoditySpec
 
 
+def all_endpoints(topo):
+    """Every endpoint of topo in (tor, host, nic) order: its NIC up-link id order."""
+    sizes = topo.num_tors, topo.hosts_per_tor, topo.nics_per_host
+    return [Endpoint(*parts) for parts in itertools.product(*map(range, sizes))]
+
+
 def candidate_routes(topo, src, dst):
     """Every shortest path: the one forced route, or one route per live spine."""
     if src.tor != dst.tor:
@@ -34,8 +40,8 @@ def candidate_routes(topo, src, dst):
 
 def nic_ids(topo, src, dst):
     """The link ids of src's NIC up-link and dst's NIC down-link: an
-    endpoint's position in ``topo.endpoints()``, plus E for a down-link."""
-    position = {ep: i for i, ep in enumerate(topo.endpoints())}
+    endpoint's position in ``all_endpoints(topo)``, plus E for a down-link."""
+    position = {ep: i for i, ep in enumerate(all_endpoints(topo))}
     return position[src], topo.num_endpoints + position[dst]
 
 
@@ -302,7 +308,7 @@ def fabrics(draw):
 def test_link_ids_match_route_links(topo):
     routes = [
         route
-        for src, dst in itertools.permutations(topo.endpoints(), 2)
+        for src, dst in itertools.permutations(all_endpoints(topo), 2)
         for route in candidate_routes(topo, src, dst)
     ]
     rows = route_link_rows(topo, routes)
@@ -348,7 +354,7 @@ def test_link_ids_match_route_links(topo):
 def layout_id(topo, link):
     """A link's id by the layout formulas of the topology module docstring."""
     E, T, S = topo.num_endpoints, topo.num_tors, topo.num_spines
-    position = {ep: i for i, ep in enumerate(topo.endpoints())}
+    position = {ep: i for i, ep in enumerate(all_endpoints(topo))}
     (tail_kind, *tail), (head_kind, *head) = link
     if tail_kind == "nic":
         return position[Endpoint(*tail)]
@@ -368,7 +374,7 @@ def fabric_routes(draw):
                           draw(st.integers(1, 3)), draw(st.integers(1, 2)), 100.0)
     failed = draw(st.integers(0, min(2, topo.num_spines - 1)))
     topo = fail_spines(topo, failed, seed=draw(st.integers(0, 99)))
-    end = st.sampled_from(list(topo.endpoints()))
+    end = st.sampled_from(all_endpoints(topo))
     spine = st.one_of(st.none(), st.just(-1), st.integers(0, topo.num_spines - 1))
     return topo, draw(st.lists(st.builds(Route, spine, end, end), max_size=8))
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_topology import all_endpoints
+
 from closroute.topology import Endpoint, build_topology
 from closroute.workload import (
     MODEL_CATALOG,
@@ -62,7 +64,7 @@ def test_place_forced_when_exactly_enough_free():
     topo = build_topology(2, 2, 2, 2, 1.0)  # 8 endpoints
     model = ModelConfig("toy", 1e6, tp=2, pp=2)
     placement = place_job(topo, model, 2, seed=5)
-    assert sorted(placement) == sorted(topo.endpoints())
+    assert sorted(placement) == sorted(all_endpoints(topo))
 
 
 def test_place_rejects_when_cluster_too_small():
@@ -82,7 +84,7 @@ def walk_place_job(topo, model, dp, seed, occupied):
     ones by host, and take hosts in a seeded shuffle of their sorted keys."""
     needed = model.gpus_per_replica * dp
     free_by_host = {}
-    for ep in topo.endpoints():
+    for ep in all_endpoints(topo):
         if ep not in occupied:
             free_by_host.setdefault((ep.tor, ep.host), []).append(ep)
     total_free = sum(len(v) for v in free_by_host.values())
@@ -102,7 +104,7 @@ def walk_place_job(topo, model, dp, seed, occupied):
 )
 def test_place_job_matches_endpoint_walk(shape, tp, dp, seed, data):
     topo = build_topology(2, *shape, 1.0)
-    occupied = data.draw(st.frozensets(st.sampled_from(list(topo.endpoints()))))
+    occupied = data.draw(st.frozensets(st.sampled_from(all_endpoints(topo))))
     model = ModelConfig("M", 1e9, tp=tp, pp=1)
     try:
         expected = walk_place_job(topo, model, dp, seed, occupied)
