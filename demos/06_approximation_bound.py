@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Empirical check of the greedy 2x guarantee, and what it costs to beat it.
 
-On every random unit-demand instance small enough for the exact solver, the
-greedy max spine-link load never exceeds twice the optimum (and edge coloring
+On random unit-demand instances, the greedy max spine-link load never
+exceeds twice the optimum that the exact search finds (and edge coloring
 always equals the optimum). The runtime table shows why greedy is the scheme
 a controller can afford to rerun on every flow event.
 """

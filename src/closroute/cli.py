@@ -37,13 +37,11 @@ from .config import (
     parse_config,
 )
 from .routing import (
-    EXACT_MAX_COMMODITIES,
     SCHEME_NAMES,
     assign_by_scheme,
     degree_bound,
     edge_color_assign,
     exact_assign,
-    exact_guard,
     greedy_assign,
     max_link_load,
     random_commodities,
@@ -176,17 +174,6 @@ def _load(args) -> ScenarioConfig:
     return config
 
 
-def _check_exact_guard(config: ScenarioConfig, jobs, templates):
-    """A job has one iteration in flight, so one iteration's inter-ToR
-    elephants summed over jobs bound any exact decision, whether jobs overlap
-    and start on ECMP or not."""
-    elephants = 0
-    for i, (job, template) in enumerate(zip(jobs, templates)):
-        elephants += int((template.kinds.inter & template.elephant).sum())
-        construct(f"jobs[{i}]: {job.model.name} dp={job.dp}: jobs[0..{i}] per iteration",
-                  exact_guard, elephants, config.controller.exact_max_commodities)
-
-
 def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]]) -> list[tuple]:
     """Simulate each level (a scenario id and its failure counts), scheme and
     seed in that order; write and return the metric rows. With ``--trace``,
@@ -199,9 +186,6 @@ def _simulate(args, config: ScenarioConfig, levels: list[tuple[str, list[int]]])
         seed: flow_templates(config.topology, jobs, config.controller.elephant_threshold)
         for seed, jobs in jobs_by_seed.items()
     }
-    if "exact" in config.schemes:
-        for seed, jobs in jobs_by_seed.items():
-            _check_exact_guard(config, jobs, templates_by_seed[seed])
     rows = []
     with _atomic_open(_outputs(args)["trace"]) if args.trace else nullcontext() as trace:
         if trace:
@@ -276,9 +260,7 @@ def cmd_validate(args) -> int:
         )
         batch = classify(topo, commodities)
         greedy_load = max_link_load(greedy_assign(batch, topo), topo)
-        exact_load = max_link_load(
-            exact_assign(batch, topo, max_commodities=args.max_commodities), topo
-        )
+        exact_load = max_link_load(exact_assign(batch, topo), topo)
         coloring_load = max_link_load(edge_color_assign(batch, topo), topo)
         bound = degree_bound(batch.kinds, topo)
         ratio = greedy_load / exact_load
@@ -324,11 +306,7 @@ def measure_scheme_runtime(scheme: str, commodity_counts: list[int], topo: ClosT
 
 def cmd_bench(args) -> int:
     counts = _counts(args.counts)
-    # by default every scheme but exact, whose guard the default counts exceed
-    schemes = _schemes(args.schemes) if args.schemes else [s for s in SCHEME_NAMES if s != "exact"]
-    if "exact" in schemes:  # every commodity that random_commodities draws is inter-ToR
-        for count in counts:
-            construct("--counts", exact_guard, count, EXACT_MAX_COMMODITIES)
+    schemes = _schemes(args.schemes) if args.schemes else list(SCHEME_NAMES)
     topo = parse_config(default_config()).topology
     rows = []
     for scheme in schemes:

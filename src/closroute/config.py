@@ -6,9 +6,10 @@ schema is ``FIELDS``, one row per leaf field, and one walker checks a
 scenario against it: every error reads ``path: message``, with one wording
 per rule. What a row cannot say is checked after the walk: a job's model
 and dp against ``models`` and ``allowed_dp``, the failure total against the
-spines, and the ranges that the fabric, model, hardware and annealing
-constructors check themselves. The CLI checks its flags by the same rules:
-``check_value``, and ``construct`` around the check that a library call makes.
+spines, the fabric's links against what a run holds, and the ranges that the
+fabric, model, hardware and annealing constructors check themselves. The CLI
+checks its flags by the same rules: ``check_value``, and ``construct`` around
+the check that a library call makes.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
-from .routing import EXACT_MAX_COMMODITIES, AnnealSchedule, check_scheme
-from .sim import ControllerModel, FailurePlan, stable_seed
+from .routing import AnnealSchedule, check_scheme
+from .sim import ControllerModel, FailurePlan, check_links, stable_seed
 from .topology import ClosTopology, build_topology, fail_spines
 from .workload import (
     MODEL_CATALOG,
@@ -86,7 +87,6 @@ FIELDS = [
     Field("annealing.initial_temp", "number", (), AnnealSchedule.initial_temp),
     Field("annealing.cooling_factor", "number", (), AnnealSchedule.cooling_factor),
     Field("annealing.moves_per_commodity", "int", (), AnnealSchedule.moves_per_commodity),
-    Field("exact_max_commodities", "int", (">= 1",), EXACT_MAX_COMMODITIES),
     Field("failures.time_s", "number", (">= 0",), 5.0),
     Field("failures.counts", "list of int", (">= 0",), []),
     Field("failures.seed", "int", (), 1),
@@ -256,6 +256,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     t = c["topology"]
     topo = construct("topology", build_topology, t["num_spines"], t["num_tors"],
                      t["hosts_per_tor"], t["nics_per_host"], t["link_capacity_bps"])
+    construct("topology", check_links, topo)
     models = {name: construct(f"models.{name}", ModelConfig, name=name, **m)
               for name, m in c["models"].items()}
     for i, js in enumerate(c["jobs"]):
@@ -281,7 +282,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
             precomputed_failures=ctl["precomputed_failures"],
             ecmp_fallback_start=ctl["ecmp_fallback_start"],
             anneal_schedule=anneal,
-            exact_max_commodities=c["exact_max_commodities"],
         ),
         hardware=hardware,
         schemes=c["schemes"],

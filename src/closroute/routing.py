@@ -21,8 +21,9 @@ Schemes:
   edge_coloring Koenig-style proper edge coloring of the ToR-to-ToR demand
                 multigraph, optimal for unit demands
   annealing     simulated annealing from an ECMP start
-  exact         depth-first search for the first spine vector at the degree
-                bound, the optimum as edge_coloring shows; small instances
+  exact         a search for the first spine vector at the degree bound, the
+                optimum as edge_coloring shows, or edge_coloring's own vector
+                once the search runs past its budget
 
 Greedy keeps, per ToR and direction, one bitmask of live spines per load
 level: bit s of level l is set when spine s's link at that ToR carries at
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import compress
@@ -63,8 +65,9 @@ from .topology import (
 from .workload import CommoditySpec
 
 SCHEME_NAMES = ("greedy", "ecmp", "edge_coloring", "annealing", "exact")
-# the exact solver's default size guard, in inter-ToR commodities
-EXACT_MAX_COMMODITIES = 16
+# the exact search's budget: this many placements per inter-ToR commodity, plus
+# this many squared, before it takes edge coloring's spines
+_EXACT_PLACEMENTS = 16
 # what a scheme takes: its commodities, in order, as tuples or as a batch
 CommodityInput = list[CommoditySpec] | Commodities
 _ECMP_HASH = blake2b(digest_size=8)  # copied for each ECMP id: cheaper than a new hasher
@@ -421,12 +424,8 @@ def anneal_assign(
     return build_routes(batch, best_spines)
 
 
-def exact_assign(
-    commodities: CommodityInput,
-    topo: ClosTopology,
-    max_commodities: int = EXACT_MAX_COMMODITIES,
-    memo: dict | None = None,
-) -> PathChoice:
+def exact_assign(commodities: CommodityInput, topo: ClosTopology,
+                 memo: dict | None = None) -> PathChoice:
     """Provably optimal spine assignment for the min-max spine-link load.
 
     Every assignment loads some spine link with at least the degree bound
@@ -434,53 +433,57 @@ def exact_assign(
     coloring that ``edge_color_assign`` builds. So the optimum is the bound,
     and a depth-first search over per-commodity spines in ascending order,
     which admits a spine only while both of its links stay within the bound,
-    returns the lexicographically smallest optimal spine vector. Guarded to
-    small instances, before any memo lookup (``_spines``); the search is
-    exponential in the worst case.
+    finds the lexicographically smallest optimal spine vector. The search is
+    exponential in the worst case, so it stops after a budget of placements
+    linear in the inter-ToR commodities and returns edge coloring's vector,
+    also at the bound (``_exact_spines``). With a memo, the spines of an input
+    seen before are read from it (``_spines``).
     """
     batch = classify(topo, commodities)
-    exact_guard(int(batch.kinds.inter.sum()), max_commodities)
     return build_routes(batch, _spines(_exact_spines, batch.kinds, topo, memo))
 
 
-def exact_guard(n: int, max_commodities: int):
-    """Refuse an exact search over n inter-ToR commodities above the guard."""
-    if n > max_commodities:
-        raise ValueError(
-            f"{n} inter-ToR commodities exceed the exact-solver guard "
-            f"exact_max_commodities = {max_commodities}"
-        )
-
-
 def _exact_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
-    """The exact search's spines for the inter-ToR commodities, in order."""
+    """The exact search's spines for the inter-ToR commodities, in order: the
+    depth-first search, kept as a stack of each commodity's live spines not
+    yet tried, or ``_color_spines``' once it has placed
+    ``_EXACT_PLACEMENTS * (n + 16)`` spines, n being the inter-ToR commodities.
+    Loads are kept by link id, for the links the search has loaded."""
     live = topo.live_spines
     inter = kinds.inter
     src_tor, dst_tor = kinds.src_tor[inter].tolist(), kinds.dst_tor[inter].tolist()
     n = len(src_tor)
     bound = degree_bound(kinds, topo)
-    loads = [0] * topo.num_links  # by link id; only ToR<->spine links are used
-    chosen: list[int] = []
-
-    def dfs(pos: int) -> bool:
-        if pos == n:
-            return True
-        for s in live:
-            up, down = topo.tor_up_id(src_tor[pos], s), topo.tor_down_id(s, dst_tor[pos])
+    budget = _EXACT_PLACEMENTS * (n + 16)
+    # each commodity's two links at each live spine, in the order of live
+    ups = {t: [topo.tor_up_id(t, s) for s in live] for t in set(src_tor)}
+    downs = {t: [topo.tor_down_id(s, t) for s in live] for t in set(dst_tor)}
+    links = [(ups[u], downs[d]) for u, d in zip(src_tor, dst_tor)]
+    loads = defaultdict(int)
+    chosen: list[int] = []  # each placed commodity's position in live
+    untried = [iter(range(len(live)))]  # one per placed commodity, and one for the next
+    while len(chosen) < n:
+        up_ids, down_ids = links[len(chosen)]
+        for i in untried[-1]:
+            up, down = up_ids[i], down_ids[i]
             if loads[up] < bound and loads[down] < bound:
+                if not budget:
+                    return _color_spines(kinds, topo)
+                budget -= 1
                 loads[up] += 1
                 loads[down] += 1
-                chosen.append(s)
-                if dfs(pos + 1):
-                    return True
-                chosen.pop()
-                loads[up] -= 1
-                loads[down] -= 1
-        return False
-
-    if not dfs(0):
-        raise AssertionError("no spine assignment meets the degree bound")
-    return chosen
+                chosen.append(i)
+                untried.append(iter(range(len(live))))
+                break
+        else:  # no spine fits: take back the previous commodity's, to try its next
+            untried.pop()
+            if not chosen:
+                raise AssertionError("no spine assignment meets the degree bound")
+            i = chosen.pop()
+            up_ids, down_ids = links[len(chosen)]
+            loads[up_ids[i]] -= 1
+            loads[down_ids[i]] -= 1
+    return [live[i] for i in chosen]
 
 
 def assign_by_scheme(
@@ -490,7 +493,6 @@ def assign_by_scheme(
     *,
     seed: int = 0,
     anneal_schedule: AnnealSchedule = AnnealSchedule(),
-    exact_max_commodities: int = EXACT_MAX_COMMODITIES,
     memo: dict | None = None,
 ) -> PathChoice:
     """Dispatch to a scheme by name, checked before the input is read. The memo
@@ -504,7 +506,7 @@ def assign_by_scheme(
         return edge_color_assign(commodities, topo, memo=memo)
     if scheme == "annealing":
         return anneal_assign(commodities, topo, anneal_schedule, seed)
-    return exact_assign(commodities, topo, exact_max_commodities, memo=memo)
+    return exact_assign(commodities, topo, memo=memo)
 
 
 def unit_commodities_for_pairs(

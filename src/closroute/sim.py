@@ -9,10 +9,10 @@ the off-host edges' endpoints, volumes, ToRs, NIC link ids and elephant
 flags. A template depends only on the fabric, the job's placement and the
 elephant threshold, so the runs of one seed's jobs share their templates
 (``flow_templates``, passed to ``run_scenario``): the CLI builds them once per
-seed for all schemes and failure levels, and checks the exact scheme's size
-guard on them; a run given none builds its own. An iteration only makes its
-ids, ``iteration_prefix`` followed by the template's id tails (see ``emit``),
-and writes them into its job's slots of the flow table.
+seed for all schemes and failure levels; a run given none builds its own. An
+iteration only makes its ids, ``iteration_prefix`` followed by the template's
+id tails (see ``emit``), and writes them into its job's slots of the flow
+table.
 
 A centralized controller re-routes all active elephant flows whenever a flow
 starts, a flow ends, or a spine fails, after a configurable reaction
@@ -139,7 +139,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rates import LinkRows, waterfill
-from .routing import EXACT_MAX_COMMODITIES, AnnealSchedule, assign_by_scheme, check_scheme
+from .routing import AnnealSchedule, assign_by_scheme, check_scheme
 from .routing import ecmp_assign, max_link_load  # noqa: F401 - sim.max_link_load, for tracing
 from .topology import (
     Classified,
@@ -247,14 +247,11 @@ class ControllerModel:
     precomputed_failures: bool = False
     ecmp_fallback_start: bool = False
     anneal_schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
-    exact_max_commodities: int = EXACT_MAX_COMMODITIES
 
     def __post_init__(self):
         check_scheme(self.scheme)
         if not (0 <= self.reaction_latency < math.inf and 0 <= self.elephant_threshold < math.inf):
             raise ValueError("latency and threshold must be finite and >= 0")
-        if not self.exact_max_commodities >= 1:
-            raise ValueError(f"exact_max_commodities must be >= 1, got {self.exact_max_commodities}")
 
 
 @dataclass(frozen=True)
@@ -565,7 +562,6 @@ class _Engine:
                 self.topo,
                 seed=self.route_seed,
                 anneal_schedule=self.controller.anneal_schedule,
-                exact_max_commodities=self.controller.exact_max_commodities,
                 memo=self.memo,
             ))
             self._rewaterfill()  # otherwise no row changed, and the rates stand
@@ -646,6 +642,17 @@ class _Engine:
         self._rewaterfill()
 
 
+# the most links a run takes: it sizes arrays by the link ids on every refill
+# and completion, and waterfill's int64 bincount alone is then 512 MB
+_MAX_LINKS = 1 << 26
+
+
+def check_links(topo: ClosTopology):
+    """Refuse a fabric with more links than ``_MAX_LINKS``."""
+    if topo.num_links > _MAX_LINKS:
+        raise ValueError(f"{topo.num_links} links exceed the {_MAX_LINKS} that a run can hold")
+
+
 def run_scenario(
     topo: ClosTopology,
     jobs: list[Job],
@@ -659,4 +666,5 @@ def run_scenario(
     ``templates``, if given, must be ``flow_templates(topo, jobs,
     controller.elephant_threshold)``, which runs of the same jobs can share;
     by default the run builds them."""
+    check_links(topo)
     return _Engine(topo, jobs, controller, hardware, failures, seed, templates).run()

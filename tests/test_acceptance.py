@@ -7,7 +7,7 @@ One test per advertised guarantee, each at its stated tolerance:
   4. edge coloring always matches ceil(max degree / live spines) and the optimum
   5. greedy routes 1500 commodities in <=100 ms median, >=10x faster than annealing
   6. over >=20 seeded multi-job scenarios, mean all-reduce: greedy <= ECMP,
-     and greedy <= 2x exact wherever the exact solver is feasible
+     and greedy <= 2x exact for every job there and on scaled-down jobs
   7. failure sweeps (k=1/4/8) complete with invariants intact; the 2x bound
      holds on degraded fabrics
   8. re-running any scenario command yields byte-identical CSV output
@@ -164,7 +164,7 @@ def _scenario_config(seed: int) -> dict:
     return {
         "scenario_id": f"sweep{seed}",
         "jobs": jobs,
-        "schemes": ["greedy", "ecmp"],
+        "schemes": ["greedy", "ecmp", "exact"],
         "seeds": [seed],
     }
 
@@ -172,19 +172,26 @@ def _scenario_config(seed: int) -> dict:
 def test_criterion_6_greedy_beats_ecmp_and_tracks_exact(tmp_path):
     sums = {"greedy": 0.0, "ecmp": 0.0}
     counts = {"greedy": 0, "ecmp": 0}
+    scale_ratios = []
     for seed in range(20):
         cfg_path = tmp_path / f"s{seed}.json"
         cfg_path.write_text(json.dumps(_scenario_config(seed)))
         out = tmp_path / f"s{seed}.csv"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        for row in read_rows(str(out)):
-            if row["metric"] == "allreduce_time_s" and row["job"] != "all":
-                sums[row["scheme"]] += float(row["value"])
-                counts[row["scheme"]] += 1
+        allreduce = {(row["scheme"], row["job"]): float(row["value"])
+                     for row in read_rows(str(out)) if row["metric"] == "allreduce_time_s"}
+        for (scheme, job), value in allreduce.items():
+            if scheme in sums:
+                sums[scheme] += value
+                counts[scheme] += 1
+            if scheme == "greedy":
+                exact = allreduce[("exact", job)]
+                scale_ratios.append(value / exact)
+                assert value <= 2 * exact + 1e-9
     means = {s: sums[s] / counts[s] for s in sums}
     assert means["greedy"] <= means["ecmp"]
 
-    # the exact solver only fits scaled-down jobs; compare there, per instance
+    # and per iteration, on scaled-down jobs on a 16-ToR fabric
     topo = build_topology(8, 16, 2, 8, 100e9)
     from closroute.workload import ModelConfig
 
@@ -203,7 +210,8 @@ def test_criterion_6_greedy_beats_ecmp_and_tracks_exact(tmp_path):
     report(
         6,
         f"mean all-reduce greedy {means['greedy']:.3f}s <= ecmp {means['ecmp']:.3f}s; "
-        f"greedy/exact worst ratio {max(ratios):.3f}",
+        f"greedy/exact worst ratio {max(scale_ratios):.3f} over {len(scale_ratios)} jobs, "
+        f"{max(ratios):.3f} over {len(ratios)} toy iterations",
     )
 
 

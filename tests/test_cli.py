@@ -15,8 +15,7 @@ from closroute import cli, routing, sim
 from closroute.cli import main
 from closroute.config import ConfigError, build_jobs, default_config, failure_plan, parse_config
 from closroute.sim import DEFAULT_PORT_BASE, ControllerModel, FailurePlan, run_scenario
-from closroute.topology import fail_spines
-from closroute.workload import build_rings, ring_allreduce_commodities
+from closroute.topology import build_topology, classify, fail_spines
 
 # a scenario small enough for quick end-to-end runs
 SMALL_CONFIG = {
@@ -165,6 +164,39 @@ def test_an_unknown_scheme_reads_the_same_everywhere(where, small_config, tmp_pa
     assert not out.exists()
 
 
+# 2^20 - 1 spines and ToRs of one host of 8 NICs each: every dimension is in
+# range, but the fabric has 2,199,035,838,450 links. Parsed only, never run.
+HUGE_FABRIC = {"num_spines": 2**20 - 1, "num_tors": 2**20 - 1, "hosts_per_tor": 1,
+               "nics_per_host": 8}
+
+
+@pytest.mark.parametrize("where", ["topology", "run_scenario"])
+def test_a_fabric_past_2_to_the_26_links_reads_the_same_everywhere(where, tmp_path, capsys):
+    """A scenario and a run refuse a fabric whose per-link arrays would not
+    fit, by one check, in one wording after their path prefix."""
+    if where == "topology":
+        path, out = tmp_path / "huge.json", tmp_path / "x.csv"
+        path.write_text(json.dumps({"topology": HUGE_FABRIC}))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        prefix, text = "config error: topology: ", capsys.readouterr().err[:-1]
+        assert not out.exists()
+    else:
+        topo = build_topology(**HUGE_FABRIC, link_capacity=100e9)
+        with pytest.raises(ValueError) as refused:
+            run_scenario(topo, [], ControllerModel())
+        prefix, text = "", str(refused.value)
+    assert text == f"{prefix}2199035838450 links exceed the 67108864 that a run can hold"
+
+
+def test_a_fabric_of_2_to_the_26_links_parses():
+    """1,024 ToRs of one 4,096-NIC host and 28,672 spines: 2^23 NIC links and
+    2^26 - 2^23 spine links. One spine more is refused."""
+    fabric = {"num_spines": 28672, "num_tors": 1024, "hosts_per_tor": 1, "nics_per_host": 4096}
+    assert parse_config({"topology": fabric}).topology.num_links == 2**26
+    with pytest.raises(ConfigError, match="^topology: 67110912 links exceed"):
+        parse_config({"topology": {**fabric, "num_spines": 28673}})
+
+
 @pytest.mark.parametrize("where", ["failures.counts", "--counts", "fail_spines", "run_scenario"])
 def test_a_failure_total_reads_the_same_everywhere(where, small_config, tmp_path, capsys):
     """The scenario, a failsweep level, the library call and a run refuse
@@ -194,29 +226,25 @@ def test_a_failure_total_reads_the_same_everywhere(where, small_config, tmp_path
 
 
 @pytest.mark.parametrize("where", ["schemes", "bench --counts", "exact_assign"])
-def test_the_exact_guard_reads_the_same_everywhere(where, tmp_path, capsys):
-    """A scenario that lists exact, bench's counts and the solver refuse an
-    exact search above the guard by one check, in one wording after their path
-    prefix. SMALL_CONFIG's two jobs have 16 + 8 inter-ToR elephants per
-    iteration, and every commodity that random_commodities draws is inter-ToR."""
+def test_exact_runs_past_sixteen_commodities_everywhere(where, tmp_path):
+    """A scenario that lists exact, bench's counts and the solver all run exact
+    on 24 inter-ToR commodities, more than the 16 that exact was once limited
+    to. SMALL_CONFIG's two jobs have 16 + 8 inter-ToR elephants per iteration,
+    and every commodity that random_commodities draws is inter-ToR."""
     out = tmp_path / "x.csv"
     if where == "schemes":
-        bad = tmp_path / "exact.json"
-        bad.write_text(json.dumps({**SMALL_CONFIG, "schemes": ["exact"], "seeds": [0]}))
-        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
-        prefix = "config error: jobs[1]: MINI dp=2: jobs[0..1] per iteration: "
-        text = capsys.readouterr().err[:-1]
+        scenario = tmp_path / "exact.json"
+        scenario.write_text(json.dumps({**SMALL_CONFIG, "schemes": ["exact"], "seeds": [0]}))
+        assert main(["run", "--config", str(scenario), "--out", str(out)]) == 0
+        assert {r["scheme"] for r in read_rows(out)} == {"exact"}
     elif where == "bench --counts":
-        assert main(["bench", "--schemes", "exact", "--counts", "24", "--out", str(out)]) == 2
-        prefix, text = "config error: --counts: ", capsys.readouterr().err[:-1]
+        assert main(["bench", "--schemes", "exact", "--counts", "24", "--out", str(out)]) == 0
+        assert [(r["scheme"], r["count"]) for r in read_rows(out)] == [("exact", "24")]
     else:
         topo = parse_config(SMALL_CONFIG).topology
-        with pytest.raises(ValueError) as refused:
-            routing.exact_assign(routing.random_commodities(topo, 24, seed=0), topo)
-        prefix, text = "", str(refused.value)
-    assert text == (f"{prefix}24 inter-ToR commodities exceed the exact-solver guard "
-                    "exact_max_commodities = 16")
-    assert not out.exists()
+        batch = classify(topo, routing.random_commodities(topo, 24, seed=0))
+        choice = routing.exact_assign(batch, topo)
+        assert routing.max_link_load(choice, topo) == routing.degree_bound(batch.kinds, topo)
 
 
 # Scenario values that Python's json module reads but no run can use: each, merged
@@ -351,10 +379,10 @@ def test_bench_csv_shape(tmp_path):
     assert all(float(r["median_s"]) >= 0 for r in rows)
 
 
-def test_bench_defaults_to_every_scheme_but_exact(tmp_path, capsys):
+def test_bench_defaults_to_every_scheme(tmp_path, capsys):
     out = str(tmp_path / "bench.csv")
     assert main(["bench", "--counts", "10", "--out", out]) == 0
-    schemes = ["greedy", "ecmp", "edge_coloring", "annealing"]
+    schemes = ["greedy", "ecmp", "edge_coloring", "annealing", "exact"]
     assert [r["scheme"] for r in read_rows(out)] == schemes
     assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == schemes
 
@@ -442,47 +470,34 @@ def test_scheme_override_flag(small_config, tmp_path):
     assert {r["seed"] for r in rows} == {"5"}
 
 
-# one LLaMA2-70B dp=2 iteration has 256 inter-ToR ring edges
-EXACT_TOO_LARGE = {
-    "schemes": ["exact"],
-    "jobs": [{"model": "LLaMA2-70B", "dp": 2, "num_iterations": 1}],
-}
+def assert_exact_peaks_as_edge_coloring(scenario: dict, tmp_path):
+    """Exact and edge coloring both route every decision at the degree bound,
+    so each seed's runs peak at the same spine-link load."""
+    path, out = tmp_path / "exact.json", tmp_path / "x.csv"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--config", str(path), "--out", str(out),
+                 "--schemes", "exact,edge_coloring"]) == 0
+    peaks = {(r["scheme"], r["seed"]): r["value"] for r in read_rows(out)
+             if r["metric"] == "max_link_load"}
+    assert peaks and all(peaks[("exact", seed)] == peaks[("edge_coloring", seed)]
+                         for _, seed in peaks)
 
 
-def test_exact_guard_is_a_config_error(tmp_path, capsys):
-    path = tmp_path / "exact.json"
-    path.write_text(json.dumps(EXACT_TOO_LARGE))
-    out = tmp_path / "x.csv"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "jobs[0]" in err and "exact_max_commodities" in err
-    assert not out.exists()
-
-    # as mice the same flows never reach the controller
-    mice = {**EXACT_TOO_LARGE, "controller": {"elephant_threshold_bytes": 1e12}}
-    path.write_text(json.dumps(mice))
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-
-
-# two MINI dp=4 jobs at t=0 have 16 inter-ToR elephants per iteration each,
-# so each passes the guard of 16 alone, but their decisions see 32 together
-OVERLAPPING_EXACT = {
-    **SMALL_CONFIG,
-    "schemes": ["exact"],
-    "jobs": [{"model": "MINI", "dp": 4, "num_iterations": 2, "arrival_time": 0.0}] * 2,
-}
+def test_exact_routes_a_job_of_256_inter_tor_elephants(tmp_path):
+    """One LLaMA2-70B dp=2 iteration has 256 inter-ToR ring edges."""
+    assert_exact_peaks_as_edge_coloring(
+        {"jobs": [{"model": "LLaMA2-70B", "dp": 2, "num_iterations": 1}]}, tmp_path)
 
 
 @pytest.mark.parametrize("fallback", [False, True])
-def test_exact_guard_sums_the_elephants_of_all_jobs(tmp_path, capsys, fallback):
-    path, out = tmp_path / "exact.json", tmp_path / "x.csv"
-    path.write_text(json.dumps({**OVERLAPPING_EXACT,
-                                "controller": {"ecmp_fallback_start": fallback}}))
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "jobs[1]" in err and "exact_max_commodities" in err
-    assert "32 inter-ToR commodities exceed" in err
-    assert not out.exists()
+def test_exact_routes_the_elephants_of_overlapping_jobs(tmp_path, fallback):
+    """Two MINI dp=4 jobs at t=0 have 16 inter-ToR elephants per iteration
+    each, so their decisions see 32 together."""
+    assert_exact_peaks_as_edge_coloring({
+        **SMALL_CONFIG,
+        "jobs": [{"model": "MINI", "dp": 4, "num_iterations": 2, "arrival_time": 0.0}] * 2,
+        "controller": {"ecmp_fallback_start": fallback},
+    }, tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -525,9 +540,6 @@ def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
         # SMALL_CONFIG has 4 spines
         (["failsweep", "--counts", "1,4"],
          "--counts: cannot fail 4 of 4 live spines; one must survive"),
-        (["bench", "--schemes", "greedy,exact", "--counts", "10,100"],
-         "--counts: 100 inter-ToR commodities exceed the exact-solver guard "
-         "exact_max_commodities = 16"),
     ]],
 )
 def test_empty_or_repeated_list_flag_is_config_error(argv, message, small_config, tmp_path,
@@ -539,16 +551,6 @@ def test_empty_or_repeated_list_flag_is_config_error(argv, message, small_config
     config = [] if argv[0] == "bench" else ["--config", small_config]
     assert main(argv + config + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
-
-
-def test_bench_rejects_counts_above_the_exact_guard_before_timing(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    argv = ["bench", "--schemes", "greedy,exact", "--counts", "10,100", "--out", str(out)]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert "--counts" in captured.err and "100" in captured.err
-    assert captured.out == ""
     assert not out.exists()
 
 
@@ -731,65 +733,21 @@ def test_a_time_too_coarse_for_a_flow_exits_3_naming_it(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["coarse.json"]
 
 
-# One job of tp=2, pp=1, dp=4 on 8 ToRs of one 2-NIC host each: a replica fills
-# a host, so both rings have 4 members on 4 ToRs, and each iteration has 8
-# inter-ToR ring edges, all elephants.
-EXACT_EDGES = 8
-EXACT_AT_GUARD = {
-    "scenario_id": "guard",
-    "topology": {"num_spines": 4, "num_tors": 8, "hosts_per_tor": 1, "nics_per_host": 2,
-                 "link_capacity_bps": 100e9},
-    "models": {"PAIR": {"num_params": 2e9, "tp": 2, "pp": 1}},
-    "allowed_dp": [4],
-    "jobs": [{"model": "PAIR", "dp": 4, "num_iterations": 2}],
-    "hardware": {"peak_flops": 312e12, "utilization": 0.3, "tokens_per_batch": 2e4},
-    "schemes": ["exact"],
-}
-
-
-def test_exact_guard_admits_exactly_its_size(tmp_path, capsys):
-    job = build_jobs(parse_config(EXACT_AT_GUARD), 0)[0]
-    edges = [c for ring in build_rings(job) for c in ring_allreduce_commodities(ring, 0)]
-    assert sum(c.src.tor != c.dst.tor for c in edges) == EXACT_EDGES
+def test_exact_guard_is_a_config_error(tmp_path, capsys):
+    """The exact guard, ``exact_max_commodities``, is gone from the schema, so
+    a scenario that names it is refused as an unknown field."""
     path, out = tmp_path / "exact.json", tmp_path / "x.csv"
-    path.write_text(json.dumps({**EXACT_AT_GUARD, "exact_max_commodities": EXACT_EDGES}))
-    assert main(["run", "--config", str(path), "--out", str(out), "--schemes", "exact"]) == 0
-    path.write_text(json.dumps({**EXACT_AT_GUARD, "exact_max_commodities": EXACT_EDGES - 1}))
-    out.unlink()
-    assert main(["run", "--config", str(path), "--out", str(out), "--schemes", "exact"]) == 2
-    err = capsys.readouterr().err
-    assert "jobs[0]" in err and f"{EXACT_EDGES} inter-ToR commodities exceed" in err
+    path.write_text(json.dumps({**SMALL_CONFIG, "schemes": ["exact"],
+                                "exact_max_commodities": 16}))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: exact_max_commodities: unknown field\n"
     assert not out.exists()
-
-
-def test_exact_guard_counts_on_the_templates_the_runs_share(tmp_path, monkeypatch):
-    """With exact listed, the size guard counts the elephants of the flow
-    templates that every scheme's run then shares: each ring's edges are
-    derived once per seed, not once more for the guard."""
-    calls = []
-    commodities = sim.ring_allreduce_commodities
-
-    def counting(ring, iteration):
-        calls.append(ring)
-        return commodities(ring, iteration)
-
-    scenario = {**EXACT_AT_GUARD, "seeds": [0, 1]}
-    path = tmp_path / "exact.json"
-    path.write_text(json.dumps(scenario))
-    monkeypatch.setattr(sim, "ring_allreduce_commodities", counting)
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv"),
-                 "--schemes", "exact,greedy"]) == 0
-    built = Counter(calls)
-    config = parse_config(scenario)
-    rings = [ring for seed in config.seeds for job in build_jobs(config, seed)
-             for ring in build_rings(job)]
-    assert len(rings) == 4
-    assert built == Counter(rings)
 
 
 @pytest.mark.parametrize("argv, runs", [
     (["run", "--schemes", "greedy,ecmp"], 4),
     (["failsweep", "--counts", "1,2"], 8),
+    (["run", "--schemes", "exact,greedy"], 4),
 ])
 def test_flow_templates_are_built_once_per_job_and_seed(argv, runs, small_config, tmp_path,
                                                         monkeypatch):

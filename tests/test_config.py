@@ -3,8 +3,8 @@ mutated, run through ``closroute run`` in process: the run exits 0 or 2, and
 on 2 its message starts with a field path.
 
 A case starts from ``tests/test_cli.py``'s ``SMALL_CONFIG`` with one seed,
-with greedy beside ECMP or beside ``exact`` (its guard raised so that both
-jobs fit), and with both jobs arriving at once or at drawn times. It mutates one row: a value of the wrong JSON type, NaN, inf,
+with greedy beside ECMP or beside ``exact``, and with both jobs arriving at
+once or at drawn times. It mutates one row: a value of the wrong JSON type, NaN, inf,
 a negative number, zero, an empty list, an unknown key beside the field, a
 boolean, or a count past the fabric. A list's mutation replaces either the
 list or its first entry.
@@ -95,8 +95,8 @@ def cases(draw) -> Case:
 def _scenario(case: Case) -> dict:
     """SMALL_CONFIG with the case's seed, schemes and arrivals, and its mutation."""
     cfg = {**copy.deepcopy(SMALL_CONFIG), "seeds": [case.seed]}
-    if case.exact:  # with room for the 24 inter-ToR elephants per iteration of both jobs
-        cfg.update(schemes=["greedy", "exact"], exact_max_commodities=24)
+    if case.exact:
+        cfg.update(schemes=["greedy", "exact"])
     if case.overlap:
         for job in cfg["jobs"]:
             job["arrival_time"] = 0.0
@@ -131,7 +131,7 @@ def _pinned(test):
 
 def _check(case: Case):
     """Exit 2 names the mutated field, a section or entry that holds it, an
-    entry of it, or a job whose placement, dp or exact guard it breaks; a
+    entry of it, or a job whose placement or dp it breaks; a
     value that the field's row refuses exits 2 naming the field itself."""
     code, err = _run(case)
     assert code in (0, 2), err

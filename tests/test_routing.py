@@ -2,12 +2,15 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from test_topology import all_endpoints
@@ -15,13 +18,13 @@ from test_topology import all_endpoints
 from closroute import routing, topology
 from closroute.rates import LinkRows, waterfill
 from closroute.routing import (
-    EXACT_MAX_COMMODITIES,
     SCHEME_NAMES,
     AnnealSchedule,
     PathChoice,
     anneal_assign,
     assign_by_scheme,
     decompose_components,
+    degree_bound,
     ecmp_assign,
     edge_color_assign,
     exact_assign,
@@ -440,7 +443,7 @@ def oracle_instances():
         instances.append((fail_spines(topo, rng.randrange(topo.num_spines), seed), cs))
     for topo, cs in ring_edge_instances():
         inter = sum(c.src.tor != c.dst.tor for c in cs)
-        if inter <= EXACT_MAX_COMMODITIES and len(topo.live_spines) ** inter <= 5000:
+        if len(topo.live_spines) ** inter <= 5000:
             instances.append((topo, cs))
     return instances
 
@@ -467,11 +470,10 @@ def test_exact_builds_routes_once_and_runs_no_other_scheme(monkeypatch):
         assert calls == Counter(build_routes=1)
 
 
-def test_exact_guard_rejects_large_instances():
+def test_exact_meets_the_degree_bound_on_forty_commodities():
     topo = build_topology(2, 16, 4, 1, 1.0)
-    cs = random_commodities(topo, 40, seed=0)
-    with pytest.raises(ValueError):
-        exact_assign(cs, topo, max_commodities=16)
+    batch = classify(topo, random_commodities(topo, 40, seed=0))
+    assert max_link_load(exact_assign(batch, topo), topo) == degree_bound(batch.kinds, topo)
 
 
 # -- load accounting and cross-scheme properties ------------------------------
@@ -494,7 +496,7 @@ def test_a_scheme_reads_a_lists_endpoints_once(scheme, monkeypatch):
     """A scheme reads a list into a batch once, at its top, and works on the
     batch alone: one endpoint read per call, and none for its choice's load."""
     topo = fail_spines(build_topology(4, 6, 2, 2, 1.0), 1, seed=3)
-    cs = random_commodities(topo, 12, seed=4)  # inter-ToR, within the exact guard
+    cs = random_commodities(topo, 12, seed=4)  # all inter-ToR
     reads = []
     read = topology._read_endpoints
 
@@ -658,14 +660,14 @@ def test_coloring_matches_scan_and_kempe_reference():
 
 
 @st.composite
-def unit_instances(draw):
-    """Distinct ToR pairs within the exact guard, on a fabric with some
-    spines failed."""
+def unit_instances(draw, max_pairs=12):
+    """Up to max_pairs distinct ToR pairs, on a fabric with some spines
+    failed."""
     tors = draw(st.integers(2, 8))
     pair = st.tuples(st.integers(0, tors - 1), st.integers(0, tors - 1)).filter(
         lambda p: p[0] != p[1]
     )
-    pairs = draw(st.lists(pair, min_size=1, max_size=12, unique=True))
+    pairs = draw(st.lists(pair, min_size=1, max_size=max_pairs, unique=True))
     topo = build_topology(draw(st.integers(1, 4)), tors, tors, 1, 1.0)
     topo = fail_spines(topo, draw(st.integers(0, topo.num_spines - 1)), draw(st.integers(0, 99)))
     return topo, unit_commodities_for_pairs(topo, pairs)
@@ -677,6 +679,131 @@ def test_greedy_within_twice_exact(case):
     topo, cs = case
     exact = max_link_load(exact_assign(cs, topo), topo)
     assert max_link_load(greedy_assign(cs, topo), topo) <= 2 * exact
+
+
+def recursive_exact_spines(kinds, topo, limit):
+    """The exact search as a recursive depth-first search, the reference for
+    ``routing._exact_spines``: per commodity, the live spines in ascending
+    order, each admitted while both of its links stay within the degree bound.
+    Returns the first spine vector at the bound, or None once it has placed
+    more than limit spines."""
+    live = topo.live_spines
+    src_tor, dst_tor = kinds.src_tor[kinds.inter].tolist(), kinds.dst_tor[kinds.inter].tolist()
+    bound = degree_bound(kinds, topo)
+    loads, chosen, placed = Counter(), [], 0
+
+    def dfs(pos: int) -> bool:
+        nonlocal placed
+        if pos == len(src_tor):
+            return True
+        for s in live:
+            links = (("up", src_tor[pos], s), ("down", s, dst_tor[pos]))
+            if all(loads[link] < bound for link in links):
+                placed += 1
+                if placed > limit:
+                    return False
+                loads.update(links)
+                chosen.append(s)
+                if dfs(pos + 1):
+                    return True
+                chosen.pop()
+                loads.subtract(links)
+        return False
+
+    return chosen if dfs(0) else None
+
+
+# random instances of up to 56 commodities on which the search runs past its
+# budget (13 and 19 commodities), and one of 49 on which it does not
+PAST_THE_BUDGET = [random_unit_instance(seed, max_commodities=56) for seed in (2192, 2814)]
+WITHIN_THE_BUDGET = random_unit_instance(0, max_commodities=56)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(unit_instances(max_pairs=40))
+@example(PAST_THE_BUDGET[0])
+@example(PAST_THE_BUDGET[1])
+@example(WITHIN_THE_BUDGET)
+def test_exact_search_is_the_recursive_one_within_its_budget(case):
+    """Within ``_EXACT_PLACEMENTS * (n + 16)`` placements the search returns
+    the recursive search's vector, and past them edge coloring's."""
+    topo, cs = case
+    kinds = classify(topo, cs).kinds
+    budget = routing._EXACT_PLACEMENTS * (int(kinds.inter.sum()) + 16)
+    reference = recursive_exact_spines(kinds, topo, budget)
+    expected = routing._color_spines(kinds, topo) if reference is None else reference
+    assert routing._exact_spines(kinds, topo) == expected
+
+
+def test_the_pinned_instances_run_past_the_budget_or_not():
+    for (topo, cs), past in zip([*PAST_THE_BUDGET, WITHIN_THE_BUDGET], (True, True, False)):
+        kinds = classify(topo, cs).kinds
+        budget = routing._EXACT_PLACEMENTS * (int(kinds.inter.sum()) + 16)
+        assert (recursive_exact_spines(kinds, topo, budget) is None) == past
+    assert len(WITHIN_THE_BUDGET[1]) > 16
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(unit_instances(max_pairs=40))
+@example(WITHIN_THE_BUDGET)
+def test_exact_takes_edge_colorings_spines_on_a_budget_of_nothing(case):
+    topo, cs = case
+    with mock.patch.object(routing, "_EXACT_PLACEMENTS", 0):
+        assert exact_assign(cs, topo).spine.tolist() == edge_color_assign(cs, topo).spine.tolist()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(unit_instances(max_pairs=40))
+@example(PAST_THE_BUDGET[0])
+@example(PAST_THE_BUDGET[1])
+@example(WITHIN_THE_BUDGET)
+def test_exact_meets_the_degree_bound(case):
+    topo, cs = case
+    batch = classify(topo, cs)
+    assert max_link_load(exact_assign(batch, topo), topo) == degree_bound(batch.kinds, topo)
+
+
+def ring_shaped_instance(num_tors: int, rings: int, seed: int):
+    """The shape of the ring all-reduce sets on which the search runs past its
+    budget: rings of 8 ToRs, each ToR on at most 4 of them, every ring edge
+    8 times over (8 rings through the same ToRs), on 32 spines. Each ToR that
+    4 rings cross has degree 32, so the degree bound is 1."""
+    rng = random.Random(seed)
+    crossings = Counter()
+    pairs = []
+    for _ in range(rings):
+        ring = rng.sample([t for t in range(num_tors) if crossings[t] < 4], 8)
+        crossings.update(ring)
+        pairs += [(ring[i], ring[(i + 1) % 8]) for i in range(8)] * 8
+    topo = build_topology(32, num_tors, 4, 8, 1.0)
+    return topo, unit_commodities_for_pairs(topo, pairs)
+
+
+def test_exact_finishes_on_the_hard_shape_within_five_seconds():
+    """2,944 commodities: a recursive search would exceed Python's recursion
+    limit, and an unbounded one did not finish in minutes."""
+    topo, cs = ring_shaped_instance(128, 46, seed=0)
+    batch = classify(topo, cs)
+    assert len(cs) == 2944 and degree_bound(batch.kinds, topo) == 1
+    start = time.perf_counter()
+    choice = exact_assign(batch, topo)
+    assert time.perf_counter() - start < 5.0
+    assert choice.spine.tolist() == edge_color_assign(batch, topo).spine.tolist()
+    assert max_link_load(choice, topo) == 1
+
+
+def test_exact_meets_the_degree_bound_on_the_decision_replay_sets(monkeypatch):
+    """The benchmark's 28 ring all-reduce sets, of 96 to 5,376 inter-ToR
+    commodities on the 8192-GPU fabric, intact and with 8 spines failed."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import workloads
+
+    replay = workloads.DecisionReplay(seed=0, out_dir="")
+    assert len(replay.sets) == 28
+    for members, topo in replay.sets:
+        batch = classify(topo, replay.commodities(members, 0))
+        bound = degree_bound(batch.kinds, topo)
+        assert max_link_load(exact_assign(batch, topo), topo) == bound
 
 
 def test_schemes_work_with_failed_spines():
@@ -728,6 +855,10 @@ def bench_instances():
     return instances
 
 
+# the exact digests were recorded on the inputs of at most 16 inter-ToR
+# commodities, so the bench family's covers none of its inputs
+EXACT_DIGEST_COMMODITIES = 16
+
 PINNED_INPUTS = {
     "unit": lambda: [random_unit_instance(seed) for seed in range(200)],
     "bench": bench_instances,
@@ -749,7 +880,7 @@ PINNED_CHOICES = {
         "ecmp": "b73d4892d2528b4a4939dc438dbc37616c4b385baa0433679bdf39e6fd677e00",
         "edge_coloring": "ea63c84a113f09b209203bc920d3c6d17a8bef893f2957ff509da891d39263a4",
         "annealing": "1ce3a8e36e477cc75df73cd0eb6e0f99fe6d4a1ebfc4832d5472ef1eafaff4c2",
-        # every bench input exceeds the exact guard: the digest of nothing
+        # every bench input has more than EXACT_DIGEST_COMMODITIES: the digest of nothing
         "exact": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "rings": {
@@ -772,7 +903,7 @@ def test_scheme_choices_match_pinned_digests(family):
         digest = hashlib.sha256()
         for topo, cs in instances:
             inter = sum(c.src.tor != c.dst.tor for c in cs)
-            if scheme == "exact" and inter > EXACT_MAX_COMMODITIES:
+            if scheme == "exact" and inter > EXACT_DIGEST_COMMODITIES:
                 continue
             choice = assign_by_scheme(scheme, cs, topo, seed=7, anneal_schedule=schedule)
             for c in cs:
@@ -815,8 +946,6 @@ def test_lazy_views_match_eager_builds(scheme, monkeypatch):
 
     monkeypatch.setattr(routing, "build_routes", recording)
     for topo, cs in lazy_view_instances():
-        if scheme == "exact" and sum(c.src.tor != c.dst.tor for c in cs) > EXACT_MAX_COMMODITIES:
-            continue
         choice = assign_by_scheme(scheme, cs, topo, seed=7)
         # the result is the last choice the scheme built
         assert repr(choice.assignment) == repr(eager_assignment(*calls[-1]))

@@ -679,11 +679,6 @@ def test_controller_refuses_an_unknown_scheme():
         ControllerModel(scheme="gredy")
 
 
-def test_controller_refuses_an_exact_guard_below_one():
-    with pytest.raises(ValueError, match="exact_max_commodities must be >= 1, got 0"):
-        ControllerModel(exact_max_commodities=0)
-
-
 def test_failure_plan_refuses_a_negative_count():
     with pytest.raises(ValueError, match=r"failure counts must be >= 0, got \(-1,\)"):
         FailurePlan(times=(0.5,), counts=(-1,))
@@ -1020,7 +1015,6 @@ def test_schemes_choose_alike_for_an_engine_batch_and_its_list(specs, failed, pi
     for column, listed_column in zip(batch.kinds, read.kinds):
         assert column.tolist() == listed_column.tolist()
     schedule = routing.AnnealSchedule(moves_per_commodity=20)
-    # 16 GPUs send at most 16 flows, so every batch is within the exact guard
     for scheme in routing.SCHEME_NAMES:
         by_batch, by_list = (
             routing.assign_by_scheme(scheme, commodities, topo, seed=pick,
@@ -1136,7 +1130,7 @@ def test_a_multi_iteration_run_routes_its_repeated_decisions_from_the_memo(clust
     """A job's next iteration hands the controller the columns of its last,
     so the memo hits; the scheme is still called once per decision."""
     job = make_job(cluster, MINI, dp=2, seed=4, iters=4)
-    controller = ControllerModel(scheme=scheme, exact_max_commodities=64)
+    controller = ControllerModel(scheme=scheme)
     public, core = MEMO_SCHEMES[scheme]
     calls = Counter()
     with counting_scheme_calls(scheme, calls):
