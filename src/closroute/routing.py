@@ -25,7 +25,10 @@ Schemes:
                 optimum as edge_coloring shows, or edge_coloring's own vector
                 once the search runs past its budget
 
-Greedy keeps, per ToR and direction, one bitmask of live spines per load
+The schemes keep a call's state per ToR and direction, on the rows that
+``_tor_rows`` builds for the ToRs the call touches, not per link: greedy's
+masks and loads by spine, edge coloring's edges by color, annealing's and
+exact's loads by spine. Greedy keeps one bitmask of live spines per load
 level: bit s of level l is set when spine s's link at that ToR carries at
 most l commodities. A commodity's least bottleneck is the first level, from
 its NIC floor up, at which its source ToR's up-mask and its destination
@@ -45,7 +48,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import compress
@@ -142,6 +144,19 @@ def _spines(core, kinds: Classified, topo: ClosTopology, memo: dict | None) -> l
     return spines
 
 
+def _tor_rows(kinds: Classified, topo: ClosTopology, row: list) -> tuple[list, list, list]:
+    """A call's per-ToR state: each inter-ToR commodity's two row indices, in
+    order, as ``ups`` and ``downs``, and the rows, a copy of row for each ToR
+    direction that they name, None at the others. Index t holds ToR t's
+    ToR->spine links, and num_tors + t its spine->ToR links."""
+    inter = kinds.inter
+    ups, downs = kinds.src_tor[inter].tolist(), (kinds.dst_tor[inter] + topo.num_tors).tolist()
+    rows = [None] * (2 * topo.num_tors)
+    for t in set(ups).union(downs):
+        rows[t] = row.copy()
+    return ups, downs, rows
+
+
 def _greedy_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
     """Greedy's spines for the inter-ToR commodities, in order.
 
@@ -158,8 +173,7 @@ def _greedy_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
     strictly smaller bottleneck. A link going from load v to v + 1 leaves
     level mask v only.
     """
-    src_tor, dst_tor, nic_up, nic_down = kinds
-    inter = kinds.inter
+    nic_up, nic_down, inter = kinds.nic_up, kinds.nic_down, kinds.inter
     # no spine link can carry more than the max ToR degree, so level ``top``
     # holds every live spine, and a NIC floor above it chooses as ``top`` does
     top = max_tor_degree(kinds)
@@ -170,13 +184,10 @@ def _greedy_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
 
     live = sum(1 << s for s in topo.live_spines)
     base = top + 1
-    # one row per ToR and direction, ToR->spine rows first: the level masks,
-    # then the link loads by spine from index ``base``
-    unloaded = [live] * base + [0] * topo.num_spines
-    rows = [unloaded.copy() for _ in range(2 * topo.num_tors)]
+    # per ToR and direction: the level masks, then the link loads by spine from index ``base``
+    ups, downs, rows = _tor_rows(kinds, topo, [live] * base + [0] * topo.num_spines)
     spines = []
-    for st, dt, level in zip(src_tor[inter].tolist(), (dst_tor[inter] + topo.num_tors).tolist(),
-                             floor.tolist()):
+    for st, dt, level in zip(ups, downs, floor.tolist()):
         up, down = rows[st], rows[dt]
         both = up[level] & down[level]
         while not both:
@@ -290,14 +301,12 @@ def edge_color_assign(commodities: CommodityInput, topo: ClosTopology,
 
 def _color_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
     """Edge coloring's spines for the inter-ToR commodities, in order."""
-    inter = kinds.inter
-    # vertices: source ToR t is t, destination ToR t is T + t. Edge e joins
-    # src[e] and dst[e]: a list per edge would be one more GC object each
-    src, dst = kinds.src_tor[inter].tolist(), (topo.num_tors + kinds.dst_tor[inter]).tolist()
     degree = max_tor_degree(kinds)
-    # table[x][c]: the edge colored c at vertex x, -1 if c is free there;
-    # bit c of free[x] is set while c is free at x
-    table = [[-1] * degree for _ in range(2 * topo.num_tors)]
+    # vertices: source ToR t is t, destination ToR t is T + t (``_tor_rows``).
+    # Edge e joins src[e] and dst[e]: a list per edge would be one more GC
+    # object each. table[x][c]: the edge colored c at vertex x, -1 if c is
+    # free there; bit c of free[x] is set while c is free at x
+    src, dst, table = _tor_rows(kinds, topo, [-1] * degree)
     free = [(1 << degree) - 1] * (2 * topo.num_tors)
     color = [0] * len(src)
     for e, (u, v) in enumerate(zip(src, dst)):
@@ -333,18 +342,18 @@ def _color_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
 
 
 class _LoadTracker:
-    """Loads by link id, their max and sum of squares kept in O(1) per bump of +1 or -1."""
+    """The max and sum of squares of the loads it bumps, kept in O(1) per bump
+    of +1 or -1, the max over a floor: the most of the loads that never move."""
 
-    def __init__(self, num_links: int):
-        self.loads = [0] * num_links
-        self.hist = {0: num_links}  # links by load
-        self.max_load = 0
+    def __init__(self, floor: int):
+        self.hist = {0: 0, floor: 1}  # links by load, the floor as one; 0's count is never read
+        self.max_load = floor
         self.sum_sq = 0
 
-    def bump(self, link: int, delta: int):
-        old = self.loads[link]
+    def bump(self, row: list[int], i: int, delta: int):
+        old = row[i]
         new = old + delta
-        self.loads[link] = new
+        row[i] = new
         self.sum_sq += new * new - old * old
         self.hist[old] -= 1
         self.hist[new] = self.hist.get(new, 0) + 1
@@ -364,21 +373,23 @@ def anneal_assign(
     Energy is (max link load, sum of squared link loads) compared
     lexicographically; a move re-spines one random inter-ToR commodity and is
     accepted when it lowers the energy, or with Metropolis probability
-    exp(-delta / temperature) otherwise. Returns the best state seen.
+    exp(-delta / temperature) otherwise. Returns the best state seen. NIC
+    loads never move, so they enter as a floor under the max, and their
+    constant squares, which cancel in every comparison, not at all.
     """
     live = topo.live_spines
     batch = classify(topo, commodities)
-    inter = batch.kinds.inter
     spine_of = _ecmp_spines(batch, topo, seed)
-    start = build_routes(batch, spine_of)
     if not spine_of or len(live) < 2 or schedule.moves_per_commodity == 0:
-        return start
+        return build_routes(batch, spine_of)
 
-    tracker = _LoadTracker(topo.num_links)
-    rows = start.link_rows(topo)
-    for link in rows[rows >= 0].tolist():
-        tracker.bump(link, 1)
-    src_tor, dst_tor = batch.kinds.src_tor[inter].tolist(), batch.kinds.dst_tor[inter].tolist()
+    kinds = batch.kinds
+    nics = np.concatenate([kinds.nic_up, kinds.nic_down])
+    tracker = _LoadTracker(int(np.unique(nics[nics >= 0], return_counts=True)[1].max(initial=0)))
+    ups, downs, rows = _tor_rows(kinds, topo, [0] * topo.num_spines)
+    for up, down, spine in zip(ups, downs, spine_of):
+        tracker.bump(rows[up], spine, 1)
+        tracker.bump(rows[down], spine, 1)
 
     # Integer scalarization of the lexicographic energy: a max-load step always
     # outweighs any reachable sum-of-squares difference.
@@ -387,9 +398,6 @@ def anneal_assign(
 
     def energy() -> int:
         return tracker.max_load * big + tracker.sum_sq
-
-    def links_of(i: int, spine: int) -> tuple[int, int]:
-        return topo.tor_up_id(src_tor[i], spine), topo.tor_down_id(spine, dst_tor[i])
 
     rng = random.Random(seed)
     temp = schedule.initial_temp
@@ -400,12 +408,12 @@ def anneal_assign(
     for _ in range(moves):
         i = rng.randrange(n)
         old_spine = spine_of[i]
-        alternatives = [s for s in live if s != old_spine]
-        new_spine = alternatives[rng.randrange(len(alternatives))]
-        for link in links_of(i, old_spine):
-            tracker.bump(link, -1)
-        for link in links_of(i, new_spine):
-            tracker.bump(link, 1)
+        k = rng.randrange(len(live) - 1)  # the k-th live spine other than old_spine
+        new_spine = live[k + (k >= live.index(old_spine))]
+        up, down = rows[ups[i]], rows[downs[i]]
+        for spine, step in ((old_spine, -1), (new_spine, 1)):
+            tracker.bump(up, spine, step)
+            tracker.bump(down, spine, step)
         proposed = energy()
         delta = proposed - current
         if delta <= 0 or rng.random() < math.exp(-delta / temp):
@@ -415,10 +423,9 @@ def anneal_assign(
                 best = current
                 best_spines = spine_of.copy()
         else:
-            for link in links_of(i, new_spine):
-                tracker.bump(link, -1)
-            for link in links_of(i, old_spine):
-                tracker.bump(link, 1)
+            for spine, step in ((new_spine, -1), (old_spine, 1)):
+                tracker.bump(up, spine, step)
+                tracker.bump(down, spine, step)
         temp *= schedule.cooling_factor
 
     return build_routes(batch, best_spines)
@@ -448,42 +455,33 @@ def _exact_spines(kinds: Classified, topo: ClosTopology) -> list[int]:
     depth-first search, kept as a stack of each commodity's live spines not
     yet tried, or ``_color_spines``' once it has placed
     ``_EXACT_PLACEMENTS * (n + 16)`` spines, n being the inter-ToR commodities.
-    Loads are kept by link id, for the links the search has loaded."""
+    Loads are kept by spine on the rows of the ToRs the commodities use."""
     live = topo.live_spines
-    inter = kinds.inter
-    src_tor, dst_tor = kinds.src_tor[inter].tolist(), kinds.dst_tor[inter].tolist()
-    n = len(src_tor)
+    ups, downs, rows = _tor_rows(kinds, topo, [0] * topo.num_spines)
     bound = degree_bound(kinds, topo)
-    budget = _EXACT_PLACEMENTS * (n + 16)
-    # each commodity's two links at each live spine, in the order of live
-    ups = {t: [topo.tor_up_id(t, s) for s in live] for t in set(src_tor)}
-    downs = {t: [topo.tor_down_id(s, t) for s in live] for t in set(dst_tor)}
-    links = [(ups[u], downs[d]) for u, d in zip(src_tor, dst_tor)]
-    loads = defaultdict(int)
-    chosen: list[int] = []  # each placed commodity's position in live
-    untried = [iter(range(len(live)))]  # one per placed commodity, and one for the next
-    while len(chosen) < n:
-        up_ids, down_ids = links[len(chosen)]
-        for i in untried[-1]:
-            up, down = up_ids[i], down_ids[i]
-            if loads[up] < bound and loads[down] < bound:
+    budget = _EXACT_PLACEMENTS * (len(ups) + 16)
+    chosen: list[int] = []  # each placed commodity's spine
+    untried = [iter(live)]  # one per placed commodity, and one for the next
+    while len(chosen) < len(ups):
+        up, down = rows[ups[len(chosen)]], rows[downs[len(chosen)]]
+        for s in untried[-1]:
+            if up[s] < bound and down[s] < bound:
                 if not budget:
                     return _color_spines(kinds, topo)
                 budget -= 1
-                loads[up] += 1
-                loads[down] += 1
-                chosen.append(i)
-                untried.append(iter(range(len(live))))
+                up[s] += 1
+                down[s] += 1
+                chosen.append(s)
+                untried.append(iter(live))
                 break
         else:  # no spine fits: take back the previous commodity's, to try its next
             untried.pop()
             if not chosen:
                 raise AssertionError("no spine assignment meets the degree bound")
-            i = chosen.pop()
-            up_ids, down_ids = links[len(chosen)]
-            loads[up_ids[i]] -= 1
-            loads[down_ids[i]] -= 1
-    return [live[i] for i in chosen]
+            s = chosen.pop()
+            rows[ups[len(chosen)]][s] -= 1
+            rows[downs[len(chosen)]][s] -= 1
+    return chosen
 
 
 def assign_by_scheme(

@@ -514,6 +514,10 @@ class _Engine:
                 self._on_completion()
             else:
                 break
+        if self.heap:  # what is left is due at a NaN or infinite time, which no loop reaches
+            t, kind, _, payload = self.heap[0]
+            job = f" for job {self.jobs[payload].id}" if kind == _COMPUTE_DONE else ""
+            raise SimInvariantError(f"an event at time {t}{job} never ran")
         if self.flows.live.any():
             raise SimInvariantError(f"{self.flows.live.sum()} flows never completed")
         self.records.sort(key=lambda r: (r.job_id, r.iteration))

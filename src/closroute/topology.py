@@ -29,12 +29,12 @@ spine. Each formula is written once: ``_read_endpoints`` for the endpoints,
 unpacked from each ``Endpoint.key``, ``_check_on_fabric`` for those off the
 fabric and ``_columns`` for their ToRs and NIC links (``classify`` and
 ``route_link_rows`` call all three), and ``tor_up_id`` and ``tor_down_id``
-for the spine links. ``max_spine_link_load`` and waterfill count loads on
-these ids, greedy its spine links on per-ToR level rows. ``_link_rows`` maps
+for the spine links. ``max_spine_link_load`` and waterfill count loads on these
+ids, the schemes on per-ToR rows (``routing._tor_rows``). ``_link_rows`` maps
 ``Classified`` columns and spines to ids, one row of four per route, for
-``route_link_rows`` and ``PathChoice.link_rows``. A Route is its spine
-and endpoints alone; ``Route.links`` derives pairs of tagged nodes from them
-by the rule ``_columns`` applies, so it and the route's row cannot disagree.
+``route_link_rows`` and ``PathChoice.link_rows``. A Route is its spine and
+endpoints alone; ``Route.links`` derives pairs of tagged nodes from them by the
+rule ``_columns`` applies, so it and the route's row cannot disagree.
 """
 
 from __future__ import annotations

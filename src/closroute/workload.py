@@ -33,6 +33,9 @@ class ModelConfig:
             raise ValueError("tp and pp must be >= 1")
         if not self.bytes_per_param > 0:
             raise ValueError("bytes_per_param must be positive")
+        # a ring edge carries under 2 shards, so under 16 bits a param: a float must hold that
+        if not math.isfinite(16 * self.num_params * self.bytes_per_param):
+            raise ValueError(f"{self.num_params} params give a ring edge bits past the float range")
 
     @property
     def gpus_per_replica(self) -> int:
@@ -73,6 +76,8 @@ class Job:
     placement: tuple[Endpoint, ...]
 
     def __post_init__(self):
+        if not 0 <= self.arrival_time < math.inf:
+            raise ValueError(f"arrival_time must be finite and >= 0, got {self.arrival_time}")
         if self.dp < 1:
             raise ValueError("dp must be >= 1")
         if self.num_iterations < 1:

@@ -285,6 +285,8 @@ BAD_VALUES = [
      "models.X.bytes_per_param"),
     ({"models": {"X": {"bytes_per_param": 2.5, "num_params": 1e9, "tp": 1, "pp": 1}}},
      "models.X.bytes_per_param"),
+    # finite, but a ring edge's bits, up to 16 x 4e308, are not
+    ({"models": {"X": {"num_params": 1e308, "tp": 1, "pp": 1}}}, "models.X"),
     ({"scenario_id": 5}, "scenario_id"),
     # a repeated scheme or seed would run the same simulations again
     ({"schemes": ["greedy", "ecmp", "greedy"]}, r"schemes\[2\]"),
@@ -731,6 +733,17 @@ def test_a_time_too_coarse_for_a_flow_exits_3_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "flow job" in err and "too coarse" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["coarse.json"]
+
+
+def test_a_compute_phase_past_the_float_range_exits_3_naming_the_job(tmp_path, capsys):
+    """6 x 1e10 params x 1e300 tokens is inf: the first job's compute phase
+    never ends, and the run stops rather than write no iteration."""
+    path, out = tmp_path / "overflow.json", tmp_path / "x.csv"
+    path.write_text(json.dumps({**SMALL_CONFIG, "hardware": {"tokens_per_batch": 1e300},
+                                "models": {"MINI": {"num_params": 1e10, "tp": 4, "pp": 1}}}))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: an event at time inf for job job0 never ran\n"
+    assert not out.exists()
 
 
 def test_exact_guard_is_a_config_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -36,8 +37,10 @@ from closroute.routing import (
     unit_commodities_for_pairs,
 )
 from closroute.topology import (
+    ClosTopology,
     Endpoint,
     Route,
+    build_routes,
     build_topology,
     classify,
     fail_spines,
@@ -412,6 +415,127 @@ def test_anneal_deterministic_per_seed(fig_topo, fig_commodities):
     a = anneal_assign(fig_commodities, fig_topo, AnnealSchedule(), seed=9)
     b = anneal_assign(fig_commodities, fig_topo, AnnealSchedule(), seed=9)
     assert a == b
+
+
+class LinkLoadTracker:
+    """Loads by link id over every link of the fabric, their max and sum of
+    squares kept in O(1) per bump of +1 or -1."""
+
+    def __init__(self, num_links: int):
+        self.loads = [0] * num_links
+        self.hist = {0: num_links}  # links by load
+        self.max_load = 0
+        self.sum_sq = 0
+
+    def bump(self, link: int, delta: int):
+        old = self.loads[link]
+        new = old + delta
+        self.loads[link] = new
+        self.sum_sq += new * new - old * old
+        self.hist[old] -= 1
+        self.hist[new] = self.hist.get(new, 0) + 1
+        if new > self.max_load or old == self.max_load and not self.hist[old]:
+            self.max_load = new
+
+
+def reference_anneal_spines(cs, topo, schedule, seed):
+    """The reference for ``anneal_assign``: the same moves from the same ECMP
+    start, with the energy read off loads by link id, NIC links counted with
+    the spine links on every move. Returns the spine column."""
+    live = topo.live_spines
+    batch = classify(topo, cs)
+    inter = batch.kinds.inter
+    spine_of = routing._ecmp_spines(batch, topo, seed)
+    start = build_routes(batch, spine_of)
+    if not spine_of or len(live) < 2 or schedule.moves_per_commodity == 0:
+        return start.spine.tolist()
+    tracker = LinkLoadTracker(topo.num_links)
+    rows = start.link_rows(topo)
+    for link in rows[rows >= 0].tolist():
+        tracker.bump(link, 1)
+    src_tor, dst_tor = batch.kinds.src_tor[inter].tolist(), batch.kinds.dst_tor[inter].tolist()
+    n = len(spine_of)
+    big = 4 * (4 * n) ** 2 + 1
+
+    def links_of(i, spine):
+        return topo.tor_up_id(src_tor[i], spine), topo.tor_down_id(spine, dst_tor[i])
+
+    rng = random.Random(seed)
+    temp = schedule.initial_temp
+    current = best = tracker.max_load * big + tracker.sum_sq
+    best_spines = spine_of.copy()
+    for _ in range(schedule.moves_per_commodity * n):
+        i = rng.randrange(n)
+        old_spine = spine_of[i]
+        alternatives = [s for s in live if s != old_spine]
+        new_spine = alternatives[rng.randrange(len(alternatives))]
+        for spine, delta in ((old_spine, -1), (new_spine, 1)):
+            for link in links_of(i, spine):
+                tracker.bump(link, delta)
+        proposed = tracker.max_load * big + tracker.sum_sq
+        delta = proposed - current
+        if delta <= 0 or rng.random() < math.exp(-delta / temp):
+            spine_of[i] = new_spine
+            current = proposed
+            if current < best:
+                best = current
+                best_spines = spine_of.copy()
+        else:
+            for spine, delta in ((new_spine, -1), (old_spine, 1)):
+                for link in links_of(i, spine):
+                    tracker.bump(link, delta)
+        temp *= schedule.cooling_factor
+    return build_routes(batch, best_spines).spine.tolist()
+
+
+def nic_floored_instance():
+    """Six commodities from one NIC to two NICs of another ToR, and one within
+    the first ToR into that NIC, on 3 live spines: the busiest NIC link carries
+    six, and no spine link can carry more than six."""
+    topo = fail_spines(build_topology(4, 2, 2, 1, 1.0), 1, seed=0)
+    home, inside = Endpoint(0, 0, 0), Endpoint(0, 1, 0)
+    cs = [CommoditySpec(f"c{i}", "j", home, Endpoint(1, i % 2, 0), 1) for i in range(6)]
+    return topo, cs + [CommoditySpec("x", "j", inside, home, 1)]
+
+
+NIC_FLOORED = nic_floored_instance()
+
+
+def test_the_nic_floored_instance_has_its_max_on_a_nic_link():
+    topo, cs = NIC_FLOORED
+    for choice in (ecmp_assign(cs, topo, 5), anneal_assign(cs, topo, seed=5)):
+        loads = link_loads(choice, topo)
+        spine_links = loads[topo.spine_link_base:]
+        assert loads.max() == 6 > spine_links.max() > 0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mixed_instances(), st.integers(0, 30), st.floats(0.01, 10.0), st.integers(0, 99))
+@example(NIC_FLOORED, 30, 1.0, 5)
+@example(NIC_FLOORED, 30, 0.05, 0)
+@example(random_unit_instance(3), 10, 1.0, 7)
+def test_annealing_on_per_tor_rows_matches_the_link_id_reference(case, moves, temp, seed):
+    topo, cs = case
+    schedule = AnnealSchedule(initial_temp=temp, cooling_factor=0.99, moves_per_commodity=moves)
+    choice = anneal_assign(cs, topo, schedule, seed)
+    assert choice.spine.tolist() == reference_anneal_spines(cs, topo, schedule, seed)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_a_scheme_call_holds_memory_for_the_tors_it_touches(scheme):
+    """8 commodities on a fabric of 16,809,984 links that a run admits: state
+    over every link, or every ToR and spine, would take over 100 MB."""
+    topo = ClosTopology(512, 2**14, 1, 1, 1.0)
+    assert topo.num_links == 16_809_984
+    cs = random_commodities(topo, 8, 0)
+    tracemalloc.start()
+    try:
+        choice = assign_by_scheme(scheme, cs, topo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_choice_valid(choice, cs, topo)
+    assert peak < 8_000_000
 
 
 # -- exact --------------------------------------------------------------------
@@ -855,10 +979,6 @@ def bench_instances():
     return instances
 
 
-# the exact digests were recorded on the inputs of at most 16 inter-ToR
-# commodities, so the bench family's covers none of its inputs
-EXACT_DIGEST_COMMODITIES = 16
-
 PINNED_INPUTS = {
     "unit": lambda: [random_unit_instance(seed) for seed in range(200)],
     "bench": bench_instances,
@@ -880,15 +1000,14 @@ PINNED_CHOICES = {
         "ecmp": "b73d4892d2528b4a4939dc438dbc37616c4b385baa0433679bdf39e6fd677e00",
         "edge_coloring": "ea63c84a113f09b209203bc920d3c6d17a8bef893f2957ff509da891d39263a4",
         "annealing": "1ce3a8e36e477cc75df73cd0eb6e0f99fe6d4a1ebfc4832d5472ef1eafaff4c2",
-        # every bench input has more than EXACT_DIGEST_COMMODITIES: the digest of nothing
-        "exact": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "exact": "9fe0cc652e4f21763248de8493b8c0a9855f0b41e599c19fc2c90ee3961e6841",
     },
     "rings": {
         "greedy": "bf0c0302b988934f7c6d19111f07d77dc2a948f0fef763f1b3db62889612d316",
         "ecmp": "83f91752d3fe29a298360d54ccf3515c3ece4a835da3b152a56eced408d04e11",
         "edge_coloring": "bf0c0302b988934f7c6d19111f07d77dc2a948f0fef763f1b3db62889612d316",
         "annealing": "c61a1729e59f2cac0b8474b47fee40ea38343a8bd1000098804ad56256662cba",
-        "exact": "91798b9bc895ae8c075d871bdb8924625525ddb52f952f1db161fd5590efe9c4",
+        "exact": "d61461ff848b8fde80bac018e44c6b99469e43c852ab5c616440cef50f99b067",
     },
 }
 
@@ -902,9 +1021,6 @@ def test_scheme_choices_match_pinned_digests(family):
     for scheme in SCHEME_NAMES:
         digest = hashlib.sha256()
         for topo, cs in instances:
-            inter = sum(c.src.tor != c.dst.tor for c in cs)
-            if scheme == "exact" and inter > EXACT_DIGEST_COMMODITIES:
-                continue
             choice = assign_by_scheme(scheme, cs, topo, seed=7, anneal_schedule=schedule)
             for c in cs:
                 route = choice.assignment[c.id]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -217,10 +218,20 @@ def test_compute_duration_rejects_bad_hardware():
 
 
 def test_model_config_rejects_sizes_no_model_has():
+    # a ring edge's bits, under 16 x num_params x bytes_per_param, must be a float:
+    # at 4 bytes a param, 2.9e306 params are too many and 2.7e306 are not
     for args in ((0, 1, 1), (math.nan, 1, 1), (1e9, 0, 1), (1e9, 1, 0), (1e9, 1, math.nan),
-                 (1e9, 1, 1, 0), (1e9, 1, 1, math.nan)):
+                 (1e9, 1, 1, 0), (1e9, 1, 1, math.nan), (math.inf, 1, 1), (2.9e306, 1, 1)):
         with pytest.raises(ValueError):
             ModelConfig("x", *args)
+    ModelConfig("x", 2.7e306, 1, 1)
+
+
+@pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf, -1e-9])
+def test_job_refuses_an_arrival_no_event_can_be_due_at(arrival, cluster):
+    job = make_job(cluster, "BLOOM", 2)
+    with pytest.raises(ValueError, match=f"^arrival_time must be finite and >= 0, got {arrival}$"):
+        dataclasses.replace(job, arrival_time=arrival)
 
 
 def test_arrival_schedule_contract():
