@@ -240,13 +240,13 @@ def _write_summary(path: str, rows: list[tuple]):
 
 
 def cmd_validate(args) -> int:
-    for flag, value, least in (
-        ("--max-tors", args.max_tors, ">= 2"),
-        ("--max-spines", args.max_spines, ">= 1"),
-        ("--max-commodities", args.max_commodities, ">= 1"),
-        ("--instances", args.instances, ">= 1"),
-    ):
-        check_value(value, "int", (least,), flag)
+    # the fabric's own check on the largest fabric random_unit_instance can draw,
+    # --max-tors first on one spine, so that each refusal names its own flag
+    construct("--max-tors", ClosTopology, 1, args.max_tors, args.max_tors, 1, 1.0)
+    construct("--max-spines", ClosTopology, args.max_spines, args.max_tors, args.max_tors, 1, 1.0)
+    for flag, value in (("--max-commodities", args.max_commodities),
+                        ("--instances", args.instances)):
+        check_value(value, "int", (">= 1",), flag)
     instances, seed = args.instances, args.seed
     worst_ratio = 0.0
     violations = 0

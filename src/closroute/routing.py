@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import compress
@@ -61,6 +62,7 @@ from .topology import (
     Endpoint,
     PathChoice,
     build_routes,
+    build_topology,
     classify,
     max_spine_link_load,
 )
@@ -507,6 +509,24 @@ def assign_by_scheme(
     return exact_assign(commodities, topo, memo=memo)
 
 
+def _unit_commodities(
+    topo: ClosTopology, pairs: list[tuple[int, int]], prefix: str, job: str
+) -> list[CommoditySpec]:
+    """One unit commodity per (src ToR, dst ToR) pair, in order: a ToR's k-th
+    commodity out, and its k-th in, take its NIC slot k modulo its slot count."""
+    nics = topo.hosts_per_tor * topo.nics_per_host
+    out_rank: dict[int, int] = {}
+    in_rank: dict[int, int] = {}
+
+    def endpoint(tor: int, rank: dict[int, int]) -> Endpoint:
+        slot = rank.get(tor, 0)
+        rank[tor] = slot + 1
+        return Endpoint(tor, *divmod(slot % nics, topo.nics_per_host))
+
+    return [CommoditySpec(f"{prefix}{i}", job, endpoint(u, out_rank), endpoint(v, in_rank), 1)
+            for i, (u, v) in enumerate(pairs)]
+
+
 def unit_commodities_for_pairs(
     topo: ClosTopology, pairs: list[tuple[int, int]]
 ) -> list[CommoditySpec]:
@@ -515,25 +535,16 @@ def unit_commodities_for_pairs(
     Each commodity gets its own source NIC among its ToR's outgoing slots and
     its own destination NIC among the target ToR's incoming slots, so NIC
     links never influence spine choices (mirroring an analysis that looks at
-    the ToR<->spine layer only).
+    the ToR<->spine layer only). A self-pair is refused before a ToR with more
+    pairs than NIC slots.
     """
-    out_rank: dict[int, int] = {}
-    in_rank: dict[int, int] = {}
-    commodities = []
+    if any(u == v for u, v in pairs):
+        raise ValueError("pairs must connect distinct ToRs")
     nics = topo.hosts_per_tor * topo.nics_per_host
-    for i, (u, v) in enumerate(pairs):
-        if u == v:
-            raise ValueError("pairs must connect distinct ToRs")
-        src_slot = out_rank.get(u, 0)
-        dst_slot = in_rank.get(v, 0)
-        out_rank[u] = src_slot + 1
-        in_rank[v] = dst_slot + 1
-        if src_slot >= nics or dst_slot >= nics:
+    for tors in zip(*pairs):  # the sources, then the destinations
+        if max(Counter(tors).values()) > nics:
             raise ValueError(f"ToR degree exceeds {nics} NIC slots")
-        src = Endpoint(u, src_slot // topo.nics_per_host, src_slot % topo.nics_per_host)
-        dst = Endpoint(v, dst_slot // topo.nics_per_host, dst_slot % topo.nics_per_host)
-        commodities.append(CommoditySpec(f"c{i}", "instance", src, dst, 1))
-    return commodities
+    return _unit_commodities(topo, pairs, "c", "instance")
 
 
 def random_unit_instance(
@@ -542,37 +553,22 @@ def random_unit_instance(
     max_spines: int = 4,
     max_commodities: int = 14,
 ) -> tuple[ClosTopology, list[CommoditySpec]]:
-    """Seeded random 0/1 ToR-to-ToR demand instance for scheme validation."""
-    from .topology import build_topology
-
+    """Seeded random 0/1 ToR-to-ToR demand instance for scheme validation: a
+    sample of the ordered pairs of distinct ToRs, drawn as their indices."""
     rng = random.Random(seed)
     num_tors = rng.randint(2, max_tors)
     num_spines = rng.randint(1, max_spines)
-    all_pairs = [(u, v) for u in range(num_tors) for v in range(num_tors) if u != v]
-    count = rng.randint(1, min(max_commodities, len(all_pairs)))
-    pairs = rng.sample(all_pairs, count)
+    ordered = num_tors * (num_tors - 1)  # (u, v) is u * (num_tors - 1) + v, less 1 if v > u
+    count = rng.randint(1, min(max_commodities, ordered))
+    pairs = [divmod(i, num_tors - 1) for i in rng.sample(range(ordered), count)]
     topo = build_topology(num_spines, num_tors, hosts_per_tor=max_tors, nics_per_host=1,
                           link_capacity=1.0)
-    return topo, unit_commodities_for_pairs(topo, pairs)
+    return topo, unit_commodities_for_pairs(topo, [(u, r + (r >= u)) for u, r in pairs])
 
 
 def random_commodities(topo: ClosTopology, count: int, seed: int) -> list[CommoditySpec]:
     """Seeded random inter-ToR commodities for benchmarks; NIC slots cycle."""
     rng = random.Random(seed)
-    out_rank: dict[int, int] = {}
-    in_rank: dict[int, int] = {}
-    commodities = []
-    nics = topo.hosts_per_tor * topo.nics_per_host
-    for i in range(count):
-        u = rng.randrange(topo.num_tors)
-        v = rng.randrange(topo.num_tors - 1)
-        if v >= u:
-            v += 1
-        src_slot = out_rank.get(u, 0) % nics
-        dst_slot = in_rank.get(v, 0) % nics
-        out_rank[u] = out_rank.get(u, 0) + 1
-        in_rank[v] = in_rank.get(v, 0) + 1
-        src = Endpoint(u, src_slot // topo.nics_per_host, src_slot % topo.nics_per_host)
-        dst = Endpoint(v, dst_slot // topo.nics_per_host, dst_slot % topo.nics_per_host)
-        commodities.append(CommoditySpec(f"b{i}", "bench", src, dst, 1))
-    return commodities
+    draws = [(rng.randrange(topo.num_tors), rng.randrange(topo.num_tors - 1))
+             for _ in range(count)]
+    return _unit_commodities(topo, [(u, v + (v >= u)) for u, v in draws], "b", "bench")

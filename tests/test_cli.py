@@ -523,6 +523,20 @@ def test_bad_integer_flag_is_config_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, rule", [("--max-tors", "num_tors must be in [2, 2**20]"),
+                                        ("--max-spines", "num_spines must be in [1, 2**20]")])
+def test_validate_refuses_a_size_past_the_fabric_bound_before_any_instance(
+        flag, rule, monkeypatch, capsys):
+    """The fabric's own check refuses 2**20 + 1, naming the flag, before
+    random_unit_instance draws anything."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(cli, "random_unit_instance", unreachable)
+    assert main(["validate", flag, "1048577"]) == 2
+    assert capsys.readouterr().err == f"config error: {flag}: {rule}, got 1048577\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [pytest.param(argv, message, id=shlex.join(argv)) for argv, message in [

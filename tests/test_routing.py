@@ -1078,3 +1078,137 @@ def test_lazy_views_match_eager_builds(scheme, monkeypatch):
         ids = np.array([c.id for c in cs], dtype=object)
         by_rows = waterfill(LinkRows(ids, choice.link_rows(topo)), topo)
         assert by_rows.cids is ids and by_rows.rate.tobytes() == alloc.rate.tobytes()
+
+
+# -- the generators against their per-function references ---------------------
+
+
+def reference_unit_commodities_for_pairs(topo, pairs):
+    """``unit_commodities_for_pairs`` with its own NIC-slot counts, refusing a
+    self-pair or a ToR past its slots at the first pair that shows it."""
+    out_rank, in_rank = {}, {}
+    commodities = []
+    nics = topo.hosts_per_tor * topo.nics_per_host
+    for i, (u, v) in enumerate(pairs):
+        if u == v:
+            raise ValueError("pairs must connect distinct ToRs")
+        src_slot = out_rank.get(u, 0)
+        dst_slot = in_rank.get(v, 0)
+        out_rank[u] = src_slot + 1
+        in_rank[v] = dst_slot + 1
+        if src_slot >= nics or dst_slot >= nics:
+            raise ValueError(f"ToR degree exceeds {nics} NIC slots")
+        src = Endpoint(u, src_slot // topo.nics_per_host, src_slot % topo.nics_per_host)
+        dst = Endpoint(v, dst_slot // topo.nics_per_host, dst_slot % topo.nics_per_host)
+        commodities.append(CommoditySpec(f"c{i}", "instance", src, dst, 1))
+    return commodities
+
+
+def reference_random_unit_instance(seed, max_tors=8, max_spines=4, max_commodities=14):
+    """``random_unit_instance`` sampling from a list of every ordered ToR pair:
+    T(T - 1) tuples, so only for small max_tors."""
+    rng = random.Random(seed)
+    num_tors = rng.randint(2, max_tors)
+    num_spines = rng.randint(1, max_spines)
+    all_pairs = [(u, v) for u in range(num_tors) for v in range(num_tors) if u != v]
+    count = rng.randint(1, min(max_commodities, len(all_pairs)))
+    pairs = rng.sample(all_pairs, count)
+    topo = build_topology(num_spines, num_tors, hosts_per_tor=max_tors, nics_per_host=1,
+                          link_capacity=1.0)
+    return topo, reference_unit_commodities_for_pairs(topo, pairs)
+
+
+def reference_random_commodities(topo, count, seed):
+    """``random_commodities`` with its own NIC-slot counts, cycling each ToR's slots."""
+    rng = random.Random(seed)
+    out_rank, in_rank = {}, {}
+    commodities = []
+    nics = topo.hosts_per_tor * topo.nics_per_host
+    for i in range(count):
+        u = rng.randrange(topo.num_tors)
+        v = rng.randrange(topo.num_tors - 1)
+        if v >= u:
+            v += 1
+        src_slot = out_rank.get(u, 0) % nics
+        dst_slot = in_rank.get(v, 0) % nics
+        out_rank[u] = out_rank.get(u, 0) + 1
+        in_rank[v] = in_rank.get(v, 0) + 1
+        src = Endpoint(u, src_slot // topo.nics_per_host, src_slot % topo.nics_per_host)
+        dst = Endpoint(v, dst_slot // topo.nics_per_host, dst_slot % topo.nics_per_host)
+        commodities.append(CommoditySpec(f"b{i}", "bench", src, dst, 1))
+    return commodities
+
+
+def outcome(make, *args):
+    """What make(*args) gives, as text: its repr, or its ValueError's message."""
+    try:
+        return repr(make(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+small_fabrics = st.builds(build_topology, st.integers(1, 4), st.integers(2, 6),
+                          st.integers(1, 3), st.integers(1, 3), st.just(1.0))
+ONE_SLOT = build_topology(2, 3, 1, 1, 1.0)
+
+
+@st.composite
+def fabrics_and_pairs(draw):
+    """A small fabric and up to 24 ToR pairs on it, self-pairs and ToRs with
+    more pairs than NIC slots among them."""
+    topo = draw(small_fabrics)
+    tor = st.integers(0, topo.num_tors - 1)
+    pairs = draw(st.lists(st.tuples(tor, tor).filter(lambda p: p[0] != p[1]), max_size=24))
+    if draw(st.booleans()):
+        self_pair = (draw(tor),) * 2
+        pairs.insert(draw(st.integers(0, len(pairs))), self_pair)
+    return topo, pairs
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(fabrics_and_pairs())
+@example((ONE_SLOT, []))
+@example((ONE_SLOT, [(0, 1), (1, 0), (2, 0)]))
+@example((ONE_SLOT, [(0, 1), (0, 2)]))  # ToR 0 sends past its one slot
+@example((ONE_SLOT, [(0, 2), (1, 2)]))  # ToR 2 receives past it
+@example((ONE_SLOT, [(1, 1)]))
+@example((ONE_SLOT, [(0, 1), (0, 2), (1, 1)]))  # both faults, the self-pair last
+@example((build_topology(1, 4, 2, 2, 1.0), [(0, v % 3 + 1) for v in range(12)]))
+def test_unit_commodities_for_pairs_is_its_reference(case):
+    """The same commodities or the same refusal, except that a list with both
+    faults is refused for its self-pair, wherever it stands."""
+    topo, pairs = case
+    expected = outcome(reference_unit_commodities_for_pairs, topo, pairs)
+    if any(u == v for u, v in pairs):
+        expected = "ValueError: pairs must connect distinct ToRs"
+    assert outcome(unit_commodities_for_pairs, topo, pairs) == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_fabrics, st.integers(0, 60), st.integers(0, 2**32))
+@example(ONE_SLOT, 0, 0)
+@example(ONE_SLOT, 40, 3)  # every ToR's one slot reused
+@example(build_topology(4, 6, 3, 2, 1.0), 60, 7)
+def test_random_commodities_is_its_reference(topo, count, seed):
+    assert repr(random_commodities(topo, count, seed)) == repr(
+        reference_random_commodities(topo, count, seed))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 12), st.integers(1, 5), st.integers(1, 40))
+@example(0, 2, 1, 1)
+@example(0, 8, 4, 14)
+@example(7, 12, 5, 132)  # up to every ordered pair of 12 ToRs
+def test_random_unit_instance_is_its_reference(seed, max_tors, max_spines, most):
+    assert repr(random_unit_instance(seed, max_tors, max_spines, most)) == repr(
+        reference_random_unit_instance(seed, max_tors, max_spines, most))
+
+
+def test_random_unit_instance_on_a_hundred_thousand_tors_takes_under_a_second():
+    """It draws pair indices, where listing every ordered pair would take
+    about 10^10 tuples."""
+    start = time.perf_counter()
+    topo, cs = random_unit_instance(0, max_tors=10**5)
+    assert time.perf_counter() - start < 1.0
+    assert topo.hosts_per_tor == 10**5 and 1 <= len(cs) <= 14
+    assert all(c.src.tor != c.dst.tor for c in cs)
